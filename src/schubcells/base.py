@@ -18,6 +18,16 @@ from .plucker import PluckerWeight, weight_of
 from .weyl import WeylElement, WeylGroup
 
 
+def _ones(m: int):
+    """Indices of the set bits of m, ascending."""
+    k = 0
+    while m:
+        if m & 1:
+            yield k
+        m >>= 1
+        k += 1
+
+
 class FinitePoset:
     """A finite poset with unique minimum and maximum, stored as up-set
     bitmasks over an indexed element list."""
@@ -28,32 +38,18 @@ class FinitePoset:
         n = len(self.elements)
         if len(self.up) != n:
             raise ValueError("one up-mask per element required")
-        full = (1 << n) - 1
         for j in range(n):
             if not self.up[j] >> j & 1:
                 raise ValueError("order must be reflexive")
         self.down = [0] * n
         for j in range(n):
-            m = self.up[j]
-            k = 0
-            while m:
-                if m & 1:
-                    if j != k and self.up[k] >> j & 1:
-                        raise ValueError("order must be antisymmetric")
-                    self.down[k] |= 1 << j
-                m >>= 1
-                k += 1
-        for j in range(n):
-            m = self.up[j]
             acc = 0
-            k = 0
-            mm = m
-            while mm:
-                if mm & 1:
-                    acc |= self.up[k]
-                mm >>= 1
-                k += 1
-            if acc != m:
+            for k in _ones(self.up[j]):
+                if j != k and self.up[k] >> j & 1:
+                    raise ValueError("order must be antisymmetric")
+                self.down[k] |= 1 << j
+                acc |= self.up[k]
+            if acc != self.up[j]:
                 raise ValueError("order must be transitive")
         mins = [j for j in range(n) if self.down[j] == 1 << j]
         maxs = [j for j in range(n) if self.up[j] == 1 << j]
@@ -119,14 +115,7 @@ def supremum_idx(P: FinitePoset, Q) -> int | None:
         ub &= P.up[q]
     if ub == 0:
         return None
-    m = ub
-    k = 0
-    while m:
-        if m & 1 and ub & ~P.up[k] == 0:
-            return k
-        m >>= 1
-        k += 1
-    return None
+    return next((k for k in _ones(ub) if ub & ~P.up[k] == 0), None)
 
 
 def supremum(P: FinitePoset, Q):
@@ -145,15 +134,9 @@ def poset_base_indices(P: FinitePoset) -> list[int]:
     full = (1 << n) - 1
     out = []
     for a in range(n):
-        lower = P.down[a] & ~(1 << a)
         ub = full
-        m = lower
-        k = 0
-        while m:
-            if m & 1:
-                ub &= P.up[k]
-            m >>= 1
-            k += 1
+        for k in _ones(P.down[a] & ~(1 << a)):
+            ub &= P.up[k]
         if ub != P.up[a]:
             out.append(a)
     return out
@@ -245,14 +228,7 @@ def generic_recognize_from_base(group: WeylGroup, bits) -> WeylElement | None:
     for b, pw in zip(base, weights):
         mask = P.up[P.index(b.element)]
         candidates &= mask if bits[pw] else ~mask
-    matches = []
-    k = 0
-    m = candidates
-    while m and k < n:
-        if m & 1:
-            matches.append(P.elements[k])
-        m >>= 1
-        k += 1
+    matches = [P.elements[k] for k in _ones(candidates)]
     if len(matches) > 1:
         raise RuntimeError("base lower-sets failed to separate group elements")
     return matches[0] if matches else None

@@ -51,8 +51,8 @@ class CartanDatum:
     cartan_matrix: tuple[tuple[int, ...], ...]
     simple_roots: tuple[Vector, ...]
     fundamental_weights: tuple[Vector, ...]
-    # Strictly dominant integer vector with trivial stabilizer; used as the
-    # seed for canonical element fingerprints.
+    # Strictly dominant integer vector with trivial stabilizer (ambient
+    # coordinates; element fingerprints use the Dynkin labels of rho).
     dominant_seed: Vector
 
     def __post_init__(self):

@@ -69,7 +69,7 @@ def variety_equations(group: WeylGroup, w: WeylElement) -> VarietyDescription:
     eqs = []
     for i in range(1, group.rank + 1):
         table = orbit_table(group, i)
-        jw = table.index[group.act(w, group.fundamental_weights[i - 1])]
+        jw = table.position(w)
         ups = table.up_masks()
         for k, pw in enumerate(table.weights):
             if not ups[k] >> jw & 1:
@@ -77,42 +77,38 @@ def variety_equations(group: WeylGroup, w: WeylElement) -> VarietyDescription:
     return VarietyDescription(w, tuple(eqs))
 
 
-def _coset_orbit(group: WeylGroup, w: WeylElement, i: int, J: frozenset[int]):
-    """The weights w W_J omega_i as PluckerWeights."""
-    table = orbit_table(group, i)
-    omega = group.fundamental_weights[i - 1]
-    seen = {omega}
-    frontier = [omega]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for j in sorted(J):
-                v2 = group.reflect(j, v)
-                if v2 not in seen:
-                    seen.add(v2)
-                    nxt.append(v2)
-        frontier = nxt
-    return [table.lookup(group.act(w, v)) for v in seen]
-
-
 def cell_description_general(
     group: WeylGroup, w: WeylElement, ordering: WeightOrdering | None = None
 ) -> CellDescription:
     """All r inequalities p_{w omega_i} != 0 plus, per level, the coset-orbit
-    weights strictly above w omega_i."""
+    weights w W_J omega_i strictly above w omega_i, in orbit-table order."""
     if ordering is None:
         ordering = standard_ordering(group)
     ineqs = [weight_of(group, w, i) for i in ordering]
     eqs = []
     for pos in range(group.rank):
-        i = ordering.order[pos]
-        J = ordering.tail(pos)
-        table = orbit_table(group, i)
-        top = weight_of(group, w, i)
-        for pw in _coset_orbit(group, w, i, J):
-            if pw != top and table.leq(top, pw):
-                eqs.append(pw)
+        table = orbit_table(group, ordering.order[pos])
+        top = table.position(w)
+        up = table.up_masks()[top]
+        indices, _words = table.suborbit(ordering.tail(pos))
+        coset = {table.act(w.word, k) for k in indices}
+        eqs.extend(table.weights[k] for k in sorted(coset) if k != top and up >> k & 1)
     return CellDescription(w, tuple(eqs), tuple(ineqs), ordering)
+
+
+def _root_plan(group: WeylGroup, ordering: WeightOrdering):
+    """Per positive root alpha: (mu(alpha), index of s_alpha omega_mu(alpha))."""
+    key = ("root_plan", ordering.order)
+    plan = group._cache.get(key)
+    if plan is None:
+        plan = []
+        for rt in group.positive_roots():
+            level = mu(group, rt, ordering)
+            table = orbit_table(group, level)
+            moved = group.reflect_by_root(rt, group.fundamental_weights[level - 1])
+            plan.append((level, table.index[moved]))
+        group._cache[key] = plan
+    return plan
 
 
 def _economical_style_sets(group: WeylGroup, w: WeylElement, ordering: WeightOrdering):
@@ -120,12 +116,10 @@ def _economical_style_sets(group: WeylGroup, w: WeylElement, ordering: WeightOrd
     {w omega_i : some alpha with mu(alpha) = i has w alpha < 0}."""
     eqs: list[PluckerWeight] = []
     ineq_levels: set[int] = set()
-    for rt in group.positive_roots():
-        level = mu(group, rt, ordering)
-        image = group.act(w, rt.coords)
-        if group.root_sign(image) > 0:
-            moved = group.reflect_by_root(rt, group.fundamental_weights[level - 1])
-            eqs.append(orbit_table(group, level).lookup(group.act(w, moved)))
+    for (level, k), sign in zip(_root_plan(group, ordering), group.root_signs(w)):
+        if sign > 0:
+            table = orbit_table(group, level)
+            eqs.append(table.weights[table.act(w.word, k)])
         else:
             ineq_levels.add(level)
     if len(set(eqs)) != len(eqs):
@@ -202,7 +196,7 @@ def cell_description_typeD(
         table = orbit_table(group, i)
         flipped = list(group.fundamental_weights[i - 1])
         flipped[i - 1] = -flipped[i - 1]
-        candidate = table.lookup(group.act(w, tuple(flipped)))
+        candidate = table.weights[table.act(w.word, table.index[tuple(flipped)])]
         top = weight_of(group, w, i)
         above = table.leq(top, candidate) and candidate != top
         below = table.leq(candidate, top)

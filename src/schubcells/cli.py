@@ -21,7 +21,7 @@ from .plucker import (
     WeightOrdering,
     is_economical_index,
     is_economical_ordering,
-    orbit_vectors,
+    orbit_size,
     roots_R,
     standard_ordering,
     subset_str,
@@ -279,7 +279,7 @@ def _cmd_economical(args) -> int:
         rows.append(
             {
                 "index": i,
-                "orbit_size": len(orbit_vectors(group, i)),
+                "orbit_size": orbit_size(group, i),
                 "roots": len(roots_R(group, i)),
                 "economical": is_economical_index(group, i),
             }
@@ -366,32 +366,27 @@ def make_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
+    commands = {
+        "describe": lambda a: _cmd_describe(a, variety=False),
+        "describe-variety": lambda a: _cmd_describe(a, variety=True),
+        "recognize": _cmd_recognize,
+        "tree": _cmd_tree,
+        "base": _cmd_base,
+        "patterns-poset": _cmd_patterns_poset,
+        "bounds": _cmd_bounds,
+        "economical": _cmd_economical,
+    }
     try:
-        if args.command == "describe":
-            return _cmd_describe(args, variety=False)
-        if args.command == "describe-variety":
-            args.variety = True
-            return _cmd_describe(args, variety=True)
-        if args.command == "recognize":
-            return _cmd_recognize(args)
-        if args.command == "tree":
-            return _cmd_tree(args)
-        if args.command == "base":
-            return _cmd_base(args)
-        if args.command == "patterns-poset":
-            return _cmd_patterns_poset(args)
-        if args.command == "bounds":
-            return _cmd_bounds(args)
-        if args.command == "economical":
-            return _cmd_economical(args)
-        parser.error(f"unknown command {args.command!r}")
+        return commands[args.command](args)
     except UnsupportedGroupError as exc:
         print(f"unsupported group: {exc}", file=sys.stderr)
         return 3
     except (UnacceptableInputError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return 0
+    except RuntimeError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -16,7 +16,7 @@ from .errors import UnacceptableInputError
 from .plucker import (
     PluckerWeight,
     all_weights,
-    orbit,
+    level_offsets,
     orbit_table,
     subset_of,
     weight_from_subset,
@@ -27,7 +27,7 @@ from .weyl import WeylElement, WeylGroup
 class VanishingPattern:
     """One bit per Plucker weight, total over all levels of the group."""
 
-    __slots__ = ("group", "bits")
+    __slots__ = ("group", "bits", "offsets")
 
     def __init__(self, group: WeylGroup, bits: tuple[int, ...]):
         weights = all_weights(group)
@@ -35,6 +35,7 @@ class VanishingPattern:
             raise ValueError("pattern must assign a bit to every Plucker weight")
         self.group = group
         self.bits = tuple(1 if b else 0 for b in bits)
+        self.offsets = level_offsets(group)
 
     @classmethod
     def from_dict(cls, group: WeylGroup, mapping) -> "VanishingPattern":
@@ -45,7 +46,7 @@ class VanishingPattern:
         return cls(group, tuple(mapping[pw] for pw in weights))
 
     def bit(self, pw: PluckerWeight) -> int:
-        return self.bits[_weight_index(self.group, pw)]
+        return self.bits[self.offsets[pw.level] + pw.index]
 
     def as_dict(self) -> dict[PluckerWeight, int]:
         return dict(zip(all_weights(self.group), self.bits))
@@ -65,15 +66,6 @@ class VanishingPattern:
 
     def __repr__(self):
         return f"VanishingPattern({''.join(map(str, self.bits))})"
-
-
-def _weight_index(group: WeylGroup, pw: PluckerWeight) -> int:
-    key = "weight_index"
-    idx = group._cache.get(key)
-    if idx is None:
-        idx = {w: k for k, w in enumerate(all_weights(group))}
-        group._cache[key] = idx
-    return idx[pw]
 
 
 @dataclass(frozen=True)
@@ -97,13 +89,13 @@ def check_acceptable(pattern: VanishingPattern) -> AcceptabilityReport:
     maxima: list[PluckerWeight] = []
     for i in range(1, group.rank + 1):
         table = orbit_table(group, i)
-        ones = [k for k, pw in enumerate(table.weights) if pattern.bit(pw)]
+        start = pattern.offsets[i]
+        level_bits = pattern.bits[start:start + len(table)]
+        ones = [k for k, b in enumerate(level_bits) if b]
         if not ones:
             per_level[i] = None
             return AcceptabilityReport(False, per_level, None, "empty_level")
-        ones_mask = 0
-        for k in ones:
-            ones_mask |= 1 << k
+        ones_mask = sum(1 << k for k in ones)
         ups = table.up_masks()
         maximal = [k for k in ones if ups[k] & ones_mask == 1 << k]
         if len(maximal) != 1:
@@ -112,13 +104,11 @@ def check_acceptable(pattern: VanishingPattern) -> AcceptabilityReport:
         top = table.weights[maximal[0]]
         per_level[i] = top
         maxima.append(top)
-    total = maxima[0].weight
-    for pw in maxima[1:]:
-        total = tuple(a + b for a, b in zip(total, pw.weight))
-    w = group.element_with_rho_image(total)
+    # sum of the maxima = w rho for the witness w, if there is one
+    total = [sum(col) for col in zip(*(pw.labels for pw in maxima))]
+    w = group.element_with_rho_labels(tuple(total))
     if w is None or any(
-        group.act(w, group.fundamental_weights[i - 1]) != maxima[i - 1].weight
-        for i in range(1, group.rank + 1)
+        orbit_table(group, pw.level).position(w) != pw.index for pw in maxima
     ):
         return AcceptabilityReport(False, per_level, None, "no_common_w")
     return AcceptabilityReport(True, per_level, w, None)
@@ -129,9 +119,9 @@ def generic_pattern(group: WeylGroup, w: WeylElement) -> VanishingPattern:
     bits = []
     for i in range(1, group.rank + 1):
         table = orbit_table(group, i)
-        jw = table.index[group.act(w, group.fundamental_weights[i - 1])]
+        jw = table.position(w)
         ups = table.up_masks()
-        bits.extend(1 if ups[k] >> jw & 1 else 0 for k in range(len(table)))
+        bits.extend(ups[k] >> jw & 1 for k in range(len(table)))
     return VanishingPattern(group, tuple(bits))
 
 
@@ -154,7 +144,7 @@ def random_acceptable(group: WeylGroup, w: WeylElement, seed=None) -> VanishingP
     bits = []
     for i in range(1, group.rank + 1):
         table = orbit_table(group, i)
-        jw = table.index[group.act(w, group.fundamental_weights[i - 1])]
+        jw = table.position(w)
         ups = table.up_masks()
         for k in range(len(table)):
             if k == jw:

@@ -18,18 +18,6 @@ def identity(n: int) -> tuple[int, ...]:
     return tuple(range(1, n + 1))
 
 
-def compose(u, v):
-    """(u compose v)(j) = u(v(j))."""
-    return tuple(u[v[j] - 1] for j in range(len(u)))
-
-
-def inverse(w):
-    out = [0] * len(w)
-    for j, x in enumerate(w):
-        out[x - 1] = j + 1
-    return tuple(out)
-
-
 def length(w) -> int:
     """Number of inversions."""
     n = len(w)

@@ -2,33 +2,47 @@
 to each orbit through minimal coset representatives, the R(i) root sets,
 and economical indices / orderings of the fundamental weights.
 
-Orbits are materialized eagerly in a canonical order (length of the minimal
-coset representative, then shortlex word) so that every "pick a linear order
-compatible with the Bruhat order" step downstream is deterministic.
+Orbits are built by breadth-first search on Dynkin labels and materialized
+in a canonical order (length of the minimal coset representative, then
+shortlex word) so that every "pick a linear order compatible with the Bruhat
+order" step downstream is deterministic.  Each orbit table stores the action
+of every generator on orbit indices, so the index of w omega_i is w's word
+folded through integer tables; ambient weights are carried alongside.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .cartan import Vector
-from .weyl import Root, WeylElement, WeylGroup, word_str
+from .weyl import Labels, Root, WeylElement, WeylGroup, along_tree, orbit_bfs, word_str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, slots=True)
 class PluckerWeight:
-    """A weight in the orbit W omega_i, with its minimal coset representative.
+    """A weight in the orbit W omega_i, with its minimal coset representative,
+    its Dynkin labels and its index in the orbit table.
 
-    Equality and hashing use (level, weight) only.
+    Equality and hashing use (level, weight) only; the hash is precomputed.
     """
 
     level: int
     weight: Vector
-    min_rep: WeylElement = field(compare=False, repr=False)
+    min_rep: WeylElement = field(repr=False)
+    labels: Labels = field(repr=False)
+    index: int = field(repr=False)
+    _hash: int = field(init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.level, self.weight)))
 
     def __hash__(self):
-        return hash((self.level, self.weight))
+        return self._hash
+
+    def __eq__(self, other):
+        if not isinstance(other, PluckerWeight):
+            return NotImplemented
+        return self is other or (self.level == other.level and self.weight == other.weight)
 
     def __repr__(self):
         return f"PluckerWeight(level={self.level}, {word_str(self.min_rep.word)})"
@@ -70,34 +84,41 @@ def standard_ordering(group: WeylGroup) -> WeightOrdering:
     return WeightOrdering(tuple(range(1, r + 1)))
 
 
+def _orbit_labels(group: WeylGroup, level: int, J=None):
+    """orbit_bfs of omega_i's labels under W_J (all of W when J is None)."""
+    if not 1 <= level <= group.rank:
+        raise ValueError(f"level {level} out of range 1..{group.rank}")
+    gens = range(1, group.rank + 1) if J is None else sorted(group.check_parabolic(J))
+    omega = tuple(1 if j == level else 0 for j in range(1, group.rank + 1))
+    return orbit_bfs(omega, gens, group.reflect_labels)
+
+
 class OrbitTable:
-    """Materialized orbit W omega_i with minimal coset representatives and
-    cached pairwise Bruhat comparisons (as bitmasks)."""
+    """Materialized orbit W omega_i with minimal coset representatives, the
+    action of each generator on orbit indices, and cached pairwise Bruhat
+    comparisons (as bitmasks)."""
 
     def __init__(self, group: WeylGroup, level: int):
         self.group = group
         self.level = level
-        group.ensure_enumerated()
-        omega = group.fundamental_weights[level - 1]
-        reps: dict[Vector, WeylElement] = {omega: group.identity}
-        frontier = [omega]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                rep = reps[v]
-                for i in range(1, group.rank + 1):
-                    v2 = group.reflect(i, v)
-                    if v2 == v or v2 in reps:
-                        continue
-                    reps[v2] = group.multiply(group.simple(i), rep)
-                    nxt.append(v2)
-            frontier = nxt
-        weights = [
-            PluckerWeight(level, v, rep) for v, rep in reps.items()
-        ]
-        weights.sort(key=lambda pw: (pw.min_rep.length, pw.min_rep.word))
-        self.weights: tuple[PluckerWeight, ...] = tuple(weights)
-        self.index: dict[Vector, int] = {pw.weight: k for k, pw in enumerate(weights)}
+        labels, parent, via = _orbit_labels(group, level)
+        # ambient weights are carried along the tree: rebuilding them from
+        # labels would lose the W-invariant component (types A and G2)
+        ambient = along_tree(parent, via, group.fundamental_weights[level - 1], group.reflect)
+        reps = [group.element(word) for word in along_tree(parent, via, (), lambda i, u: (i,) + u)]
+        order = sorted(range(len(labels)), key=lambda k: (reps[k].length, reps[k].word))
+        self.weights: tuple[PluckerWeight, ...] = tuple(
+            PluckerWeight(level, ambient[k], reps[k], labels[k], pos)
+            for pos, k in enumerate(order)
+        )
+        self.index: dict[Vector, int] = {pw.weight: pw.index for pw in self.weights}
+        self.by_labels: dict[Labels, int] = {pw.labels: pw.index for pw in self.weights}
+        # gen[i - 1][k]: index of s_i applied to weights[k]
+        self.gen: tuple[tuple[int, ...], ...] = tuple(
+            tuple(self.by_labels[group.reflect_labels(i, pw.labels)] for pw in self.weights)
+            for i in range(1, group.rank + 1)
+        )
+        self._suborbits: dict[frozenset[int], tuple] = {}
         self._up_masks: list[int] | None = None
 
     def __len__(self):
@@ -106,26 +127,42 @@ class OrbitTable:
     def lookup(self, v: Vector) -> PluckerWeight:
         return self.weights[self.index[v]]
 
+    def act(self, word, k: int) -> int:
+        """Index of s_{i1} ... s_{ik} applied to weights[k]."""
+        gen = self.gen
+        for i in reversed(word):
+            k = gen[i - 1][k]
+        return k
+
+    def position(self, w: WeylElement) -> int:
+        """Index of w omega_i."""
+        return self.act(w.word, 0)
+
+    def suborbit(self, J) -> tuple:
+        """W_J omega_i as (indices, words): each index with a reduced word of
+        its minimal representative in W_J."""
+        J = frozenset(J)
+        hit = self._suborbits.get(J)
+        if hit is None:
+            gen = self.gen
+            idx, parent, via = orbit_bfs(0, sorted(J), lambda j, k: gen[j - 1][k])
+            hit = (tuple(idx), tuple(along_tree(parent, via, (), lambda i, u: (i,) + u)))
+            self._suborbits[J] = hit
+        return hit
+
     def up_masks(self) -> list[int]:
         """up_masks()[j] has bit k set iff weights[j] <= weights[k]."""
         if self._up_masks is None:
             g = self.group
-            n = len(self.weights)
             idx = [g.index_of(pw.min_rep) for pw in self.weights]
-            masks = [0] * n
-            for j in range(n):
-                m = 0
-                for k in range(n):
-                    if g._bruhat_leq_idx(idx[j], idx[k]):
-                        m |= 1 << k
-                masks[j] = m
-            self._up_masks = masks
+            self._up_masks = [
+                sum(1 << k for k, b in enumerate(idx) if g._bruhat_leq_idx(a, b))
+                for a in idx
+            ]
         return self._up_masks
 
     def leq(self, a: PluckerWeight, b: PluckerWeight) -> bool:
-        ja = self.index[a.weight]
-        jb = self.index[b.weight]
-        return bool(self.up_masks()[ja] >> jb & 1)
+        return bool(self.up_masks()[a.index] >> b.index & 1)
 
 
 def orbit(group: WeylGroup, level: int) -> tuple[PluckerWeight, ...]:
@@ -155,8 +192,19 @@ def all_weights(group: WeylGroup) -> tuple[PluckerWeight, ...]:
 
 def weight_of(group: WeylGroup, w: WeylElement, level: int) -> PluckerWeight:
     """The Plucker weight w omega_i."""
-    v = group.act(w, group.fundamental_weights[level - 1])
-    return orbit_table(group, level).lookup(v)
+    table = orbit_table(group, level)
+    return table.weights[table.position(w)]
+
+
+def level_offsets(group: WeylGroup) -> tuple[int, ...]:
+    """offsets[i] is the position of level i's first weight in all_weights."""
+    key = "level_offsets"
+    out = group._cache.get(key)
+    if out is None:
+        sizes = [len(orbit_table(group, i)) for i in range(1, group.rank + 1)]
+        out = (0,) + tuple(sum(sizes[: i - 1]) for i in range(1, group.rank + 1))
+        group._cache[key] = out
+    return out
 
 
 def orbit_bruhat_leq(group: WeylGroup, a: PluckerWeight, b: PluckerWeight) -> bool:
@@ -172,25 +220,16 @@ def orbit_bruhat_leq(group: WeylGroup, a: PluckerWeight, b: PluckerWeight) -> bo
 def orbit_vectors(group: WeylGroup, level: int, J=None) -> frozenset[Vector]:
     """The orbit of omega_i under W_J (all of W when J is None), weights only.
 
-    Runs on vectors alone, so it stays cheap for ranks where enumerating the
-    group would not.
+    Runs on labels alone, so it stays cheap for ranks where enumerating the
+    group would not; ambient weights are carried along the search tree.
     """
-    if not 1 <= level <= group.rank:
-        raise ValueError(f"level {level} out of range 1..{group.rank}")
-    gens = range(1, group.rank + 1) if J is None else sorted(group.check_parabolic(J))
-    omega = group.fundamental_weights[level - 1]
-    seen = {omega}
-    frontier = [omega]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for i in gens:
-                v2 = group.reflect(i, v)
-                if v2 not in seen:
-                    seen.add(v2)
-                    nxt.append(v2)
-        frontier = nxt
-    return frozenset(seen)
+    _labels, parent, via = _orbit_labels(group, level, J)
+    return frozenset(along_tree(parent, via, group.fundamental_weights[level - 1], group.reflect))
+
+
+def orbit_size(group: WeylGroup, level: int, J=None) -> int:
+    """|W_J omega_i| (|W omega_i| when J is None), counted on labels."""
+    return len(_orbit_labels(group, level, J)[0])
 
 
 # ----- R(i) and mu ------------------------------------------------------------
@@ -244,13 +283,12 @@ def is_economical_index_parabolic(group: WeylGroup, i: int, J) -> bool:
     J = group.check_parabolic(J)
     if i not in J:
         raise ValueError(f"index {i} not in parabolic subset {sorted(J)}")
-    orbit_size = len(orbit_vectors(group, i, J))
-    return 1 + _parabolic_positive_root_count(group, i, J) == orbit_size
+    return 1 + _parabolic_positive_root_count(group, i, J) == orbit_size(group, i, J)
 
 
 def is_economical_index(group: WeylGroup, i: int) -> bool:
     """Whether 1 + |R(i)| = |W omega_i|."""
-    return 1 + len(roots_R(group, i)) == len(orbit_vectors(group, i))
+    return 1 + len(roots_R(group, i)) == orbit_size(group, i)
 
 
 def is_economical_ordering(group: WeylGroup, ordering: WeightOrdering) -> bool:
@@ -300,10 +338,18 @@ def subset_of(pw: PluckerWeight) -> frozenset[int]:
 
 
 def weight_from_subset(group: WeylGroup, subset) -> PluckerWeight:
+    """The type A weight e_I, found by its labels [j in I] - [j+1 in I].
+
+    A subset reaching outside 1..n has the labels of a smaller subset, which
+    lie in another orbit, so the lookup raises KeyError as for any weight
+    outside the orbit.
+    """
     subset = frozenset(subset)
-    n = group.rank + 1
-    v = tuple(Fraction(1 if j + 1 in subset else 0) for j in range(n))
-    return orbit_table(group, len(subset)).lookup(v)
+    table = orbit_table(group, len(subset))
+    labels = tuple(
+        (j in subset) - (j + 1 in subset) for j in range(1, group.rank + 1)
+    )
+    return table.weights[table.by_labels[labels]]
 
 
 def subset_str(subset) -> str:
@@ -324,9 +370,3 @@ def weight_json(group: WeylGroup, pw: PluckerWeight):
     if group.type_letter == "A":
         return subset_str(subset_of(pw))
     return [pw.level, word_str(pw.min_rep.word)]
-
-
-def orbit_json(group: WeylGroup, level: int) -> str:
-    import json
-
-    return json.dumps([weight_json(group, pw) for pw in orbit(group, level)])

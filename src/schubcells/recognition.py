@@ -15,7 +15,6 @@ repeated question; the query log records first-time queries only.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 from .errors import UnacceptableInputError
@@ -26,6 +25,7 @@ from .plucker import (
     WeightOrdering,
     all_weights,
     is_economical_ordering,
+    level_offsets,
     orbit_table,
     standard_ordering,
     subset_of,
@@ -84,39 +84,20 @@ class CountingOracle:
         return bit
 
 
-def _suborbit_with_reps(group: WeylGroup, i: int, J: frozenset[int]):
-    """The orbit W_J omega_i as (weight, minimal representative in W_J) pairs."""
-    omega = group.fundamental_weights[i - 1]
-    reps = {omega: group.identity}
-    frontier = [omega]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for j in sorted(J):
-                v2 = group.reflect(j, v)
-                if v2 == v or v2 in reps:
-                    continue
-                reps[v2] = group.multiply(group.simple(j), reps[v])
-                nxt.append(v2)
-        frontier = nxt
-    return list(reps.items())
-
-
-def _scan_plan(group: WeylGroup, ordering: WeightOrdering, pos: int, v: WeylElement):
+def _scan_plan(group: WeylGroup, ordering: WeightOrdering, pos: int, fp, word):
     """Descending Bruhat-compatible scan of v W_J omega_i, with the coset
-    updates attached: list of (PluckerWeight, rep to fold into v)."""
-    key = ("scan", ordering.order, pos, v.fingerprint)
+    updates attached: list of (PluckerWeight, word to append to v).  v is
+    given by its fingerprint (the cache key) and any word for it."""
+    key = ("scan", ordering.order, pos, fp)
     plan = group._cache.get(key)
     if plan is not None:
         return plan
-    i = ordering.order[pos]
-    J = ordering.tail(pos)
-    table = orbit_table(group, i)
-    entries = []
-    for delta, rep in _suborbit_with_reps(group, i, J):
-        eta = table.lookup(group.act(v, delta))
-        entries.append((eta, rep))
-    entries.sort(key=lambda e: (e[0].min_rep.length, e[0].min_rep.word), reverse=True)
+    table = orbit_table(group, ordering.order[pos])
+    indices, words = table.suborbit(ordering.tail(pos))
+    # Orbit-table order is (min-rep length, shortlex word), so sorting by
+    # index gives the descending scan.
+    scan = sorted(zip((table.act(word, k) for k in indices), words), reverse=True)
+    entries = [(table.weights[k], rep) for k, rep in scan]
     if is_economical_ordering(group, ordering):
         for (a, _), (b, _) in zip(entries, entries[1:]):
             if not table.leq(b, a):
@@ -137,9 +118,10 @@ def recognize_general(
     if ordering is None:
         ordering = standard_ordering(group)
     counter = oracle if isinstance(oracle, CountingOracle) else CountingOracle(oracle)
-    v = group.identity
+    fp = group.identity.fingerprint
+    word: tuple[int, ...] = ()
     for pos in range(group.rank):
-        plan = _scan_plan(group, ordering, pos, v)
+        plan = _scan_plan(group, ordering, pos, fp, word)
         if not plan:
             raise UnacceptableInputError("empty scan set")
         chosen = None
@@ -155,8 +137,9 @@ def recognize_general(
             if counter.query(eta):
                 chosen = rep
                 break
-        v = group.multiply(v, chosen)
-    return v, counter.log
+        word += chosen
+        fp = group.fold(chosen, fp)
+    return group.by_fingerprint(fp), counter.log
 
 
 def recognize_typeA(oracle, n: int, check_input: bool = False):
@@ -269,11 +252,7 @@ def all_acceptable_patterns(group: WeylGroup):
     from itertools import product as _product
 
     weights = all_weights(group)
-    offsets = {}
-    pos = 0
-    for i in range(1, group.rank + 1):
-        offsets[i] = pos
-        pos += len(orbit_table(group, i))
+    offsets = level_offsets(group)
     total = 0
     per_w = []
     for w in group.elements():
@@ -281,7 +260,7 @@ def all_acceptable_patterns(group: WeylGroup):
         fixed = [0] * len(weights)
         for i in range(1, group.rank + 1):
             table = orbit_table(group, i)
-            jw = table.index[group.act(w, group.fundamental_weights[i - 1])]
+            jw = table.position(w)
             ups = table.up_masks()
             fixed[offsets[i] + jw] = 1
             free = [

@@ -1,11 +1,15 @@
 """Weyl groups of types A, B, C, D, G2: elements, length, descents, Bruhat
 order, parabolic quotients, roots and reflections.
 
-Elements are stored in canonical form: the shortlex-minimal reduced word over
-generator indices 1..r, together with a fingerprint (the image of a fixed
-strictly dominant integer vector under w^{-1}).  Fingerprints are injective,
-so equality and hashing are O(rank).  Enumeration is a breadth-first closure
-that discovers each element first through its shortlex-minimal word.
+The core is integral [C94]: weights are Dynkin labels (fundamental-weight
+coordinates), where s_i(lambda) = lambda - lambda_i alpha_i and the labels of
+alpha_i are a column of the Cartan matrix.  An element is stored as its
+shortlex-minimal reduced word plus its fingerprint, the labels of w^{-1} rho;
+fingerprints are injective, and their negative labels are the right descents.
+A descent walk on labels turns a fingerprint into its canonical word, so
+elements never require enumerating the group.  The ambient Fraction action
+(reflect, act, act_on_weight, reflect_by_root) stays as public API and as the
+test oracle of the integral core.
 
 All values are immutable after construction.  The only internal mutation is
 memo caches (dict insertion is atomic under CPython), so groups can be shared
@@ -14,7 +18,6 @@ across threads.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -23,13 +26,18 @@ from .errors import UnsupportedGroupError
 
 ENUMERATION_CAP = 10 ** 6
 
+Labels = tuple[int, ...]
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class WeylElement:
-    """A group element in canonical form (shortlex-minimal reduced word)."""
+    """A group element in canonical form (shortlex-minimal reduced word).
+
+    ``fingerprint`` is the tuple of Dynkin labels of w^{-1} rho.
+    """
 
     word: tuple[int, ...]
-    fingerprint: Vector
+    fingerprint: Labels
     group: "WeylGroup" = field(compare=False, repr=False, hash=False)
 
     @property
@@ -66,6 +74,35 @@ class Root:
         return frozenset(i + 1 for i, c in enumerate(self.expansion) if c != 0)
 
 
+def orbit_bfs(start, gens, step):
+    """Breadth-first orbit of ``start`` under ``step(i, x)`` for i in gens.
+
+    Returns (states, parent, via): states[k] for k > 0 was first reached as
+    step(via[k], states[parent[k]]), so its BFS depth is the minimal length
+    of a word carrying ``start`` to it.
+    """
+    seen = {start}
+    states, parent, via = [start], [-1], [0]
+    for k, x in enumerate(states):  # the list grows while it is read
+        for i in gens:
+            y = step(i, x)
+            if y not in seen:
+                seen.add(y)
+                states.append(y)
+                parent.append(k)
+                via.append(i)
+    return states, parent, via
+
+
+def along_tree(parent, via, root, step) -> list:
+    """Carry ``root`` along an orbit_bfs tree: entry k is
+    step(via[k], entry parent[k])."""
+    out = [root]
+    for k in range(1, len(parent)):
+        out.append(step(via[k], out[parent[k]]))
+    return out
+
+
 def word_str(word: tuple[int, ...]) -> str:
     return ".".join(f"s{i}" for i in word) if word else "e"
 
@@ -95,38 +132,30 @@ class WeylGroup:
         self.coroots = tuple(
             tuple(2 * x / dot(a, a) for x in a) for a in datum.simple_roots
         )
-        # Simple roots have integer ambient coordinates in every supported
-        # type, so Cartan pairings of weight-lattice vectors are exact ints.
-        self._alpha_int = tuple(
-            tuple(int(x) for x in a) for a in datum.simple_roots
+        # Dynkin labels of alpha_i: column i of the Cartan matrix.
+        m = datum.cartan_matrix
+        self._alpha_labels = tuple(
+            tuple(m[k][i] for k in range(self.rank)) for i in range(self.rank)
         )
-        self._alpha_norm = tuple(int(dot(a, a)) for a in datum.simple_roots)
+        self._rho = (1,) * self.rank
         self.order = weyl_order(datum.type_letter, datum.rank)
-        self._simples: list[WeylElement | None] = [None] * datum.rank
+        self.identity = WeylElement((), self._rho, self)
         self._elements: list[WeylElement] | None = None
-        self._index: dict[Vector, int] = {}
+        self._index: dict[Labels, int] = {}
         self._bruhat_memo: dict[tuple[int, int], bool] = {}
         self._roots: tuple[Root, ...] | None = None
         self._root_sign: dict[Vector, int] | None = None
-        self._rho_table: dict[Vector, WeylElement] | None = None
+        self._coroot_exps: tuple[tuple[int, ...], ...] = ()
         self._cache: dict = {}
 
     # ----- linear action ---------------------------------------------------
 
     def reflect(self, i: int, v: Vector) -> Vector:
         """Apply the simple reflection s_i to an ambient vector."""
-        a = self._alpha_int[i - 1]
-        num = 2 * sum(x * y for x, y in zip(v, a) if y)
-        if num == 0:
+        c = sum(x * y for x, y in zip(v, self.coroots[i - 1]) if y)
+        if not c:
             return v
-        norm = self._alpha_norm[i - 1]
-        if type(num) is int:
-            c, rem = divmod(num, norm)
-            if rem:
-                c = Fraction(num, norm)
-        else:
-            c = num / norm
-        return tuple(x - c * y if y else x for x, y in zip(v, a))
+        return tuple(x - c * y if y else x for x, y in zip(v, self.simple_roots[i - 1]))
 
     def act_word(self, word, v: Vector) -> Vector:
         """Apply s_{i1} ... s_{ik} (left-to-right composition) to v."""
@@ -145,6 +174,46 @@ class WeylGroup:
     def act_on_weight(self, w: WeylElement, v) -> Vector:
         return self.act(w, tuple(Fraction(x) for x in v))
 
+    # ----- Dynkin labels ---------------------------------------------------
+
+    def labels(self, v: Vector) -> Labels:
+        """Dynkin labels <v, alpha_i^vee> of an integral weight."""
+        out = tuple(dot(v, c) for c in self.coroots)
+        if any(Fraction(x).denominator != 1 for x in out):
+            raise ValueError(f"{v} is not an integral weight")
+        return tuple(int(x) for x in out)
+
+    def reflect_labels(self, i: int, lab: Labels) -> Labels:
+        """s_i on Dynkin labels: lambda - lambda_i alpha_i."""
+        c = lab[i - 1]
+        if not c:
+            return lab
+        return tuple([x - c * a for x, a in zip(lab, self._alpha_labels[i - 1])])
+
+    def fold(self, word, lab: Labels) -> Labels:
+        """Apply s_{i1} first, then s_{i2}, ...: (s_{i1} ... s_{ik})^{-1} lab.
+        fold(w.word, rho) is the fingerprint w^{-1} rho."""
+        reflect = self.reflect_labels
+        for i in word:
+            lab = reflect(i, lab)
+        return lab
+
+    def _descend(self, lab: Labels) -> tuple[list[int], Labels]:
+        """Reflect at the smallest negative label until none is left.
+
+        Started at w rho this lists the smallest left descent at each step,
+        i.e. the shortlex-minimal reduced word of w [C94]."""
+        reflect = self.reflect_labels
+        word = []
+        while True:
+            for i, x in enumerate(lab):
+                if x < 0:
+                    break
+            else:
+                return word, lab
+            word.append(i + 1)
+            lab = reflect(i + 1, lab)
+
     # ----- enumeration -----------------------------------------------------
 
     def ensure_enumerated(self):
@@ -154,33 +223,18 @@ class WeylGroup:
             raise UnsupportedGroupError(
                 f"|W| = {self.order} exceeds the enumeration cap {ENUMERATION_CAP}"
             )
-        seed = self.datum.dominant_seed
-        identity = WeylElement((), seed, self)
-        elements = [identity]
-        index = {seed: 0}
-        level = [identity]
-        # Right-multiplication BFS; parents in shortlex order with ascending
-        # generator index yields candidates in shortlex order, so the first
-        # discovery of each fingerprint carries its shortlex-minimal word.
-        # Fingerprint of w is w^{-1}(seed): f(w s_i) = s_i(f(w)).
-        while level:
-            nxt = []
-            for w in level:
-                for i in range(1, self.rank + 1):
-                    fp = self.reflect(i, w.fingerprint)
-                    if fp in index:
-                        continue
-                    el = WeylElement(w.word + (i,), fp, self)
-                    index[fp] = len(elements)
-                    elements.append(el)
-                    nxt.append(el)
-            level = nxt
+        # W is the orbit of rho under right multiplication, f(w s_i) = s_i f(w).
+        # Parents in shortlex order and ascending generators discover each
+        # element first through its shortlex-minimal word.
+        fps, parent, via = orbit_bfs(self._rho, range(1, self.rank + 1), self.reflect_labels)
+        words = along_tree(parent, via, (), lambda i, u: u + (i,))
+        elements = [WeylElement(word, fp, self) for word, fp in zip(words, fps)]
         if len(elements) != self.order:
             raise RuntimeError(
                 f"enumeration produced {len(elements)} elements, expected {self.order}"
             )
         self._elements = elements
-        self._index = index
+        self._index = {fp: k for k, fp in enumerate(fps)}
 
     def elements(self) -> tuple[WeylElement, ...]:
         self.ensure_enumerated()
@@ -193,90 +247,72 @@ class WeylGroup:
         self.ensure_enumerated()
         return self._index[w.fingerprint]
 
-    def by_fingerprint(self, fp: Vector) -> WeylElement:
-        self.ensure_enumerated()
-        return self._elements[self._index[fp]]
+    def by_fingerprint(self, fp: Labels) -> WeylElement:
+        """The element w with w^{-1} rho = fp (Dynkin labels)."""
+        if self._elements is not None:
+            k = self._index.get(fp)
+            if k is None:
+                raise ValueError(f"{fp} is not a fingerprint of {self.datum.name}")
+            return self._elements[k]
+        inv_word, top = self._descend(fp)
+        if top != self._rho:
+            raise ValueError(f"{fp} is not a fingerprint of {self.datum.name}")
+        word, _ = self._descend(self.fold(inv_word, self._rho))
+        return WeylElement(tuple(word), fp, self)
 
     # ----- group structure ---------------------------------------------------
-
-    @property
-    def identity(self) -> WeylElement:
-        self.ensure_enumerated()
-        return self._elements[0]
 
     def simple(self, i: int) -> WeylElement:
         if not 1 <= i <= self.rank:
             raise ValueError(f"generator index {i} out of range")
-        el = self._simples[i - 1]
-        if el is None:
-            el = self.element((i,))
-            self._simples[i - 1] = el
-        return el
+        return self.element((i,))
 
     def element(self, word) -> WeylElement:
         """Canonical element of an arbitrary word over the generators."""
-        self.ensure_enumerated()
-        fp = self.datum.dominant_seed
-        for i in word:
-            fp = self.reflect(i, fp)
-        return self.by_fingerprint(fp)
+        word = tuple(word)
+        if word and not (1 <= min(word) and max(word) <= self.rank):
+            raise ValueError(f"word {word} uses a generator outside 1..{self.rank}")
+        return self.by_fingerprint(self.fold(word, self._rho))
 
     def multiply(self, u: WeylElement, v: WeylElement) -> WeylElement:
         # f(uv) = v^{-1}(f(u)): fold v's word forward over u's fingerprint.
-        fp = u.fingerprint
-        for i in v.word:
-            fp = self.reflect(i, fp)
-        return self.by_fingerprint(fp)
+        return self.by_fingerprint(self.fold(v.word, u.fingerprint))
 
     def inverse(self, w: WeylElement) -> WeylElement:
-        fp = self.datum.dominant_seed
-        for i in reversed(w.word):
-            fp = self.reflect(i, fp)
-        return self.by_fingerprint(fp)
+        return self.by_fingerprint(self.rho_image(w))
 
-    def length(self, w: WeylElement) -> int:
-        return len(w.word)
+    def rho_image(self, w: WeylElement) -> Labels:
+        """Dynkin labels of w rho."""
+        return self.fold(reversed(w.word), self._rho)
 
     # ----- roots -------------------------------------------------------------
 
     def positive_roots(self) -> tuple[Root, ...]:
         if self._roots is None:
-            simple = self.simple_roots
-            r = self.rank
-            seen: dict[Vector, tuple[int, ...]] = {}
-            frontier: list[tuple[Vector, tuple[int, ...]]] = []
-            for j, a in enumerate(simple):
-                exp = tuple(1 if k == j else 0 for k in range(r))
-                seen[a] = exp
-                frontier.append((a, exp))
-            while frontier:
-                nxt = []
-                for v, exp in frontier:
-                    for i in range(1, r + 1):
-                        c = dot(v, self.coroots[i - 1])
-                        if c == 0:
-                            continue
-                        v2 = tuple(x - c * y for x, y in zip(v, simple[i - 1]))
-                        if v2 in seen:
-                            continue
-                        exp2 = list(exp)
-                        exp2[i - 1] -= int(c)
-                        exp2 = tuple(exp2)
-                        seen[v2] = exp2
-                        nxt.append((v2, exp2))
-                frontier = nxt
-            pos = [
-                Root(v, exp)
-                for v, exp in seen.items()
-                if all(c >= 0 for c in exp)
-            ]
-            pos.sort(key=lambda rt: (sum(rt.expansion), rt.expansion))
-            self._roots = tuple(pos)
-            sign = {}
-            for rt in pos:
-                sign[rt.coords] = 1
-                sign[tuple(-x for x in rt.coords)] = -1
-            self._root_sign = sign
+            r, m, simple = self.rank, self.datum.cartan_matrix, self.simple_roots
+
+            def step(i, e):  # s_i on simple-root coordinates
+                c = sum(m[i - 1][j] * e[j] for j in range(r))
+                return e[: i - 1] + (e[i - 1] - c,) + e[i:]
+
+            exps = set()
+            for j in range(r):
+                unit = tuple(int(k == j) for k in range(r))
+                exps.update(orbit_bfs(unit, range(1, r + 1), step)[0])
+            pos = sorted((e for e in exps if min(e) >= 0), key=lambda e: (sum(e), e))
+            self._roots = tuple(
+                Root(tuple(sum(e * a[k] for e, a in zip(exp, simple))
+                           for k in range(self.datum.ambient_dim)), exp)
+                for exp in pos
+            )
+            self._root_sign = {rt.coords: 1 for rt in self._roots}
+            self._root_sign.update({tuple(-x for x in v): -1 for v in list(self._root_sign)})
+            # alpha^vee = sum_j e_j (alpha_j, alpha_j) / (alpha, alpha) alpha_j^vee
+            self._coroot_exps = tuple(
+                tuple(int(e * dot(a, a) / dot(rt.coords, rt.coords))
+                      for e, a in zip(rt.expansion, simple))
+                for rt in self._roots
+            )
         return self._roots
 
     def root_sign(self, v: Vector) -> int:
@@ -287,8 +323,15 @@ class WeylGroup:
         except KeyError:
             raise ValueError(f"{v} is not a root") from None
 
-    def is_positive_root_vector(self, v: Vector) -> bool:
-        return self.root_sign(v) == 1
+    def root_signs(self, w: WeylElement) -> tuple[int, ...]:
+        """The sign of w alpha for each positive root alpha, in
+        positive_roots() order: the sign of <w^{-1} rho, alpha^vee>."""
+        self.positive_roots()
+        fp = w.fingerprint
+        return tuple(
+            1 if sum([f * c for f, c in zip(fp, co)]) > 0 else -1
+            for co in self._coroot_exps
+        )
 
     def simple_root_index(self, rt: Root) -> int | None:
         if sum(rt.expansion) == 1:
@@ -298,22 +341,12 @@ class WeylGroup:
     # ----- descents ----------------------------------------------------------
 
     def right_descents(self, w: WeylElement) -> frozenset[int]:
-        """{i : l(w s_i) < l(w)}, i.e. w(alpha_i) is a negative root."""
-        self.positive_roots()
-        out = []
-        for i in range(1, self.rank + 1):
-            if self._root_sign[self.act(w, self.simple_roots[i - 1])] < 0:
-                out.append(i)
-        return frozenset(out)
+        """{i : l(w s_i) < l(w)}: the negative labels of w^{-1} rho."""
+        return frozenset(i + 1 for i, x in enumerate(w.fingerprint) if x < 0)
 
     def left_descents(self, w: WeylElement) -> frozenset[int]:
-        """{i : l(s_i w) < l(w)}, i.e. w^{-1}(alpha_i) is a negative root."""
-        self.positive_roots()
-        out = []
-        for i in range(1, self.rank + 1):
-            if self._root_sign[self.act_inv(w, self.simple_roots[i - 1])] < 0:
-                out.append(i)
-        return frozenset(out)
+        """{i : l(s_i w) < l(w)}: the negative labels of w rho."""
+        return frozenset(i + 1 for i, x in enumerate(self.rho_image(w)) if x < 0)
 
     # ----- Bruhat order ------------------------------------------------------
 
@@ -329,7 +362,6 @@ class WeylGroup:
         if iu == iv:
             return True
         elements = self._elements
-        index = self._index
         u = elements[iu]
         v = elements[iv]
         if len(u.word) >= len(v.word):
@@ -344,15 +376,9 @@ class WeylGroup:
         # The first letter of any reduced word of v is a left descent of v,
         # and s v then has the reduced word v.word[1:].
         s = v.word[0]
-        reflect = self.reflect
-        fp = self.datum.dominant_seed
-        for i in v.word[1:]:
-            fp = reflect(i, fp)
-        isv = index[fp]
-        fp = reflect(s, self.datum.dominant_seed)
-        for i in u.word:
-            fp = reflect(i, fp)
-        isu = index[fp]
+        index = self._index
+        isv = index[self.fold(v.word[1:], self._rho)]
+        isu = index[self.fold(u.word, self.reflect_labels(s, self._rho))]
         if len(elements[isu].word) < len(u.word):
             result = self._bruhat_leq_idx(isu, isv)
         else:
@@ -370,15 +396,7 @@ class WeylGroup:
 
     def min_coset_rep(self, w: WeylElement, J) -> WeylElement:
         """The minimal-length representative of the coset w W_J."""
-        J = sorted(self.check_parabolic(J))
-        self.positive_roots()
-        while True:
-            for j in J:
-                if self._root_sign[self.act(w, self.simple_roots[j - 1])] < 0:
-                    w = self.multiply(w, self.simple(j))
-                    break
-            else:
-                return w
+        return self._climb(w.fingerprint, J, -1)
 
     def in_parabolic(self, w: WeylElement, J) -> bool:
         """w lies in W_J iff its (reduced) canonical word uses only J letters."""
@@ -389,27 +407,26 @@ class WeylGroup:
         """Longest element of W_J (of W when J is omitted), by greedy ascent."""
         if J is None:
             J = range(1, self.rank + 1)
+        return self._climb(self._rho, J, 1)
+
+    def _climb(self, fp: Labels, J, sign: int) -> WeylElement:
+        """Multiply on the right by s_j, j in J, while the j-th label of the
+        fingerprint has the given sign (-1: descend, +1: ascend)."""
         J = sorted(self.check_parabolic(J))
-        self.positive_roots()
-        w = self.identity
         while True:
             for j in J:
-                if self._root_sign[self.act(w, self.simple_roots[j - 1])] > 0:
-                    w = self.multiply(w, self.simple(j))
+                if fp[j - 1] * sign > 0:
+                    fp = self.reflect_labels(j, fp)
                     break
             else:
-                return w
+                return self.by_fingerprint(fp)
 
     def reflection(self, root: Root) -> WeylElement:
         """The reflection s_alpha as a group element."""
         if not root.is_positive:
             raise ValueError("reflection expects a positive root")
-        a = root.coords
-        norm = dot(a, a)
-        fp = self.datum.dominant_seed
-        c = 2 * dot(fp, a) / norm
-        fp = tuple(x - c * y for x, y in zip(fp, a))
-        return self.by_fingerprint(fp)
+        # s_alpha is an involution, so its fingerprint is s_alpha(rho).
+        return self.by_fingerprint(self.labels(self.reflect_by_root(root, self.rho())))
 
     def reflections(self) -> tuple[WeylElement, ...]:
         return tuple(self.reflection(rt) for rt in self.positive_roots())
@@ -429,13 +446,25 @@ class WeylGroup:
             out = tuple(a + b for a, b in zip(out, w))
         return out
 
+    def element_with_rho_labels(self, lab: Labels) -> WeylElement | None:
+        """The unique w with w rho = lab (Dynkin labels), by a descent walk;
+        None when lab is not in the orbit of rho."""
+        word, top = self._descend(lab)
+        if top != self._rho:
+            return None
+        return WeylElement(tuple(word), self.fold(word, self._rho), self)
+
     def element_with_rho_image(self, v: Vector) -> WeylElement | None:
         """The unique w with w(rho) = v, if any (rho is strictly dominant)."""
-        if self._rho_table is None:
-            self.ensure_enumerated()
-            rho = self.rho()
-            self._rho_table = {self.act(w, rho): w for w in self._elements}
-        return self._rho_table.get(v)
+        try:
+            w = self.element_with_rho_labels(self.labels(v))
+        except ValueError:
+            return None
+        # Labels fix v only up to a W-invariant vector (type A and G2 have a
+        # nonzero one), so the ambient image is compared as well.
+        if w is None or self.act(w, self.rho()) != tuple(v):
+            return None
+        return w
 
     # ----- type A helpers --------------------------------------------------------
 
@@ -443,11 +472,10 @@ class WeylGroup:
         """One-line notation for type A: (w(1), ..., w(n))."""
         if self.type_letter != "A":
             raise ValueError("one-line notation is a type A concept")
-        n = self.rank + 1
-        img = self.act(w, tuple(range(1, n + 1)))
-        out = [0] * n
-        for pos, val in enumerate(img):
-            out[val - 1] = pos + 1
+        # Right multiplication by s_i swaps the entries in positions i, i+1.
+        out = list(range(1, self.rank + 2))
+        for i in w.word:
+            out[i - 1], out[i] = out[i], out[i - 1]
         return tuple(out)
 
     def from_one_line(self, perm) -> WeylElement:
@@ -473,10 +501,6 @@ class WeylGroup:
 
     def __repr__(self):
         return f"WeylGroup({self.datum.name})"
-
-
-def build_group(datum: CartanDatum) -> WeylGroup:
-    return WeylGroup(datum)
 
 
 _GROUPS: dict[tuple[str, int], WeylGroup] = {}

@@ -18,6 +18,7 @@ from schubcells.plucker import (
     standard_ordering,
     subset_of,
     weight_from_subset,
+    weight_label,
 )
 from schubcells.weyl import weyl_group
 
@@ -74,6 +75,30 @@ def test_general_description_A2():
     d = cell_description_general(g, g.longest_element())
     assert d.equalities == ()
     assert subsets_of(d.inequalities) == {frozenset({3}), frozenset({2, 3})}
+
+
+def test_general_description_order_is_pinned():
+    # level by level in the ordering, orbit-table order within a level
+    g = weyl_group("A3")
+    d = cell_description_general(g, g.identity)
+    assert [weight_label(g, pw) for pw in d.equalities] == [
+        "p2", "p3", "p4", "p13", "p14", "p124",
+    ]
+    d = cell_description_general(g, g.from_one_line((2, 1, 4, 3)))
+    assert [weight_label(g, pw) for pw in d.equalities] == ["p3", "p4", "p23", "p24"]
+    g = weyl_group("B3")
+    d = cell_description_general(g, g.element((2,)))
+    assert [weight_label(g, pw) for pw in d.equalities] == [
+        "p(1:s1)", "p(1:s2.s1)", "p(1:s3.s2.s1)", "p(1:s2.s3.s2.s1)",
+        "p(1:s1.s2.s3.s2.s1)", "p(2:s3.s2)", "p(2:s2.s3.s2)", "p(3:s2.s3)",
+    ]
+    for spec in ("B3", "D4", "G2"):
+        g = weyl_group(spec)
+        ordering = standard_ordering(g)
+        for w in g.elements():
+            eqs = cell_description_general(g, w).equalities
+            keys = [(ordering.position(pw.level), pw.index) for pw in eqs]
+            assert keys == sorted(set(keys))
 
 
 def test_general_description_identifies_cells():

@@ -141,6 +141,20 @@ def test_unsupported_group_exit_code(capsys):
     assert "unsupported" in err
 
 
+def test_internal_error_exit_code(monkeypatch, capsys):
+    # an internal invariant failure exits 4 with one line on stderr
+    from schubcells import flags
+
+    def exhausted(w, seed=None):
+        raise RuntimeError("failed to sample a generic point of the cell")
+
+    monkeypatch.setattr(flags, "random_cell_point", exhausted)
+    code, out, err = run(capsys, "recognize", "--group", "A2", "--cell", "213")
+    assert code == 4
+    assert out == ""
+    assert err == "internal error: failed to sample a generic point of the cell\n"
+
+
 def test_parse_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["describe"])  # missing required arguments

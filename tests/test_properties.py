@@ -1,0 +1,48 @@
+"""Property tests: random groups of rank <= 5, random words, random seeds."""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from schubcells.patterns import check_acceptable, random_acceptable
+from schubcells.recognition import PatternOracle, recognize_general
+from schubcells.weyl import weyl_group
+
+GROUPS = (
+    "A1", "A2", "A3", "A4", "A5",
+    "B2", "B3", "B4", "B5",
+    "C2", "C3", "C4", "C5",
+    "D4", "D5",
+    "G2",
+)
+
+
+@st.composite
+def group_and_words(draw, count=1):
+    g = weyl_group(draw(st.sampled_from(GROUPS)))
+    bound = 3 * len(g.positive_roots())
+    words = st.lists(st.integers(1, g.rank), max_size=bound)
+    return (g,) + tuple(g.element(draw(words)) for _ in range(count))
+
+
+@settings(max_examples=150, deadline=None)
+@given(group_and_words(), st.integers(0, 2 ** 32 - 1))
+def test_random_acceptable_is_accepted_and_recognized(gw, seed):
+    g, w = gw
+    pattern = random_acceptable(g, w, seed=seed)
+    report = check_acceptable(pattern)
+    assert report.accepted and report.witness == w
+    got, _log = recognize_general(PatternOracle(pattern), g)
+    assert got == w
+
+
+@settings(max_examples=150, deadline=None)
+@given(group_and_words(count=2))
+def test_group_axioms_through_fingerprints(guv):
+    g, u, v = guv
+    uv = g.multiply(u, v)
+    # the product acts as the composition of the ambient actions
+    rho = g.rho()
+    assert g.act(uv, rho) == g.act(u, g.act(v, rho))
+    assert g.multiply(uv, g.inverse(v)) == u
+    assert g.multiply(g.inverse(u), u) == g.identity
+    assert uv.length <= u.length + v.length
