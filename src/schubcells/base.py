@@ -14,18 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .plucker import PluckerWeight, weight_of
+from .plucker import PluckerWeight, ones, orbit_table, weight_of
 from .weyl import WeylElement, WeylGroup
-
-
-def _ones(m: int):
-    """Indices of the set bits of m, ascending."""
-    k = 0
-    while m:
-        if m & 1:
-            yield k
-        m >>= 1
-        k += 1
 
 
 class FinitePoset:
@@ -44,7 +34,7 @@ class FinitePoset:
         self.down = [0] * n
         for j in range(n):
             acc = 0
-            for k in _ones(self.up[j]):
+            for k in ones(self.up[j]):
                 if j != k and self.up[k] >> j & 1:
                     raise ValueError("order must be antisymmetric")
                 self.down[k] |= 1 << j
@@ -71,30 +61,6 @@ class FinitePoset:
             masks.append(m)
         return cls(elements, masks)
 
-    @classmethod
-    def from_weyl(cls, group: WeylGroup) -> "FinitePoset":
-        """Bruhat poset of the whole group, built by closing the length-graded
-        reflection covers (cross-validated against the descent recursion in
-        the test suite)."""
-        elems = group.elements()
-        n = len(elems)
-        reflections = group.reflections()
-        covers: list[list[int]] = [[] for _ in range(n)]
-        for j, w in enumerate(elems):
-            lw = w.length
-            for t in reflections:
-                wt = group.multiply(w, t)
-                if wt.length == lw + 1:
-                    covers[j].append(group.index_of(wt))
-        up = [0] * n
-        order = sorted(range(n), key=lambda j: elems[j].length, reverse=True)
-        for j in order:
-            m = 1 << j
-            for k in covers[j]:
-                m |= up[k]
-            up[j] = m
-        return cls(list(elems), up)
-
     def __len__(self):
         return len(self.elements)
 
@@ -115,7 +81,7 @@ def supremum_idx(P: FinitePoset, Q) -> int | None:
         ub &= P.up[q]
     if ub == 0:
         return None
-    return next((k for k in _ones(ub) if ub & ~P.up[k] == 0), None)
+    return next((k for k in ones(ub) if ub & ~P.up[k] == 0), None)
 
 
 def supremum(P: FinitePoset, Q):
@@ -135,7 +101,7 @@ def poset_base_indices(P: FinitePoset) -> list[int]:
     out = []
     for a in range(n):
         ub = full
-        for k in _ones(P.down[a] & ~(1 << a)):
+        for k in ones(P.down[a] & ~(1 << a)):
             ub &= P.up[k]
         if ub != P.up[a]:
             out.append(a)
@@ -154,10 +120,24 @@ class BaseElement:
 
 
 def bruhat_poset(group: WeylGroup) -> FinitePoset:
+    """Bruhat order on the enumerated group by Deodhar's criterion [BB05 2.6]:
+    u <= v iff u omega_i <= v omega_i for every level i.  Each orbit up-set
+    is pulled back to W through the fibres of w -> w omega_i."""
     key = "bruhat_poset"
     P = group._cache.get(key)
     if P is None:
-        P = FinitePoset.from_weyl(group)
+        elems = group.elements()
+        up = [(1 << len(elems)) - 1] * len(elems)
+        for i in range(1, group.rank + 1):
+            table = orbit_table(group, i)
+            pos = [table.position(w) for w in elems]
+            fibre = [0] * len(table)
+            for j, k in enumerate(pos):
+                fibre[k] |= 1 << j
+            # fibres are disjoint, so their sum is their union
+            pulled = [sum(fibre[k] for k in ones(m)) for m in table.up_masks()]
+            up = [u & pulled[k] for u, k in zip(up, pos)]
+        P = FinitePoset(elems, up)
         group._cache[key] = P
     return P
 
@@ -228,7 +208,7 @@ def generic_recognize_from_base(group: WeylGroup, bits) -> WeylElement | None:
     for b, pw in zip(base, weights):
         mask = P.up[P.index(b.element)]
         candidates &= mask if bits[pw] else ~mask
-    matches = [P.elements[k] for k in _ones(candidates)]
+    matches = [P.elements[k] for k in ones(candidates)]
     if len(matches) > 1:
         raise RuntimeError("base lower-sets failed to separate group elements")
     return matches[0] if matches else None

@@ -117,7 +117,7 @@ def vanishing_pattern(x: Flag, group: WeylGroup | None = None):
         group = type_a_group(x.n)
     bits = {}
     for pw in all_weights(group):
-        bits[pw] = 1 if x.minor(frozenset(subset_of(pw))) != 0 else 0
+        bits[pw] = 1 if x.minor(subset_of(pw)) != 0 else 0
     return VanishingPattern.from_dict(group, bits)
 
 

@@ -266,7 +266,7 @@ def realizable_full_patterns(n: int):
     if cache is not None:
         return cache
     weights = all_weights(group)
-    subsets = [frozenset(subset_of(pw)) for pw in weights]
+    subsets = [subset_of(pw) for pw in weights]
     results = []
     for bits in product((0, 1), repeat=len(weights)):
         pat = VanishingPattern(group, bits)

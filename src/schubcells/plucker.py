@@ -1,6 +1,6 @@
-"""Plucker weights (orbits of fundamental weights), the Bruhat order carried
-to each orbit through minimal coset representatives, the R(i) root sets,
-and economical indices / orderings of the fundamental weights.
+"""Plucker weights (orbits of fundamental weights), the Bruhat order on each
+orbit, the R(i) root sets, and economical indices / orderings of the
+fundamental weights.
 
 Orbits are built by breadth-first search on Dynkin labels and materialized
 in a canonical order (length of the minimal coset representative, then
@@ -8,6 +8,8 @@ shortlex word) so that every "pick a linear order compatible with the Bruhat
 order" step downstream is deterministic.  Each orbit table stores the action
 of every generator on orbit indices, so the index of w omega_i is w's word
 folded through integer tables; ambient weights are carried alongside.
+The tables are the one Bruhat engine: the order on W is the intersection of
+the orbit orders (``WeylGroup.bruhat_leq``, ``base.bruhat_poset``).
 """
 
 from __future__ import annotations
@@ -18,10 +20,19 @@ from .cartan import Vector
 from .weyl import Labels, Root, WeylElement, WeylGroup, along_tree, orbit_bfs, word_str
 
 
+def ones(m: int):
+    """Indices of the set bits of m, ascending."""
+    while m:
+        low = m & -m
+        yield low.bit_length() - 1
+        m ^= low
+
+
 @dataclass(frozen=True, eq=False, slots=True)
 class PluckerWeight:
     """A weight in the orbit W omega_i, with its minimal coset representative,
-    its Dynkin labels and its index in the orbit table.
+    its Dynkin labels, its index in the orbit table and, in type A, the
+    subset I with weight e_I.
 
     Equality and hashing use (level, weight) only; the hash is precomputed.
     """
@@ -31,6 +42,7 @@ class PluckerWeight:
     min_rep: WeylElement = field(repr=False)
     labels: Labels = field(repr=False)
     index: int = field(repr=False)
+    subset: frozenset[int] | None = field(default=None, repr=False)
     _hash: int = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -95,8 +107,8 @@ def _orbit_labels(group: WeylGroup, level: int, J=None):
 
 class OrbitTable:
     """Materialized orbit W omega_i with minimal coset representatives, the
-    action of each generator on orbit indices, and cached pairwise Bruhat
-    comparisons (as bitmasks)."""
+    action of each generator on orbit indices, and its Bruhat order (as
+    up-set bitmasks, built on first use)."""
 
     def __init__(self, group: WeylGroup, level: int):
         self.group = group
@@ -107,8 +119,10 @@ class OrbitTable:
         ambient = along_tree(parent, via, group.fundamental_weights[level - 1], group.reflect)
         reps = [group.element(word) for word in along_tree(parent, via, (), lambda i, u: (i,) + u)]
         order = sorted(range(len(labels)), key=lambda k: (reps[k].length, reps[k].word))
+        type_a = group.type_letter == "A"  # weights are indicator vectors e_I
         self.weights: tuple[PluckerWeight, ...] = tuple(
-            PluckerWeight(level, ambient[k], reps[k], labels[k], pos)
+            PluckerWeight(level, ambient[k], reps[k], labels[k], pos,
+                          frozenset(j for j, x in enumerate(ambient[k], 1) if x) if type_a else None)
             for pos, k in enumerate(order)
         )
         self.index: dict[Vector, int] = {pw.weight: pw.index for pw in self.weights}
@@ -151,14 +165,26 @@ class OrbitTable:
         return hit
 
     def up_masks(self) -> list[int]:
-        """up_masks()[j] has bit k set iff weights[j] <= weights[k]."""
+        """up_masks()[j] has bit k set iff weights[j] <= weights[k].
+
+        Built from the top down by the lifting property [BB05 2.2]: the table
+        is sorted by length, so its last entry is the maximum, and if s
+        raises k (gen[s][k] > k) then [k, top] = [sk, top] + s[sk, top], where
+        s adds exactly the images of the members it lowers.
+        """
         if self._up_masks is None:
-            g = self.group
-            idx = [g.index_of(pw.min_rep) for pw in self.weights]
-            self._up_masks = [
-                sum(1 << k for k, b in enumerate(idx) if g._bruhat_leq_idx(a, b))
-                for a in idx
-            ]
+            gens = self.gen
+            lowers = [sum(1 << k for k, j in enumerate(g) if j < k) for g in gens]
+            up = [0] * len(self.weights)
+            up[-1] = 1 << (len(up) - 1)
+            for k in range(len(up) - 2, -1, -1):
+                s = next(s for s, g in enumerate(gens) if g[k] > k)
+                g = gens[s]
+                m = u = up[g[k]]
+                for j in ones(u & lowers[s]):
+                    m |= 1 << g[j]
+                up[k] = m
+            self._up_masks = up
         return self._up_masks
 
     def leq(self, a: PluckerWeight, b: PluckerWeight) -> bool:
@@ -208,8 +234,8 @@ def level_offsets(group: WeylGroup) -> tuple[int, ...]:
 
 
 def orbit_bruhat_leq(group: WeylGroup, a: PluckerWeight, b: PluckerWeight) -> bool:
-    """Bruhat order on W omega_i, transferred from W/W_{i-hat} through the
-    minimal coset representatives."""
+    """Bruhat order on W omega_i, that of W/W_{i-hat} on the minimal coset
+    representatives."""
     if a.level != b.level:
         raise ValueError(f"cannot compare weights of levels {a.level} and {b.level}")
     return orbit_table(group, a.level).leq(a, b)
@@ -331,25 +357,28 @@ def linearity_matches_economical(group: WeylGroup) -> bool:
 # ----- serialization ------------------------------------------------------------
 
 def subset_of(pw: PluckerWeight) -> frozenset[int]:
-    """The subset underlying a type A Plucker weight (indicator coordinates)."""
-    if not all(x in (0, 1) for x in pw.weight):
+    """The subset I of a type A Plucker weight e_I, stored by its orbit table."""
+    if pw.subset is None:
         raise ValueError("weight is not a type A indicator vector")
-    return frozenset(j + 1 for j, x in enumerate(pw.weight) if x == 1)
+    return pw.subset
 
 
 def weight_from_subset(group: WeylGroup, subset) -> PluckerWeight:
     """The type A weight e_I, found by its labels [j in I] - [j+1 in I].
 
     A subset reaching outside 1..n has the labels of a smaller subset, which
-    lie in another orbit, so the lookup raises KeyError as for any weight
-    outside the orbit.
+    lie in another orbit, so the lookup misses and ValueError names the
+    subset.
     """
     subset = frozenset(subset)
     table = orbit_table(group, len(subset))
     labels = tuple(
         (j in subset) - (j + 1 in subset) for j in range(1, group.rank + 1)
     )
-    return table.weights[table.by_labels[labels]]
+    k = table.by_labels.get(labels)
+    if k is None:
+        raise ValueError(f"subset {subset_str(subset)} is not within 1..{group.rank + 1}")
+    return table.weights[k]
 
 
 def subset_str(subset) -> str:

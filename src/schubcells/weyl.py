@@ -11,6 +11,10 @@ elements never require enumerating the group.  The ambient Fraction action
 (reflect, act, act_on_weight, reflect_by_root) stays as public API and as the
 test oracle of the integral core.
 
+Bruhat order has one engine, the orbit tables of ``plucker``: u <= v iff
+u omega_i <= v omega_i on every orbit W omega_i (Deodhar's criterion
+[BB05 2.6]), so comparing two elements never enumerates W.
+
 All values are immutable after construction.  The only internal mutation is
 memo caches (dict insertion is atomic under CPython), so groups can be shared
 across threads.
@@ -132,17 +136,18 @@ class WeylGroup:
         self.coroots = tuple(
             tuple(2 * x / dot(a, a) for x in a) for a in datum.simple_roots
         )
-        # Dynkin labels of alpha_i: column i of the Cartan matrix.
+        # Dynkin labels of alpha_i are column i of the Cartan matrix: 2 at i
+        # and, off the diagonal, the nonzero entries (k, m[k][i]) kept here.
         m = datum.cartan_matrix
-        self._alpha_labels = tuple(
-            tuple(m[k][i] for k in range(self.rank)) for i in range(self.rank)
+        self._links = tuple(
+            tuple((k, m[k][i]) for k in range(self.rank) if k != i and m[k][i])
+            for i in range(self.rank)
         )
         self._rho = (1,) * self.rank
         self.order = weyl_order(datum.type_letter, datum.rank)
         self.identity = WeylElement((), self._rho, self)
         self._elements: list[WeylElement] | None = None
         self._index: dict[Labels, int] = {}
-        self._bruhat_memo: dict[tuple[int, int], bool] = {}
         self._roots: tuple[Root, ...] | None = None
         self._root_sign: dict[Vector, int] | None = None
         self._coroot_exps: tuple[tuple[int, ...], ...] = ()
@@ -185,34 +190,40 @@ class WeylGroup:
 
     def reflect_labels(self, i: int, lab: Labels) -> Labels:
         """s_i on Dynkin labels: lambda - lambda_i alpha_i."""
-        c = lab[i - 1]
-        if not c:
-            return lab
-        return tuple([x - c * a for x, a in zip(lab, self._alpha_labels[i - 1])])
+        return self.fold((i,), lab) if lab[i - 1] else lab
 
     def fold(self, word, lab: Labels) -> Labels:
         """Apply s_{i1} first, then s_{i2}, ...: (s_{i1} ... s_{ik})^{-1} lab.
         fold(w.word, rho) is the fingerprint w^{-1} rho."""
-        reflect = self.reflect_labels
+        lab = list(lab)
+        links = self._links
         for i in word:
-            lab = reflect(i, lab)
-        return lab
+            i -= 1
+            c = lab[i]
+            if c:
+                lab[i] = -c
+                for k, a in links[i]:
+                    lab[k] -= c * a
+        return tuple(lab)
 
     def _descend(self, lab: Labels) -> tuple[list[int], Labels]:
         """Reflect at the smallest negative label until none is left.
 
         Started at w rho this lists the smallest left descent at each step,
         i.e. the shortlex-minimal reduced word of w [C94]."""
-        reflect = self.reflect_labels
+        lab = list(lab)
+        links = self._links
         word = []
         while True:
-            for i, x in enumerate(lab):
-                if x < 0:
+            for i, c in enumerate(lab):
+                if c < 0:
                     break
             else:
-                return word, lab
+                return word, tuple(lab)
             word.append(i + 1)
-            lab = reflect(i + 1, lab)
+            lab[i] = -c
+            for k, a in links[i]:
+                lab[k] -= c * a
 
     # ----- enumeration -----------------------------------------------------
 
@@ -242,10 +253,6 @@ class WeylGroup:
 
     def __len__(self):
         return self.order
-
-    def index_of(self, w: WeylElement) -> int:
-        self.ensure_enumerated()
-        return self._index[w.fingerprint]
 
     def by_fingerprint(self, fp: Labels) -> WeylElement:
         """The element w with w^{-1} rho = fp (Dynkin labels)."""
@@ -351,40 +358,14 @@ class WeylGroup:
     # ----- Bruhat order ------------------------------------------------------
 
     def bruhat_leq(self, u: WeylElement, v: WeylElement) -> bool:
-        """u <= v in Bruhat order, by the memoized descent recursion:
-        choosing s with sv < v, u <= v iff (su <= sv if su < u else u <= sv).
-        """
-        self.ensure_enumerated()
-        iu, iv = self.index_of(u), self.index_of(v)
-        return self._bruhat_leq_idx(iu, iv)
+        """u <= v in Bruhat order: u omega_i <= v omega_i on every orbit."""
+        from .plucker import orbit_table
 
-    def _bruhat_leq_idx(self, iu: int, iv: int) -> bool:
-        if iu == iv:
-            return True
-        elements = self._elements
-        u = elements[iu]
-        v = elements[iv]
-        if len(u.word) >= len(v.word):
-            return False
-        if not u.word:
-            return True
-        key = (iu, iv)
-        memo = self._bruhat_memo
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        # The first letter of any reduced word of v is a left descent of v,
-        # and s v then has the reduced word v.word[1:].
-        s = v.word[0]
-        index = self._index
-        isv = index[self.fold(v.word[1:], self._rho)]
-        isu = index[self.fold(u.word, self.reflect_labels(s, self._rho))]
-        if len(elements[isu].word) < len(u.word):
-            result = self._bruhat_leq_idx(isu, isv)
-        else:
-            result = self._bruhat_leq_idx(iu, isv)
-        memo[key] = result
-        return result
+        for i in range(1, self.rank + 1):
+            table = orbit_table(self, i)
+            if not table.up_masks()[table.position(u)] >> table.position(v) & 1:
+                return False
+        return True
 
     # ----- parabolic machinery -------------------------------------------------
 

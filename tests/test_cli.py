@@ -110,6 +110,28 @@ def test_patterns_poset(capsys):
     assert len(json.loads(out)["vertices"]) == 11
 
 
+def test_patterns_poset_bad_coordinate(capsys):
+    # a subset reaching outside 1..n names no weight: one error line, exit 1
+    code, out, err = run(
+        capsys, "patterns-poset", "--group", "A2", "--coords", "p15,p2"
+    )
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error:") and "15" in err
+
+
+def test_rank8_descriptions_leave_w_unenumerated(capsys):
+    # |W| is over the enumeration cap for both groups; orbit tables suffice
+    from schubcells.weyl import weyl_group
+
+    code, out, _ = run(capsys, "describe", "--group", "D8", "--w", "s1")
+    assert code == 0 and "nonzero: p(1:s1)" in out
+    code, out, _ = run(capsys, "describe-variety", "--group", "B8", "--w", "s1")
+    assert code == 0 and "zero:" in out
+    assert weyl_group("D8")._elements is None
+    assert weyl_group("B8")._elements is None
+
+
 def test_bounds_commands(capsys):
     code, out, _ = run(capsys, "bounds", "--witness", "1", "--format", "json")
     assert code == 0

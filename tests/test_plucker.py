@@ -6,6 +6,7 @@ from itertools import permutations
 import pytest
 
 from schubcells import perms
+from schubcells.cartan import cartan_datum
 from schubcells.plucker import (
     WeightOrdering,
     is_economical_index,
@@ -26,7 +27,7 @@ from schubcells.plucker import (
     weight_label,
     weight_of,
 )
-from schubcells.weyl import weyl_group
+from schubcells.weyl import WeylGroup, weyl_group
 
 SMALL_GROUPS = ("A1", "A2", "A3", "B2", "B3", "C3", "G2", "D4")
 
@@ -92,14 +93,17 @@ def test_orbits_disjoint():
 
 
 def test_orbit_bruhat_typeA_subset_criterion():
-    for n in (3, 4, 5):
-        g = weyl_group("A", n - 1)
+    # n = 8 and 9 run on fresh groups, which are never enumerated.
+    for n in (3, 4, 5, 8, 9):
+        g = weyl_group("A", n - 1) if n <= 5 else WeylGroup(cartan_datum("A", n - 1))
         for i in range(1, n):
             table = orbit(g, i)
             for a in table:
                 for b in table:
                     expect = perms.subset_leq(subset_of(a), subset_of(b))
                     assert orbit_bruhat_leq(g, a, b) == expect
+        if n > 5:
+            assert g._elements is None
 
 
 def test_orbit_bruhat_reflexive_and_level_mismatch():
@@ -364,3 +368,5 @@ def test_serialization():
     b = weyl_group("B2")
     pw = weight_of(b, b.identity, 2)
     assert weight_label(b, pw) == "p(2:e)"
+    with pytest.raises(ValueError):
+        subset_of(weight_of(b, b.identity, 1))  # e_1, an indicator vector of type B

@@ -13,9 +13,10 @@ from itertools import product
 import pytest
 
 from schubcells import perms
-from schubcells.base import FinitePoset
+from schubcells.base import bruhat_poset
 from schubcells.cartan import cartan_datum, dot, parse_group_spec, weyl_order
 from schubcells.errors import UnsupportedGroupError
+from schubcells.plucker import orbit_table
 from schubcells.weyl import weyl_group
 
 SMALL_GROUPS = ("A1", "A2", "A3", "B2", "B3", "G2")
@@ -183,7 +184,7 @@ def test_bruhat_examples():
     assert g.bruhat_leq(w0, w0)
 
 
-@pytest.mark.parametrize("spec", SMALL_GROUPS + ("D4", "A4"))
+@pytest.mark.parametrize("spec", SMALL_GROUPS + ("D4", "A4", "B4", "C4"))
 def test_bruhat_matches_transitive_closure(spec):
     g = weyl_group(spec)
     els, idx, reach = bruhat_closure_oracle(g)
@@ -204,12 +205,29 @@ def test_bruhat_matches_ehresmann_small():
                 )
 
 
+@pytest.mark.parametrize(
+    "spec",
+    ("A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4", "D4", "G2"),
+)
+def test_orbit_up_masks_match_closure_oracle(spec):
+    # Each orbit order is the closure oracle's order on W restricted to the
+    # minimal coset representatives of W / W_{i-hat}.
+    g = weyl_group(spec)
+    _els, idx, reach = bruhat_closure_oracle(g)
+    for i in range(1, g.rank + 1):
+        table = orbit_table(g, i)
+        reps = [idx[pw.min_rep.fingerprint] for pw in table.weights]
+        expect = [
+            sum(1 << k for k, b in enumerate(reps) if b in reach[a]) for a in reps
+        ]
+        assert table.up_masks() == expect, (spec, i)
+
+
 def test_bruhat_matches_ehresmann_s6_via_poset():
-    # The covers-closure poset equals bruhat_leq exhaustively on the smaller
-    # groups above; at n = 6 the poset is compared against the subset
-    # criterion for all pairs, and bruhat_leq on a deterministic sample.
+    # At n = 6 the poset is compared against the subset criterion for all
+    # pairs, and bruhat_leq on a deterministic sample.
     g = weyl_group("A5")
-    P = FinitePoset.from_weyl(g)
+    P = bruhat_poset(g)
     els = P.elements
     lines = [g.one_line(w) for w in els]
     for a in range(len(els)):
