@@ -2,10 +2,15 @@
 coordinates as minors, coordinate flags of permutations, and generic cell
 points.
 
-Vanishing must be decided exactly, so all arithmetic is over Fraction; there
-is no floating point anywhere.  Minors of the column prefix [1, i] with row
-set I are computed by Laplace expansion along column i, memoized on I, which
-reuses every nested sub-minor across queries.
+Vanishing must be decided exactly; there is no floating point anywhere.  A
+flag's entries are Fractions, but its minors are computed over Python ints:
+column j is scaled by d_j, the lcm of its entries' denominators, which makes
+the matrix integral.  One table holds the minor of every column prefix
+[1, |I|] on every row set I, indexed by the bitmask of I.  Each entry is a
+Laplace expansion along column |I| and reads only entries with smaller masks,
+so the table is built once, in increasing mask order, and its last entry is
+the determinant.  A zero test reads the int entry; ``Flag.minor`` divides it
+by d_1 ... d_|I| to return the exact Fraction.
 """
 
 from __future__ import annotations
@@ -13,12 +18,12 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 
-from . import perms
 from .plucker import all_weights, subset_of, subset_str
 from .weyl import WeylGroup, weyl_group
 
@@ -33,39 +38,65 @@ class Flag:
     with columns 1..i-1."""
 
     matrix: tuple[tuple[Fraction, ...], ...]
-    _minors: dict = field(default_factory=dict, compare=False, repr=False, hash=False)
+    # _minors[mask]: the minor of the column-scaled integer matrix on the
+    # rows in mask and the first popcount(mask) columns; _scales[k] is
+    # d_1 ... d_k, by which the minors on k columns were multiplied.
+    _minors: list[int] = field(init=False, compare=False, repr=False)
+    _scales: list[int] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         n = len(self.matrix)
-        if any(len(row) != n for row in self.matrix):
-            raise ValueError("flag matrix must be square")
-        if self.minor(frozenset(range(1, n + 1))) == 0:
+        if n == 0 or any(len(row) != n for row in self.matrix):
+            raise ValueError("flag matrix must be square and nonempty")
+        cols, scales = [], [1]
+        for j in range(n):
+            col = [row[j] for row in self.matrix]
+            d = math.lcm(*(e.denominator for e in col))
+            cols.append([e.numerator * (d // e.denominator) for e in col])
+            scales.append(scales[-1] * d)
+        minors = [1] * (1 << n)
+        for mask in range(1, 1 << n):
+            k = mask.bit_count()
+            col = cols[k - 1]
+            # the lowest row's cofactor sign along column k is (-1)^(1 + k)
+            sign = 1 if k & 1 else -1
+            total = 0
+            rest = mask
+            while rest:
+                low = rest & -rest
+                entry = col[low.bit_length() - 1]
+                if entry:
+                    total += sign * entry * minors[mask ^ low]
+                sign = -sign
+                rest ^= low
+            minors[mask] = total
+        if minors[-1] == 0:
             raise ValueError("flag matrix is singular")
+        object.__setattr__(self, "_minors", minors)
+        object.__setattr__(self, "_scales", scales)
 
     @property
     def n(self) -> int:
         return len(self.matrix)
 
-    def minor(self, rows: frozenset[int]) -> Fraction:
+    def _mask(self, rows) -> int:
+        n = len(self.matrix)
+        mask = 0
+        for r in rows:
+            if not 1 <= r <= n:
+                raise ValueError(f"subset {sorted(rows)} not within [1, {n}]")
+            mask |= 1 << (r - 1)
+        return mask
+
+    def nonzero(self, rows) -> bool:
+        """Whether the minor on row set ``rows`` (1-based) and columns
+        [1, |rows|] is nonzero, read off the integer table."""
+        return self._minors[self._mask(rows)] != 0
+
+    def minor(self, rows) -> Fraction:
         """Minor on row set ``rows`` and columns [1, |rows|] (1-based)."""
-        memo = self._minors
-        val = memo.get(rows)
-        if val is not None:
-            return val
-        k = len(rows)
-        if k == 1:
-            (r,) = rows
-            val = self.matrix[r - 1][0]
-        else:
-            val = Fraction(0)
-            sign = 1 if k % 2 == 1 else -1
-            for r in sorted(rows):
-                entry = self.matrix[r - 1][k - 1]
-                if entry:
-                    val += sign * entry * self.minor(rows - {r})
-                sign = -sign
-        memo[rows] = val
-        return val
+        mask = self._mask(rows)
+        return Fraction(self._minors[mask], self._scales[mask.bit_count()])
 
 
 def flag_from_rows(rows) -> Flag:
@@ -82,8 +113,6 @@ def plucker_coordinate(x: Flag, I) -> Fraction:
     I = frozenset(I)
     if not 1 <= len(I) <= x.n - 1:
         raise ValueError(f"subset size {len(I)} out of range 1..{x.n - 1}")
-    if not I <= set(range(1, x.n + 1)):
-        raise ValueError(f"subset {sorted(I)} not within [1, {x.n}]")
     return x.minor(I)
 
 
@@ -105,7 +134,7 @@ def proper_subsets(n: int):
 
 def subset_pattern(x: Flag) -> dict[frozenset[int], int]:
     """Raw vanishing pattern keyed by subsets."""
-    return {I: (1 if x.minor(I) != 0 else 0) for I in proper_subsets(x.n)}
+    return {I: (1 if x.nonzero(I) else 0) for I in proper_subsets(x.n)}
 
 
 def vanishing_pattern(x: Flag, group: WeylGroup | None = None):
@@ -117,11 +146,23 @@ def vanishing_pattern(x: Flag, group: WeylGroup | None = None):
         group = type_a_group(x.n)
     bits = {}
     for pw in all_weights(group):
-        bits[pw] = 1 if x.minor(subset_of(pw)) != 0 else 0
+        bits[pw] = 1 if x.nonzero(subset_of(pw)) else 0
     return VanishingPattern.from_dict(group, bits)
 
 
 MAX_SAMPLE_RETRIES = 64
+
+
+def _has_generic_pattern(x: Flag, w: tuple[int, ...]) -> bool:
+    """Whether p_I(x) != 0 exactly when sorted(I) <= sorted(w([1, |I|]))
+    componentwise, checked on every proper subset I."""
+    n = len(w)
+    for k in range(1, n):
+        prefix = sorted(w[:k])
+        for I in combinations(range(1, n + 1), k):
+            if x.nonzero(I) != all(a <= b for a, b in zip(I, prefix)):
+                return False
+    return True
 
 
 def random_cell_point(w, seed=None) -> Flag:
@@ -134,27 +175,21 @@ def random_cell_point(w, seed=None) -> Flag:
     """
     w = tuple(w)
     n = len(w)
+    if sorted(w) != list(range(1, n + 1)):
+        raise ValueError(f"{w} is not a permutation of 1..{n}")
     rng = random.Random(seed)
-    pw_matrix = coordinate_flag(w).matrix
     for _ in range(MAX_SAMPLE_RETRIES):
-        u = [[Fraction(0)] * n for _ in range(n)]
+        u = [[0] * n for _ in range(n)]
         for i in range(n):
-            u[i][i] = Fraction(1)
+            u[i][i] = 1
             for j in range(i + 1, n):
                 val = 0
                 while val == 0:
                     val = rng.randint(-1000, 1000)
-                u[i][j] = Fraction(val)
-        prod = [
-            [sum(u[i][k] * pw_matrix[k][j] for k in range(n)) for j in range(n)]
-            for i in range(n)
-        ]
-        x = flag_from_rows(prod)
-        ok = all(
-            (x.minor(I) != 0) == bool(perms.generic_pattern_bit(w, I))
-            for I in proper_subsets(n)
-        )
-        if ok:
+                u[i][j] = val
+        # P_w has its ones at (w(j), j), so column j of u . P_w is column w(j) of u
+        x = flag_from_rows([[row[v - 1] for v in w] for row in u])
+        if _has_generic_pattern(x, w):
             return x
     raise RuntimeError(f"failed to sample a generic point of the cell of {w}")
 
@@ -168,7 +203,7 @@ def _parse_entry(e) -> Fraction:
 
 
 def parse_flag_json(text: str) -> Flag:
-    data = json.loads(text)
+    data = json.loads(text, parse_float=Fraction)
     return flag_from_rows([[_parse_entry(e) for e in row] for row in data])
 
 
@@ -193,6 +228,6 @@ def load_flag(path: str) -> Flag:
 
 def pattern_json(x: Flag) -> str:
     out = {
-        subset_str(I): (1 if x.minor(I) != 0 else 0) for I in proper_subsets(x.n)
+        subset_str(I): (1 if x.nonzero(I) else 0) for I in proper_subsets(x.n)
     }
     return json.dumps(out, sort_keys=True)

@@ -64,7 +64,7 @@ class FlagOracle:
         self.flag = flag
 
     def query(self, pw: PluckerWeight) -> int:
-        return 1 if self.flag.minor(subset_of(pw)) != 0 else 0
+        return 1 if self.flag.nonzero(subset_of(pw)) else 0
 
 
 class CountingOracle:

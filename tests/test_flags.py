@@ -7,9 +7,14 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from schubcells import perms
+from schubcells import flags, perms
 from schubcells.flags import (
+    Flag,
+    MAX_SAMPLE_RETRIES,
     flag_from_columns,
     coordinate_flag,
     flag_from_rows,
@@ -55,6 +60,169 @@ def random_rational_matrix(rng, n):
             return flag_from_rows(rows)
         except ValueError:
             continue
+
+
+def sympy_minor(rows, I):
+    """Second oracle: sympy's exact determinant of the same submatrix."""
+    I = sorted(I)
+    sub = sympy.Matrix(
+        [[sympy.Rational(rows[r - 1][c].numerator, rows[r - 1][c].denominator)
+          for c in range(len(I))] for r in I]
+    )
+    det = sub.det()
+    return Fraction(int(det.p), int(det.q))
+
+
+def wide_rational_matrix(rng, n):
+    """Signed entries over denominators from 1 up to a 61-bit prime, with
+    zeros and large numerators mixed in."""
+    denominators = (1, 2, 3, 7, 12, 10**9 + 7, 2**61 - 1)
+    while True:
+        rows = [
+            [
+                Fraction(0) if rng.random() < 0.2
+                else Fraction(rng.randint(-10**12, 10**12), rng.choice(denominators))
+                for _ in range(n)
+            ]
+            for _ in range(n)
+        ]
+        try:
+            return flag_from_rows(rows)
+        except ValueError:
+            continue
+
+
+def test_integer_table_matches_cofactor_and_sympy_oracles():
+    rng = random.Random(2024)
+    for n in range(2, 8):
+        cases = [
+            wide_rational_matrix(rng, n),
+            random_rational_matrix(rng, n),
+            coordinate_flag(tuple(rng.sample(range(1, n + 1), n))),
+            random_cell_point(tuple(rng.sample(range(1, n + 1), n)), seed=n),
+        ]
+        for x in cases:
+            for I in proper_subsets(n):
+                expected = brute_minor(x.matrix, I)
+                assert x.minor(I) == expected
+                assert x.nonzero(I) == (expected != 0)
+                assert sympy_minor(x.matrix, I) == expected
+
+
+def test_singular_prefixes_scaled_columns():
+    # column 2 is 1/3 of column 1 on rows 1, 2, so p_12 vanishes; the column
+    # denominators 3 and 7 are scaled away and back exactly
+    x = flag_from_rows([
+        [Fraction(3, 7), Fraction(1, 7), Fraction(0)],
+        [Fraction(6, 7), Fraction(2, 7), Fraction(5)],
+        [Fraction(0), Fraction(1, 3), Fraction(1, 2)],
+    ])
+    assert x.minor({1, 2}) == 0 and not x.nonzero({1, 2})
+    assert x.minor({1, 3}) == Fraction(1, 7)
+    assert x.minor({2, 3}) == Fraction(2, 7)
+    assert x.minor({1}) == Fraction(3, 7)
+    assert x.minor({1, 2, 3}) == sympy_minor(x.matrix, {1, 2, 3})
+
+
+_entries = st.fractions(min_value=-50, max_value=50, max_denominator=12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 6).flatmap(
+    lambda n: st.lists(st.lists(_entries, min_size=n, max_size=n), min_size=n, max_size=n)
+))
+def test_integer_table_property(rows):
+    n = len(rows)
+    det = brute_minor(rows, range(1, n + 1))
+    if det == 0:
+        with pytest.raises(ValueError, match="singular"):
+            flag_from_rows(rows)
+        return
+    x = flag_from_rows(rows)
+    assert x.minor(range(1, n + 1)) == det
+    for I in proper_subsets(n):
+        expected = brute_minor(rows, I)
+        assert x.minor(I) == expected
+        assert x.nonzero(I) == (expected != 0)
+
+
+def test_minor_rejects_rows_outside_range():
+    x = coordinate_flag((2, 1, 3))
+    for rows in ({0}, {4}, {1, 4}, {-1, 2}):
+        with pytest.raises(ValueError, match="not within"):
+            x.minor(frozenset(rows))
+        with pytest.raises(ValueError, match="not within"):
+            x.nonzero(frozenset(rows))
+
+
+def test_minor_table_is_not_a_constructor_argument():
+    m = coordinate_flag((1, 2)).matrix
+    with pytest.raises(TypeError):
+        Flag(m, _minors=[1, 0, 0, 0])
+    assert Flag(m) == coordinate_flag((1, 2))
+
+
+# u . P_w for a few (w, seed) pairs, captured from the Fraction implementation
+# of random_cell_point; any change in the order of the RNG draws moves them.
+CELL_POINT_PINS = [
+    ((2, 3, 1), 0, [[729, -212, 1], [1, 552, 0], [0, 1, 0]]),
+    ((3, 1, 4, 2), 7,
+     [[941, 1, -692, -337], [-192, 0, 333, 1], [1, 0, -902, 0], [0, 0, 1, 0]]),
+    ((2, 5, 1, 4, 3), 11,
+     [[-74, 754, 1, 146, 773], [1, -47, 0, 599, 892], [0, 40, 0, -75, 1],
+      [0, 751, 0, 1, 0], [0, 1, 0, 0, 0]]),
+    ((4, 6, 1, 3, 5, 2), 3,
+     [[114, -243, 1, 213, -733, -513], [236, 281, 0, 875, -30, 1],
+      [189, 240, 0, 1, -866, 0], [1, 861, 0, 0, -974, 0],
+      [0, 715, 0, 0, 1, 0], [0, 1, 0, 0, 0, 0]]),
+    ((7, 1, 5, 3, 6, 2, 4), 42,
+     [[-499, 1, 518, -772, -437, 309, -949], [385, 0, 508, -543, -791, 1, -715],
+      [-822, 0, 827, 1, 116, 0, 516], [-935, 0, 209, 0, -136, 0, 1],
+      [-809, 0, 1, 0, -939, 0, 0], [-553, 0, 0, 0, 1, 0, 0],
+      [1, 0, 0, 0, 0, 0, 0]]),
+    ((8, 6, 7, 2, 4, 1, 5, 3), 2026,
+     [[761, 48, 325, -757, 29, 1, 948, -346], [230, -543, 832, 1, -790, 0, 810, 951],
+      [172, -139, 604, 0, 272, 0, 139, 1], [590, 725, 496, 0, 1, 0, 121, 0],
+      [538, 573, 5, 0, 0, 0, 1, 0], [201, 1, 583, 0, 0, 0, 0, 0],
+      [-97, 0, 1, 0, 0, 0, 0, 0], [1, 0, 0, 0, 0, 0, 0, 0]]),
+    ((1, 2, 3, 4, 5, 6, 7, 8), 5,
+     [[1, 275, -477, 519, -266, 628, 414, 930], [0, 1, 723, 515, 335, 888, 85, -941],
+      [0, 0, 1, 721, -47, 589, 931, -490], [0, 0, 0, 1, 329, -894, 845, -679],
+      [0, 0, 0, 0, 1, -769, -239, -40], [0, 0, 0, 0, 0, 1, 778, -496],
+      [0, 0, 0, 0, 0, 0, 1, -221], [0, 0, 0, 0, 0, 0, 0, 1]]),
+    ((8, 7, 6, 5, 4, 3, 2, 1), 1,
+     [[-478, -871, 564, 643, 735, 165, -725, 1], [334, -33, -80, 558, 14, -759, 1, 0],
+      [-1, -808, -571, 615, -223, 1, 0, 0], [-202, 711, 829, -942, 1, 0, 0, 0],
+      [561, 244, -114, 1, 0, 0, 0, 0], [-996, 571, 1, 0, 0, 0, 0, 0],
+      [425, 1, 0, 0, 0, 0, 0, 0], [1, 0, 0, 0, 0, 0, 0, 0]]),
+]
+
+
+@pytest.mark.parametrize("w, seed, rows", CELL_POINT_PINS)
+def test_random_cell_point_draws_are_pinned(w, seed, rows):
+    assert random_cell_point(w, seed=seed).matrix == flag_from_rows(rows).matrix
+
+
+def test_random_cell_point_gives_up_after_retries(monkeypatch):
+    # if every draw looks degenerate, all retries are spent and RuntimeError
+    # is raised
+    draws = []
+
+    def counting_flag_from_rows(rows):
+        draws.append(rows)
+        return flag_from_rows(rows)
+
+    monkeypatch.setattr(flags, "flag_from_rows", counting_flag_from_rows)
+    monkeypatch.setattr(Flag, "nonzero", lambda self, rows: False)
+    with pytest.raises(RuntimeError, match="failed to sample"):
+        random_cell_point((2, 1, 3), seed=0)
+    assert len(draws) == MAX_SAMPLE_RETRIES
+
+
+def test_random_cell_point_rejects_non_permutation():
+    for w in ((1, 1, 2), (0, 1, 2), (1, 2, 4)):
+        with pytest.raises(ValueError, match="not a permutation"):
+            random_cell_point(w, seed=0)
 
 
 def test_identity_minors():
@@ -194,3 +362,16 @@ def test_parsing_round_trip(tmp_path):
     assert load_flag(str(c)).matrix == z.matrix
     data = json.loads(pattern_json(z))
     assert data == {"1": 1, "2": 0}
+
+
+def test_json_decimals_are_read_exactly(tmp_path):
+    # 0.1 * 2.1 - 0.7 * 0.3 = 0 exactly; as binary floats p_12 would be
+    # 3/2^56 and the vanishing would be missed
+    text = "[[0.1, 0.7, 0], [0.3, 2.1, 1], [1, 0, 0]]"
+    x = parse_flag_json(text)
+    assert x.matrix[0][0] == Fraction(1, 10)
+    assert x.minor({1, 2}) == 0 and not x.nonzero({1, 2})
+    assert x.matrix == parse_flag_csv("0.1,0.7,0\n0.3,2.1,1\n1,0,0\n").matrix
+    p = tmp_path / "flag.json"
+    p.write_text(text)
+    assert json.loads(pattern_json(load_flag(str(p))))["12"] == 0
