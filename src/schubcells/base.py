@@ -13,6 +13,7 @@ of Plucker coordinates whose generic vanishing pattern identifies a cell.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .plucker import PluckerWeight, ones, orbit_table, weight_of
 from .weyl import WeylElement, WeylGroup
@@ -51,7 +52,6 @@ class FinitePoset:
     @classmethod
     def from_leq(cls, elements, leq) -> "FinitePoset":
         elements = list(elements)
-        n = len(elements)
         masks = []
         for a in elements:
             m = 0
@@ -119,35 +119,28 @@ class BaseElement:
     right_descent: int
 
 
+@cache
 def bruhat_poset(group: WeylGroup) -> FinitePoset:
     """Bruhat order on the enumerated group by Deodhar's criterion [BB05 2.6]:
     u <= v iff u omega_i <= v omega_i for every level i.  Each orbit up-set
     is pulled back to W through the fibres of w -> w omega_i."""
-    key = "bruhat_poset"
-    P = group._cache.get(key)
-    if P is None:
-        elems = group.elements()
-        up = [(1 << len(elems)) - 1] * len(elems)
-        for i in range(1, group.rank + 1):
-            table = orbit_table(group, i)
-            pos = [table.position(w) for w in elems]
-            fibre = [0] * len(table)
-            for j, k in enumerate(pos):
-                fibre[k] |= 1 << j
-            # fibres are disjoint, so their sum is their union
-            pulled = [sum(fibre[k] for k in ones(m)) for m in table.up_masks()]
-            up = [u & pulled[k] for u, k in zip(up, pos)]
-        P = FinitePoset(elems, up)
-        group._cache[key] = P
-    return P
+    elems = group.elements()
+    up = [(1 << len(elems)) - 1] * len(elems)
+    for i in range(1, group.rank + 1):
+        table = orbit_table(group, i)
+        pos = [table.position(w) for w in elems]
+        fibre = [0] * len(table)
+        for j, k in enumerate(pos):
+            fibre[k] |= 1 << j
+        # fibres are disjoint, so their sum is their union
+        pulled = [sum(fibre[k] for k in ones(m)) for m in table.up_masks()]
+        up = [u & pulled[k] for u, k in zip(up, pos)]
+    return FinitePoset(elems, up)
 
 
+@cache
 def weyl_base(group: WeylGroup) -> tuple[BaseElement, ...]:
     """The base of the Bruhat order, with the (unique) descent data."""
-    key = "weyl_base"
-    out = group._cache.get(key)
-    if out is not None:
-        return out
     P = bruhat_poset(group)
     members = []
     for idx in poset_base_indices(P):
@@ -159,9 +152,7 @@ def weyl_base(group: WeylGroup) -> tuple[BaseElement, ...]:
                 f"base element {w.word} has descents L={sorted(left)} R={sorted(right)}"
             )
         members.append(BaseElement(w, min(left), min(right)))
-    out = tuple(members)
-    group._cache[key] = out
-    return out
+    return tuple(members)
 
 
 def base_weights(group: WeylGroup) -> tuple[PluckerWeight, ...]:

@@ -150,13 +150,13 @@ def minimum_defining_hitting_set(w, n: int) -> tuple[int, tuple[frozenset[int], 
     """Exact minimum hitting set: a set of coordinates killing the coordinate
     flag of every u !<= w.  Valid as a lower bound on the number of equations
     defining the variety of w."""
+    w = perms.check_permutation(w, n)
     if n > 7:
         raise ValueError("exact hitting-set search is capped at n = 7")
-    families = _constraint_families(tuple(w), n)
+    families = _constraint_families(w, n)
     if not families:
         return 0, ()
     families.sort(key=len)
-    universe = sorted({I for fam in families for I in fam}, key=lambda s: (len(s), sorted(s)))
     best: list = [None]
 
     def search(chosen: set, idx: int):
@@ -182,7 +182,7 @@ def defining_set_lower_bound(w, n: int) -> int:
 
 def variety_equation_count(w, n: int) -> int:
     """Size of the universal defining set {I : I !<= w([1,|I|])}."""
-    w = tuple(w)
+    w = perms.check_permutation(w, n)
     count = 0
     for i in range(1, n):
         for I in combinations(range(1, n + 1), i):

@@ -17,6 +17,7 @@ assumed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .plucker import (
     PluckerWeight,
@@ -96,19 +97,17 @@ def cell_description_general(
     return CellDescription(w, tuple(eqs), tuple(ineqs), ordering)
 
 
-def _root_plan(group: WeylGroup, ordering: WeightOrdering):
+@cache
+def _root_plan(group: WeylGroup, order: tuple[int, ...]):
     """Per positive root alpha: (mu(alpha), index of s_alpha omega_mu(alpha))."""
-    key = ("root_plan", ordering.order)
-    plan = group._cache.get(key)
-    if plan is None:
-        plan = []
-        for rt in group.positive_roots():
-            level = mu(group, rt, ordering)
-            table = orbit_table(group, level)
-            moved = group.reflect_by_root(rt, group.fundamental_weights[level - 1])
-            plan.append((level, table.index[moved]))
-        group._cache[key] = plan
-    return plan
+    ordering = WeightOrdering(order)
+    plan = []
+    for rt in group.positive_roots():
+        level = mu(group, rt, ordering)
+        table = orbit_table(group, level)
+        moved = group.reflect_by_root(rt, group.fundamental_weights[level - 1])
+        plan.append((level, table.index[moved]))
+    return tuple(plan)
 
 
 def _economical_style_sets(group: WeylGroup, w: WeylElement, ordering: WeightOrdering):
@@ -116,7 +115,7 @@ def _economical_style_sets(group: WeylGroup, w: WeylElement, ordering: WeightOrd
     {w omega_i : some alpha with mu(alpha) = i has w alpha < 0}."""
     eqs: list[PluckerWeight] = []
     ineq_levels: set[int] = set()
-    for (level, k), sign in zip(_root_plan(group, ordering), group.root_signs(w)):
+    for (level, k), sign in zip(_root_plan(group, ordering.order), group.root_signs(w)):
         if sign > 0:
             table = orbit_table(group, level)
             eqs.append(table.weights[table.act(w.word, k)])

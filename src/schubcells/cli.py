@@ -87,10 +87,11 @@ def _cmd_recognize(args) -> int:
         return 1
     n = group.rank + 1
     if args.flag:
-        flag = flags.load_flag(args.flag)
-        if flag.n != n:
-            print(f"flag size {flag.n} does not match {group.datum.name}", file=sys.stderr)
+        rows = flags.load_flag_rows(args.flag)
+        if len(rows) != n:
+            print(f"flag size {len(rows)} does not match {group.datum.name}", file=sys.stderr)
             return 1
+        flag = flags.flag_from_rows(rows)
     elif args.cell:
         w = _parse_element(group, args.cell)
         flag = flags.random_cell_point(group.one_line(w), seed=args.seed)

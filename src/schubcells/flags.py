@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 
+from .perms import check_permutation
 from .plucker import all_weights, subset_of, subset_str
 from .weyl import WeylGroup, weyl_group
 
@@ -175,8 +176,7 @@ def random_cell_point(w, seed=None) -> Flag:
     """
     w = tuple(w)
     n = len(w)
-    if sorted(w) != list(range(1, n + 1)):
-        raise ValueError(f"{w} is not a permutation of 1..{n}")
+    check_permutation(w, n)
     rng = random.Random(seed)
     for _ in range(MAX_SAMPLE_RETRIES):
         u = [[0] * n for _ in range(n)]
@@ -202,28 +202,38 @@ def _parse_entry(e) -> Fraction:
     return Fraction(e)
 
 
-def parse_flag_json(text: str) -> Flag:
+def _json_rows(text: str) -> list[list[Fraction]]:
     data = json.loads(text, parse_float=Fraction)
-    return flag_from_rows([[_parse_entry(e) for e in row] for row in data])
+    return [[_parse_entry(e) for e in row] for row in data]
+
+
+def _csv_rows(text: str) -> list[list[Fraction]]:
+    return [[_parse_entry(e) for e in row] for row in csv.reader(io.StringIO(text)) if row]
+
+
+def parse_flag_json(text: str) -> Flag:
+    return flag_from_rows(_json_rows(text))
 
 
 def parse_flag_csv(text: str) -> Flag:
-    rows = []
-    for row in csv.reader(io.StringIO(text)):
-        if row:
-            rows.append([_parse_entry(e) for e in row])
-    return flag_from_rows(rows)
+    return flag_from_rows(_csv_rows(text))
 
 
-def load_flag(path: str) -> Flag:
+def load_flag_rows(path: str) -> list[list[Fraction]]:
+    """The rows of a JSON or CSV matrix file, read without building the
+    flag, so that a caller can check the size before paying 2^n minors."""
     with open(path) as fh:
         text = fh.read()
     if path.endswith(".csv"):
-        return parse_flag_csv(text)
+        return _csv_rows(text)
     try:
-        return parse_flag_json(text)
+        return _json_rows(text)
     except json.JSONDecodeError:
-        return parse_flag_csv(text)
+        return _csv_rows(text)
+
+
+def load_flag(path: str) -> Flag:
+    return flag_from_rows(load_flag_rows(path))
 
 
 def pattern_json(x: Flag) -> str:

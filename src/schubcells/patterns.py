@@ -9,6 +9,7 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import product
 
 from . import perms
@@ -249,6 +250,7 @@ class RealizableSet:
     certified: bool
 
 
+@cache
 def realizable_full_patterns(n: int):
     """All vanishing patterns of flags in C^n for n <= 3, certified exact.
 
@@ -262,9 +264,6 @@ def realizable_full_patterns(n: int):
     if n not in (2, 3):
         raise ValueError("exact realizability enumeration is implemented for n <= 3")
     group = type_a_group(n)
-    cache = group._cache.get("realizable_full")
-    if cache is not None:
-        return cache
     weights = all_weights(group)
     subsets = [subset_of(pw) for pw in weights]
     results = []
@@ -289,7 +288,6 @@ def realizable_full_patterns(n: int):
             )
         assert {I: (1 if v else 0) for I, v in by_subset.items()} == subset_pattern(flag)
         results.append((pat, report.witness, flag))
-    group._cache["realizable_full"] = results
     return results
 
 

@@ -14,6 +14,14 @@ from itertools import permutations as _permutations
 def all_perms(n: int):
     return [tuple(p) for p in _permutations(range(1, n + 1))]
 
+def check_permutation(w, n: int) -> tuple[int, ...]:
+    """w as a tuple; ValueError unless it is a permutation of 1..n."""
+    w = tuple(w)
+    if sorted(w) != list(range(1, n + 1)):
+        raise ValueError(f"{w} is not a permutation of 1..{n}")
+    return w
+
+
 def identity(n: int) -> tuple[int, ...]:
     return tuple(range(1, n + 1))
 

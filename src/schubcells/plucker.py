@@ -15,6 +15,7 @@ the orbit orders (``WeylGroup.bruhat_leq``, ``base.bruhat_poset``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 
 from .cartan import Vector
 from .weyl import Labels, Root, WeylElement, WeylGroup, along_tree, orbit_bfs, word_str
@@ -196,24 +197,16 @@ def orbit(group: WeylGroup, level: int) -> tuple[PluckerWeight, ...]:
     return orbit_table(group, level).weights
 
 
+@cache
 def orbit_table(group: WeylGroup, level: int) -> OrbitTable:
-    if not 1 <= level <= group.rank:
-        raise ValueError(f"level {level} out of range 1..{group.rank}")
-    key = ("orbit", level)
-    table = group._cache.get(key)
-    if table is None:
-        table = OrbitTable(group, level)
-        group._cache[key] = table
-    return table
+    """The orbit table of a level, built once per group (pass both
+    arguments positionally: a keyword call is a separate memo key)."""
+    return OrbitTable(group, level)
 
 
+@cache
 def all_weights(group: WeylGroup) -> tuple[PluckerWeight, ...]:
-    key = "all_weights"
-    out = group._cache.get(key)
-    if out is None:
-        out = tuple(pw for i in range(1, group.rank + 1) for pw in orbit(group, i))
-        group._cache[key] = out
-    return out
+    return tuple(pw for i in range(1, group.rank + 1) for pw in orbit(group, i))
 
 
 def weight_of(group: WeylGroup, w: WeylElement, level: int) -> PluckerWeight:
@@ -222,15 +215,11 @@ def weight_of(group: WeylGroup, w: WeylElement, level: int) -> PluckerWeight:
     return table.weights[table.position(w)]
 
 
+@cache
 def level_offsets(group: WeylGroup) -> tuple[int, ...]:
     """offsets[i] is the position of level i's first weight in all_weights."""
-    key = "level_offsets"
-    out = group._cache.get(key)
-    if out is None:
-        sizes = [len(orbit_table(group, i)) for i in range(1, group.rank + 1)]
-        out = (0,) + tuple(sum(sizes[: i - 1]) for i in range(1, group.rank + 1))
-        group._cache[key] = out
-    return out
+    sizes = [len(orbit_table(group, i)) for i in range(1, group.rank + 1)]
+    return (0,) + tuple(sum(sizes[: i - 1]) for i in range(1, group.rank + 1))
 
 
 def orbit_bruhat_leq(group: WeylGroup, a: PluckerWeight, b: PluckerWeight) -> bool:
@@ -322,15 +311,16 @@ def is_economical_ordering(group: WeylGroup, ordering: WeightOrdering) -> bool:
     indices from its position onward."""
     if ordering.rank != group.rank:
         raise ValueError("ordering rank does not match the group")
-    key = ("econ_ordering", ordering.order)
-    hit = group._cache.get(key)
-    if hit is None:
-        hit = all(
-            is_economical_index_parabolic(group, ordering.order[pos], ordering.tail(pos))
-            for pos in range(group.rank)
-        )
-        group._cache[key] = hit
-    return hit
+    return _is_economical_order(group, ordering.order)
+
+
+@cache
+def _is_economical_order(group: WeylGroup, order: tuple[int, ...]) -> bool:
+    """is_economical_ordering's verdict, memoized on the plain order tuple."""
+    return all(
+        is_economical_index_parabolic(group, order[pos], order[pos:])
+        for pos in range(len(order))
+    )
 
 
 def linear_order_check(group: WeylGroup, i: int) -> bool:

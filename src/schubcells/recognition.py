@@ -32,7 +32,7 @@ from .plucker import (
     weight_from_subset,
     weight_label,
 )
-from .weyl import WeylElement, WeylGroup
+from .weyl import WeylElement, WeylGroup, word_str
 
 
 @dataclass
@@ -84,12 +84,16 @@ class CountingOracle:
         return bit
 
 
+_SCAN_PLANS: dict[tuple, list] = {}  # (group, ordering.order, pos, fp) -> plan
+
+
 def _scan_plan(group: WeylGroup, ordering: WeightOrdering, pos: int, fp, word):
     """Descending Bruhat-compatible scan of v W_J omega_i, with the coset
     updates attached: list of (PluckerWeight, word to append to v).  v is
-    given by its fingerprint (the cache key) and any word for it."""
-    key = ("scan", ordering.order, pos, fp)
-    plan = group._cache.get(key)
+    given by its fingerprint and any word for it; only the fingerprint is in
+    the memo key, so the memo is a plain dict."""
+    key = (group, ordering.order, pos, fp)
+    plan = _SCAN_PLANS.get(key)
     if plan is not None:
         return plan
     table = orbit_table(group, ordering.order[pos])
@@ -104,7 +108,7 @@ def _scan_plan(group: WeylGroup, ordering: WeightOrdering, pos: int, fp, word):
                 raise RuntimeError(
                     "economical ordering produced a non-linear scan set"
                 )
-    group._cache[key] = entries
+    _SCAN_PLANS[key] = entries
     return entries
 
 
@@ -239,8 +243,6 @@ class DecisionTree:
 def _element_label(group: WeylGroup, w: WeylElement) -> str:
     if group.type_letter == "A":
         return "".join(str(x) for x in group.one_line(w))
-    from .weyl import word_str
-
     return word_str(w.word)
 
 

@@ -16,8 +16,10 @@ u omega_i <= v omega_i on every orbit W omega_i (Deodhar's criterion
 [BB05 2.6]), so comparing two elements never enumerates W.
 
 All values are immutable after construction.  The only internal mutation is
-memo caches (dict insertion is atomic under CPython), so groups can be shared
-across threads.
+memoization: a group fills its own fields, and each module memoizes the
+tables it derives from a group where it builds them, keyed by the group
+(``functools.cache``; ``recognition`` keeps its scan plans in a module dict).
+Dict insertion is atomic under CPython, so groups can be shared across threads.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from fractions import Fraction
 
 from .cartan import CartanDatum, Vector, cartan_datum, dot, parse_group_spec, weyl_order
 from .errors import UnsupportedGroupError
+from .perms import check_permutation
 
 ENUMERATION_CAP = 10 ** 6
 
@@ -151,7 +154,6 @@ class WeylGroup:
         self._roots: tuple[Root, ...] | None = None
         self._root_sign: dict[Vector, int] | None = None
         self._coroot_exps: tuple[tuple[int, ...], ...] = ()
-        self._cache: dict = {}
 
     # ----- linear action ---------------------------------------------------
 
@@ -462,10 +464,8 @@ class WeylGroup:
     def from_one_line(self, perm) -> WeylElement:
         if self.type_letter != "A":
             raise ValueError("one-line notation is a type A concept")
-        perm = tuple(perm)
         n = self.rank + 1
-        if sorted(perm) != list(range(1, n + 1)):
-            raise ValueError(f"{perm} is not a permutation of 1..{n}")
+        perm = check_permutation(perm, n)
         word = []
         work = list(perm)
         # bubble sort; recorded swaps give a reduced word read right-to-left
@@ -490,7 +490,7 @@ _GROUPS: dict[tuple[str, int], WeylGroup] = {}
 def weyl_group(spec_or_letter, rank: int | None = None) -> WeylGroup:
     """The Weyl group for a spec string ("B3") or a (letter, rank) pair.
 
-    Instances are cached so orbit tables and memo caches are shared.
+    Instances are interned, so callers share each group's memoized tables.
     """
     if rank is None:
         letter, rank = parse_group_spec(spec_or_letter)

@@ -1,6 +1,7 @@
 """Witness families, exact hitting-set lower bounds, feedback-free minimal
 sets, code inequalities, and the chain corollary."""
 
+import re
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -133,6 +134,14 @@ def test_variety_equation_counts():
     for w in g.elements():
         d = variety_equations(g, w)
         assert len(d.equalities) == variety_equation_count(g.one_line(w), 4)
+
+
+@pytest.mark.parametrize("w", [(1, 2), (4, 3, 2, 1), (1, 1, 3)])
+def test_defining_bounds_reject_non_permutations(w):
+    # too short, an entry outside 1..n, a repeated entry
+    for fn in (minimum_defining_hitting_set, variety_equation_count):
+        with pytest.raises(ValueError, match=rf"{re.escape(str(w))} is not a permutation of 1\.\.3"):
+            fn(w, 3)
 
 
 # ----- feedback-free minimal sets -----------------------------------------------------

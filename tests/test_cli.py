@@ -78,6 +78,20 @@ def test_recognize_errors(tmp_path, capsys):
     assert code == 1 and "does not match" in err
 
 
+def test_recognize_checks_flag_size_before_building_it(tmp_path, monkeypatch, capsys):
+    # a flag's minor table costs 2^n: an oversized file must be refused first
+    from schubcells import flags
+
+    def boom(self):
+        raise AssertionError("Flag built before the size check")
+
+    monkeypatch.setattr(flags.Flag, "__post_init__", boom)
+    p = tmp_path / "big.csv"
+    p.write_text("\n".join(",".join("1" if i == j else "0" for j in range(8)) for i in range(8)))
+    code, out, err = run(capsys, "recognize", "--group", "A2", "--flag", str(p))
+    assert (code, out, err) == (1, "", "flag size 8 does not match A2\n")
+
+
 def test_tree_outputs(capsys):
     code, out, _ = run(capsys, "tree", "--group", "A2", "--optimal")
     assert code == 0 and "depth 3" in out
@@ -145,6 +159,14 @@ def test_bounds_commands(capsys):
     assert data["lower_bound"] == 5 and data["universal_count"] == 9
     code, _, err = run(capsys, "bounds")
     assert code == 1
+
+
+@pytest.mark.parametrize("w", ["12", "4321", "113"])
+def test_bounds_defining_rejects_non_permutation(capsys, w):
+    code, out, err = run(capsys, "bounds", "--defining", w, "3")
+    perm = tuple(int(c) for c in w)
+    assert (code, out) == (1, "")
+    assert err == f"error: {perm} is not a permutation of 1..3\n"
 
 
 def test_economical_output(capsys):

@@ -370,3 +370,57 @@ def test_serialization():
     assert weight_label(b, pw) == "p(2:e)"
     with pytest.raises(ValueError):
         subset_of(weight_of(b, b.identity, 1))  # e_1, an indicator vector of type B
+
+
+# ----- memoized tables ------------------------------------------------------------
+
+
+def test_each_orbit_table_is_built_once_per_group(monkeypatch):
+    from schubcells import plucker
+    from schubcells.cells import cell_description_economical
+    from schubcells.patterns import generic_pattern, random_acceptable
+    from schubcells.recognition import PatternOracle, recognize_general
+
+    built = []
+    init = plucker.OrbitTable.__init__
+
+    def counting_init(self, group, level):
+        built.append((group, level))
+        init(self, group, level)
+
+    monkeypatch.setattr(plucker.OrbitTable, "__init__", counting_init)
+    g = WeylGroup(cartan_datum("B", 3))
+    w = g.element((1, 2, 3, 2))
+    cell_description_economical(g, w)
+    pattern = generic_pattern(g, w)
+    random_acceptable(g, w, seed=1)
+    assert recognize_general(PatternOracle(pattern), g)[0] == w
+    assert g.bruhat_leq(g.identity, w) and not g.bruhat_leq(w, g.identity)
+    assert sorted(level for _, level in built) == [1, 2, 3]
+    assert all(group is g for group, _ in built)
+
+
+def test_fresh_group_gets_its_own_tables():
+    from schubcells.base import weyl_base
+    from schubcells.patterns import generic_pattern
+    from schubcells.plucker import all_weights, orbit_table
+    from schubcells.recognition import PatternOracle, recognize_general
+
+    interned = weyl_group("B3")
+    w = interned.element((1, 2, 3, 2))
+    recognize_general(PatternOracle(generic_pattern(interned, w)), interned)
+    tables = [orbit_table(interned, i) for i in (1, 2, 3)]
+    weights = all_weights(interned)
+    base = weyl_base(interned)
+
+    fresh = WeylGroup(cartan_datum("B", 3))
+    own = [orbit_table(fresh, i) for i in (1, 2, 3)]
+    assert all(t.group is fresh and t not in tables for t in own)
+    assert all(pw.min_rep.group is fresh for pw in all_weights(fresh))
+    assert all(b.element.group is fresh for b in weyl_base(fresh))
+    _, log = recognize_general(PatternOracle(generic_pattern(fresh, w)), fresh)
+    assert log.count and all(pw.min_rep.group is fresh for pw in log.weights())
+
+    assert all(orbit_table(interned, i) is t for i, t in zip((1, 2, 3), tables))
+    assert all_weights(interned) is weights and weyl_base(interned) is base
+    assert all(pw.min_rep.group is interned for pw in weights)
