@@ -51,9 +51,6 @@ class CartanDatum:
     cartan_matrix: tuple[tuple[int, ...], ...]
     simple_roots: tuple[Vector, ...]
     fundamental_weights: tuple[Vector, ...]
-    # Strictly dominant integer vector with trivial stabilizer (ambient
-    # coordinates; element fingerprints use the Dynkin labels of rho).
-    dominant_seed: Vector
 
     def __post_init__(self):
         r = self.rank
@@ -113,7 +110,6 @@ def cartan_datum(letter: str, rank: int) -> CartanDatum:
             for i in range(r)
         ]
         weights = [_vec([1] * (i + 1) + [0] * (dim - i - 1)) for i in range(r)]
-        seed = _vec(range(dim, 0, -1))
     elif letter in ("B", "C", "D"):
         dim = r
         roots = [
@@ -141,12 +137,10 @@ def cartan_datum(letter: str, rank: int) -> CartanDatum:
             minus[r - 1] = Fraction(-1, 2)
             weights[r - 2] = tuple(minus)
             weights[r - 1] = tuple(half)
-        seed = _vec(range(dim, 0, -1))
     else:  # G2
         dim = 3
         roots = [_vec([1, -1, 0]), _vec([-2, 1, 1])]
         weights = [_vec([0, -1, 1]), _vec([-1, -1, 2])]
-        seed = _vec([-1, -2, 3])
     matrix = tuple(
         tuple(int(2 * dot(a, b) / dot(a, a)) for b in roots) for a in roots
     )
@@ -157,7 +151,6 @@ def cartan_datum(letter: str, rank: int) -> CartanDatum:
         cartan_matrix=matrix,
         simple_roots=tuple(roots),
         fundamental_weights=tuple(weights),
-        dominant_seed=seed,
     )
 
 

@@ -106,7 +106,7 @@ def _root_plan(group: WeylGroup, order: tuple[int, ...]):
         level = mu(group, rt, ordering)
         table = orbit_table(group, level)
         moved = group.reflect_by_root(rt, group.fundamental_weights[level - 1])
-        plan.append((level, table.index[moved]))
+        plan.append((level, table.lookup(moved).index))
     return tuple(plan)
 
 
@@ -193,9 +193,9 @@ def cell_description_typeD(
     incomparable = []
     for i in range(1, r - 2):
         table = orbit_table(group, i)
-        flipped = list(group.fundamental_weights[i - 1])
-        flipped[i - 1] = -flipped[i - 1]
-        candidate = table.weights[table.act(w.word, table.index[tuple(flipped)])]
+        # e_1 + ... + e_{i-1} - e_i has labels 2 at i - 1 and -1 at i
+        flipped = tuple(2 if j == i - 1 else -1 if j == i else 0 for j in range(1, r + 1))
+        candidate = table.weights[table.act(w.word, table.by_labels[flipped])]
         top = weight_of(group, w, i)
         above = table.leq(top, candidate) and candidate != top
         below = table.leq(candidate, top)

@@ -197,13 +197,15 @@ def random_cell_point(w, seed=None) -> Flag:
 # ----- parsing ------------------------------------------------------------------
 
 def _parse_entry(e) -> Fraction:
-    if isinstance(e, str):
-        return Fraction(e.strip())
+    if not isinstance(e, (str, int, Fraction)):
+        raise ValueError(f"flag entry {e!r} is not a number")
     return Fraction(e)
 
 
 def _json_rows(text: str) -> list[list[Fraction]]:
     data = json.loads(text, parse_float=Fraction)
+    if not isinstance(data, list) or not all(isinstance(row, list) for row in data):
+        raise ValueError("a JSON flag must be a list of rows")
     return [[_parse_entry(e) for e in row] for row in data]
 
 

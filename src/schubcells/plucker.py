@@ -7,7 +7,7 @@ in a canonical order (length of the minimal coset representative, then
 shortlex word) so that every "pick a linear order compatible with the Bruhat
 order" step downstream is deterministic.  Each orbit table stores the action
 of every generator on orbit indices, so the index of w omega_i is w's word
-folded through integer tables; ambient weights are carried alongside.
+folded through integer tables; ambient weights are derived on first read.
 The tables are the one Bruhat engine: the order on W is the intersection of
 the orbit orders (``WeylGroup.bruhat_leq``, ``base.bruhat_poset``).
 """
@@ -15,7 +15,7 @@ the orbit orders (``WeylGroup.bruhat_leq``, ``base.bruhat_poset``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, cached_property
 
 from .cartan import Vector
 from .weyl import Labels, Root, WeylElement, WeylGroup, along_tree, orbit_bfs, word_str
@@ -29,17 +29,17 @@ def ones(m: int):
         m ^= low
 
 
-@dataclass(frozen=True, eq=False, slots=True)
+@dataclass(frozen=True, eq=False)
 class PluckerWeight:
     """A weight in the orbit W omega_i, with its minimal coset representative,
     its Dynkin labels, its index in the orbit table and, in type A, the
     subset I with weight e_I.
 
-    Equality and hashing use (level, weight) only; the hash is precomputed.
+    Equality and hashing use (level, labels), injective on an orbit; the hash
+    is precomputed.  The ambient ``weight`` is min_rep omega_i, cached.
     """
 
     level: int
-    weight: Vector
     min_rep: WeylElement = field(repr=False)
     labels: Labels = field(repr=False)
     index: int = field(repr=False)
@@ -47,7 +47,12 @@ class PluckerWeight:
     _hash: int = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.level, self.weight)))
+        object.__setattr__(self, "_hash", hash((self.level, self.labels)))
+
+    @cached_property
+    def weight(self) -> Vector:
+        g = self.min_rep.group
+        return g.act(self.min_rep, g.fundamental_weights[self.level - 1])
 
     def __hash__(self):
         return self._hash
@@ -55,7 +60,7 @@ class PluckerWeight:
     def __eq__(self, other):
         if not isinstance(other, PluckerWeight):
             return NotImplemented
-        return self is other or (self.level == other.level and self.weight == other.weight)
+        return self is other or (self.level == other.level and self.labels == other.labels)
 
     def __repr__(self):
         return f"PluckerWeight(level={self.level}, {word_str(self.min_rep.word)})"
@@ -114,19 +119,17 @@ class OrbitTable:
     def __init__(self, group: WeylGroup, level: int):
         self.group = group
         self.level = level
-        labels, parent, via = _orbit_labels(group, level)
-        # ambient weights are carried along the tree: rebuilding them from
-        # labels would lose the W-invariant component (types A and G2)
-        ambient = along_tree(parent, via, group.fundamental_weights[level - 1], group.reflect)
-        reps = [group.element(word) for word in along_tree(parent, via, (), lambda i, u: (i,) + u)]
+        labels = _orbit_labels(group, level)[0]
+        words = [tuple(group._descend(lab)[0]) for lab in labels]
+        rho = group.identity.fingerprint
+        reps = [WeylElement(word, group.fold(word, rho), group) for word in words]
         order = sorted(range(len(labels)), key=lambda k: (reps[k].length, reps[k].word))
         type_a = group.type_letter == "A"  # weights are indicator vectors e_I
         self.weights: tuple[PluckerWeight, ...] = tuple(
-            PluckerWeight(level, ambient[k], reps[k], labels[k], pos,
-                          frozenset(j for j, x in enumerate(ambient[k], 1) if x) if type_a else None)
+            PluckerWeight(level, reps[k], labels[k], pos,
+                          frozenset(group.one_line(reps[k])[:level]) if type_a else None)
             for pos, k in enumerate(order)
         )
-        self.index: dict[Vector, int] = {pw.weight: pw.index for pw in self.weights}
         self.by_labels: dict[Labels, int] = {pw.labels: pw.index for pw in self.weights}
         # gen[i - 1][k]: index of s_i applied to weights[k]
         self.gen: tuple[tuple[int, ...], ...] = tuple(
@@ -140,7 +143,12 @@ class OrbitTable:
         return len(self.weights)
 
     def lookup(self, v: Vector) -> PluckerWeight:
-        return self.weights[self.index[v]]
+        """The entry with ambient weight v, found by labels and then compared (a
+        W-invariant shift keeps the labels in types A and G2); else KeyError."""
+        k = self.by_labels.get(self.group.labels(v))
+        if k is None or self.weights[k].weight != tuple(v):
+            raise KeyError(v)
+        return self.weights[k]
 
     def act(self, word, k: int) -> int:
         """Index of s_{i1} ... s_{ik} applied to weights[k]."""
@@ -275,7 +283,7 @@ def reflection_weight_map(group: WeylGroup, i: int) -> dict[Root, PluckerWeight]
     for rt in roots_R(group, i):
         image = group.reflect_by_root(rt, omega)
         pw = table.lookup(image)
-        if pw.weight == omega:
+        if pw.index == 0:
             raise RuntimeError("reflection image unexpectedly fixed omega_i")
         out[rt] = pw
     return out

@@ -164,14 +164,11 @@ class WeylGroup:
             return v
         return tuple(x - c * y if y else x for x, y in zip(v, self.simple_roots[i - 1]))
 
-    def act_word(self, word, v: Vector) -> Vector:
-        """Apply s_{i1} ... s_{ik} (left-to-right composition) to v."""
-        for i in reversed(word):
+    def act(self, w: WeylElement, v: Vector) -> Vector:
+        """Apply w = s_{i1} ... s_{ik} (left-to-right composition) to v."""
+        for i in reversed(w.word):
             v = self.reflect(i, v)
         return v
-
-    def act(self, w: WeylElement, v: Vector) -> Vector:
-        return self.act_word(w.word, v)
 
     def act_inv(self, w: WeylElement, v: Vector) -> Vector:
         for i in w.word:
@@ -185,7 +182,7 @@ class WeylGroup:
 
     def labels(self, v: Vector) -> Labels:
         """Dynkin labels <v, alpha_i^vee> of an integral weight."""
-        out = tuple(dot(v, c) for c in self.coroots)
+        out = tuple(sum(x * y for x, y in zip(v, c) if y) for c in self.coroots)
         if any(Fraction(x).denominator != 1 for x in out):
             raise ValueError(f"{v} is not an integral weight")
         return tuple(int(x) for x in out)

@@ -1,10 +1,14 @@
 """Command-line interface: outputs, formats, exit codes, round trips."""
 
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
 from schubcells.cli import main
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
 def run(capsys, *argv):
@@ -90,6 +94,15 @@ def test_recognize_checks_flag_size_before_building_it(tmp_path, monkeypatch, ca
     p.write_text("\n".join(",".join("1" if i == j else "0" for j in range(8)) for i in range(8)))
     code, out, err = run(capsys, "recognize", "--group", "A2", "--flag", str(p))
     assert (code, out, err) == (1, "", "flag size 8 does not match A2\n")
+
+
+@pytest.mark.parametrize("text", ["5", "[1, 2]", '{"a": [1]}', "[[null]]"])
+def test_recognize_refuses_json_that_is_not_rows(tmp_path, capsys, text):
+    p = tmp_path / "flag.json"
+    p.write_text(text)
+    code, out, err = run(capsys, "recognize", "--group", "A2", "--flag", str(p))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "flag" in err and err.count("\n") == 1
 
 
 def test_tree_outputs(capsys):
@@ -234,3 +247,21 @@ def test_round_trip_describe_recognize(tmp_path, capsys):
             assert pat[to_set(s)] == 0
         for s in desc["nonzero"]:
             assert pat[to_set(s)] == 1
+
+
+def _bench_cli_commands():
+    """The benchmark's fixed CLI commands, read from bench/benchlib.py."""
+    spec = importlib.util.spec_from_file_location("bench_cli_commands", BENCH / "benchlib.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.CLI_COMMANDS
+
+
+BENCH_COMMANDS = _bench_cli_commands()
+
+
+@pytest.mark.parametrize("cid, argv", BENCH_COMMANDS, ids=[cid for cid, _ in BENCH_COMMANDS])
+def test_stdout_matches_bench_expected(capsys, cid, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out.encode() == (BENCH / "expected" / f"{cid}.txt").read_bytes()

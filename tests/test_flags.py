@@ -375,3 +375,9 @@ def test_json_decimals_are_read_exactly(tmp_path):
     p = tmp_path / "flag.json"
     p.write_text(text)
     assert json.loads(pattern_json(load_flag(str(p))))["12"] == 0
+
+
+@pytest.mark.parametrize("text", ["5", "[1, 2]", '{"a": [1]}', "[[null]]", "[[[1]]]"])
+def test_json_that_is_not_a_list_of_rows_is_refused(text):
+    with pytest.raises(ValueError, match="JSON flag|flag entry"):
+        parse_flag_json(text)

@@ -17,6 +17,7 @@ from schubcells.plucker import (
     mu,
     orbit,
     orbit_bruhat_leq,
+    orbit_table,
     orbit_vectors,
     reflection_weight_map,
     roots_R,
@@ -87,6 +88,39 @@ def test_orbits_disjoint():
             vecs = {pw.weight for pw in orbit(g, i)}
             assert not (vecs & seen)
             seen |= vecs
+
+
+ORACLE_GROUPS = (
+    tuple(f"A{r}" for r in range(1, 7)) + tuple(f"B{r}" for r in range(2, 7))
+    + tuple(f"C{r}" for r in range(2, 6)) + ("D4", "D5", "D6", "G2")
+)
+
+
+@pytest.mark.parametrize("spec", ORACLE_GROUPS)
+def test_orbit_tables_match_independent_oracles(spec):
+    # tables are built from labels alone: canonical words come from the
+    # descent walk and ambient weights from min_rep; check both against the
+    # canonical form of the word and the Fraction BFS of the orbit
+    g = weyl_group(spec)
+    for i in range(1, g.rank + 1):
+        table = orbit_table(g, i)
+        for pw in table.weights:
+            assert pw.min_rep.word == g.element(pw.min_rep.word).word
+            if g.type_letter == "A":
+                assert pw.subset == {j for j, x in enumerate(pw.weight, 1) if x}
+        assert {pw.weight for pw in table.weights} == orbit_vectors(g, i)
+
+
+@pytest.mark.parametrize("spec", ("A3", "G2"))
+def test_lookup_rejects_a_w_invariant_shift(spec):
+    # the shift keeps every Dynkin label, so only the weight tells it apart
+    g = weyl_group(spec)
+    for i in range(1, g.rank + 1):
+        table = orbit_table(g, i)
+        for pw in table.weights:
+            assert table.lookup(pw.weight) is pw
+            with pytest.raises(KeyError):
+                table.lookup(tuple(x + 1 for x in pw.weight))
 
 
 # ----- orbit Bruhat order -------------------------------------------------------
