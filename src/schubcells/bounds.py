@@ -229,8 +229,8 @@ def feedback_free_min_set(n: int) -> FeedbackFreeResult:
     patterns (the full problem); for n = 4 it runs over coordinate-flag
     patterns only, which yields a valid lower-bound set.
     """
-    if n > 4:
-        raise ValueError("feedback-free search is capped at n = 4")
+    if not 2 <= n <= 4:
+        raise ValueError(f"feedback-free search supports n in 2..4, got n = {n}")
     labelled = []
     if n <= 3:
         from .flags import subset_pattern

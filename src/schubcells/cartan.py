@@ -1,56 +1,29 @@
 """Cartan data for the finite types A, B, C, D and G2.
 
-Everything lives in an ambient rational coordinate (epsilon) basis following
-the usual Bourbaki conventions:
-
-  A_r  in R^{r+1}:  alpha_i = e_i - e_{i+1}
-  B_r  in R^r:      alpha_i = e_i - e_{i+1} (i<r),  alpha_r = e_r
-  C_r  in R^r:      alpha_i = e_i - e_{i+1} (i<r),  alpha_r = 2 e_r
-  D_r  in R^r:      alpha_i = e_i - e_{i+1} (i<r),  alpha_r = e_{r-1} + e_r
-  G_2  in R^3:      alpha_1 = e_1 - e_2,  alpha_2 = -2 e_1 + e_2 + e_3
-
-For type A the fundamental weights are taken as e_1 + ... + e_i rather than
-their trace-zero projections; the difference is W-invariant, so orbits,
-pairings with coroots, and everything downstream are unaffected, and orbit
-elements become literal 0/1 indicator vectors of subsets.
+A datum is the integer Cartan matrix m[i][j] = <alpha_j, alpha_i^vee>, read
+off the Dynkin diagram in Bourbaki numbering: the chain 1 - 2 - ... - r,
+with alpha_r short in B_r (m[r-1][r-2] = -2), alpha_r long in C_r
+(m[r-2][r-1] = -2), alpha_r joined to alpha_{r-2} instead of alpha_{r-1} in
+D_r, and alpha_1 short in G_2 (m[0][1] = -3).  Column j holds the Dynkin
+labels of alpha_j, which is all the Weyl-group code needs.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import UnsupportedGroupError
 
-Vector = tuple[Fraction, ...]
-
 SUPPORTED_TYPES = ("A", "B", "C", "D", "G")
 MAX_RANK = 8
-
-
-def _vec(entries) -> Vector:
-    return tuple(Fraction(x) for x in entries)
-
-
-def _unit(dim: int, j: int, value=1) -> list[Fraction]:
-    v = [Fraction(0)] * dim
-    v[j] = Fraction(value)
-    return v
-
-
-def dot(u: Vector, v: Vector) -> Fraction:
-    return sum(a * b for a, b in zip(u, v))
 
 
 @dataclass(frozen=True)
 class CartanDatum:
     type_letter: str
     rank: int
-    ambient_dim: int
     cartan_matrix: tuple[tuple[int, ...], ...]
-    simple_roots: tuple[Vector, ...]
-    fundamental_weights: tuple[Vector, ...]
 
     def __post_init__(self):
         r = self.rank
@@ -60,12 +33,6 @@ class CartanDatum:
             for j in range(r):
                 if i != j and self.cartan_matrix[i][j] > 0:
                     raise ValueError("Cartan matrix off-diagonal must be <= 0")
-        for i, w in enumerate(self.fundamental_weights):
-            for j, a in enumerate(self.simple_roots):
-                coroot = tuple(2 * x / dot(a, a) for x in a)
-                expected = 1 if i == j else 0
-                if dot(w, coroot) != expected:
-                    raise ValueError("fundamental weight pairing violated")
 
     @property
     def name(self) -> str:
@@ -103,55 +70,17 @@ def cartan_datum(letter: str, rank: int) -> CartanDatum:
     letter = letter.upper()
     _check_supported(letter, rank)
     r = rank
-    if letter == "A":
-        dim = r + 1
-        roots = [
-            _vec([0] * i + [1, -1] + [0] * (dim - i - 2))
-            for i in range(r)
-        ]
-        weights = [_vec([1] * (i + 1) + [0] * (dim - i - 1)) for i in range(r)]
-    elif letter in ("B", "C", "D"):
-        dim = r
-        roots = [
-            _vec([0] * i + [1, -1] + [0] * (dim - i - 2))
-            for i in range(r - 1)
-        ]
-        if letter == "B":
-            roots.append(_vec(_unit(dim, r - 1)))
-        elif letter == "C":
-            roots.append(_vec(_unit(dim, r - 1, 2)))
-        else:
-            last = [Fraction(0)] * dim
-            last[r - 2] = Fraction(1)
-            last[r - 1] = Fraction(1)
-            roots.append(tuple(last))
-        weights = []
-        for i in range(1, r + 1):
-            w = [Fraction(1)] * i + [Fraction(0)] * (dim - i)
-            weights.append(tuple(w))
-        if letter == "B":
-            weights[r - 1] = tuple(Fraction(1, 2) for _ in range(dim))
-        elif letter == "D":
-            half = [Fraction(1, 2)] * dim
-            minus = list(half)
-            minus[r - 1] = Fraction(-1, 2)
-            weights[r - 2] = tuple(minus)
-            weights[r - 1] = tuple(half)
-    else:  # G2
-        dim = 3
-        roots = [_vec([1, -1, 0]), _vec([-2, 1, 1])]
-        weights = [_vec([0, -1, 1]), _vec([-1, -1, 2])]
-    matrix = tuple(
-        tuple(int(2 * dot(a, b) / dot(a, a)) for b in roots) for a in roots
-    )
-    return CartanDatum(
-        type_letter=letter,
-        rank=r,
-        ambient_dim=dim,
-        cartan_matrix=matrix,
-        simple_roots=tuple(roots),
-        fundamental_weights=tuple(weights),
-    )
+    m = [[2 if i == j else -1 if abs(i - j) == 1 else 0 for j in range(r)] for i in range(r)]
+    if letter == "B":
+        m[r - 1][r - 2] = -2
+    elif letter == "C":
+        m[r - 2][r - 1] = -2
+    elif letter == "D":
+        m[r - 1][r - 2] = m[r - 2][r - 1] = 0
+        m[r - 1][r - 3] = m[r - 3][r - 1] = -1
+    elif letter == "G":
+        m[0][1] = -3
+    return CartanDatum(letter, r, tuple(map(tuple, m)))
 
 
 def parse_group_spec(spec: str) -> tuple[str, int]:

@@ -105,8 +105,7 @@ def _root_plan(group: WeylGroup, order: tuple[int, ...]):
     for rt in group.positive_roots():
         level = mu(group, rt, ordering)
         table = orbit_table(group, level)
-        moved = group.reflect_by_root(rt, group.fundamental_weights[level - 1])
-        plan.append((level, table.lookup(moved).index))
+        plan.append((level, table.by_labels[group.reflect_root(rt, table.weights[0].labels)]))
     return tuple(plan)
 
 

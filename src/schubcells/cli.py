@@ -33,8 +33,10 @@ from .weyl import WeylElement, WeylGroup, parse_word, weyl_group, word_str
 
 
 def _parse_element(group: WeylGroup, text: str) -> WeylElement:
+    """A word, or in type A a one-line permutation: with MAX_RANK = 8 no
+    generator index has two digits, so two or more digits are one-line."""
     text = text.strip()
-    if group.type_letter == "A" and text.isdigit() and len(text) == group.rank + 1:
+    if group.type_letter == "A" and text.isdecimal() and len(text) >= 2:
         return group.from_one_line(tuple(int(c) for c in text))
     return group.element(parse_word(text))
 

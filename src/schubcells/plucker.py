@@ -7,7 +7,8 @@ in a canonical order (length of the minimal coset representative, then
 shortlex word) so that every "pick a linear order compatible with the Bruhat
 order" step downstream is deterministic.  Each orbit table stores the action
 of every generator on orbit indices, so the index of w omega_i is w's word
-folded through integer tables; ambient weights are derived on first read.
+folded through integer tables.  A weight is known by its Dynkin labels, which
+are injective on an orbit, so s_alpha omega_i is found by ``by_labels``.
 The tables are the one Bruhat engine: the order on W is the intersection of
 the orbit orders (``WeylGroup.bruhat_leq``, ``base.bruhat_poset``).
 """
@@ -15,9 +16,8 @@ the orbit orders (``WeylGroup.bruhat_leq``, ``base.bruhat_poset``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cache
 
-from .cartan import Vector
 from .weyl import Labels, Root, WeylElement, WeylGroup, along_tree, orbit_bfs, word_str
 
 
@@ -29,14 +29,14 @@ def ones(m: int):
         m ^= low
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class PluckerWeight:
     """A weight in the orbit W omega_i, with its minimal coset representative,
     its Dynkin labels, its index in the orbit table and, in type A, the
     subset I with weight e_I.
 
     Equality and hashing use (level, labels), injective on an orbit; the hash
-    is precomputed.  The ambient ``weight`` is min_rep omega_i, cached.
+    is precomputed.
     """
 
     level: int
@@ -48,11 +48,6 @@ class PluckerWeight:
 
     def __post_init__(self):
         object.__setattr__(self, "_hash", hash((self.level, self.labels)))
-
-    @cached_property
-    def weight(self) -> Vector:
-        g = self.min_rep.group
-        return g.act(self.min_rep, g.fundamental_weights[self.level - 1])
 
     def __hash__(self):
         return self._hash
@@ -141,14 +136,6 @@ class OrbitTable:
 
     def __len__(self):
         return len(self.weights)
-
-    def lookup(self, v: Vector) -> PluckerWeight:
-        """The entry with ambient weight v, found by labels and then compared (a
-        W-invariant shift keeps the labels in types A and G2); else KeyError."""
-        k = self.by_labels.get(self.group.labels(v))
-        if k is None or self.weights[k].weight != tuple(v):
-            raise KeyError(v)
-        return self.weights[k]
 
     def act(self, word, k: int) -> int:
         """Index of s_{i1} ... s_{ik} applied to weights[k]."""
@@ -240,16 +227,6 @@ def orbit_bruhat_leq(group: WeylGroup, a: PluckerWeight, b: PluckerWeight) -> bo
 
 # ----- orbit sizes without group enumeration ---------------------------------
 
-def orbit_vectors(group: WeylGroup, level: int, J=None) -> frozenset[Vector]:
-    """The orbit of omega_i under W_J (all of W when J is None), weights only.
-
-    Runs on labels alone, so it stays cheap for ranks where enumerating the
-    group would not; ambient weights are carried along the search tree.
-    """
-    _labels, parent, via = _orbit_labels(group, level, J)
-    return frozenset(along_tree(parent, via, group.fundamental_weights[level - 1], group.reflect))
-
-
 def orbit_size(group: WeylGroup, level: int, J=None) -> int:
     """|W_J omega_i| (|W omega_i| when J is None), counted on labels."""
     return len(_orbit_labels(group, level, J)[0])
@@ -278,14 +255,13 @@ def mu(group: WeylGroup, root: Root, ordering: WeightOrdering | None = None) -> 
 def reflection_weight_map(group: WeylGroup, i: int) -> dict[Root, PluckerWeight]:
     """alpha -> s_alpha omega_i, an embedding of R(i) into the orbit minus omega_i."""
     table = orbit_table(group, i)
-    omega = group.fundamental_weights[i - 1]
+    omega = table.weights[0].labels
     out = {}
     for rt in roots_R(group, i):
-        image = group.reflect_by_root(rt, omega)
-        pw = table.lookup(image)
-        if pw.index == 0:
+        k = table.by_labels[group.reflect_root(rt, omega)]
+        if k == 0:
             raise RuntimeError("reflection image unexpectedly fixed omega_i")
-        out[rt] = pw
+        out[rt] = table.weights[k]
     return out
 
 

@@ -7,9 +7,11 @@ alpha_i are a column of the Cartan matrix.  An element is stored as its
 shortlex-minimal reduced word plus its fingerprint, the labels of w^{-1} rho;
 fingerprints are injective, and their negative labels are the right descents.
 A descent walk on labels turns a fingerprint into its canonical word, so
-elements never require enumerating the group.  The ambient Fraction action
-(reflect, act, act_on_weight, reflect_by_root) stays as public API and as the
-test oracle of the integral core.
+elements never require enumerating the group.  A root is its simple-root
+expansion together with its coroot's, and s_alpha acts on labels as
+lambda - <lambda, alpha^vee> alpha.  Dynkin labels are the only weight
+coordinates: the tests check them against an ambient Bourbaki realization
+of their own.
 
 Bruhat order has one engine, the orbit tables of ``plucker``: u <= v iff
 u omega_i <= v omega_i on every orbit W omega_i (Deodhar's criterion
@@ -25,9 +27,8 @@ Dict insertion is atomic under CPython, so groups can be shared across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
-from .cartan import CartanDatum, Vector, cartan_datum, dot, parse_group_spec, weyl_order
+from .cartan import CartanDatum, cartan_datum, parse_group_spec, weyl_order
 from .errors import UnsupportedGroupError
 from .perms import check_permutation
 
@@ -67,10 +68,11 @@ class WeylElement:
 
 @dataclass(frozen=True)
 class Root:
-    """A root with its ambient coordinates and simple-root expansion."""
+    """A root alpha by its simple-root expansion, with the simple-coroot
+    expansion of alpha^vee (so <lambda, alpha^vee> = sum lambda_j coroot_j)."""
 
-    coords: Vector
     expansion: tuple[int, ...]
+    coroot: tuple[int, ...]
 
     @property
     def is_positive(self) -> bool:
@@ -115,16 +117,17 @@ def word_str(word: tuple[int, ...]) -> str:
 
 
 def parse_word(text: str) -> tuple[int, ...]:
+    """"s1.s3.s2" (or "1.3.2") as (1, 3, 2); "", "e" and "1" are the identity."""
     text = text.strip()
     if text in ("", "e", "1"):
         return ()
-    parts = text.split(".")
     out = []
-    for p in parts:
+    for p in text.split("."):
         p = p.strip()
-        if p.startswith("s"):
-            p = p[1:]
-        out.append(int(p))
+        digits = p[1:] if p.startswith("s") else p
+        if not digits.isdecimal():
+            raise ValueError(f"cannot parse word {text!r}: {p!r} is not a generator s<k>")
+        out.append(int(digits))
     return tuple(out)
 
 
@@ -133,12 +136,6 @@ class WeylGroup:
         self.datum = datum
         self.rank = datum.rank
         self.type_letter = datum.type_letter
-        self.simple_roots = datum.simple_roots
-        self.fundamental_weights = datum.fundamental_weights
-        # coroots: alpha^vee = 2 alpha / (alpha, alpha)
-        self.coroots = tuple(
-            tuple(2 * x / dot(a, a) for x in a) for a in datum.simple_roots
-        )
         # Dynkin labels of alpha_i are column i of the Cartan matrix: 2 at i
         # and, off the diagonal, the nonzero entries (k, m[k][i]) kept here.
         m = datum.cartan_matrix
@@ -152,40 +149,8 @@ class WeylGroup:
         self._elements: list[WeylElement] | None = None
         self._index: dict[Labels, int] = {}
         self._roots: tuple[Root, ...] | None = None
-        self._root_sign: dict[Vector, int] | None = None
-        self._coroot_exps: tuple[tuple[int, ...], ...] = ()
 
-    # ----- linear action ---------------------------------------------------
-
-    def reflect(self, i: int, v: Vector) -> Vector:
-        """Apply the simple reflection s_i to an ambient vector."""
-        c = sum(x * y for x, y in zip(v, self.coroots[i - 1]) if y)
-        if not c:
-            return v
-        return tuple(x - c * y if y else x for x, y in zip(v, self.simple_roots[i - 1]))
-
-    def act(self, w: WeylElement, v: Vector) -> Vector:
-        """Apply w = s_{i1} ... s_{ik} (left-to-right composition) to v."""
-        for i in reversed(w.word):
-            v = self.reflect(i, v)
-        return v
-
-    def act_inv(self, w: WeylElement, v: Vector) -> Vector:
-        for i in w.word:
-            v = self.reflect(i, v)
-        return v
-
-    def act_on_weight(self, w: WeylElement, v) -> Vector:
-        return self.act(w, tuple(Fraction(x) for x in v))
-
-    # ----- Dynkin labels ---------------------------------------------------
-
-    def labels(self, v: Vector) -> Labels:
-        """Dynkin labels <v, alpha_i^vee> of an integral weight."""
-        out = tuple(sum(x * y for x, y in zip(v, c) if y) for c in self.coroots)
-        if any(Fraction(x).denominator != 1 for x in out):
-            raise ValueError(f"{v} is not an integral weight")
-        return tuple(int(x) for x in out)
+    # ----- action on Dynkin labels -------------------------------------------
 
     def reflect_labels(self, i: int, lab: Labels) -> Labels:
         """s_i on Dynkin labels: lambda - lambda_i alpha_i."""
@@ -294,49 +259,46 @@ class WeylGroup:
     # ----- roots -------------------------------------------------------------
 
     def positive_roots(self) -> tuple[Root, ...]:
+        """Positive roots by height, then expansion: the W-orbits of the
+        (alpha_j, alpha_j^vee) pairs, with s_i acting on root expansions
+        through the Cartan matrix and on coroot expansions through its
+        transpose."""
         if self._roots is None:
-            r, m, simple = self.rank, self.datum.cartan_matrix, self.simple_roots
+            r, m = self.rank, self.datum.cartan_matrix
 
-            def step(i, e):  # s_i on simple-root coordinates
-                c = sum(m[i - 1][j] * e[j] for j in range(r))
-                return e[: i - 1] + (e[i - 1] - c,) + e[i:]
+            def step(i, pair):
+                e, f = pair
+                c = sum(m[i - 1][j] * e[j] for j in range(r))  # <alpha, alpha_i^vee>
+                d = sum(m[j][i - 1] * f[j] for j in range(r))  # <alpha_i, alpha^vee>
+                return (e[: i - 1] + (e[i - 1] - c,) + e[i:],
+                        f[: i - 1] + (f[i - 1] - d,) + f[i:])
 
-            exps = set()
+            pairs = set()
             for j in range(r):
                 unit = tuple(int(k == j) for k in range(r))
-                exps.update(orbit_bfs(unit, range(1, r + 1), step)[0])
-            pos = sorted((e for e in exps if min(e) >= 0), key=lambda e: (sum(e), e))
-            self._roots = tuple(
-                Root(tuple(sum(e * a[k] for e, a in zip(exp, simple))
-                           for k in range(self.datum.ambient_dim)), exp)
-                for exp in pos
-            )
-            self._root_sign = {rt.coords: 1 for rt in self._roots}
-            self._root_sign.update({tuple(-x for x in v): -1 for v in list(self._root_sign)})
-            # alpha^vee = sum_j e_j (alpha_j, alpha_j) / (alpha, alpha) alpha_j^vee
-            self._coroot_exps = tuple(
-                tuple(int(e * dot(a, a) / dot(rt.coords, rt.coords))
-                      for e, a in zip(rt.expansion, simple))
-                for rt in self._roots
-            )
+                pairs.update(orbit_bfs((unit, unit), range(1, r + 1), step)[0])
+            pos = sorted((p for p in pairs if min(p[0]) >= 0), key=lambda p: (sum(p[0]), p[0]))
+            self._roots = tuple(Root(e, f) for e, f in pos)
         return self._roots
-
-    def root_sign(self, v: Vector) -> int:
-        """+1 for a positive root, -1 for a negative one."""
-        self.positive_roots()
-        try:
-            return self._root_sign[v]
-        except KeyError:
-            raise ValueError(f"{v} is not a root") from None
 
     def root_signs(self, w: WeylElement) -> tuple[int, ...]:
         """The sign of w alpha for each positive root alpha, in
         positive_roots() order: the sign of <w^{-1} rho, alpha^vee>."""
-        self.positive_roots()
         fp = w.fingerprint
         return tuple(
-            1 if sum([f * c for f, c in zip(fp, co)]) > 0 else -1
-            for co in self._coroot_exps
+            1 if sum([f * c for f, c in zip(fp, rt.coroot)]) > 0 else -1
+            for rt in self.positive_roots()
+        )
+
+    def reflect_root(self, root: Root, lab: Labels) -> Labels:
+        """s_alpha on Dynkin labels: lambda - <lambda, alpha^vee> alpha, where
+        the labels of alpha are the Cartan matrix times its expansion."""
+        c = sum(x * f for x, f in zip(lab, root.coroot))
+        if not c:
+            return lab
+        return tuple(
+            x - c * sum(a * e for a, e in zip(row, root.expansion))
+            for x, row in zip(lab, self.datum.cartan_matrix)
         )
 
     def simple_root_index(self, rt: Root) -> int | None:
@@ -406,25 +368,12 @@ class WeylGroup:
         if not root.is_positive:
             raise ValueError("reflection expects a positive root")
         # s_alpha is an involution, so its fingerprint is s_alpha(rho).
-        return self.by_fingerprint(self.labels(self.reflect_by_root(root, self.rho())))
+        return self.by_fingerprint(self.reflect_root(root, self._rho))
 
     def reflections(self) -> tuple[WeylElement, ...]:
         return tuple(self.reflection(rt) for rt in self.positive_roots())
 
-    def reflect_by_root(self, root: Root, v: Vector) -> Vector:
-        a = root.coords
-        c = 2 * dot(v, a) / dot(a, a)
-        if c == 0:
-            return v
-        return tuple(x - c * y for x, y in zip(v, a))
-
     # ----- witness lookup ------------------------------------------------------
-
-    def rho(self) -> Vector:
-        out = self.fundamental_weights[0]
-        for w in self.fundamental_weights[1:]:
-            out = tuple(a + b for a, b in zip(out, w))
-        return out
 
     def element_with_rho_labels(self, lab: Labels) -> WeylElement | None:
         """The unique w with w rho = lab (Dynkin labels), by a descent walk;
@@ -433,18 +382,6 @@ class WeylGroup:
         if top != self._rho:
             return None
         return WeylElement(tuple(word), self.fold(word, self._rho), self)
-
-    def element_with_rho_image(self, v: Vector) -> WeylElement | None:
-        """The unique w with w(rho) = v, if any (rho is strictly dominant)."""
-        try:
-            w = self.element_with_rho_labels(self.labels(v))
-        except ValueError:
-            return None
-        # Labels fix v only up to a W-invariant vector (type A and G2 have a
-        # nonzero one), so the ambient image is compared as well.
-        if w is None or self.act(w, self.rho()) != tuple(v):
-            return None
-        return w
 
     # ----- type A helpers --------------------------------------------------------
 

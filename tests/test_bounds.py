@@ -175,8 +175,9 @@ def test_feedback_free_n4_lower_bound_set():
     assert not res.certified
     assert res.size == 10  # frozen exhaustive value for the coordinate-flag criterion
     assert res.size >= Fraction(3, 5) * (2 ** 4 - 1)
-    with pytest.raises(ValueError):
-        feedback_free_min_set(5)
+    for n in (0, 1, 5):
+        with pytest.raises(ValueError, match="2..4"):
+            feedback_free_min_set(n)
 
 
 def test_adjacent_exchange_forcing_n3():

@@ -182,6 +182,29 @@ def test_bounds_defining_rejects_non_permutation(capsys, w):
     assert err == f"error: {perm} is not a permutation of 1..3\n"
 
 
+@pytest.mark.parametrize("w, letter", [("s1..s2", "''"), ("x", "'x'"), ("s1.t2", "'t2'")])
+def test_describe_rejects_a_malformed_word(capsys, w, letter):
+    code, out, err = run(capsys, "describe", "--group", "B2", "--w", w)
+    assert (code, out) == (1, "")
+    assert err == f"error: cannot parse word {w!r}: {letter} is not a generator s<k>\n"
+
+
+def test_type_a_digits_are_one_line(capsys):
+    # two or more digits are a one-line permutation, one digit a word
+    code, out, err = run(capsys, "recognize", "--group", "A2", "--cell", "21")
+    assert (code, out) == (1, "")
+    assert err == "error: (2, 1) is not a permutation of 1..3\n"
+    code, out, _ = run(capsys, "describe", "--group", "A2", "--w", "2")
+    assert code == 0 and out.startswith("cell of 132 (s2) in A2:")
+
+
+@pytest.mark.parametrize("n", ["0", "1", "5"])
+def test_bounds_feedback_free_names_its_range(capsys, n):
+    code, out, err = run(capsys, "bounds", "--feedback-free", n)
+    assert (code, out) == (1, "")
+    assert err == f"error: feedback-free search supports n in 2..4, got n = {n}\n"
+
+
 def test_economical_output(capsys):
     code, out, _ = run(capsys, "economical", "--group", "B3", "--format", "json")
     assert code == 0

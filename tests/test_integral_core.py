@@ -1,33 +1,30 @@
-"""Differential tests of the integral Weyl core against the ambient action.
+"""Differential tests of the integral Weyl core against the ambient oracle.
 
-The oracle is the exact Fraction action in ambient coordinates (``act``,
-``act_inv``, ``reflect``, ``root_sign``), which no hot path uses any more.
-Every element of every supported group of rank <= 4 is checked, plus 300
-seeded elements each of A5, B5 and D5.
+The package computes on Dynkin labels only; ``ambient`` realizes the same
+root systems in Bourbaki epsilon coordinates with exact Fraction arithmetic
+(``act``, ``act_inv``, ``reflect``, ``root_sign``, lookup by vector) and
+shares no code with it.  Every element of every supported group of rank
+<= 4 is checked, plus 300 seeded elements each of A5, B5 and D5; the Cartan
+matrices, roots and coroots of all 28 supported groups are pinned.
 """
 
 import random
 
 import pytest
+from ambient import Ambient, ambient
 
-from schubcells.cartan import cartan_datum, dot
+from schubcells.cartan import cartan_datum
 from schubcells.cells import cell_description_economical, cell_description_typeD
-from schubcells.plucker import mu, orbit_table, standard_ordering
+from schubcells.plucker import mu, orbit_table, reflection_weight_map, standard_ordering
 from schubcells.weyl import WeylGroup, weyl_group
 
 RANK4 = ("A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4", "D4", "G2")
 SAMPLED = ("A5", "B5", "D5")
 SAMPLES = 300
-
-
-def _ambient_labels(g, v):
-    """<v, alpha_i^vee> by direct pairing with the ambient coroots."""
-    out = []
-    for c in g.coroots:
-        x = dot(v, c)
-        assert x == int(x)
-        out.append(int(x))
-    return tuple(out)
+ALL_GROUPS = (
+    tuple(f"A{r}" for r in range(1, 9)) + tuple(f"B{r}" for r in range(2, 9))
+    + tuple(f"C{r}" for r in range(2, 9)) + tuple(f"D{r}" for r in range(4, 9)) + ("G2",)
+)
 
 
 def _fresh(g):
@@ -39,64 +36,61 @@ def _fresh(g):
 def _old_descriptions(g, w, ordering):
     """The economical-style sets built the ambient way: act on each root,
     take its sign, reflect omega_mu and look the image up by its vector."""
+    amb = ambient(g)
+    omega = amb.fundamental_weights
     eqs, levels = [], set()
     for rt in g.positive_roots():
         level = mu(g, rt, ordering)
-        if g.root_sign(g.act(w, rt.coords)) > 0:
-            moved = g.reflect_by_root(rt, g.fundamental_weights[level - 1])
-            eqs.append(orbit_table(g, level).lookup(g.act(w, moved)))
+        alpha = amb.root(rt)
+        if amb.root_sign(amb.act(w, alpha)) > 0:
+            moved = amb.reflect_by_root(alpha, omega[level - 1])
+            eqs.append(amb.lookup(orbit_table(g, level), amb.act(w, moved)))
         else:
             levels.add(level)
     ineqs = [
-        orbit_table(g, i).lookup(g.act(w, g.fundamental_weights[i - 1]))
+        amb.lookup(orbit_table(g, i), amb.act(w, omega[i - 1]))
         for i in ordering
         if i in levels
     ]
     if g.type_letter == "D":
         for i in range(1, g.rank - 2):
             table = orbit_table(g, i)
-            flipped = list(g.fundamental_weights[i - 1])
+            flipped = list(omega[i - 1])
             flipped[i - 1] = -flipped[i - 1]
-            cand = table.lookup(g.act(w, tuple(flipped)))
-            top = table.lookup(g.act(w, g.fundamental_weights[i - 1]))
+            cand = amb.lookup(table, amb.act(w, tuple(flipped)))
+            top = amb.lookup(table, amb.act(w, omega[i - 1]))
             if cand != top and table.leq(top, cand) and cand not in eqs:
                 eqs.append(cand)
     return eqs, ineqs
 
 
 def _check_element(g, fresh, w):
-    rho = g.rho()
-    simple = g.simple_roots
+    amb = ambient(g)
+    rho, simple, omega = amb.rho, amb.simple_roots, amb.fundamental_weights
     # fingerprint = labels of w^{-1} rho; the walk rebuilds the same word
-    assert w.fingerprint == _ambient_labels(g, g.act_inv(w, rho))
+    assert w.fingerprint == amb.labels(amb.act_inv(w, rho))
     assert fresh.by_fingerprint(w.fingerprint).word == w.word
     assert fresh.element(w.word).word == w.word
     # reduced: the length is the number of positive roots w makes negative
-    signs = tuple(g.root_sign(g.act(w, rt.coords)) for rt in g.positive_roots())
+    signs = tuple(amb.root_sign(amb.act(w, amb.root(rt))) for rt in g.positive_roots())
     assert g.root_signs(w) == signs
     assert signs.count(-1) == w.length
     # descents by the root-sign definition
     assert g.right_descents(w) == {
-        i for i in range(1, g.rank + 1) if g.root_sign(g.act(w, simple[i - 1])) < 0
+        i for i in range(1, g.rank + 1) if amb.root_sign(amb.act(w, simple[i - 1])) < 0
     }
     assert g.left_descents(w) == {
-        i for i in range(1, g.rank + 1) if g.root_sign(g.act_inv(w, simple[i - 1])) < 0
+        i for i in range(1, g.rank + 1) if amb.root_sign(amb.act_inv(w, simple[i - 1])) < 0
     }
     # orbit positions
     for i in range(1, g.rank + 1):
         table = orbit_table(g, i)
-        assert table.position(w) == table.lookup(g.act(w, g.fundamental_weights[i - 1])).index
-    # rho images: regular ones find w, others find nothing
-    image = g.act(w, rho)
-    assert g.element_with_rho_image(image) == w
-    assert g.element_with_rho_labels(_ambient_labels(g, image)) == w
-    singular = g.act(w, tuple(a - b for a, b in zip(rho, g.fundamental_weights[0])))
-    assert g.element_with_rho_image(singular) is None
-    other = g.act(w, tuple(a + b for a, b in zip(rho, g.fundamental_weights[0])))
-    assert g.element_with_rho_image(other) is None
-    # a W-invariant shift keeps the labels but leaves the orbit (types A, G2)
-    if g.type_letter in ("A", "G"):
-        assert g.element_with_rho_image(tuple(x + 1 for x in image)) is None
+        assert table.position(w) == amb.lookup(table, amb.act(w, omega[i - 1])).index
+    # rho images: regular ones find w, singular and shifted ones find nothing
+    assert g.element_with_rho_labels(amb.labels(amb.act(w, rho))) == w
+    for shifted in (tuple(a - b for a, b in zip(rho, omega[0])),
+                    tuple(a + b for a, b in zip(rho, omega[0]))):
+        assert g.element_with_rho_labels(amb.labels(amb.act(w, shifted))) is None
     # descriptions
     ordering = standard_ordering(g)
     eqs, ineqs = _old_descriptions(g, w, ordering)
@@ -134,11 +128,51 @@ def test_integral_core_sampled(spec):
 @pytest.mark.parametrize("spec", RANK4 + SAMPLED)
 def test_generator_tables_match_ambient_reflections(spec):
     g = weyl_group(spec)
+    amb = ambient(g)
     for i in range(1, g.rank + 1):
         table = orbit_table(g, i)
         for pw in table.weights:
-            assert pw.labels == _ambient_labels(g, pw.weight)
+            v = amb.weight(pw)
+            assert pw.labels == amb.labels(v)
             for j in range(1, g.rank + 1):
-                image = table.lookup(g.reflect(j, pw.weight)).index
+                image = amb.lookup(table, amb.reflect(j, v)).index
                 assert table.gen[j - 1][pw.index] == image
 
+
+@pytest.mark.parametrize("spec", ALL_GROUPS)
+def test_cartan_matrix_roots_and_coroots_match_ambient(spec):
+    letter, rank = spec[0], int(spec[1:])
+    amb = Ambient(letter, rank)
+    # m[i][j] = 2 (alpha_i, alpha_j) / (alpha_i, alpha_i), read off the diagram
+    assert cartan_datum(letter, rank).cartan_matrix == amb.cartan_matrix()
+    # <omega_i, alpha_j^vee> = delta_ij
+    for i, omega in enumerate(amb.fundamental_weights):
+        assert amb.labels(omega) == tuple(int(i == j) for j in range(rank))
+    # the integer BFS finds every positive root once, with its coroot
+    g = weyl_group(spec)
+    roots = g.positive_roots()
+    assert len({amb.root(rt) for rt in roots}) == len(roots)
+    assert {amb.root(rt) for rt in roots} == amb.positive_roots()
+    for rt in roots:
+        assert amb.combination(rt.coroot, amb.coroots) == amb.coroot(amb.root(rt))
+
+
+@pytest.mark.parametrize("spec", RANK4 + SAMPLED)
+def test_reflect_root_matches_ambient_reflection(spec):
+    # s_alpha on labels against s_alpha on vectors, on every orbit entry and
+    # on the images of rho, which are regular
+    g = weyl_group(spec)
+    amb = ambient(g)
+    for i in range(1, g.rank + 1):
+        table = orbit_table(g, i)
+        for pw in table.weights:
+            v = amb.weight(pw)
+            for rt in g.positive_roots():
+                moved = amb.reflect_by_root(amb.root(rt), v)
+                assert g.reflect_root(rt, pw.labels) == amb.labels(moved)
+        omega = amb.fundamental_weights[i - 1]
+        for rt, pw in reflection_weight_map(g, i).items():
+            assert amb.weight(pw) == amb.reflect_by_root(amb.root(rt), omega)
+    for rt in g.positive_roots():
+        image = amb.reflect_by_root(amb.root(rt), amb.rho)
+        assert g.reflection(rt).fingerprint == amb.labels(image)

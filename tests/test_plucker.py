@@ -4,6 +4,7 @@ indices and orderings."""
 from itertools import permutations
 
 import pytest
+from ambient import ambient
 
 from schubcells import perms
 from schubcells.cartan import cartan_datum
@@ -18,7 +19,6 @@ from schubcells.plucker import (
     orbit,
     orbit_bruhat_leq,
     orbit_table,
-    orbit_vectors,
     reflection_weight_map,
     roots_R,
     standard_ordering,
@@ -67,16 +67,17 @@ def test_orbit_size_equals_coset_count():
             table = orbit(g, i)
             assert len(table) == len(reps)
             assert {pw.min_rep for pw in table} == reps
-            assert len({pw.weight for pw in table}) == len(table)
+            assert len({ambient(g).weight(pw) for pw in table}) == len(table)
 
 
 def test_min_rep_invariant():
     for spec in ("A3", "B3", "G2"):
         g = weyl_group(spec)
+        amb = ambient(g)
         full = frozenset(range(1, g.rank + 1))
         for i in range(1, g.rank + 1):
             for pw in orbit(g, i):
-                assert g.act(pw.min_rep, g.fundamental_weights[i - 1]) == pw.weight
+                assert amb.labels(amb.act(pw.min_rep, amb.fundamental_weights[i - 1])) == pw.labels
                 assert g.min_coset_rep(pw.min_rep, full - {i}) == pw.min_rep
 
 
@@ -85,7 +86,7 @@ def test_orbits_disjoint():
         g = weyl_group(spec)
         seen = set()
         for i in range(1, g.rank + 1):
-            vecs = {pw.weight for pw in orbit(g, i)}
+            vecs = {ambient(g).weight(pw) for pw in orbit(g, i)}
             assert not (vecs & seen)
             seen |= vecs
 
@@ -98,29 +99,35 @@ ORACLE_GROUPS = (
 
 @pytest.mark.parametrize("spec", ORACLE_GROUPS)
 def test_orbit_tables_match_independent_oracles(spec):
-    # tables are built from labels alone: canonical words come from the
-    # descent walk and ambient weights from min_rep; check both against the
-    # canonical form of the word and the Fraction BFS of the orbit
+    # tables are built from labels alone, canonical words from the descent
+    # walk: check the words against the canonical form of the word, and the
+    # vectors min_rep omega_i against the ambient Fraction BFS of the orbit
     g = weyl_group(spec)
+    amb = ambient(g)
     for i in range(1, g.rank + 1):
         table = orbit_table(g, i)
         for pw in table.weights:
             assert pw.min_rep.word == g.element(pw.min_rep.word).word
             if g.type_letter == "A":
-                assert pw.subset == {j for j, x in enumerate(pw.weight, 1) if x}
-        assert {pw.weight for pw in table.weights} == orbit_vectors(g, i)
+                assert pw.subset == {j for j, x in enumerate(amb.weight(pw), 1) if x}
+        assert {amb.weight(pw) for pw in table.weights} == amb.orbit_vectors(i)
 
 
 @pytest.mark.parametrize("spec", ("A3", "G2"))
 def test_lookup_rejects_a_w_invariant_shift(spec):
-    # the shift keeps every Dynkin label, so only the weight tells it apart
+    # the oracle's lookup by vector: the shift keeps every Dynkin label, so
+    # only the vector tells it apart
     g = weyl_group(spec)
+    amb = ambient(g)
     for i in range(1, g.rank + 1):
         table = orbit_table(g, i)
         for pw in table.weights:
-            assert table.lookup(pw.weight) is pw
+            v = amb.weight(pw)
+            assert amb.lookup(table, v) is pw
+            shifted = tuple(x + 1 for x in v)
+            assert amb.labels(shifted) == pw.labels
             with pytest.raises(KeyError):
-                table.lookup(tuple(x + 1 for x in pw.weight))
+                amb.lookup(table, shifted)
 
 
 # ----- orbit Bruhat order -------------------------------------------------------
@@ -153,7 +160,7 @@ def _nonneg_root_expansion(g, diff):
     """Coefficients of diff over the simple roots, or None if not nonnegative."""
     from fractions import Fraction
 
-    roots = [list(map(Fraction, a)) for a in g.simple_roots]
+    roots = [list(map(Fraction, a)) for a in ambient(g).simple_roots]
     n = len(diff)
     r = len(roots)
     M = [[roots[j][k] for j in range(r)] + [Fraction(diff[k])] for k in range(n)]
@@ -184,6 +191,7 @@ def _nonneg_root_expansion(g, diff):
 
 def _root_positivity_counterexamples(spec):
     g = weyl_group(spec)
+    amb = ambient(g)
     out = []
     for i in range(1, g.rank + 1):
         table = orbit(g, i)
@@ -191,7 +199,7 @@ def _root_positivity_counterexamples(spec):
             for b in table:
                 if a == b:
                     continue
-                diff = tuple(x - y for x, y in zip(a.weight, b.weight))
+                diff = tuple(x - y for x, y in zip(amb.weight(a), amb.weight(b)))
                 if _nonneg_root_expansion(g, diff) is None:
                     continue
                 if not orbit_bruhat_leq(g, a, b):
@@ -216,12 +224,13 @@ def test_orbit_order_not_characterized_by_root_positivity():
 def test_orbit_bruhat_implies_root_positive_difference():
     for spec in ("A3", "B3", "C3", "G2", "D4"):
         g = weyl_group(spec)
+        amb = ambient(g)
         for i in range(1, g.rank + 1):
             table = orbit(g, i)
             for a in table:
                 for b in table:
                     if a != b and orbit_bruhat_leq(g, a, b):
-                        diff = tuple(x - y for x, y in zip(a.weight, b.weight))
+                        diff = tuple(x - y for x, y in zip(amb.weight(a), amb.weight(b)))
                         assert _nonneg_root_expansion(g, diff) is not None
 
 
@@ -231,10 +240,7 @@ def test_orbit_bruhat_implies_root_positive_difference():
 def test_roots_R_A2():
     g = weyl_group("A2")
     r1 = roots_R(g, 1)
-    assert {rt.coords for rt in r1} == {
-        g.simple_roots[0],
-        tuple(a + b for a, b in zip(*g.simple_roots)),
-    }
+    assert {rt.expansion for rt in r1} == {(1, 0), (1, 1)}
     a2 = [rt for rt in g.positive_roots() if rt.expansion == (0, 1)][0]
     assert mu(g, a2) == 2
 
@@ -273,8 +279,9 @@ def test_reflection_weight_map_injective():
         for i in range(1, g.rank + 1):
             m = reflection_weight_map(g, i)
             assert len(set(m.values())) == len(m) == len(roots_R(g, i))
-            omega = g.fundamental_weights[i - 1]
-            assert all(pw.weight != omega for pw in m.values())
+            amb = ambient(g)
+            omega = amb.fundamental_weights[i - 1]
+            assert all(amb.weight(pw) != omega for pw in m.values())
 
 
 def test_reflection_weight_map_not_onto_A3_level2():
@@ -333,6 +340,7 @@ def test_economical_ordering_bijection_restatement():
     # {mu(alpha) = i} is a bijection onto the tail-parabolic orbit minus w_i.
     for spec in ("A3", "B3", "C3", "G2", "A4"):
         g = weyl_group(spec)
+        amb = ambient(g)
         ordering = standard_ordering(g)
         assert is_economical_ordering(g, ordering)
         for pos in range(g.rank):
@@ -341,11 +349,9 @@ def test_economical_ordering_bijection_restatement():
             roots_at_i = [
                 rt for rt in g.positive_roots() if mu(g, rt, ordering) == i
             ]
-            images = {
-                tuple(g.reflect_by_root(rt, g.fundamental_weights[i - 1]))
-                for rt in roots_at_i
-            }
-            target = set(orbit_vectors(g, i, J)) - {g.fundamental_weights[i - 1]}
+            omega = amb.fundamental_weights[i - 1]
+            images = {amb.reflect_by_root(amb.root(rt), omega) for rt in roots_at_i}
+            target = amb.orbit_vectors(i, J) - {omega}
             assert len(images) == len(roots_at_i)
             assert images == target
 

@@ -1,5 +1,6 @@
 """Property tests: random groups of rank <= 5, random words, random seeds."""
 
+from ambient import ambient
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -41,8 +42,21 @@ def test_group_axioms_through_fingerprints(guv):
     g, u, v = guv
     uv = g.multiply(u, v)
     # the product acts as the composition of the ambient actions
-    rho = g.rho()
-    assert g.act(uv, rho) == g.act(u, g.act(v, rho))
+    amb = ambient(g)
+    assert amb.act(uv, amb.rho) == amb.act(u, amb.act(v, amb.rho))
     assert g.multiply(uv, g.inverse(v)) == u
     assert g.multiply(g.inverse(u), u) == g.identity
     assert uv.length <= u.length + v.length
+
+
+@settings(max_examples=150, deadline=None)
+@given(group_and_words(), st.data())
+def test_reflect_root_is_right_multiplication_by_the_reflection(gw, data):
+    # f(w s_alpha) = s_alpha f(w) on fingerprints, through fold and the
+    # descent walk, with no ambient vector involved
+    g, w = gw
+    rt = data.draw(st.sampled_from(g.positive_roots()))
+    s = g.reflection(rt)
+    assert g.multiply(w, s).fingerprint == g.reflect_root(rt, w.fingerprint)
+    assert g.reflect_root(rt, g.reflect_root(rt, w.fingerprint)) == w.fingerprint
+    assert s.length % 2 == 1

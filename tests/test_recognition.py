@@ -30,7 +30,7 @@ from schubcells.weyl import weyl_group
 
 
 def query_multiset(log):
-    return Counter((pw.level, pw.weight, bit) for pw, bit in log.entries)
+    return Counter((pw.level, pw.labels, bit) for pw, bit in log.entries)
 
 
 def trace_subsets(log):
