@@ -178,9 +178,10 @@ def _cmd_patterns_poset(args) -> int:
     if args.coords:
         coords = []
         for token in args.coords.split(","):
-            token = token.strip().lstrip("p")
-            subset = frozenset(int(c) for c in token.strip("{}").replace(",", ""))
-            coords.append(weight_from_subset(group, subset))
+            digits = token.strip().lstrip("p").strip("{}")
+            if not digits.isdecimal():
+                raise ValueError(f"cannot parse coordinate {token!r}")
+            coords.append(weight_from_subset(group, frozenset(map(int, digits))))
     else:
         coords = list(base_mod.base_weights(group))
     realizable = patterns.realizable_restricted_patterns(n, coords)
@@ -245,6 +246,9 @@ def _cmd_bounds(args) -> int:
             print("  coordinates: " + ", ".join("p" + subset_str(s) for s in res.subsets))
         return 0
     if args.defining:
+        for token in args.defining:
+            if not token.isdecimal():
+                raise ValueError(f"cannot parse {token!r} in --defining: expected digits")
         w_text, n_text = args.defining
         n = int(n_text)
         w = tuple(int(c) for c in w_text)
@@ -338,7 +342,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", action="store_true")
     p.add_argument("--format", choices=("plain", "json"), default="plain")
 
-    p = sub.add_parser("tree", help="decision tree for a small group")
+    p = sub.add_parser("tree", help="decision tree of the recognition algorithm")
     p.add_argument("--group", required=True)
     p.add_argument("--optimal", action="store_true")
     p.add_argument("--format", choices=("plain", "json", "dot"), default="plain")

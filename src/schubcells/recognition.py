@@ -11,15 +11,20 @@ above the bottom answered zero the bottom is forced and is not queried
 
 Oracles memoize their answers, so no deterministic run ever pays for a
 repeated question; the query log records first-time queries only.
+
+The algorithm's decision tree is its scan plans chained level by level, with
+|W| leaves and no input vectors; its depth is the worst-case query count.  The
+optimal (minimax) tree searches every acceptable vector of a tiny group.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import count, product
 
 from .errors import UnacceptableInputError
 from .flags import Flag, type_a_group
-from .patterns import VanishingPattern, generic_pattern
+from .patterns import VanishingPattern
 from .plucker import (
     PluckerWeight,
     WeightOrdering,
@@ -185,13 +190,12 @@ class TreeLeaf:
 @dataclass
 class TreeNode:
     weight: PluckerWeight
-    low: "TreeNode | TreeLeaf | None"   # branch for bit 0
-    high: "TreeNode | TreeLeaf | None"  # branch for bit 1
+    low: "TreeNode | TreeLeaf"   # branch for bit 0
+    high: "TreeNode | TreeLeaf"  # branch for bit 1
 
     @property
     def depth(self) -> int:
-        sub = [c.depth for c in (self.low, self.high) if c is not None]
-        return 1 + (max(sub) if sub else 0)
+        return 1 + max(self.low.depth, self.high.depth)
 
 
 @dataclass
@@ -210,29 +214,22 @@ class DecisionTree:
         while isinstance(node, TreeNode):
             queries += 1
             node = node.high if pattern.bit(node.weight) else node.low
-            if node is None:
-                raise UnacceptableInputError("pattern fell off the decision tree")
         return node.w, queries
 
     def to_dot(self) -> str:
         lines = ["digraph recognition {"]
-        counter = [0]
+        ids = count()
 
         def emit(node) -> str:
-            name = f"n{counter[0]}"
-            counter[0] += 1
+            name = f"n{next(ids)}"
             if isinstance(node, TreeLeaf):
                 label = _element_label(self.group, node.w)
                 lines.append(f'  {name} [shape=box, label="{label}"];')
                 return name
             label = weight_label(self.group, node.weight)
             lines.append(f'  {name} [label="{label}"];')
-            if node.low is not None:
-                child = emit(node.low)
-                lines.append(f'  {name} -> {child} [label="=0"];')
-            if node.high is not None:
-                child = emit(node.high)
-                lines.append(f'  {name} -> {child} [label="!=0"];')
+            for child, edge in ((node.low, "=0"), (node.high, "!=0")):
+                lines.append(f'  {name} -> {emit(child)} [label="{edge}"];')
             return name
 
         emit(self.root)
@@ -251,8 +248,6 @@ ACCEPTABLE_ENUMERATION_CAP = 200_000
 
 def all_acceptable_patterns(group: WeylGroup):
     """Every acceptable bit vector, as (bits tuple, witness) pairs."""
-    from itertools import product as _product
-
     weights = all_weights(group)
     offsets = level_offsets(group)
     total = 0
@@ -280,7 +275,7 @@ def all_acceptable_patterns(group: WeylGroup):
             )
     out = []
     for w, fixed, free in per_w:
-        for choice in _product((0, 1), repeat=len(free)):
+        for choice in product((0, 1), repeat=len(free)):
             bits = list(fixed)
             for idx, b in zip(free, choice):
                 bits[idx] = b
@@ -293,44 +288,33 @@ def build_decision_tree(
     strategy: str = "algorithmic",
     ordering: WeightOrdering | None = None,
 ) -> DecisionTree:
-    if strategy not in ("algorithmic", "optimal"):
-        raise ValueError(f"unknown strategy {strategy!r}")
-    if strategy == "optimal" and len(group) > 1000:
-        raise ValueError("optimal tree search is capped at |W| <= 1000")
-    vectors = all_acceptable_patterns(group)
     if strategy == "algorithmic":
-        return _algorithmic_tree(group, ordering, vectors)
-    return _optimal_tree(group, vectors)
+        return _algorithmic_tree(group, ordering or standard_ordering(group))
+    if strategy != "optimal":
+        raise ValueError(f"unknown strategy {strategy!r}")
+    if len(group) > 1000:
+        raise ValueError("optimal tree search is capped at |W| <= 1000")
+    return _optimal_tree(group, all_acceptable_patterns(group))
 
 
-def _algorithmic_tree(group, ordering, vectors) -> DecisionTree:
-    trie: dict = {}
-    for bits, witness in vectors:
-        pattern = VanishingPattern(group, bits)
-        w, log = recognize_general(PatternOracle(pattern), group, ordering)
-        assert w == witness
-        node = trie
-        for pw, bit in log.entries:
-            key = (pw, bit)
-            node = node.setdefault(key, {})
-        prior = node.setdefault("leaf", w)
-        assert prior == w
+def _algorithmic_tree(group, ordering) -> DecisionTree:
+    """Every scan plan entry but the last is a query whose 1-branch fixes the
+    coset and moves to the next level; the last entry is forced."""
+    group.check_enumerable()
 
-    def build(node):
-        if set(node) == {"leaf"}:
-            return TreeLeaf(node["leaf"])
-        weights = {pw for (pw, _bit) in node if _bit in (0, 1)}
-        assert len(weights) == 1, "algorithmic runs diverged without a query"
-        (pw,) = weights
-        low = node.get((pw, 0))
-        high = node.get((pw, 1))
-        return TreeNode(
-            pw,
-            build(low) if low is not None else None,
-            build(high) if high is not None else None,
-        )
+    def level(pos, fp, word):
+        if pos == group.rank:
+            return TreeLeaf(group.by_fingerprint(fp))
+        branches = [
+            (eta, level(pos + 1, group.fold(rep, fp), word + rep))
+            for eta, rep in _scan_plan(group, ordering, pos, fp, word)
+        ]
+        node = branches.pop()[1]
+        for eta, high in reversed(branches):
+            node = TreeNode(eta, node, high)
+        return node
 
-    return DecisionTree(group, build(trie), "algorithmic")
+    return DecisionTree(group, level(0, group.identity.fingerprint, ()), "algorithmic")
 
 
 def _optimal_tree(group, vectors) -> DecisionTree:
@@ -376,19 +360,7 @@ def _optimal_tree(group, vectors) -> DecisionTree:
 def worst_case_queries(
     group: WeylGroup, method: str = "algorithmic", ordering: WeightOrdering | None = None
 ) -> int:
-    """Maximum query count over all acceptable inputs.
-
-    For the adaptive algorithm the count depends only on the witness, so the
-    maximum is taken by running it on every generic pattern.  For the optimal
-    strategy it is the minimax tree depth.
-    """
-    if method == "algorithmic":
-        worst = 0
-        for w in group.elements():
-            oracle = PatternOracle(generic_pattern(group, w))
-            _, log = recognize_general(oracle, group, ordering)
-            worst = max(worst, log.count)
-        return worst
-    if method == "optimal":
-        return build_decision_tree(group, "optimal", ordering).depth
-    raise ValueError(f"unknown method {method!r}")
+    """Maximum query count over all acceptable inputs: the depth of the
+    method's decision tree.  The adaptive algorithm's count depends only on
+    the witness, so its depth is the worst case over W."""
+    return build_decision_tree(group, method, ordering).depth

@@ -117,9 +117,9 @@ def word_str(word: tuple[int, ...]) -> str:
 
 
 def parse_word(text: str) -> tuple[int, ...]:
-    """"s1.s3.s2" (or "1.3.2") as (1, 3, 2); "", "e" and "1" are the identity."""
+    """"s1.s3.s2" (or "1.3.2") as (1, 3, 2); "" and "e" are the identity."""
     text = text.strip()
-    if text in ("", "e", "1"):
+    if text in ("", "e"):
         return ()
     out = []
     for p in text.split("."):
@@ -191,13 +191,16 @@ class WeylGroup:
 
     # ----- enumeration -----------------------------------------------------
 
-    def ensure_enumerated(self):
-        if self._elements is not None:
-            return
+    def check_enumerable(self):
         if self.order > ENUMERATION_CAP:
             raise UnsupportedGroupError(
                 f"|W| = {self.order} exceeds the enumeration cap {ENUMERATION_CAP}"
             )
+
+    def ensure_enumerated(self):
+        if self._elements is not None:
+            return
+        self.check_enumerable()
         # W is the orbit of rho under right multiplication, f(w s_i) = s_i f(w).
         # Parents in shortlex order and ascending generators discover each
         # element first through its shortlex-minimal word.

@@ -105,6 +105,19 @@ def test_recognize_refuses_json_that_is_not_rows(tmp_path, capsys, text):
     assert err.startswith("error: ") and "flag" in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("spec, depth", [("A4", 10), ("B3", 9), ("C3", 9), ("D4", 13)])
+def test_tree_beyond_the_acceptable_vector_cap(capsys, spec, depth):
+    code, out, _ = run(capsys, "tree", "--group", spec)
+    assert (code, out) == (0, f"algorithmic decision tree for {spec}: depth {depth}\n")
+
+
+@pytest.mark.parametrize("spec, order", [("B8", 10321920), ("D8", 5160960)])
+def test_tree_over_the_enumeration_cap(capsys, spec, order):
+    code, out, err = run(capsys, "tree", "--group", spec)
+    assert (code, out) == (3, "")
+    assert err == f"unsupported group: |W| = {order} exceeds the enumeration cap 1000000\n"
+
+
 def test_tree_outputs(capsys):
     code, out, _ = run(capsys, "tree", "--group", "A2", "--optimal")
     assert code == 0 and "depth 3" in out
@@ -196,6 +209,32 @@ def test_type_a_digits_are_one_line(capsys):
     assert err == "error: (2, 1) is not a permutation of 1..3\n"
     code, out, _ = run(capsys, "describe", "--group", "A2", "--w", "2")
     assert code == 0 and out.startswith("cell of 132 (s2) in A2:")
+
+
+def test_single_digit_one_is_s1(capsys):
+    # "1" is the word s1, as every other single digit is s<k>
+    assert run(capsys, "describe", "--group", "B2", "--w", "1") == run(
+        capsys, "describe", "--group", "B2", "--w", "s1"
+    )
+    code, out, _ = run(capsys, "describe", "--group", "A2", "--w", "1")
+    assert code == 0 and out.startswith("cell of 213 (s1) in A2:")
+    code, out, _ = run(capsys, "describe", "--group", "A2", "--w", "e")
+    assert code == 0 and out.startswith("cell of 123 (e) in A2:")
+
+
+@pytest.mark.parametrize(
+    "argv, token",
+    [
+        (("patterns-poset", "--group", "A2", "--coords", "p1x,p2"), "'p1x'"),
+        (("patterns-poset", "--group", "A2", "--coords", "p,p2"), "'p'"),
+        (("bounds", "--defining", "321", "x"), "'x'"),
+        (("bounds", "--defining", "3x1", "3"), "'3x1'"),
+    ],
+)
+def test_input_errors_quote_the_token(capsys, argv, token):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and token in err
 
 
 @pytest.mark.parametrize("n", ["0", "1", "5"])

@@ -1,11 +1,13 @@
 """Property tests: random groups of rank <= 5, random words, random seeds."""
 
+from functools import cache
+
 from ambient import ambient
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from schubcells.patterns import check_acceptable, random_acceptable
-from schubcells.recognition import PatternOracle, recognize_general
+from schubcells.recognition import PatternOracle, build_decision_tree, recognize_general
 from schubcells.weyl import weyl_group
 
 GROUPS = (
@@ -15,11 +17,12 @@ GROUPS = (
     "D4", "D5",
     "G2",
 )
+RANK_AT_MOST_4 = tuple(spec for spec in GROUPS if int(spec[1:]) <= 4)
 
 
 @st.composite
-def group_and_words(draw, count=1):
-    g = weyl_group(draw(st.sampled_from(GROUPS)))
+def group_and_words(draw, count=1, groups=GROUPS):
+    g = weyl_group(draw(st.sampled_from(groups)))
     bound = 3 * len(g.positive_roots())
     words = st.lists(st.integers(1, g.rank), max_size=bound)
     return (g,) + tuple(g.element(draw(words)) for _ in range(count))
@@ -34,6 +37,21 @@ def test_random_acceptable_is_accepted_and_recognized(gw, seed):
     assert report.accepted and report.witness == w
     got, _log = recognize_general(PatternOracle(pattern), g)
     assert got == w
+
+
+@cache
+def algorithmic_tree(g):
+    return build_decision_tree(g)
+
+
+@settings(max_examples=150, deadline=None)
+@given(group_and_words(groups=RANK_AT_MOST_4), st.integers(0, 2 ** 32 - 1))
+def test_decision_tree_routes_as_recognize_general(gw, seed):
+    g, w = gw
+    pattern = random_acceptable(g, w, seed=seed)
+    got, log = recognize_general(PatternOracle(pattern), g)
+    assert got == w
+    assert algorithmic_tree(g).route(pattern) == (got, log.count)
 
 
 @settings(max_examples=150, deadline=None)

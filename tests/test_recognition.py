@@ -2,6 +2,7 @@
 type A specialization with the general algorithm, decision trees."""
 
 from collections import Counter
+from itertools import permutations
 
 import pytest
 
@@ -15,11 +16,14 @@ from schubcells.patterns import (
     generic_pattern,
     random_acceptable,
 )
-from schubcells.plucker import subset_of
+from schubcells.plucker import WeightOrdering, subset_of
 from schubcells.recognition import (
     CountingOracle,
+    DecisionTree,
     FlagOracle,
     PatternOracle,
+    TreeLeaf,
+    TreeNode,
     all_acceptable_patterns,
     build_decision_tree,
     recognize_general,
@@ -229,3 +233,56 @@ def test_worst_case_queries():
 def test_optimal_tree_cap():
     with pytest.raises(ValueError):
         build_decision_tree(weyl_group("A5"), "optimal")
+
+
+def trie_tree(group, ordering, vectors) -> DecisionTree:
+    """Oracle for the algorithmic tree: run recognize_general on every
+    acceptable vector and fold the query logs into a trie."""
+    trie: dict = {}
+    for bits, witness in vectors:
+        pattern = VanishingPattern(group, bits)
+        w, log = recognize_general(PatternOracle(pattern), group, ordering)
+        assert w == witness
+        node = trie
+        for entry in log.entries:
+            node = node.setdefault(entry, {})
+        assert node.setdefault("leaf", w) == w
+
+    def build(node):
+        if set(node) == {"leaf"}:
+            return TreeLeaf(node["leaf"])
+        (pw,) = {entry[0] for entry in node}
+        assert set(node) == {(pw, 0), (pw, 1)}, "a query with a single answer"
+        return TreeNode(pw, build(node[(pw, 0)]), build(node[(pw, 1)]))
+
+    return DecisionTree(group, build(trie), "algorithmic")
+
+
+@pytest.mark.parametrize("spec", ("A1", "A2", "A3", "B2", "C2", "G2"))
+def test_algorithmic_tree_matches_trie_oracle(spec):
+    g = weyl_group(spec)
+    vectors = all_acceptable_patterns(g)
+    for order in permutations(range(1, g.rank + 1)):
+        ordering = WeightOrdering(order)
+        tree = build_decision_tree(g, "algorithmic", ordering)
+        assert tree.to_dot() == trie_tree(g, ordering, vectors).to_dot()
+        for bits, w in vectors:
+            assert tree.route(VanishingPattern(g, bits))[0] == w
+
+
+def generic_sweep(g) -> int:
+    """The worst case as it was first computed: the longest query log over
+    the generic patterns of all of W."""
+    return max(
+        recognize_general(PatternOracle(generic_pattern(g, w)), g)[1].count
+        for w in g.elements()
+    )
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ("A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "C3", "C4", "D4", "G2"),
+)
+def test_worst_case_queries_is_the_generic_sweep(spec):
+    g = weyl_group(spec)
+    assert worst_case_queries(g, "algorithmic") == generic_sweep(g)
