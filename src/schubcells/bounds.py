@@ -130,50 +130,67 @@ def witness_case_count(fam: WitnessFamily, I) -> int:
 
 
 def _constraint_families(w, n: int):
-    """For each u !<= w, the subsets I = u([1,i]) with I !<= w([1,i])."""
+    """For each u !<= w, the subsets I = u([1,i]) with I !<= w([1,i]).
+
+    By the prefix-subset criterion u <= w exactly when no prefix is violated,
+    so the permutations below w are the ones with no options."""
+    w_prefixes = [sorted(w[:i]) for i in range(1, n)]
     out = []
     for u in perms.all_perms(n):
-        if u == tuple(w) or perms.ehresmann_leq(u, w):
-            continue
         opts = frozenset(
-            perms.prefix_set(u, i)
-            for i in range(1, n)
-            if not perms.subset_leq(perms.prefix_set(u, i), perms.prefix_set(w, i))
+            frozenset(u[:i])
+            for i, wp in enumerate(w_prefixes, 1)
+            if any(a > b for a, b in zip(sorted(u[:i]), wp))
         )
-        if not opts:
-            raise RuntimeError("incomparable permutation with no violated prefix")
-        out.append(opts)
+        if opts:
+            out.append(opts)
     return out
 
 
 def minimum_defining_hitting_set(w, n: int) -> tuple[int, tuple[frozenset[int], ...]]:
     """Exact minimum hitting set: a set of coordinates killing the coordinate
     flag of every u !<= w.  Valid as a lower bound on the number of equations
-    defining the variety of w."""
+    defining the variety of w.
+
+    Branch and bound on int bitmasks: coordinate I is bit k when I is the k-th
+    coordinate in (|I|, sorted I) order, a family is the OR of its options and
+    the chosen set one int.  The search branches on the first unhit family
+    (families shortest first), trying its options in bit order, and cuts a
+    branch when its size plus a greedy packing of pairwise-disjoint unhit
+    families reaches the best size found.  The packing is a lower bound, so
+    the result is the first optimal leaf in DFS order."""
     w = perms.check_permutation(w, n)
     if n > 7:
         raise ValueError("exact hitting-set search is capped at n = 7")
     families = _constraint_families(w, n)
-    if not families:
-        return 0, ()
     families.sort(key=len)
-    best: list = [None]
+    coords = sorted({I for f in families for I in f}, key=lambda s: (len(s), sorted(s)))
+    bit = {I: 1 << k for k, I in enumerate(coords)}
+    masks = [sum(bit[I] for I in f) for f in families]
+    options = [sorted(bit[I] for I in f) for f in families]
+    count = len(masks)
+    best = [len(coords) + 1, 0]
 
-    def search(chosen: set, idx: int):
-        if best[0] is not None and len(chosen) >= best[0][0]:
-            return
-        while idx < len(families) and families[idx] & chosen:
+    def search(chosen: int, size: int, idx: int):
+        while idx < count and masks[idx] & chosen:
             idx += 1
-        if idx == len(families):
-            best[0] = (len(chosen), tuple(sorted(chosen, key=lambda s: (len(s), sorted(s)))))
+        if idx == count:
+            if size < best[0]:
+                best[:] = [size, chosen]
             return
-        for I in sorted(families[idx], key=lambda s: (len(s), sorted(s))):
-            chosen.add(I)
-            search(chosen, idx + 1)
-            chosen.remove(I)
+        packed, used = 0, chosen
+        for m in masks[idx:]:
+            if not m & used:
+                used |= m
+                packed += 1
+        if size + packed >= best[0]:
+            return
+        for b in options[idx]:
+            search(chosen | b, size + 1, idx + 1)
 
-    search(set(), 0)
-    return best[0]
+    search(0, 0, 0)
+    size, chosen = best
+    return size, tuple(I for I in coords if bit[I] & chosen)
 
 
 def defining_set_lower_bound(w, n: int) -> int:

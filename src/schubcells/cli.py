@@ -176,12 +176,19 @@ def _cmd_patterns_poset(args) -> int:
         return 1
     n = group.rank + 1
     if args.coords:
+        import re
+
         coords = []
-        for token in args.coords.split(","):
-            digits = token.strip().lstrip("p").strip("{}")
-            if not digits.isdecimal():
+        # split on the commas outside braces: "p{1,3},p2" is p13 and p2
+        for token in re.split(r",(?![^{}]*\})", args.coords):
+            body = token.strip().removeprefix("p")
+            if body.startswith("{") and body.endswith("}"):
+                entries = body[1:-1].split(",")
+            else:
+                entries = list(body)
+            if not entries or not all(e.strip().isdecimal() for e in entries):
                 raise ValueError(f"cannot parse coordinate {token!r}")
-            coords.append(weight_from_subset(group, frozenset(map(int, digits))))
+            coords.append(weight_from_subset(group, frozenset(map(int, entries))))
     else:
         coords = list(base_mod.base_weights(group))
     realizable = patterns.realizable_restricted_patterns(n, coords)
@@ -277,7 +284,11 @@ def _cmd_bounds(args) -> int:
 def _cmd_economical(args) -> int:
     group = weyl_group(args.group)
     if args.ordering:
-        order = tuple(int(x) for x in args.ordering.split(","))
+        tokens = args.ordering.split(",")
+        for token in tokens:
+            if not token.strip().isdecimal():
+                raise ValueError(f"cannot parse {token!r} in --ordering: expected an integer")
+        order = tuple(int(x) for x in tokens)
         ordering = WeightOrdering(order)
     else:
         ordering = standard_ordering(group)

@@ -160,6 +160,14 @@ def test_patterns_poset_bad_coordinate(capsys):
     assert err.count("\n") == 1 and err.startswith("error:") and "15" in err
 
 
+def test_patterns_poset_braced_coordinate(capsys):
+    # commas inside braces separate entries of one subset, not coordinates
+    code, out, _ = run(capsys, "patterns-poset", "--group", "A3", "--coords", "p{1,3},p2")
+    assert code == 0
+    assert out.splitlines()[0] == "4 realizable patterns over (p13, p2) [sampled]"
+    assert run(capsys, "patterns-poset", "--group", "A3", "--coords", "p13,p2")[1] == out
+
+
 def test_rank8_descriptions_leave_w_unenumerated(capsys):
     # |W| is over the enumeration cap for both groups; orbit tables suffice
     from schubcells.weyl import weyl_group
@@ -229,6 +237,7 @@ def test_single_digit_one_is_s1(capsys):
         (("patterns-poset", "--group", "A2", "--coords", "p,p2"), "'p'"),
         (("bounds", "--defining", "321", "x"), "'x'"),
         (("bounds", "--defining", "3x1", "3"), "'3x1'"),
+        (("economical", "--group", "A2", "--ordering", "2,x"), "'x' in --ordering"),
     ],
 )
 def test_input_errors_quote_the_token(capsys, argv, token):
