@@ -13,7 +13,6 @@ of Plucker coordinates whose generic vanishing pattern identifies a cell.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 
 from .plucker import PluckerWeight, ones, orbit_table, weight_of
 from .weyl import WeylElement, WeylGroup
@@ -119,11 +118,12 @@ class BaseElement:
     right_descent: int
 
 
-@cache
 def bruhat_poset(group: WeylGroup) -> FinitePoset:
     """Bruhat order on the enumerated group by Deodhar's criterion [BB05 2.6]:
     u <= v iff u omega_i <= v omega_i for every level i.  Each orbit up-set
     is pulled back to W through the fibres of w -> w omega_i."""
+    if group.poset is not None:
+        return group.poset
     elems = group.elements()
     up = [(1 << len(elems)) - 1] * len(elems)
     for i in range(1, group.rank + 1):
@@ -135,12 +135,14 @@ def bruhat_poset(group: WeylGroup) -> FinitePoset:
         # fibres are disjoint, so their sum is their union
         pulled = [sum(fibre[k] for k in ones(m)) for m in table.up_masks()]
         up = [u & pulled[k] for u, k in zip(up, pos)]
-    return FinitePoset(elems, up)
+    group.poset = FinitePoset(elems, up)
+    return group.poset
 
 
-@cache
 def weyl_base(group: WeylGroup) -> tuple[BaseElement, ...]:
     """The base of the Bruhat order, with the (unique) descent data."""
+    if group.base is not None:
+        return group.base
     P = bruhat_poset(group)
     members = []
     for idx in poset_base_indices(P):
@@ -152,7 +154,8 @@ def weyl_base(group: WeylGroup) -> tuple[BaseElement, ...]:
                 f"base element {w.word} has descents L={sorted(left)} R={sorted(right)}"
             )
         members.append(BaseElement(w, min(left), min(right)))
-    return tuple(members)
+    group.base = tuple(members)
+    return group.base
 
 
 def base_weights(group: WeylGroup) -> tuple[PluckerWeight, ...]:

@@ -326,12 +326,11 @@ def max_code_size(n: int, i: int) -> int:
     pool = [frozenset(I) for I in combinations(range(1, n + 1), i)]
     if len(pool) > 20:
         raise ValueError("brute-force code search is for tiny cases only")
-    best = 0
     for size in range(len(pool), 0, -1):
         for cand in combinations(pool, size):
             if all(len(I ^ J) != 2 for I, J in combinations(cand, 2)):
                 return size
-    return best
+    return 0
 
 
 # ----- chain corollary -----------------------------------------------------------------

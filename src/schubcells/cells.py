@@ -17,7 +17,6 @@ assumed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 
 from .plucker import (
     PluckerWeight,
@@ -97,16 +96,17 @@ def cell_description_general(
     return CellDescription(w, tuple(eqs), tuple(ineqs), ordering)
 
 
-@cache
-def _root_plan(group: WeylGroup, order: tuple[int, ...]):
+def _root_plan(group: WeylGroup, ordering: WeightOrdering):
     """Per positive root alpha: (mu(alpha), index of s_alpha omega_mu(alpha))."""
-    ordering = WeightOrdering(order)
-    plan = []
-    for rt in group.positive_roots():
-        level = mu(group, rt, ordering)
-        table = orbit_table(group, level)
-        plan.append((level, table.by_labels[group.reflect_root(rt, table.weights[0].labels)]))
-    return tuple(plan)
+    plan = group.root_plans.get(ordering.order)
+    if plan is None:
+        plan = []
+        for rt in group.positive_roots():
+            level = mu(group, rt, ordering)
+            table = orbit_table(group, level)
+            plan.append((level, table.by_labels[group.reflect_root(rt, table.weights[0].labels)]))
+        plan = group.root_plans[ordering.order] = tuple(plan)
+    return plan
 
 
 def _economical_style_sets(group: WeylGroup, w: WeylElement, ordering: WeightOrdering):
@@ -114,7 +114,7 @@ def _economical_style_sets(group: WeylGroup, w: WeylElement, ordering: WeightOrd
     {w omega_i : some alpha with mu(alpha) = i has w alpha < 0}."""
     eqs: list[PluckerWeight] = []
     ineq_levels: set[int] = set()
-    for (level, k), sign in zip(_root_plan(group, ordering.order), group.root_signs(w)):
+    for (level, k), sign in zip(_root_plan(group, ordering), group.root_signs(w)):
         if sign > 0:
             table = orbit_table(group, level)
             eqs.append(table.weights[table.act(w.word, k)])

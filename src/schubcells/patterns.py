@@ -132,10 +132,8 @@ def coordinate_flag_pattern(group: WeylGroup, w: WeylElement) -> VanishingPatter
     if group.type_letter != "A":
         raise ValueError("coordinate flags exist in type A only")
     perm = group.one_line(w)
-    bits = []
-    for pw in all_weights(group):
-        bits.append(perms.pi_pattern_bit(perm, subset_of(pw)))
-    return VanishingPattern(group, tuple(bits))
+    bits = tuple(perms.pi_pattern_bit(perm, subset_of(pw)) for pw in all_weights(group))
+    return VanishingPattern(group, bits)
 
 
 def random_acceptable(group: WeylGroup, w: WeylElement, seed=None) -> VanishingPattern:

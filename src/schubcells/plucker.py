@@ -16,7 +16,7 @@ the orbit orders (``WeylGroup.bruhat_leq``, ``base.bruhat_poset``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache
+from itertools import accumulate
 
 from .weyl import Labels, Root, WeylElement, WeylGroup, along_tree, orbit_bfs, word_str
 
@@ -192,16 +192,18 @@ def orbit(group: WeylGroup, level: int) -> tuple[PluckerWeight, ...]:
     return orbit_table(group, level).weights
 
 
-@cache
 def orbit_table(group: WeylGroup, level: int) -> OrbitTable:
-    """The orbit table of a level, built once per group (pass both
-    arguments positionally: a keyword call is a separate memo key)."""
-    return OrbitTable(group, level)
+    """The orbit table of a level, built once per group and held by it."""
+    table = group.orbit_tables.get(level)
+    if table is None:
+        table = group.orbit_tables[level] = OrbitTable(group, level)
+    return table
 
 
-@cache
 def all_weights(group: WeylGroup) -> tuple[PluckerWeight, ...]:
-    return tuple(pw for i in range(1, group.rank + 1) for pw in orbit(group, i))
+    if group.all_weights is None:
+        group.all_weights = tuple(pw for i in range(1, group.rank + 1) for pw in orbit(group, i))
+    return group.all_weights
 
 
 def weight_of(group: WeylGroup, w: WeylElement, level: int) -> PluckerWeight:
@@ -210,11 +212,12 @@ def weight_of(group: WeylGroup, w: WeylElement, level: int) -> PluckerWeight:
     return table.weights[table.position(w)]
 
 
-@cache
 def level_offsets(group: WeylGroup) -> tuple[int, ...]:
     """offsets[i] is the position of level i's first weight in all_weights."""
-    sizes = [len(orbit_table(group, i)) for i in range(1, group.rank + 1)]
-    return (0,) + tuple(sum(sizes[: i - 1]) for i in range(1, group.rank + 1))
+    if group.level_offsets is None:
+        sizes = [len(orbit_table(group, i)) for i in range(1, group.rank + 1)]
+        group.level_offsets = (0, *accumulate(sizes[:-1], initial=0))
+    return group.level_offsets
 
 
 def orbit_bruhat_leq(group: WeylGroup, a: PluckerWeight, b: PluckerWeight) -> bool:
@@ -292,19 +295,16 @@ def is_economical_index(group: WeylGroup, i: int) -> bool:
 
 def is_economical_ordering(group: WeylGroup, ordering: WeightOrdering) -> bool:
     """Whether each index is economical for the parabolic generated by the
-    indices from its position onward."""
+    indices from its position onward (held by the group per order)."""
     if ordering.rank != group.rank:
         raise ValueError("ordering rank does not match the group")
-    return _is_economical_order(group, ordering.order)
-
-
-@cache
-def _is_economical_order(group: WeylGroup, order: tuple[int, ...]) -> bool:
-    """is_economical_ordering's verdict, memoized on the plain order tuple."""
-    return all(
-        is_economical_index_parabolic(group, order[pos], order[pos:])
-        for pos in range(len(order))
-    )
+    verdict = group.economical.get(ordering.order)
+    if verdict is None:
+        verdict = group.economical[ordering.order] = all(
+            is_economical_index_parabolic(group, i, ordering.tail(pos))
+            for pos, i in enumerate(ordering)
+        )
+    return verdict
 
 
 def linear_order_check(group: WeylGroup, i: int) -> bool:
@@ -340,11 +340,13 @@ def subset_of(pw: PluckerWeight) -> frozenset[int]:
 def weight_from_subset(group: WeylGroup, subset) -> PluckerWeight:
     """The type A weight e_I, found by its labels [j in I] - [j+1 in I].
 
-    A subset reaching outside 1..n has the labels of a smaller subset, which
-    lie in another orbit, so the lookup misses and ValueError names the
-    subset.
+    A subset of size 0 or n, or one reaching outside 1..n (whose labels are
+    those of a smaller subset, in another orbit), names no weight: ValueError
+    names the subset.
     """
     subset = frozenset(subset)
+    if not 1 <= len(subset) <= group.rank:
+        raise ValueError(f"subset {subset_str(subset)} is not of size 1..{group.rank}")
     table = orbit_table(group, len(subset))
     labels = tuple(
         (j in subset) - (j + 1 in subset) for j in range(1, group.rank + 1)

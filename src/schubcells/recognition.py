@@ -89,16 +89,13 @@ class CountingOracle:
         return bit
 
 
-_SCAN_PLANS: dict[tuple, list] = {}  # (group, ordering.order, pos, fp) -> plan
-
-
 def _scan_plan(group: WeylGroup, ordering: WeightOrdering, pos: int, fp, word):
     """Descending Bruhat-compatible scan of v W_J omega_i, with the coset
     updates attached: list of (PluckerWeight, word to append to v).  v is
     given by its fingerprint and any word for it; only the fingerprint is in
-    the memo key, so the memo is a plain dict."""
-    key = (group, ordering.order, pos, fp)
-    plan = _SCAN_PLANS.get(key)
+    the key of the group's ``scan_plans``."""
+    key = (ordering.order, pos, fp)
+    plan = group.scan_plans.get(key)
     if plan is not None:
         return plan
     table = orbit_table(group, ordering.order[pos])
@@ -113,7 +110,7 @@ def _scan_plan(group: WeylGroup, ordering: WeightOrdering, pos: int, fp, word):
                 raise RuntimeError(
                     "economical ordering produced a non-linear scan set"
                 )
-    _SCAN_PLANS[key] = entries
+    group.scan_plans[key] = entries
     return entries
 
 

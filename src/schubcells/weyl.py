@@ -18,10 +18,9 @@ u omega_i <= v omega_i on every orbit W omega_i (Deodhar's criterion
 [BB05 2.6]), so comparing two elements never enumerates W.
 
 All values are immutable after construction.  The only internal mutation is
-memoization: a group fills its own fields, and each module memoizes the
-tables it derives from a group where it builds them, keyed by the group
-(``functools.cache``; ``recognition`` keeps its scan plans in a module dict).
-Dict insertion is atomic under CPython, so groups can be shared across threads.
+memoization: each table derived from a group is a field of the group, filled
+by its builder on first use, so it lives exactly as long as the group.  Dict
+insertion is atomic under CPython, so groups can be shared across threads.
 """
 
 from __future__ import annotations
@@ -149,6 +148,15 @@ class WeylGroup:
         self._elements: list[WeylElement] | None = None
         self._index: dict[Labels, int] = {}
         self._roots: tuple[Root, ...] | None = None
+        # Tables derived from the group, each filled by its builder on first use.
+        self.orbit_tables: dict = {}  # level -> plucker.OrbitTable
+        self.all_weights: tuple | None = None  # plucker.all_weights
+        self.level_offsets: tuple[int, ...] | None = None  # plucker.level_offsets
+        self.economical: dict[tuple[int, ...], bool] = {}  # plucker: order -> verdict
+        self.root_plans: dict[tuple[int, ...], tuple] = {}  # cells: order -> root plan
+        self.scan_plans: dict[tuple, list] = {}  # recognition: (order, pos, fp) -> plan
+        self.poset = None  # base.bruhat_poset
+        self.base: tuple | None = None  # base.weyl_base
 
     # ----- action on Dynkin labels -------------------------------------------
 

@@ -160,6 +160,13 @@ def test_patterns_poset_bad_coordinate(capsys):
     assert err.count("\n") == 1 and err.startswith("error:") and "15" in err
 
 
+def test_patterns_poset_coordinate_of_the_wrong_size(capsys):
+    # p123 in A2 is all of 1..3, which is no Plucker coordinate
+    code, out, err = run(capsys, "patterns-poset", "--group", "A2", "--coords", "p123")
+    assert (code, out) == (1, "")
+    assert err == "error: subset 123 is not of size 1..2\n"
+
+
 def test_patterns_poset_braced_coordinate(capsys):
     # commas inside braces separate entries of one subset, not coordinates
     code, out, _ = run(capsys, "patterns-poset", "--group", "A3", "--coords", "p{1,3},p2")

@@ -412,6 +412,12 @@ def test_serialization():
         subset_of(weight_of(b, b.identity, 1))  # e_1, an indicator vector of type B
 
 
+@pytest.mark.parametrize("subset", [set(), {1, 2, 3}, {1, 2, 3, 4}])
+def test_weight_from_subset_names_a_subset_of_the_wrong_size(subset):
+    with pytest.raises(ValueError, match=f"subset {subset_str(subset)} is not of size"):
+        weight_from_subset(weyl_group("A2"), subset)
+
+
 # ----- memoized tables ------------------------------------------------------------
 
 
@@ -464,3 +470,35 @@ def test_fresh_group_gets_its_own_tables():
     assert all(orbit_table(interned, i) is t for i, t in zip((1, 2, 3), tables))
     assert all_weights(interned) is weights and weyl_base(interned) is base
     assert all(pw.min_rep.group is interned for pw in weights)
+
+
+def test_orbit_table_keyword_call_reads_the_same_table():
+    g = WeylGroup(cartan_datum("B", 3))
+    assert orbit_table(g, level=2) is orbit_table(g, 2)
+    assert orbit_table(group=g, level=3) is orbit_table(g, 3)
+
+
+def test_fresh_group_is_freed_with_its_tables():
+    import gc
+    import weakref
+
+    from schubcells.base import weyl_base
+    from schubcells.cells import cell_description_economical
+    from schubcells.patterns import generic_pattern
+    from schubcells.recognition import PatternOracle, build_decision_tree, recognize_general
+
+    def touch_every_table():
+        g = WeylGroup(cartan_datum("B", 3))
+        w = g.element((1, 2, 3, 2))
+        assert recognize_general(PatternOracle(generic_pattern(g, w)), g)[0] == w
+        cell_description_economical(g, w)
+        assert build_decision_tree(g).depth == 9
+        assert len(weyl_base(g)) == 19
+        tables = (g.orbit_tables, g.all_weights, g.level_offsets, g.economical,
+                  g.root_plans, g.scan_plans, g.poset, g.base)
+        assert all(t is not None and len(t) for t in tables)
+        return weakref.ref(g)
+
+    ref = touch_every_table()
+    gc.collect()
+    assert ref() is None
