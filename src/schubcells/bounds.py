@@ -248,24 +248,17 @@ def feedback_free_min_set(n: int) -> FeedbackFreeResult:
     """
     if not 2 <= n <= 4:
         raise ValueError(f"feedback-free search supports n in 2..4, got n = {n}")
-    labelled = []
-    if n <= 3:
-        from .flags import subset_pattern
-        from .patterns import realizable_full_patterns
+    from .flags import coordinate_flag, subset_pattern
+    from .patterns import realizable_full_patterns
 
-        group = None
-        for pat, witness, flag in realizable_full_patterns(n):
-            group = pat.group
-            labelled.append((subset_pattern(flag), group.one_line(witness)))
-        certified = True
+    if n <= 3:
+        labelled = [
+            (subset_pattern(flag), pat.group.one_line(witness))
+            for pat, witness, flag in realizable_full_patterns(n)
+        ]
     else:
-        for u in perms.all_perms(n):
-            bits = {}
-            for i in range(1, n):
-                for I in combinations(range(1, n + 1), i):
-                    bits[frozenset(I)] = perms.pi_pattern_bit(u, I)
-            labelled.append((bits, u))
-        certified = False
+        labelled = [(subset_pattern(coordinate_flag(u)), u) for u in perms.all_perms(n)]
+    certified = n <= 3
     universe = sorted(
         {I for bits, _ in labelled for I in bits}, key=lambda s: (len(s), sorted(s))
     )
@@ -317,7 +310,6 @@ def code_bound_check(fam: CodeFamily) -> bool:
             if sub in seen:
                 raise RuntimeError("counting argument violated: duplicate subset")
             seen.add(sub)
-    assert fam.i * len(fam.subsets) <= comb(fam.n, fam.i - 1)
     return len(fam.subsets) <= Fraction(comb(fam.n, fam.i - 1), fam.i)
 
 

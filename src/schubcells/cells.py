@@ -10,17 +10,19 @@
                                ordering plus the sign-flip equations
 
 The economical description uses exactly #positive-roots - length(w) equations
-and at most min(rank, length(w)) inequalities; counts are asserted, not
-assumed.
+and at most min(rank, length(w)) inequalities; the equation count is
+checked, not assumed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .patterns import generic_pattern
 from .plucker import (
     PluckerWeight,
     WeightOrdering,
+    all_weights,
     is_economical_ordering,
     mu,
     orbit_table,
@@ -65,16 +67,10 @@ class VarietyDescription:
 
 
 def variety_equations(group: WeylGroup, w: WeylElement) -> VarietyDescription:
-    """All Plucker weights not below the per-level maxima of w."""
-    eqs = []
-    for i in range(1, group.rank + 1):
-        table = orbit_table(group, i)
-        jw = table.position(w)
-        ups = table.up_masks()
-        for k, pw in enumerate(table.weights):
-            if not ups[k] >> jw & 1:
-                eqs.append(pw)
-    return VarietyDescription(w, tuple(eqs))
+    """All Plucker weights not below the per-level maxima of w: the zeros of
+    the generic pattern of w, in ``all_weights`` order."""
+    bits = generic_pattern(group, w).bits
+    return VarietyDescription(w, tuple(pw for pw, b in zip(all_weights(group), bits) if not b))
 
 
 def cell_description_general(
@@ -111,7 +107,8 @@ def _root_plan(group: WeylGroup, ordering: WeightOrdering):
 
 def _economical_style_sets(group: WeylGroup, w: WeylElement, ordering: WeightOrdering):
     """Equalities {w s_alpha omega_{mu(alpha)} : w alpha > 0} and inequalities
-    {w omega_i : some alpha with mu(alpha) = i has w alpha < 0}."""
+    {w omega_i : some alpha with mu(alpha) = i has w alpha < 0}.  RuntimeError
+    unless the equalities are #positive-roots - length(w) distinct weights."""
     eqs: list[PluckerWeight] = []
     ineq_levels: set[int] = set()
     for (level, k), sign in zip(_root_plan(group, ordering), group.root_signs(w)):
@@ -122,6 +119,9 @@ def _economical_style_sets(group: WeylGroup, w: WeylElement, ordering: WeightOrd
             ineq_levels.add(level)
     if len(set(eqs)) != len(eqs):
         raise RuntimeError("economical equalities unexpectedly collided")
+    expected = len(group.positive_roots()) - w.length
+    if len(eqs) != expected:
+        raise RuntimeError(f"expected {expected} equations, generated {len(eqs)}")
     ineqs = [weight_of(group, w, i) for i in ordering if i in ineq_levels]
     return eqs, ineqs
 
@@ -136,9 +136,6 @@ def cell_description_economical(
             f"ordering {ordering.order} is not economical for {group.datum.name}"
         )
     eqs, ineqs = _economical_style_sets(group, w, ordering)
-    expected = len(group.positive_roots()) - w.length
-    if len(eqs) != expected:
-        raise RuntimeError(f"expected {expected} equations, generated {len(eqs)}")
     return CellDescription(w, tuple(eqs), tuple(ineqs), ordering)
 
 
@@ -185,8 +182,6 @@ def cell_description_typeD(
     if ordering != standard_ordering(group):
         raise ValueError("the type D description requires its dedicated ordering")
     eqs, ineqs = _economical_style_sets(group, w, ordering)
-    base_count = len(eqs)
-    assert base_count == len(group.positive_roots()) - w.length
     r = group.rank
     seen = set(eqs)
     incomparable = []

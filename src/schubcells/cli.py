@@ -17,6 +17,7 @@ from . import base as base_mod
 from . import bounds as bounds_mod
 from . import cells, flags, patterns, recognition
 from .errors import UnacceptableInputError, UnsupportedGroupError
+from .perms import one_line_str
 from .plucker import (
     WeightOrdering,
     is_economical_index,
@@ -43,8 +44,7 @@ def _parse_element(group: WeylGroup, text: str) -> WeylElement:
 
 def _element_str(group: WeylGroup, w: WeylElement) -> str:
     if group.type_letter == "A":
-        one = "".join(str(x) for x in group.one_line(w))
-        return f"{one} ({word_str(w.word)})"
+        return f"{one_line_str(group.one_line(w))} ({word_str(w.word)})"
     return word_str(w.word)
 
 
@@ -106,7 +106,7 @@ def _cmd_recognize(args) -> int:
         print(
             json.dumps(
                 {
-                    "w": "".join(map(str, perm)),
+                    "w": one_line_str(perm),
                     "queries": [
                         [weight_json(group, pw), bit] for pw, bit in log.entries
                     ],
@@ -116,7 +116,7 @@ def _cmd_recognize(args) -> int:
             )
         )
     else:
-        print(f"w = {''.join(map(str, perm))}; queries = {log.count} ({', '.join(names)})")
+        print(f"w = {one_line_str(perm)}; queries = {log.count} ({', '.join(names)})")
         if args.trace:
             for pw, bit in log.entries:
                 rel = "= 0" if bit == 0 else "!= 0"
@@ -193,7 +193,7 @@ def _cmd_patterns_poset(args) -> int:
         coords = list(base_mod.base_weights(group))
     realizable = patterns.realizable_restricted_patterns(n, coords)
     labels = {
-        key: tuple("".join(map(str, w)) for w in ws)
+        key: tuple(one_line_str(w) for w in ws)
         for key, ws in realizable.patterns.items()
     }
     poset = patterns.pattern_poset(coords, labels)
@@ -218,11 +218,11 @@ def _cmd_bounds(args) -> int:
         payload = {
             "k": fam.k,
             "n": fam.n,
-            "w": "".join(map(str, fam.w)),
+            "w": one_line_str(fam.w),
             "family_size": fam.size,
             "lower_bound": fam.lower_bound,
             "codimension": fam.codimension,
-            "witnesses": ["".join(map(str, u)) for u in fam.members],
+            "witnesses": [one_line_str(u) for u in fam.members],
         }
         if args.format == "json":
             print(json.dumps(payload, sort_keys=True))

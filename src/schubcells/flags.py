@@ -145,10 +145,7 @@ def vanishing_pattern(x: Flag, group: WeylGroup | None = None):
 
     if group is None:
         group = type_a_group(x.n)
-    bits = {}
-    for pw in all_weights(group):
-        bits[pw] = 1 if x.nonzero(subset_of(pw)) else 0
-    return VanishingPattern.from_dict(group, bits)
+    return VanishingPattern(group, tuple(x.nonzero(subset_of(pw)) for pw in all_weights(group)))
 
 
 MAX_SAMPLE_RETRIES = 64
@@ -239,7 +236,5 @@ def load_flag(path: str) -> Flag:
 
 
 def pattern_json(x: Flag) -> str:
-    out = {
-        subset_str(I): (1 if x.nonzero(I) else 0) for I in proper_subsets(x.n)
-    }
+    out = {subset_str(I): bit for I, bit in subset_pattern(x).items()}
     return json.dumps(out, sort_keys=True)

@@ -1,6 +1,7 @@
 """Vanishing patterns as first-class objects: acceptability, generic
 patterns, random acceptable vectors, restriction, the degeneration poset of
-restricted patterns, and the certified realizable sets at small n.
+restricted patterns, and the certified realizable sets at small n, each
+pattern realized by an integer flag whose minors ``flags.Flag`` computes.
 """
 
 from __future__ import annotations
@@ -8,7 +9,6 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache
 from itertools import product
 
@@ -37,14 +37,6 @@ class VanishingPattern:
         self.group = group
         self.bits = tuple(1 if b else 0 for b in bits)
         self.offsets = level_offsets(group)
-
-    @classmethod
-    def from_dict(cls, group: WeylGroup, mapping) -> "VanishingPattern":
-        weights = all_weights(group)
-        missing = [pw for pw in weights if pw not in mapping]
-        if missing:
-            raise ValueError(f"pattern is missing {len(missing)} weights")
-        return cls(group, tuple(mapping[pw] for pw in weights))
 
     def bit(self, pw: PluckerWeight) -> int:
         return self.bits[self.offsets[pw.level] + pw.index]
@@ -254,10 +246,11 @@ def realizable_full_patterns(n: int):
 
     Candidates are the acceptable bit vectors consistent with the three-term
     quadratic relation among the n=3 minors; each candidate is then realized
-    by an explicit rational flag, which certifies the enumeration both ways.
+    by an integer flag whose pattern is read off ``Flag``'s minor table,
+    which certifies the enumeration both ways.
     Returns a list of (VanishingPattern, witness, Flag).
     """
-    from .flags import subset_pattern, type_a_group
+    from .flags import type_a_group
 
     if n not in (2, 3):
         raise ValueError("exact realizability enumeration is implemented for n <= 3")
@@ -284,47 +277,27 @@ def realizable_full_patterns(n: int):
             raise RuntimeError(
                 f"candidate pattern {bits} passed the filters but was not realized"
             )
-        assert {I: (1 if v else 0) for I, v in by_subset.items()} == subset_pattern(flag)
         results.append((pat, report.witness, flag))
     return results
 
 
 def _realize(n: int, by_subset):
-    """Search a small rational flag whose pattern matches ``by_subset``."""
-    from .flags import flag_from_columns
+    """The first flag, in a fixed search order, whose pattern is
+    ``by_subset``: column 1 holds the level-1 bits, each middle column ranges
+    over [-2, 2]^n and the last column is a unit vector.  ``Flag`` decides
+    singularity and every minor on its integer table."""
+    from .flags import flag_from_columns, subset_pattern
 
-    c1 = tuple(Fraction(by_subset[frozenset({j})]) for j in range(1, n + 1))
-    if n == 2:
-        for c2 in ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))):
-            cols = (c1, c2)
-            det = c1[0] * c2[1] - c1[1] * c2[0]
-            if det != 0:
-                return flag_from_columns(cols)
-        return None
-    level2 = [I for I in by_subset if len(I) == 2]
-    span = range(-2, 3)
-    for c2 in product(span, repeat=3):
-        if not any(c2):
-            continue
-        c2f = tuple(Fraction(x) for x in c2)
-        ok = True
-        for I in level2:
-            a, b = sorted(I)
-            m = c1[a - 1] * c2f[b - 1] - c1[b - 1] * c2f[a - 1]
-            if (m != 0) != bool(by_subset[I]):
-                ok = False
-                break
-        if not ok:
-            continue
-        for k in range(3):
-            c3 = tuple(Fraction(1 if j == k else 0) for j in range(3))
-            det = (
-                c1[0] * (c2f[1] * c3[2] - c2f[2] * c3[1])
-                - c1[1] * (c2f[0] * c3[2] - c2f[2] * c3[0])
-                + c1[2] * (c2f[0] * c3[1] - c2f[1] * c3[0])
-            )
-            if det != 0:
-                return flag_from_columns((c1, c2f, c3))
+    first = tuple(by_subset[frozenset({j})] for j in range(1, n + 1))
+    units = [tuple(int(j == k) for j in range(n)) for k in range(n)]
+    for middle in product(product(range(-2, 3), repeat=n), repeat=n - 2):
+        for last in units:
+            try:
+                flag = flag_from_columns((first, *middle, last))
+            except ValueError:  # singular
+                continue
+            if subset_pattern(flag) == by_subset:
+                return flag
     return None
 
 

@@ -22,6 +22,13 @@ def check_permutation(w, n: int) -> tuple[int, ...]:
     return w
 
 
+def one_line_str(w) -> str:
+    """w(1)...w(n) as digits; past 9 the entries are comma-separated, as in
+    ``plucker.subset_str``, so that the string reads back unambiguously."""
+    sep = "" if len(w) <= 9 else ","
+    return sep.join(map(str, w))
+
+
 def identity(n: int) -> tuple[int, ...]:
     return tuple(range(1, n + 1))
 

@@ -25,6 +25,7 @@ from itertools import count, product
 from .errors import UnacceptableInputError
 from .flags import Flag, type_a_group
 from .patterns import VanishingPattern
+from .perms import one_line_str
 from .plucker import (
     PluckerWeight,
     WeightOrdering,
@@ -236,7 +237,7 @@ class DecisionTree:
 
 def _element_label(group: WeylGroup, w: WeylElement) -> str:
     if group.type_letter == "A":
-        return "".join(str(x) for x in group.one_line(w))
+        return one_line_str(group.one_line(w))
     return word_str(w.word)
 
 

@@ -407,23 +407,14 @@ class WeylGroup:
         return tuple(out)
 
     def from_one_line(self, perm) -> WeylElement:
+        """The element with one-line notation ``perm``, found by the descent
+        walk from the labels of w rho, which are w^{-1}(j+1) - w^{-1}(j)."""
         if self.type_letter != "A":
             raise ValueError("one-line notation is a type A concept")
-        n = self.rank + 1
-        perm = check_permutation(perm, n)
-        word = []
-        work = list(perm)
-        # bubble sort; recorded swaps give a reduced word read right-to-left
-        changed = True
-        while changed:
-            changed = False
-            for i in range(n - 1):
-                if work[i] > work[i + 1]:
-                    work[i], work[i + 1] = work[i + 1], work[i]
-                    word.append(i + 1)
-                    changed = True
-        word.reverse()
-        return self.element(tuple(word))
+        perm = check_permutation(perm, self.rank + 1)
+        inv = {v: i for i, v in enumerate(perm, 1)}
+        labels = tuple(inv[j + 1] - inv[j] for j in range(1, len(perm)))
+        return self.element_with_rho_labels(labels)
 
     def __repr__(self):
         return f"WeylGroup({self.datum.name})"

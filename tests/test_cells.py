@@ -15,6 +15,7 @@ from schubcells.cells import (
 from schubcells.patterns import generic_pattern, random_acceptable
 from schubcells.plucker import (
     WeightOrdering,
+    orbit_table,
     standard_ordering,
     subset_of,
     weight_from_subset,
@@ -58,6 +59,27 @@ def test_variety_equations_cut_out_the_order_ideal():
             for v in g.elements():
                 ok = verify_description(d, generic_pattern(g, v))
                 assert ok == g.bruhat_leq(v, w)
+
+
+def oracle_variety_equations(g, w):
+    """The per-level loop that ``variety_equations`` replaced: each orbit
+    weight whose up-mask misses w omega_i, level by level."""
+    eqs = []
+    for i in range(1, g.rank + 1):
+        table = orbit_table(g, i)
+        jw = table.position(w)
+        ups = table.up_masks()
+        eqs.extend(pw for k, pw in enumerate(table.weights) if not ups[k] >> jw & 1)
+    return tuple(eqs)
+
+
+@pytest.mark.parametrize(
+    "spec", ("A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4", "D4", "G2")
+)
+def test_variety_equations_match_the_per_level_oracle(spec):
+    g = weyl_group(spec)
+    for w in g.elements():
+        assert variety_equations(g, w).equalities == oracle_variety_equations(g, w)
 
 
 # ----- general description -----------------------------------------------------------

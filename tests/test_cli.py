@@ -202,6 +202,18 @@ def test_bounds_commands(capsys):
     assert code == 1
 
 
+def test_bounds_witness_one_line_reads_back_past_9(capsys):
+    code, out, _ = run(capsys, "bounds", "--witness", "3", "--format", "json")
+    assert code == 0
+    data = json.loads(out)
+    assert data["w"] == "6,5,4,3,2,1,12,11,10,9,8,7"
+    parsed = {tuple(map(int, text.split(","))) for text in [data["w"], *data["witnesses"]]}
+    assert len(parsed) == 401
+    assert all(sorted(p) == list(range(1, 13)) for p in parsed)
+    code, out, _ = run(capsys, "bounds", "--witness", "2", "--format", "json")
+    assert json.loads(out)["w"] == "43218765"
+
+
 @pytest.mark.parametrize("w", ["12", "4321", "113"])
 def test_bounds_defining_rejects_non_permutation(capsys, w):
     code, out, err = run(capsys, "bounds", "--defining", w, "3")

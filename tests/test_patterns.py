@@ -2,14 +2,17 @@
 degeneration poset, and the certified realizable sets."""
 
 import json
+from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from schubcells import perms
 from schubcells.errors import UnacceptableInputError
-from schubcells.flags import type_a_group
+from schubcells.flags import flag_from_columns, proper_subsets, type_a_group
 from schubcells.patterns import (
     VanishingPattern,
+    _realize,
     check_acceptable,
     coordinate_flag_pattern,
     generic_pattern,
@@ -36,8 +39,6 @@ def test_pattern_totality():
     g = weyl_group("A2")
     with pytest.raises(ValueError):
         VanishingPattern(g, (1, 0, 0))
-    with pytest.raises(ValueError):
-        VanishingPattern.from_dict(g, {})
 
 
 def test_check_acceptable_generic():
@@ -159,6 +160,57 @@ def test_realizable_full_counts():
         assert rep.accepted and rep.witness == witness
     with pytest.raises(ValueError):
         realizable_full_patterns(4)
+
+
+def oracle_realize(n, by_subset):
+    """The hand-rolled search that ``_realize`` replaced: Fraction columns,
+    level-2 minors and the determinant expanded by hand."""
+    c1 = tuple(Fraction(by_subset[frozenset({j})]) for j in range(1, n + 1))
+    if n == 2:
+        for c2 in ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))):
+            if c1[0] * c2[1] - c1[1] * c2[0] != 0:
+                return flag_from_columns((c1, c2))
+        return None
+    level2 = [I for I in by_subset if len(I) == 2]
+    for c2 in product(range(-2, 3), repeat=3):
+        if not any(c2):
+            continue
+        c2f = tuple(Fraction(x) for x in c2)
+        ok = True
+        for I in level2:
+            a, b = sorted(I)
+            m = c1[a - 1] * c2f[b - 1] - c1[b - 1] * c2f[a - 1]
+            if (m != 0) != bool(by_subset[I]):
+                ok = False
+                break
+        if not ok:
+            continue
+        for k in range(3):
+            c3 = tuple(Fraction(1 if j == k else 0) for j in range(3))
+            det = (
+                c1[0] * (c2f[1] * c3[2] - c2f[2] * c3[1])
+                - c1[1] * (c2f[0] * c3[2] - c2f[2] * c3[0])
+                + c1[2] * (c2f[0] * c3[1] - c2f[1] * c3[0])
+            )
+            if det != 0:
+                return flag_from_columns((c1, c2f, c3))
+    return None
+
+
+@pytest.mark.parametrize("n", (2, 3))
+def test_realize_matches_the_hand_rolled_oracle(n):
+    """Same flag matrix (or the same None) on every bit vector, realizable
+    or not."""
+    def matrix(flag):
+        return None if flag is None else flag.matrix
+
+    subsets = list(proper_subsets(n))
+    for bits in product((0, 1), repeat=len(subsets)):
+        by_subset = dict(zip(subsets, bits))
+        assert matrix(_realize(n, by_subset)) == matrix(oracle_realize(n, by_subset))
+    for pat, _witness, flag in realizable_full_patterns(n):
+        by_subset = {subset_of(pw): bit for pw, bit in pat.as_dict().items()}
+        assert flag.matrix == oracle_realize(n, by_subset).matrix
 
 
 def test_realizable_restricted_eleven():

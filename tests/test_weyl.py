@@ -7,6 +7,7 @@ coset enumeration, brute-force word searches) and then frozen.
 """
 
 import math
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -130,6 +131,43 @@ def test_one_line_round_trip():
             assert g.from_one_line(g.one_line(w)) == w
         for p in perms.all_perms(n):
             assert g.one_line(g.from_one_line(p)) == p
+
+
+def oracle_from_one_line(g, perm):
+    """The bubble-sort parser that ``from_one_line`` replaced: the recorded
+    swaps, read right to left, are a reduced word of the permutation."""
+    word, work = [], list(perm)
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(work) - 1):
+            if work[i] > work[i + 1]:
+                work[i], work[i + 1] = work[i + 1], work[i]
+                word.append(i + 1)
+                changed = True
+    return g.element(tuple(reversed(word)))
+
+
+def _assert_parses_like_oracle(g, perm):
+    got, want = g.from_one_line(perm), oracle_from_one_line(g, perm)
+    assert (got.word, got.fingerprint) == (want.word, want.fingerprint)
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_from_one_line_matches_bubble_sort_oracle_on_all_of_sn(n):
+    g = weyl_group("A", n - 1)
+    for p in perms.all_perms(n):
+        _assert_parses_like_oracle(g, p)
+
+
+@pytest.mark.parametrize("n", (8, 9))
+def test_from_one_line_matches_bubble_sort_oracle_on_sampled_sn(n):
+    g = weyl_group("A", n - 1)
+    rng = random.Random(n)
+    for _ in range(2000):
+        p = list(range(1, n + 1))
+        rng.shuffle(p)
+        _assert_parses_like_oracle(g, tuple(p))
 
 
 # ----- length and descents -------------------------------------------------------------
