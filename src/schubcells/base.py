@@ -8,12 +8,15 @@ subset with that property.  For a Weyl group under Bruhat order every base
 element has a unique left and a unique right descent; attaching to each base
 element u (with right descent i) the weight u omega_i yields the minimal set
 of Plucker coordinates whose generic vanishing pattern identifies a cell.
+They are the bases of the orbit posets W omega_i (see weyl_base), so no
+poset on W is built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .patterns import element_of_weights, generic_pattern
 from .plucker import PluckerWeight, ones, orbit_table, weight_of
 from .weyl import WeylElement, WeylGroup
 
@@ -63,14 +66,8 @@ class FinitePoset:
     def __len__(self):
         return len(self.elements)
 
-    def index(self, x) -> int:
-        return self.elements.index(x)
-
     def leq_idx(self, a: int, b: int) -> bool:
         return bool(self.up[a] >> b & 1)
-
-    def leq(self, x, y) -> bool:
-        return self.leq_idx(self.index(x), self.index(y))
 
 
 def supremum_idx(P: FinitePoset, Q) -> int | None:
@@ -85,7 +82,7 @@ def supremum_idx(P: FinitePoset, Q) -> int | None:
 
 def supremum(P: FinitePoset, Q):
     """Least upper bound of a subset of elements, or None."""
-    idx = supremum_idx(P, [P.index(q) for q in Q])
+    idx = supremum_idx(P, [P.elements.index(q) for q in Q])
     return None if idx is None else P.elements[idx]
 
 
@@ -93,15 +90,19 @@ def poset_base_indices(P: FinitePoset) -> list[int]:
     """Indices of the elements not expressible as a supremum of others.
 
     ``a`` is such a supremum iff sup(strict lower set of a) = a, which holds
-    iff the upper bounds of that lower set are exactly the up-set of a.
+    iff the upper bounds of that lower set are exactly the up-set of a.  An
+    element's upper bounds include those of every element it is above, so
+    each pick drops its own lower set; picking the highest index first takes
+    only the lower covers when indices extend the order.
     """
     n = len(P)
-    full = (1 << n) - 1
     out = []
     for a in range(n):
-        ub = full
-        for k in ones(P.down[a] & ~(1 << a)):
+        ub, rest = (1 << n) - 1, P.down[a] & ~(1 << a)
+        while rest:
+            k = rest.bit_length() - 1
             ub &= P.up[k]
+            rest &= ~P.down[k]
         if ub != P.up[a]:
             out.append(a)
     return out
@@ -118,51 +119,36 @@ class BaseElement:
     right_descent: int
 
 
-def bruhat_poset(group: WeylGroup) -> FinitePoset:
-    """Bruhat order on the enumerated group by Deodhar's criterion [BB05 2.6]:
-    u <= v iff u omega_i <= v omega_i for every level i.  Each orbit up-set
-    is pulled back to W through the fibres of w -> w omega_i."""
-    if group.poset is not None:
-        return group.poset
-    elems = group.elements()
-    up = [(1 << len(elems)) - 1] * len(elems)
-    for i in range(1, group.rank + 1):
-        table = orbit_table(group, i)
-        pos = [table.position(w) for w in elems]
-        fibre = [0] * len(table)
-        for j, k in enumerate(pos):
-            fibre[k] |= 1 << j
-        # fibres are disjoint, so their sum is their union
-        pulled = [sum(fibre[k] for k in ones(m)) for m in table.up_masks()]
-        up = [u & pulled[k] for u, k in zip(up, pos)]
-    group.poset = FinitePoset(elems, up)
-    return group.poset
-
-
 def weyl_base(group: WeylGroup) -> tuple[BaseElement, ...]:
-    """The base of the Bruhat order, with the (unique) descent data."""
+    """The base of the Bruhat order, with the (unique) descent data, in
+    (length, word) order, read off the orbit tables without enumerating W.
+
+    Every base element b is bigrassmannian [LS96, GK97].  With right descent
+    i it is the minimal representative of its coset in W/W_J, J = S - {i},
+    so z >= b iff z omega_i >= b omega_i.  An upper bound of everything below
+    b that is not above b may be replaced by the top of its J-coset (lifting
+    property), and coset tops compare as their orbit entries.  So b is in the
+    base of W iff b omega_i is in the base of the orbit poset W omega_i.
+    """
     if group.base is not None:
         return group.base
-    P = bruhat_poset(group)
     members = []
-    for idx in poset_base_indices(P):
-        w = P.elements[idx]
-        left = group.left_descents(w)
-        right = group.right_descents(w)
-        if len(left) != 1 or len(right) != 1:
-            raise RuntimeError(
-                f"base element {w.word} has descents L={sorted(left)} R={sorted(right)}"
-            )
-        members.append(BaseElement(w, min(left), min(right)))
+    for i in range(1, group.rank + 1):
+        table = orbit_table(group, i)
+        for k in poset_base_indices(FinitePoset(table.weights, table.up_masks())):
+            w = table.weights[k].min_rep  # its right descent is i
+            left = group.left_descents(w)
+            if len(left) != 1:
+                raise RuntimeError(f"base element {w.word} has left descents {sorted(left)}")
+            members.append(BaseElement(w, min(left), i))
+    members.sort(key=lambda b: (b.element.length, b.element.word))
     group.base = tuple(members)
     return group.base
 
 
 def base_weights(group: WeylGroup) -> tuple[PluckerWeight, ...]:
     """One Plucker weight per base element, through its right descent."""
-    return tuple(
-        weight_of(group, b.element, b.right_descent) for b in weyl_base(group)
-    )
+    return tuple(weight_of(group, b.element, b.right_descent) for b in weyl_base(group))
 
 
 def bigrassmannian_typeA(n: int):
@@ -188,35 +174,46 @@ def bigrassmannian_typeA(n: int):
 def generic_recognize_from_base(group: WeylGroup, bits) -> WeylElement | None:
     """Invert a restriction of a generic pattern to the base weights.
 
-    ``bits`` maps each base weight to 0/1.  Returns the unique w whose base
-    lower set matches the 1-bits, or None when no element matches.
+    ``bits`` maps each base weight to 0/1.  The base weights of level i
+    separate the orbit W omega_i, so ANDing their up-sets (1-bits) and the
+    complements (0-bits) leaves at most one entry, w omega_i; w is read off
+    the picked weights.  Returns None when no element matches.
     """
     weights = base_weights(group)
-    base = weyl_base(group)
     missing = [pw for pw in weights if pw not in bits]
     if missing:
         raise ValueError(f"bits missing for {len(missing)} base weights")
-    P = bruhat_poset(group)
-    n = len(P)
-    candidates = (1 << n) - 1
-    for b, pw in zip(base, weights):
-        mask = P.up[P.index(b.element)]
-        candidates &= mask if bits[pw] else ~mask
-    matches = [P.elements[k] for k in ones(candidates)]
-    if len(matches) > 1:
-        raise RuntimeError("base lower-sets failed to separate group elements")
-    return matches[0] if matches else None
+    picked = []
+    for i in range(1, group.rank + 1):
+        table = orbit_table(group, i)
+        ups = table.up_masks()
+        candidates = (1 << len(table)) - 1
+        for pw in weights:
+            if pw.level == i:
+                candidates &= ups[pw.index] if bits[pw] else ~ups[pw.index]
+        if candidates & (candidates - 1):
+            raise RuntimeError("base lower-sets failed to separate orbit entries")
+        if not candidates:
+            return None
+        picked.append(table.weights[candidates.bit_length() - 1])
+    return element_of_weights(group, picked)
 
 
-def _base_signatures(group: WeylGroup, skip: int | None = None):
-    P = bruhat_poset(group)
-    base = weyl_base(group)
-    masks = [
-        P.up[P.index(b.element)] for i, b in enumerate(base) if i != skip
-    ]
-    return P, [
-        tuple(1 if m >> k & 1 else 0 for m in masks) for k in range(len(P))
-    ]
+def _generic_masks(group: WeylGroup) -> list[tuple[int, int]]:
+    """Per element of W, its generic pattern as a bitmask over all weights and
+    as one over the base weights.  u <= v iff the full pattern of u is
+    contained in that of v (Deodhar's criterion)."""
+    weights = base_weights(group)
+    pats = [generic_pattern(group, w) for w in group.elements()]
+    return [(int("".join(map(str, p.bits)), 2), sum(p.bit(c) << j for j, c in enumerate(weights)))
+            for p in pats]
+
+
+def _deletion_minimal(group: WeylGroup, holds) -> bool:
+    """holds(kept) for the mask of all base weights, and for no mask that
+    drops a single one."""
+    keep = (1 << len(weyl_base(group))) - 1
+    return holds(keep) and not any(holds(keep & ~(1 << j)) for j in range(keep.bit_length()))
 
 
 def minimality_check(group: WeylGroup) -> bool:
@@ -227,35 +224,16 @@ def minimality_check(group: WeylGroup) -> bool:
     embedding_minimality_check); deletion-minimality under mere separation is
     a type A phenomenon and fails already for B2.
     """
-    _, signatures = _base_signatures(group)
-    n = len(signatures)
-    if len(set(signatures)) != n:
-        return False
-    for drop in range(len(weyl_base(group))):
-        _, reduced = _base_signatures(group, skip=drop)
-        if len(set(reduced)) == n:
-            return False
-    return True
-
-
-def _is_order_embedding(P: FinitePoset, signatures) -> bool:
-    sets = [frozenset(j for j, b in enumerate(sig) if b) for sig in signatures]
-    n = len(P)
-    for a in range(n):
-        for b in range(n):
-            if P.leq_idx(a, b) != (sets[a] <= sets[b]):
-                return False
-    return True
+    restricted = [r for _, r in _generic_masks(group)]
+    return _deletion_minimal(
+        group, lambda kept: len({r & kept for r in restricted}) == len(restricted)
+    )
 
 
 def embedding_minimality_check(group: WeylGroup) -> bool:
     """The base weights embed the group order into the Boolean lattice, and
     no single deletion preserves the embedding."""
-    P, signatures = _base_signatures(group)
-    if not _is_order_embedding(P, signatures):
-        return False
-    for drop in range(len(weyl_base(group))):
-        _, reduced = _base_signatures(group, skip=drop)
-        if _is_order_embedding(P, reduced):
-            return False
-    return True
+    masks = _generic_masks(group)
+    return _deletion_minimal(group, lambda kept: all(
+        (fu & ~fv == 0) == (ru & ~rv & kept == 0) for fu, ru in masks for fv, rv in masks
+    ))

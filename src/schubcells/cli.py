@@ -368,9 +368,10 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("plain", "json", "dot"), default="plain")
 
     p = sub.add_parser("bounds", help="lower-bound constructions")
-    p.add_argument("--witness", type=int)
-    p.add_argument("--feedback-free", type=int, dest="feedback_free")
-    p.add_argument("--defining", nargs=2, metavar=("W", "N"))
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--witness", type=int)
+    mode.add_argument("--feedback-free", type=int, dest="feedback_free")
+    mode.add_argument("--defining", nargs=2, metavar=("W", "N"))
     p.add_argument("--format", choices=("plain", "json"), default="plain")
 
     p = sub.add_parser("economical", help="economical indices and orderings")

@@ -97,14 +97,22 @@ def check_acceptable(pattern: VanishingPattern) -> AcceptabilityReport:
         top = table.weights[maximal[0]]
         per_level[i] = top
         maxima.append(top)
-    # sum of the maxima = w rho for the witness w, if there is one
-    total = [sum(col) for col in zip(*(pw.labels for pw in maxima))]
-    w = group.element_with_rho_labels(tuple(total))
-    if w is None or any(
-        orbit_table(group, pw.level).position(w) != pw.index for pw in maxima
-    ):
+    w = element_of_weights(group, maxima)
+    if w is None:
         return AcceptabilityReport(False, per_level, None, "no_common_w")
     return AcceptabilityReport(True, per_level, w, None)
+
+
+def element_of_weights(group: WeylGroup, weights) -> WeylElement | None:
+    """The w with w omega_i = pw for the weight pw of each level i, or None:
+    a descent walk on the summed labels, which are w rho, finds the one w."""
+    total = tuple(map(sum, zip(*(pw.labels for pw in weights))))
+    w = group.element_with_rho_labels(total)
+    if w is None or any(
+        orbit_table(group, pw.level).position(w) != pw.index for pw in weights
+    ):
+        return None
+    return w
 
 
 def generic_pattern(group: WeylGroup, w: WeylElement) -> VanishingPattern:

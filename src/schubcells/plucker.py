@@ -10,7 +10,8 @@ of every generator on orbit indices, so the index of w omega_i is w's word
 folded through integer tables.  A weight is known by its Dynkin labels, which
 are injective on an orbit, so s_alpha omega_i is found by ``by_labels``.
 The tables are the one Bruhat engine: the order on W is the intersection of
-the orbit orders (``WeylGroup.bruhat_leq``, ``base.bruhat_poset``).
+the orbit orders (``WeylGroup.bruhat_leq``), and the base of W is read off
+their bases (``base.weyl_base``).
 """
 
 from __future__ import annotations

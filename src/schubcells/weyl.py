@@ -155,7 +155,6 @@ class WeylGroup:
         self.economical: dict[tuple[int, ...], bool] = {}  # plucker: order -> verdict
         self.root_plans: dict[tuple[int, ...], tuple] = {}  # cells: order -> root plan
         self.scan_plans: dict[tuple, list] = {}  # recognition: (order, pos, fp) -> plan
-        self.poset = None  # base.bruhat_poset
         self.base: tuple | None = None  # base.weyl_base
 
     # ----- action on Dynkin labels -------------------------------------------

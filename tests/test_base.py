@@ -1,18 +1,20 @@
 """Poset bases, Weyl group bases, bigrassmannian permutations, and
 feedback-free generic recognition."""
 
+import random
 from itertools import combinations
 from math import comb
 
 import pytest
+from bruhat_oracle import bruhat_poset
 
 from schubcells import perms
 from schubcells.base import (
+    BaseElement,
     embedding_minimality_check,
     FinitePoset,
     base_weights,
     bigrassmannian_typeA,
-    bruhat_poset,
     generic_recognize_from_base,
     minimality_check,
     poset_base,
@@ -20,11 +22,17 @@ from schubcells.base import (
     supremum,
     weyl_base,
 )
+from schubcells.cartan import cartan_datum, weyl_order
 from schubcells.patterns import generic_pattern
 from schubcells.plucker import subset_of
-from schubcells.weyl import weyl_group
+from schubcells.weyl import WeylGroup, weyl_group
 
 RANK4_GROUPS = ("A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4", "G2", "D4")
+ORACLE_GROUPS = tuple(
+    f"{t}{r}" for t, ranks in (("A", range(1, 9)), ("B", range(2, 9)), ("C", range(2, 9)),
+                               ("D", range(4, 9)), ("G", (2,)))
+    for r in ranks if weyl_order(t, r) <= 4000
+)
 
 
 def chain_poset(k):
@@ -139,6 +147,40 @@ def test_weyl_base_frozen_sizes():
     assert len(weyl_base(weyl_group("B3"))) == 19
     assert len(weyl_base(weyl_group("G2"))) == 10
     assert len(weyl_base(weyl_group("D4"))) == 29
+
+
+@pytest.mark.parametrize("spec", ORACLE_GROUPS)
+def test_weyl_base_is_the_base_of_the_bruhat_poset(spec):
+    # the union of the orbit-poset bases against the base of the order on W
+    g = WeylGroup(cartan_datum(spec[0], int(spec[1:])))
+    P = bruhat_poset(g)
+    expect = tuple(
+        BaseElement(w, min(g.left_descents(w)), min(g.right_descents(w)))
+        for w in (P.elements[k] for k in poset_base_indices(P))
+    )
+    assert [b.element.word for b in expect] == sorted(
+        (b.element.word for b in expect), key=lambda word: (len(word), word)
+    )
+    assert weyl_base(g) == expect
+
+
+@pytest.mark.parametrize("spec, size", [("B8", 344), ("D8", 315), ("A6", comb(8, 3)),
+                                        ("A7", comb(9, 3)), ("A8", comb(10, 3))])
+def test_weyl_base_never_enumerates_the_group(spec, size):
+    g = WeylGroup(cartan_datum(spec[0], int(spec[1:])))
+    assert len(weyl_base(g)) == len(set(base_weights(g))) == size
+    assert g._elements is None
+
+
+def test_generic_recognize_from_base_without_enumeration():
+    g = WeylGroup(cartan_datum("B", 6))
+    bw = base_weights(g)
+    rng = random.Random(13)
+    for _ in range(20):
+        w = g.element(tuple(rng.randint(1, 6) for _ in range(rng.randint(0, 40))))
+        pat = generic_pattern(g, w)
+        assert generic_recognize_from_base(g, {pw: pat.bit(pw) for pw in bw}) == w
+    assert g._elements is None
 
 
 @pytest.mark.parametrize("spec", RANK4_GROUPS)

@@ -214,6 +214,19 @@ def test_bounds_witness_one_line_reads_back_past_9(capsys):
     assert json.loads(out)["w"] == "43218765"
 
 
+@pytest.mark.parametrize("argv", [
+    ("--defining", "123", "3", "--witness", "1"),
+    ("--witness", "1", "--feedback-free", "3"),
+    ("--feedback-free", "3", "--defining", "21", "2"),
+])
+def test_bounds_modes_are_exclusive(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(["bounds", *argv])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert "not allowed with argument" in captured.err
+
+
 @pytest.mark.parametrize("w", ["12", "4321", "113"])
 def test_bounds_defining_rejects_non_permutation(capsys, w):
     code, out, err = run(capsys, "bounds", "--defining", w, "3")

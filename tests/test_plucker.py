@@ -495,7 +495,7 @@ def test_fresh_group_is_freed_with_its_tables():
         assert build_decision_tree(g).depth == 9
         assert len(weyl_base(g)) == 19
         tables = (g.orbit_tables, g.all_weights, g.level_offsets, g.economical,
-                  g.root_plans, g.scan_plans, g.poset, g.base)
+                  g.root_plans, g.scan_plans, g.base)
         assert all(t is not None and len(t) for t in tables)
         return weakref.ref(g)
 

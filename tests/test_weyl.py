@@ -13,9 +13,9 @@ from itertools import product
 
 import pytest
 from ambient import ambient, dot
+from bruhat_oracle import bruhat_poset
 
 from schubcells import perms
-from schubcells.base import bruhat_poset
 from schubcells.cartan import cartan_datum, parse_group_spec, weyl_order
 from schubcells.errors import UnsupportedGroupError
 from schubcells.plucker import orbit_table
