@@ -9,14 +9,15 @@ element has a unique left and a unique right descent; attaching to each base
 element u (with right descent i) the weight u omega_i yields the minimal set
 of Plucker coordinates whose generic vanishing pattern identifies a cell.
 They are the bases of the orbit posets W omega_i (see weyl_base), so no
-poset on W is built.
+poset on W is built: each orbit poset is its table's up- and down-masks, and
+a generic pattern is one down-mask per level.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .patterns import element_of_weights, generic_pattern
+from .patterns import VanishingPattern, element_of_weights, generic_pattern
 from .plucker import PluckerWeight, ones, orbit_table, weight_of
 from .weyl import WeylElement, WeylGroup
 
@@ -86,8 +87,9 @@ def supremum(P: FinitePoset, Q):
     return None if idx is None else P.elements[idx]
 
 
-def poset_base_indices(P: FinitePoset) -> list[int]:
-    """Indices of the elements not expressible as a supremum of others.
+def poset_base_indices(up: list[int], down: list[int]) -> list[int]:
+    """Indices of the elements not expressible as a supremum of others, in a
+    poset given by its up-set and down-set bitmasks.
 
     ``a`` is such a supremum iff sup(strict lower set of a) = a, which holds
     iff the upper bounds of that lower set are exactly the up-set of a.  An
@@ -95,21 +97,21 @@ def poset_base_indices(P: FinitePoset) -> list[int]:
     each pick drops its own lower set; picking the highest index first takes
     only the lower covers when indices extend the order.
     """
-    n = len(P)
+    n = len(up)
     out = []
     for a in range(n):
-        ub, rest = (1 << n) - 1, P.down[a] & ~(1 << a)
+        ub, rest = (1 << n) - 1, down[a] & ~(1 << a)
         while rest:
             k = rest.bit_length() - 1
-            ub &= P.up[k]
-            rest &= ~P.down[k]
-        if ub != P.up[a]:
+            ub &= up[k]
+            rest &= ~down[k]
+        if ub != up[a]:
             out.append(a)
     return out
 
 
 def poset_base(P: FinitePoset) -> list:
-    return [P.elements[a] for a in poset_base_indices(P)]
+    return [P.elements[a] for a in poset_base_indices(P.up, P.down)]
 
 
 @dataclass(frozen=True)
@@ -129,13 +131,14 @@ def weyl_base(group: WeylGroup) -> tuple[BaseElement, ...]:
     b that is not above b may be replaced by the top of its J-coset (lifting
     property), and coset tops compare as their orbit entries.  So b is in the
     base of W iff b omega_i is in the base of the orbit poset W omega_i.
+    The tables' masks are not re-validated: the tests pin them to an oracle.
     """
     if group.base is not None:
         return group.base
     members = []
     for i in range(1, group.rank + 1):
         table = orbit_table(group, i)
-        for k in poset_base_indices(FinitePoset(table.weights, table.up_masks())):
+        for k in poset_base_indices(table.up_masks(), table.down_masks()):
             w = table.weights[k].min_rep  # its right descent is i
             left = group.left_descents(w)
             if len(left) != 1:
@@ -199,14 +202,13 @@ def generic_recognize_from_base(group: WeylGroup, bits) -> WeylElement | None:
     return element_of_weights(group, picked)
 
 
-def _generic_masks(group: WeylGroup) -> list[tuple[int, int]]:
-    """Per element of W, its generic pattern as a bitmask over all weights and
-    as one over the base weights.  u <= v iff the full pattern of u is
+def _generic_masks(group: WeylGroup) -> list[tuple[VanishingPattern, int]]:
+    """Per element of W, its generic pattern and that pattern's restriction
+    to the base weights as a bitmask.  u <= v iff the pattern of u is
     contained in that of v (Deodhar's criterion)."""
     weights = base_weights(group)
     pats = [generic_pattern(group, w) for w in group.elements()]
-    return [(int("".join(map(str, p.bits)), 2), sum(p.bit(c) << j for j, c in enumerate(weights)))
-            for p in pats]
+    return [(p, sum(p.bit(c) << j for j, c in enumerate(weights))) for p in pats]
 
 
 def _deletion_minimal(group: WeylGroup, holds) -> bool:
@@ -234,6 +236,7 @@ def embedding_minimality_check(group: WeylGroup) -> bool:
     """The base weights embed the group order into the Boolean lattice, and
     no single deletion preserves the embedding."""
     masks = _generic_masks(group)
+    pairs = [(ru, rv, pu <= pv) for pu, ru in masks for pv, rv in masks]
     return _deletion_minimal(group, lambda kept: all(
-        (fu & ~fv == 0) == (ru & ~rv & kept == 0) for fu, ru in masks for fv, rv in masks
+        (ru & ~rv & kept == 0) == below for ru, rv, below in pairs
     ))

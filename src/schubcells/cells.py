@@ -69,8 +69,8 @@ class VarietyDescription:
 def variety_equations(group: WeylGroup, w: WeylElement) -> VarietyDescription:
     """All Plucker weights not below the per-level maxima of w: the zeros of
     the generic pattern of w, in ``all_weights`` order."""
-    bits = generic_pattern(group, w).bits
-    return VarietyDescription(w, tuple(pw for pw, b in zip(all_weights(group), bits) if not b))
+    pattern = generic_pattern(group, w)
+    return VarietyDescription(w, tuple(pw for pw in all_weights(group) if not pattern.bit(pw)))
 
 
 def cell_description_general(
@@ -85,10 +85,10 @@ def cell_description_general(
     for pos in range(group.rank):
         table = orbit_table(group, ordering.order[pos])
         top = table.position(w)
-        up = table.up_masks()[top]
+        down = table.down_masks()
         indices, _words = table.suborbit(ordering.tail(pos))
         coset = {table.act(w.word, k) for k in indices}
-        eqs.extend(table.weights[k] for k in sorted(coset) if k != top and up >> k & 1)
+        eqs.extend(table.weights[k] for k in sorted(coset) if k != top and down[k] >> top & 1)
     return CellDescription(w, tuple(eqs), tuple(ineqs), ordering)
 
 

@@ -20,7 +20,6 @@ from .errors import UnacceptableInputError, UnsupportedGroupError
 from .perms import one_line_str
 from .plucker import (
     WeightOrdering,
-    is_economical_index,
     is_economical_ordering,
     orbit_size,
     roots_R,
@@ -55,7 +54,7 @@ def _weights_plain(group, pws) -> str:
 def _cmd_describe(args, variety: bool) -> int:
     group = weyl_group(args.group)
     w = _parse_element(group, args.w)
-    if variety or args.variety:
+    if variety:
         desc = cells.variety_equations(group, w)
     elif group.type_letter == "D":
         desc = cells.cell_description_typeD(group, w)
@@ -294,14 +293,10 @@ def _cmd_economical(args) -> int:
         ordering = standard_ordering(group)
     rows = []
     for i in range(1, group.rank + 1):
-        rows.append(
-            {
-                "index": i,
-                "orbit_size": orbit_size(group, i),
-                "roots": len(roots_R(group, i)),
-                "economical": is_economical_index(group, i),
-            }
-        )
+        # one orbit BFS per level: is_economical_index's test, on the printed counts
+        size, roots = orbit_size(group, i), len(roots_R(group, i))
+        rows.append({"index": i, "orbit_size": size, "roots": roots,
+                     "economical": 1 + roots == size})
     ordering_ok = is_economical_ordering(group, ordering)
     if args.format == "json":
         print(
@@ -338,7 +333,6 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("describe", help="short description of a cell")
     p.add_argument("--group", required=True)
     p.add_argument("--w", required=True)
-    p.add_argument("--variety", action="store_true", help="describe the closed variety")
     p.add_argument("--format", choices=("plain", "json"), default="plain")
 
     p = sub.add_parser("describe-variety", help="defining equations of a variety")

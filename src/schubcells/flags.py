@@ -25,7 +25,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .perms import check_permutation
-from .plucker import all_weights, subset_of, subset_str
+from .plucker import orbit, subset_of, subset_str
 from .weyl import WeylGroup, weyl_group
 
 def type_a_group(n: int) -> WeylGroup:
@@ -87,15 +87,19 @@ class Flag:
             if not 1 <= r <= n:
                 raise ValueError(f"subset {sorted(rows)} not within [1, {n}]")
             mask |= 1 << (r - 1)
+        if mask.bit_count() != len(rows):
+            rows = sorted(rows)
+            repeated = next(a for a, b in zip(rows, rows[1:]) if a == b)
+            raise ValueError(f"row {repeated} repeated in {rows}")
         return mask
 
     def nonzero(self, rows) -> bool:
-        """Whether the minor on row set ``rows`` (1-based) and columns
-        [1, |rows|] is nonzero, read off the integer table."""
+        """Whether the minor on the distinct rows ``rows`` (1-based) and
+        columns [1, |rows|] is nonzero, read off the integer table."""
         return self._minors[self._mask(rows)] != 0
 
     def minor(self, rows) -> Fraction:
-        """Minor on row set ``rows`` and columns [1, |rows|] (1-based)."""
+        """Minor on the distinct rows ``rows`` and columns [1, |rows|], 1-based."""
         mask = self._mask(rows)
         return Fraction(self._minors[mask], self._scales[mask.bit_count()])
 
@@ -145,7 +149,10 @@ def vanishing_pattern(x: Flag, group: WeylGroup | None = None):
 
     if group is None:
         group = type_a_group(x.n)
-    return VanishingPattern(group, tuple(x.nonzero(subset_of(pw)) for pw in all_weights(group)))
+    return VanishingPattern.from_levels(group, (
+        sum(1 << pw.index for pw in orbit(group, i) if x.nonzero(subset_of(pw)))
+        for i in range(1, group.rank + 1)
+    ))
 
 
 MAX_SAMPLE_RETRIES = 64

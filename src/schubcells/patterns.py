@@ -2,6 +2,11 @@
 patterns, random acceptable vectors, restriction, the degeneration poset of
 restricted patterns, and the certified realizable sets at small n, each
 pattern realized by an integer flag whose minors ``flags.Flag`` computes.
+
+A pattern is one int per level in the format of the orbit tables' interval
+masks, so the generic pattern of w is the down-masks of the w omega_i.  Only
+this module knows the flat layout, which ``VanishingPattern`` takes as input
+and reads back out as ``bits``.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from .errors import UnacceptableInputError
 from .plucker import (
     PluckerWeight,
     all_weights,
-    level_offsets,
+    ones,
     orbit_table,
     subset_of,
     weight_from_subset,
@@ -26,20 +31,44 @@ from .weyl import WeylElement, WeylGroup
 
 
 class VanishingPattern:
-    """One bit per Plucker weight, total over all levels of the group."""
+    """One bit per Plucker weight, total over all levels of the group, held
+    as ``levels``: bit k of ``levels[i - 1]`` is the bit of weight k of the
+    level-i orbit table.  The constructor validates flat bits in
+    ``all_weights`` order; ``from_levels`` takes the per-level ints."""
 
-    __slots__ = ("group", "bits", "offsets")
+    __slots__ = ("group", "levels")
 
-    def __init__(self, group: WeylGroup, bits: tuple[int, ...]):
+    def __init__(self, group: WeylGroup, bits):
         weights = all_weights(group)
         if len(bits) != len(weights):
             raise ValueError("pattern must assign a bit to every Plucker weight")
+        levels = [0] * group.rank
+        for pw, b in zip(weights, bits):
+            if b:
+                levels[pw.level - 1] |= 1 << pw.index
         self.group = group
-        self.bits = tuple(1 if b else 0 for b in bits)
-        self.offsets = level_offsets(group)
+        self.levels = tuple(levels)
+
+    @classmethod
+    def from_levels(cls, group: WeylGroup, levels) -> "VanishingPattern":
+        """The pattern whose level-i 1-set is the int ``levels[i - 1]``."""
+        levels = tuple(levels)
+        if len(levels) != group.rank or any(
+            not 0 <= m < 1 << len(orbit_table(group, i)) for i, m in enumerate(levels, 1)
+        ):
+            raise ValueError("pattern must hold one orbit mask per level")
+        pattern = object.__new__(cls)
+        pattern.group = group
+        pattern.levels = levels
+        return pattern
+
+    @property
+    def bits(self) -> tuple[int, ...]:
+        """The bits in ``all_weights`` order."""
+        return tuple(self.bit(pw) for pw in all_weights(self.group))
 
     def bit(self, pw: PluckerWeight) -> int:
-        return self.bits[self.offsets[pw.level] + pw.index]
+        return self.levels[pw.level - 1] >> pw.index & 1
 
     def as_dict(self) -> dict[PluckerWeight, int]:
         return dict(zip(all_weights(self.group), self.bits))
@@ -47,15 +76,19 @@ class VanishingPattern:
     def restrict(self, coords) -> tuple[int, ...]:
         return tuple(self.bit(pw) for pw in coords)
 
+    def __le__(self, other: "VanishingPattern") -> bool:
+        """Containment of the 1-sets, level by level."""
+        return all(a & ~b == 0 for a, b in zip(self.levels, other.levels))
+
     def __eq__(self, other):
         return (
             isinstance(other, VanishingPattern)
             and (self.group is other.group or self.group.datum == other.group.datum)
-            and self.bits == other.bits
+            and self.levels == other.levels
         )
 
     def __hash__(self):
-        return hash(self.bits)
+        return hash(self.levels)
 
     def __repr__(self):
         return f"VanishingPattern({''.join(map(str, self.bits))})"
@@ -76,28 +109,20 @@ class AcceptabilityReport:
 
 def check_acceptable(pattern: VanishingPattern) -> AcceptabilityReport:
     """Each level must carry a nonempty 1-set with a unique maximal element,
-    and the per-level maxima must come from a single group element."""
+    and the per-level maxima must come from a single group element.  The
+    table order extends the Bruhat order, so the highest index of a 1-set
+    is maximal in it, and it is the only one iff the set is in its down-set."""
     group = pattern.group
     per_level: dict[int, PluckerWeight | None] = {}
-    maxima: list[PluckerWeight] = []
-    for i in range(1, group.rank + 1):
+    for i, m in enumerate(pattern.levels, 1):
         table = orbit_table(group, i)
-        start = pattern.offsets[i]
-        level_bits = pattern.bits[start:start + len(table)]
-        ones = [k for k, b in enumerate(level_bits) if b]
-        if not ones:
+        top = m.bit_length() - 1
+        if top < 0 or m & ~table.down_masks()[top]:
             per_level[i] = None
-            return AcceptabilityReport(False, per_level, None, "empty_level")
-        ones_mask = sum(1 << k for k in ones)
-        ups = table.up_masks()
-        maximal = [k for k in ones if ups[k] & ones_mask == 1 << k]
-        if len(maximal) != 1:
-            per_level[i] = None
-            return AcceptabilityReport(False, per_level, None, "no_unique_max")
-        top = table.weights[maximal[0]]
-        per_level[i] = top
-        maxima.append(top)
-    w = element_of_weights(group, maxima)
+            return AcceptabilityReport(False, per_level, None,
+                                       "no_unique_max" if m else "empty_level")
+        per_level[i] = table.weights[top]
+    w = element_of_weights(group, per_level.values())
     if w is None:
         return AcceptabilityReport(False, per_level, None, "no_common_w")
     return AcceptabilityReport(True, per_level, w, None)
@@ -116,14 +141,13 @@ def element_of_weights(group: WeylGroup, weights) -> WeylElement | None:
 
 
 def generic_pattern(group: WeylGroup, w: WeylElement) -> VanishingPattern:
-    """Bit 1 exactly on the weights below-or-equal w omega_i in orbit order."""
-    bits = []
+    """Bit 1 exactly on the weights below-or-equal w omega_i in orbit order:
+    at each level, the down-set of w omega_i."""
+    levels = []
     for i in range(1, group.rank + 1):
         table = orbit_table(group, i)
-        jw = table.position(w)
-        ups = table.up_masks()
-        bits.extend(ups[k] >> jw & 1 for k in range(len(table)))
-    return VanishingPattern(group, tuple(bits))
+        levels.append(table.down_masks()[table.position(w)])
+    return VanishingPattern.from_levels(group, levels)
 
 
 def coordinate_flag_pattern(group: WeylGroup, w: WeylElement) -> VanishingPattern:
@@ -138,21 +162,19 @@ def coordinate_flag_pattern(group: WeylGroup, w: WeylElement) -> VanishingPatter
 
 def random_acceptable(group: WeylGroup, w: WeylElement, seed=None) -> VanishingPattern:
     """Acceptable vector with witness w: bit 1 at each w omega_i, 0 above it
-    (and at everything not below it), random strictly below."""
+    (and at everything not below it), random strictly below, drawn in
+    ascending orbit order."""
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
-    bits = []
+    levels = []
     for i in range(1, group.rank + 1):
         table = orbit_table(group, i)
         jw = table.position(w)
-        ups = table.up_masks()
-        for k in range(len(table)):
-            if k == jw:
-                bits.append(1)
-            elif ups[k] >> jw & 1:
-                bits.append(rng.randint(0, 1))
-            else:
-                bits.append(0)
-    return VanishingPattern(group, tuple(bits))
+        m = 1 << jw
+        for k in ones(table.down_masks()[jw] ^ m):
+            if rng.randint(0, 1):
+                m |= 1 << k
+        levels.append(m)
+    return VanishingPattern.from_levels(group, levels)
 
 
 # ----- poset of restricted patterns ---------------------------------------------

@@ -113,8 +113,3 @@ def longest_in_parabolic(n: int, J) -> tuple[int, ...]:
 def pi_pattern_bit(w, I) -> int:
     """Vanishing-pattern bit of the coordinate flag of w at the subset I."""
     return 1 if frozenset(I) == prefix_set(w, len(I)) else 0
-
-
-def generic_pattern_bit(w, I) -> int:
-    """Generic-pattern bit of the cell of w at the subset I."""
-    return 1 if subset_leq(sorted(I), sorted(prefix_set(w, len(I)))) else 0

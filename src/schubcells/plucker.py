@@ -9,7 +9,10 @@ order" step downstream is deterministic.  Each orbit table stores the action
 of every generator on orbit indices, so the index of w omega_i is w's word
 folded through integer tables.  A weight is known by its Dynkin labels, which
 are injective on an orbit, so s_alpha omega_i is found by ``by_labels``.
-The tables are the one Bruhat engine: the order on W is the intersection of
+The tables are the one Bruhat engine.  A table holds the Bruhat intervals
+below and above each entry as bitmasks over its indices (``down_masks``,
+``up_masks``), the one format for a set of weights of a level: a vanishing
+pattern is one such int per level.  The order on W is the intersection of
 the orbit orders (``WeylGroup.bruhat_leq``), and the base of W is read off
 their bases (``base.weyl_base``).
 """
@@ -17,7 +20,6 @@ their bases (``base.weyl_base``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import accumulate
 
 from .weyl import Labels, Root, WeylElement, WeylGroup, along_tree, orbit_bfs, word_str
 
@@ -109,8 +111,8 @@ def _orbit_labels(group: WeylGroup, level: int, J=None):
 
 class OrbitTable:
     """Materialized orbit W omega_i with minimal coset representatives, the
-    action of each generator on orbit indices, and its Bruhat order (as
-    up-set bitmasks, built on first use)."""
+    action of each generator on orbit indices, and its Bruhat order as
+    interval bitmasks in both directions, each built on first use."""
 
     def __init__(self, group: WeylGroup, level: int):
         self.group = group
@@ -134,6 +136,7 @@ class OrbitTable:
         )
         self._suborbits: dict[frozenset[int], tuple] = {}
         self._up_masks: list[int] | None = None
+        self._down_masks: list[int] | None = None
 
     def __len__(self):
         return len(self.weights)
@@ -162,30 +165,42 @@ class OrbitTable:
         return hit
 
     def up_masks(self) -> list[int]:
-        """up_masks()[j] has bit k set iff weights[j] <= weights[k].
-
-        Built from the top down by the lifting property [BB05 2.2]: the table
-        is sorted by length, so its last entry is the maximum, and if s
-        raises k (gen[s][k] > k) then [k, top] = [sk, top] + s[sk, top], where
-        s adds exactly the images of the members it lowers.
-        """
+        """up_masks()[j] has bit k set iff weights[j] <= weights[k]."""
         if self._up_masks is None:
-            gens = self.gen
-            lowers = [sum(1 << k for k, j in enumerate(g) if j < k) for g in gens]
-            up = [0] * len(self.weights)
-            up[-1] = 1 << (len(up) - 1)
-            for k in range(len(up) - 2, -1, -1):
-                s = next(s for s, g in enumerate(gens) if g[k] > k)
-                g = gens[s]
-                m = u = up[g[k]]
-                for j in ones(u & lowers[s]):
-                    m |= 1 << g[j]
-                up[k] = m
-            self._up_masks = up
+            self._up_masks = _interval_masks(self.gen, 1)
         return self._up_masks
 
+    def down_masks(self) -> list[int]:
+        """down_masks()[k] has bit j set iff weights[j] <= weights[k]."""
+        if self._down_masks is None:
+            self._down_masks = _interval_masks(self.gen, -1)
+        return self._down_masks
+
     def leq(self, a: PluckerWeight, b: PluckerWeight) -> bool:
-        return bool(self.up_masks()[a.index] >> b.index & 1)
+        return bool(self.down_masks()[b.index] >> a.index & 1)
+
+
+def _interval_masks(gens, sign: int) -> list[int]:
+    """The up-sets (sign 1) or down-sets (sign -1) of all orbit entries, by
+    the lifting property [BB05 2.2].  The table is sorted by length, so it
+    extends the order and its ends are the maximum and the minimum.  From
+    the far end inward: if s moves k toward that end (for up-sets, s raises
+    k), the set of k is that of sk plus the images under s of its members
+    that s moves the other way."""
+    n = len(gens[0])
+    movers = [sum(1 << j for j, i in enumerate(g) if (i - j) * sign < 0) for g in gens]
+    masks = [0] * n
+    for k in range(n - 1, -1, -1) if sign > 0 else range(n):
+        s = next((s for s, g in enumerate(gens) if (g[k] - k) * sign > 0), None)
+        if s is None:  # the far end itself
+            masks[k] = 1 << k
+            continue
+        g = gens[s]
+        m = u = masks[g[k]]
+        for j in ones(u & movers[s]):
+            m |= 1 << g[j]
+        masks[k] = m
+    return masks
 
 
 def orbit(group: WeylGroup, level: int) -> tuple[PluckerWeight, ...]:
@@ -211,14 +226,6 @@ def weight_of(group: WeylGroup, w: WeylElement, level: int) -> PluckerWeight:
     """The Plucker weight w omega_i."""
     table = orbit_table(group, level)
     return table.weights[table.position(w)]
-
-
-def level_offsets(group: WeylGroup) -> tuple[int, ...]:
-    """offsets[i] is the position of level i's first weight in all_weights."""
-    if group.level_offsets is None:
-        sizes = [len(orbit_table(group, i)) for i in range(1, group.rank + 1)]
-        group.level_offsets = (0, *accumulate(sizes[:-1], initial=0))
-    return group.level_offsets
 
 
 def orbit_bruhat_leq(group: WeylGroup, a: PluckerWeight, b: PluckerWeight) -> bool:
@@ -309,24 +316,10 @@ def is_economical_ordering(group: WeylGroup, ordering: WeightOrdering) -> bool:
 
 
 def linear_order_check(group: WeylGroup, i: int) -> bool:
-    """Whether the Bruhat order on W omega_i is a total order."""
-    table = orbit_table(group, i)
-    n = len(table)
-    masks = table.up_masks()
-    for a in range(n):
-        for b in range(a + 1, n):
-            if not (masks[a] >> b & 1 or masks[b] >> a & 1):
-                return False
-    return True
-
-
-def linearity_matches_economical(group: WeylGroup) -> bool:
-    """Exhaustive check that orbit linearity occurs exactly at economical
-    indices (an observed coincidence, verified rather than assumed)."""
-    return all(
-        linear_order_check(group, i) == is_economical_index(group, i)
-        for i in range(1, group.rank + 1)
-    )
+    """Whether the Bruhat order on W omega_i is a total order.  The table
+    order extends it, so it is total iff it is the table order, i.e. iff
+    every down-set is a prefix of the table."""
+    return all(m == (2 << k) - 1 for k, m in enumerate(orbit_table(group, i).down_masks()))
 
 
 # ----- serialization ------------------------------------------------------------

@@ -31,7 +31,7 @@ from .plucker import (
     WeightOrdering,
     all_weights,
     is_economical_ordering,
-    level_offsets,
+    ones,
     orbit_table,
     standard_ordering,
     subset_of,
@@ -245,28 +245,19 @@ ACCEPTABLE_ENUMERATION_CAP = 200_000
 
 
 def all_acceptable_patterns(group: WeylGroup):
-    """Every acceptable bit vector, as (bits tuple, witness) pairs."""
-    weights = all_weights(group)
-    offsets = level_offsets(group)
+    """Every acceptable vector, as (VanishingPattern, witness) pairs: per
+    witness w, bit 1 at each w omega_i and any bits strictly below it."""
     total = 0
     per_w = []
     for w in group.elements():
-        free_per_level = []
-        fixed = [0] * len(weights)
+        fixed, free = [], []
         for i in range(1, group.rank + 1):
             table = orbit_table(group, i)
             jw = table.position(w)
-            ups = table.up_masks()
-            fixed[offsets[i] + jw] = 1
-            free = [
-                offsets[i] + k
-                for k in range(len(table))
-                if k != jw and ups[k] >> jw & 1
-            ]
-            free_per_level.extend(free)
-        count = 2 ** len(free_per_level)
-        total += count
-        per_w.append((w, tuple(fixed), tuple(free_per_level)))
+            fixed.append(1 << jw)
+            free.extend((i - 1, 1 << k) for k in ones(table.down_masks()[jw] & ~(1 << jw)))
+        total += 2 ** len(free)
+        per_w.append((w, fixed, free))
         if total > ACCEPTABLE_ENUMERATION_CAP:
             raise ValueError(
                 f"acceptable-vector enumeration exceeds cap {ACCEPTABLE_ENUMERATION_CAP}"
@@ -274,10 +265,11 @@ def all_acceptable_patterns(group: WeylGroup):
     out = []
     for w, fixed, free in per_w:
         for choice in product((0, 1), repeat=len(free)):
-            bits = list(fixed)
-            for idx, b in zip(free, choice):
-                bits[idx] = b
-            out.append((tuple(bits), w))
+            levels = list(fixed)
+            for (i, bit), b in zip(free, choice):
+                if b:
+                    levels[i] |= bit
+            out.append((VanishingPattern.from_levels(group, levels), w))
     return out
 
 
@@ -317,8 +309,8 @@ def _algorithmic_tree(group, ordering) -> DecisionTree:
 
 def _optimal_tree(group, vectors) -> DecisionTree:
     weights = all_weights(group)
-    witnesses = [w for _bits, w in vectors]
-    bitcols = [bits for bits, _w in vectors]
+    witnesses = [w for _pattern, w in vectors]
+    columns = [[pattern.bit(pw) for pattern, _w in vectors] for pw in weights]
     memo: dict[frozenset, tuple[int, object]] = {}
 
     def lower_bound(ids) -> int:
@@ -336,8 +328,8 @@ def _optimal_tree(group, vectors) -> DecisionTree:
             return result
         lb = lower_bound(ids)
         best = None
-        for q in range(len(weights)):
-            zero = frozenset(t for t in ids if bitcols[t][q] == 0)
+        for q, column in enumerate(columns):
+            zero = frozenset(t for t in ids if column[t] == 0)
             if not zero or len(zero) == len(ids):
                 continue
             one = ids - zero

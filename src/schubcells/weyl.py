@@ -145,13 +145,11 @@ class WeylGroup:
         self._rho = (1,) * self.rank
         self.order = weyl_order(datum.type_letter, datum.rank)
         self.identity = WeylElement((), self._rho, self)
-        self._elements: list[WeylElement] | None = None
-        self._index: dict[Labels, int] = {}
+        self._elements: tuple[WeylElement, ...] | None = None
         self._roots: tuple[Root, ...] | None = None
         # Tables derived from the group, each filled by its builder on first use.
         self.orbit_tables: dict = {}  # level -> plucker.OrbitTable
         self.all_weights: tuple | None = None  # plucker.all_weights
-        self.level_offsets: tuple[int, ...] | None = None  # plucker.level_offsets
         self.economical: dict[tuple[int, ...], bool] = {}  # plucker: order -> verdict
         self.root_plans: dict[tuple[int, ...], tuple] = {}  # cells: order -> root plan
         self.scan_plans: dict[tuple, list] = {}  # recognition: (order, pos, fp) -> plan
@@ -204,37 +202,27 @@ class WeylGroup:
                 f"|W| = {self.order} exceeds the enumeration cap {ENUMERATION_CAP}"
             )
 
-    def ensure_enumerated(self):
-        if self._elements is not None:
-            return
-        self.check_enumerable()
-        # W is the orbit of rho under right multiplication, f(w s_i) = s_i f(w).
-        # Parents in shortlex order and ascending generators discover each
-        # element first through its shortlex-minimal word.
-        fps, parent, via = orbit_bfs(self._rho, range(1, self.rank + 1), self.reflect_labels)
-        words = along_tree(parent, via, (), lambda i, u: u + (i,))
-        elements = [WeylElement(word, fp, self) for word, fp in zip(words, fps)]
-        if len(elements) != self.order:
-            raise RuntimeError(
-                f"enumeration produced {len(elements)} elements, expected {self.order}"
-            )
-        self._elements = elements
-        self._index = {fp: k for k, fp in enumerate(fps)}
-
     def elements(self) -> tuple[WeylElement, ...]:
-        self.ensure_enumerated()
-        return tuple(self._elements)
+        if self._elements is None:
+            self.check_enumerable()
+            # W is the orbit of rho under right multiplication, f(w s_i) = s_i f(w).
+            # Parents in shortlex order and ascending generators discover each
+            # element first through its shortlex-minimal word.
+            fps, parent, via = orbit_bfs(self._rho, range(1, self.rank + 1), self.reflect_labels)
+            words = along_tree(parent, via, (), lambda i, u: u + (i,))
+            elements = tuple(WeylElement(word, fp, self) for word, fp in zip(words, fps))
+            if len(elements) != self.order:
+                raise RuntimeError(
+                    f"enumeration produced {len(elements)} elements, expected {self.order}"
+                )
+            self._elements = elements
+        return self._elements
 
     def __len__(self):
         return self.order
 
     def by_fingerprint(self, fp: Labels) -> WeylElement:
         """The element w with w^{-1} rho = fp (Dynkin labels)."""
-        if self._elements is not None:
-            k = self._index.get(fp)
-            if k is None:
-                raise ValueError(f"{fp} is not a fingerprint of {self.datum.name}")
-            return self._elements[k]
         inv_word, top = self._descend(fp)
         if top != self._rho:
             raise ValueError(f"{fp} is not a fingerprint of {self.datum.name}")
@@ -334,7 +322,7 @@ class WeylGroup:
 
         for i in range(1, self.rank + 1):
             table = orbit_table(self, i)
-            if not table.up_masks()[table.position(u)] >> table.position(v) & 1:
+            if not table.down_masks()[table.position(v)] >> table.position(u) & 1:
                 return False
         return True
 

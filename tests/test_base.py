@@ -24,7 +24,7 @@ from schubcells.base import (
 )
 from schubcells.cartan import cartan_datum, weyl_order
 from schubcells.patterns import generic_pattern
-from schubcells.plucker import subset_of
+from schubcells.plucker import orbit_table, subset_of
 from schubcells.weyl import WeylGroup, weyl_group
 
 RANK4_GROUPS = ("A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4", "G2", "D4")
@@ -97,19 +97,19 @@ def test_poset_base_chains_and_lattices():
     for k in (2, 3, 5, 7):
         P = chain_poset(k)
         assert poset_base(P) == list(range(1, k))
-        assert poset_base_indices(P) == brute_force_base(P)
+        assert poset_base_indices(P.up, P.down) == brute_force_base(P)
     for m in (2, 3):
         P = boolean_lattice(m)
         got = poset_base(P)
         assert sorted(map(sorted, got)) == [[i] for i in range(m)]
-        assert poset_base_indices(P) == brute_force_base(P)
+        assert poset_base_indices(P.up, P.down) == brute_force_base(P)
 
 
 def test_poset_base_small_weyl_vs_brute_force():
     for spec in ("A2", "B2"):
         g = weyl_group(spec)
         P = bruhat_poset(g)
-        assert poset_base_indices(P) == brute_force_base(P)
+        assert poset_base_indices(P.up, P.down) == brute_force_base(P)
 
 
 def test_poset_base_S3():
@@ -123,7 +123,7 @@ def test_base_embedding_property():
     posets = [chain_poset(6), boolean_lattice(3)]
     posets += [bruhat_poset(weyl_group(s)) for s in ("A2", "A3", "B2", "B3", "G2", "D4")]
     for P in posets:
-        base = poset_base_indices(P)
+        base = poset_base_indices(P.up, P.down)
         sigs = []
         for x in range(len(P)):
             sigs.append(frozenset(b for b in base if P.leq_idx(b, x)))
@@ -156,12 +156,56 @@ def test_weyl_base_is_the_base_of_the_bruhat_poset(spec):
     P = bruhat_poset(g)
     expect = tuple(
         BaseElement(w, min(g.left_descents(w)), min(g.right_descents(w)))
-        for w in (P.elements[k] for k in poset_base_indices(P))
+        for w in (P.elements[k] for k in poset_base_indices(P.up, P.down))
     )
     assert [b.element.word for b in expect] == sorted(
         (b.element.word for b in expect), key=lambda word: (len(word), word)
     )
     assert weyl_base(g) == expect
+
+
+def orbit_closure_up_masks(group, table):
+    """Independent oracle for the order on an orbit W omega_i: the
+    transitive closure of lambda < s_beta lambda over positive roots beta
+    with <lambda, beta^vee> > 0, computed from labels and roots only."""
+    succ = [
+        {table.by_labels[group.reflect_root(rt, pw.labels)] for rt in group.positive_roots()
+         if sum(x * f for x, f in zip(pw.labels, rt.coroot)) > 0}
+        for pw in table.weights
+    ]
+    up = [0] * len(table)
+    for k in reversed(range(len(table))):
+        assert all(j > k for j in succ[k])  # the table's order extends the relation
+        up[k] = 1 << k
+        for j in succ[k]:
+            up[k] |= up[j]
+    return up
+
+
+def transpose(masks):
+    return [sum(1 << j for j, m in enumerate(masks) if m >> k & 1) for k in range(len(masks))]
+
+
+@pytest.mark.parametrize("spec", ORACLE_GROUPS)
+def test_orbit_down_masks_are_the_transposed_up_masks(spec):
+    g = WeylGroup(cartan_datum(spec[0], int(spec[1:])))
+    for i in range(1, g.rank + 1):
+        table = orbit_table(g, i)
+        down = table.down_masks()
+        assert down == transpose(table.up_masks()), (spec, i)
+        assert down == transpose(orbit_closure_up_masks(g, table)), (spec, i)
+
+
+@pytest.mark.parametrize("spec", ORACLE_GROUPS)
+def test_orbit_masks_form_a_valid_poset(spec):
+    # weyl_base takes the engine's masks without validation; FinitePoset
+    # validates them here: reflexive, antisymmetric, transitive, bounded
+    g = WeylGroup(cartan_datum(spec[0], int(spec[1:])))
+    for i in range(1, g.rank + 1):
+        table = orbit_table(g, i)
+        P = FinitePoset(table.weights, table.up_masks())
+        assert P.down == table.down_masks(), (spec, i)
+        assert (P.minimum, P.maximum) == (0, len(table) - 1)
 
 
 @pytest.mark.parametrize("spec, size", [("B8", 344), ("D8", 315), ("A6", comb(8, 3)),

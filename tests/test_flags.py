@@ -155,6 +155,18 @@ def test_minor_rejects_rows_outside_range():
             x.nonzero(frozenset(rows))
 
 
+def test_minor_rejects_repeated_rows():
+    # a minor on rows (1, 1) has two equal rows, so it is 0; the de-duplicated
+    # row set {1} would have answered 1
+    x = flag_from_rows([[1, 2, 0], [3, 4, 0], [0, 0, 1]])
+    for rows in ([1, 1], [2, 2], [1, 3, 1]):
+        with pytest.raises(ValueError, match=f"row {rows[-1]} repeated"):
+            x.minor(rows)
+        with pytest.raises(ValueError, match=f"row {rows[-1]} repeated"):
+            x.nonzero(rows)
+    assert x.minor([2, 1]) == -2 and x.nonzero([1, 2])
+
+
 def test_minor_table_is_not_a_constructor_argument():
     m = coordinate_flag((1, 2)).matrix
     with pytest.raises(TypeError):

@@ -14,7 +14,6 @@ from schubcells.plucker import (
     is_economical_index_parabolic,
     is_economical_ordering,
     linear_order_check,
-    linearity_matches_economical,
     mu,
     orbit,
     orbit_bruhat_leq,
@@ -366,21 +365,32 @@ def test_weight_ordering_validation():
 # ----- linearity --------------------------------------------------------------------------
 
 
+def pairwise_comparable(table) -> bool:
+    """Oracle for linear_order_check: every pair compared on the up-masks."""
+    ups = table.up_masks()
+    return all(ups[a] >> b & 1 or ups[b] >> a & 1 for a in range(len(ups)) for b in range(a))
+
+
 def test_linear_order_check():
     g3 = weyl_group("A3")
     assert not linear_order_check(g3, 2)
     for n in (2, 3, 4, 5):
         assert linear_order_check(weyl_group("A", n - 1), 1)
-    for spec in SMALL_GROUPS:
+    for spec in SMALL_GROUPS + ("A4", "B4"):
         g = weyl_group(spec)
         for i in range(1, g.rank + 1):
+            assert linear_order_check(g, i) == pairwise_comparable(orbit_table(g, i))
             if is_economical_index(g, i):
                 assert linear_order_check(g, i)
 
 
 def test_linearity_converse_observed():
+    # orbit linearity occurs exactly at economical indices: an observed
+    # coincidence, verified rather than assumed
     for spec in ("A1", "A2", "A3", "A4", "B2", "B3", "C3", "G2", "D4"):
-        assert linearity_matches_economical(weyl_group(spec))
+        g = weyl_group(spec)
+        for i in range(1, g.rank + 1):
+            assert linear_order_check(g, i) == is_economical_index(g, i), (spec, i)
 
 
 # ----- parabolic economical helper ----------------------------------------------------------
@@ -484,17 +494,19 @@ def test_fresh_group_is_freed_with_its_tables():
 
     from schubcells.base import weyl_base
     from schubcells.cells import cell_description_economical
-    from schubcells.patterns import generic_pattern
+    from schubcells.patterns import VanishingPattern, generic_pattern
     from schubcells.recognition import PatternOracle, build_decision_tree, recognize_general
 
     def touch_every_table():
         g = WeylGroup(cartan_datum("B", 3))
         w = g.element((1, 2, 3, 2))
-        assert recognize_general(PatternOracle(generic_pattern(g, w)), g)[0] == w
+        pattern = generic_pattern(g, w)
+        assert recognize_general(PatternOracle(pattern), g)[0] == w
+        assert VanishingPattern(g, pattern.bits) == pattern  # reads all_weights
         cell_description_economical(g, w)
         assert build_decision_tree(g).depth == 9
         assert len(weyl_base(g)) == 19
-        tables = (g.orbit_tables, g.all_weights, g.level_offsets, g.economical,
+        tables = (g.orbit_tables, g.all_weights, g.economical,
                   g.root_plans, g.scan_plans, g.base)
         assert all(t is not None and len(t) for t in tables)
         return weakref.ref(g)

@@ -1,12 +1,20 @@
 """Property tests: random groups of rank <= 5, random words, random seeds."""
 
+import random
 from functools import cache
 
 from ambient import ambient
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schubcells.patterns import check_acceptable, random_acceptable
+from schubcells.patterns import (
+    AcceptabilityReport,
+    VanishingPattern,
+    check_acceptable,
+    element_of_weights,
+    random_acceptable,
+)
+from schubcells.plucker import orbit_table
 from schubcells.recognition import PatternOracle, build_decision_tree, recognize_general
 from schubcells.weyl import weyl_group
 
@@ -78,3 +86,77 @@ def test_reflect_root_is_right_multiplication_by_the_reflection(gw, data):
     assert g.multiply(w, s).fingerprint == g.reflect_root(rt, w.fingerprint)
     assert g.reflect_root(rt, g.reflect_root(rt, w.fingerprint)) == w.fingerprint
     assert s.length % 2 == 1
+
+
+# ----- the flat-bit rules that per-level down-masks replaced, kept as oracles -----
+
+
+def check_acceptable_by_maximal_elements(pattern) -> AcceptabilityReport:
+    """Each level's 1-set must have exactly one maximal element, found by
+    testing every 1 against the up-masks."""
+    g = pattern.group
+    per_level, maxima = {}, []
+    for i in range(1, g.rank + 1):
+        table = orbit_table(g, i)
+        ones = [k for k, pw in enumerate(table.weights) if pattern.bit(pw)]
+        if not ones:
+            per_level[i] = None
+            return AcceptabilityReport(False, per_level, None, "empty_level")
+        mask = sum(1 << k for k in ones)
+        ups = table.up_masks()
+        maximal = [k for k in ones if ups[k] & mask == 1 << k]
+        if len(maximal) != 1:
+            per_level[i] = None
+            return AcceptabilityReport(False, per_level, None, "no_unique_max")
+        per_level[i] = table.weights[maximal[0]]
+        maxima.append(per_level[i])
+    w = element_of_weights(g, maxima)
+    if w is None:
+        return AcceptabilityReport(False, per_level, None, "no_common_w")
+    return AcceptabilityReport(True, per_level, w, None)
+
+
+def random_acceptable_flat(g, w, seed) -> VanishingPattern:
+    """One draw per weight strictly below w omega_i, in all_weights order,
+    read off the up-masks."""
+    rng = random.Random(seed)
+    bits = []
+    for i in range(1, g.rank + 1):
+        table = orbit_table(g, i)
+        jw = table.position(w)
+        ups = table.up_masks()
+        for k in range(len(table)):
+            if k == jw:
+                bits.append(1)
+            elif ups[k] >> jw & 1:
+                bits.append(rng.randint(0, 1))
+            else:
+                bits.append(0)
+    return VanishingPattern(g, tuple(bits))
+
+
+@settings(max_examples=150, deadline=None)
+@given(group_and_words(), st.integers(0, 2 ** 32 - 1))
+def test_random_acceptable_matches_flat_oracle(gw, seed):
+    g, w = gw
+    got = random_acceptable(g, w, seed=seed)
+    expect = random_acceptable_flat(g, w, seed)
+    assert got == expect and got.bits == expect.bits
+    assert VanishingPattern(g, got.bits) == got
+
+
+@settings(max_examples=300, deadline=None)
+@given(group_and_words(), st.integers(0, 2 ** 32 - 1), st.data())
+def test_check_acceptable_matches_maximal_element_oracle(gw, seed, data):
+    # acceptable vectors, the same with a few bits flipped (mostly not
+    # acceptable any more), and uniformly random bits
+    g, w = gw
+    bits = list(random_acceptable(g, w, seed=seed).bits)
+    mode = data.draw(st.sampled_from(("acceptable", "perturbed", "random")))
+    if mode == "perturbed":
+        for k in data.draw(st.lists(st.integers(0, len(bits) - 1), min_size=1, max_size=4)):
+            bits[k] ^= 1
+    elif mode == "random":
+        bits = data.draw(st.lists(st.integers(0, 1), min_size=len(bits), max_size=len(bits)))
+    pattern = VanishingPattern(g, bits)
+    assert check_acceptable(pattern) == check_acceptable_by_maximal_elements(pattern)

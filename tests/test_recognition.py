@@ -105,8 +105,7 @@ def test_query_bound_small_n():
 def test_typeA_agrees_with_general_exhaustive():
     for n in (2, 3, 4):
         g = type_a_group(n)
-        for bits, w in all_acceptable_patterns(g):
-            pat = VanishingPattern(g, bits)
+        for pat, w in all_acceptable_patterns(g):
             w1, log1 = recognize_general(PatternOracle(pat), g)
             w2, log2 = recognize_typeA(PatternOracle(pat), n)
             assert g.one_line(w1) == w2
@@ -185,8 +184,7 @@ def test_trees_A2():
     assert alg.depth == 3
     assert opt.depth == 3
     assert subset_of(alg.root.weight) == frozenset({3})
-    for bits, w in all_acceptable_patterns(g):
-        pat = VanishingPattern(g, bits)
+    for pat, w in all_acceptable_patterns(g):
         assert alg.route(pat)[0] == w
         assert opt.route(pat)[0] == w
     dot = alg.to_dot()
@@ -239,8 +237,7 @@ def trie_tree(group, ordering, vectors) -> DecisionTree:
     """Oracle for the algorithmic tree: run recognize_general on every
     acceptable vector and fold the query logs into a trie."""
     trie: dict = {}
-    for bits, witness in vectors:
-        pattern = VanishingPattern(group, bits)
+    for pattern, witness in vectors:
         w, log = recognize_general(PatternOracle(pattern), group, ordering)
         assert w == witness
         node = trie
@@ -266,8 +263,8 @@ def test_algorithmic_tree_matches_trie_oracle(spec):
         ordering = WeightOrdering(order)
         tree = build_decision_tree(g, "algorithmic", ordering)
         assert tree.to_dot() == trie_tree(g, ordering, vectors).to_dot()
-        for bits, w in vectors:
-            assert tree.route(VanishingPattern(g, bits))[0] == w
+        for pattern, w in vectors:
+            assert tree.route(pattern)[0] == w
 
 
 def generic_sweep(g) -> int:
