@@ -2,15 +2,16 @@
 coordinates as minors, coordinate flags of permutations, and generic cell
 points.
 
-Vanishing must be decided exactly; there is no floating point anywhere.  A
-flag's entries are Fractions, but its minors are computed over Python ints:
-column j is scaled by d_j, the lcm of its entries' denominators, which makes
-the matrix integral.  One table holds the minor of every column prefix
-[1, |I|] on every row set I, indexed by the bitmask of I.  Each entry is a
-Laplace expansion along column |I| and reads only entries with smaller masks,
-so the table is built once, in increasing mask order, and its last entry is
-the determinant.  A zero test reads the int entry; ``Flag.minor`` divides it
-by d_1 ... d_|I| to return the exact Fraction.
+Vanishing is decided exactly, never in floating point.  Entries are ints or
+Fractions; column j is scaled by d_j, the lcm of its denominators, so the
+minors are Python ints.  One table holds the minor of every column prefix
+[1, |I|] on every row set I, built in increasing order of the row mask of I
+(bit r - 1 for row r) by Laplace expansion along column |I|.  The row mask
+is the one format of a type A subset: Plucker weights carry it as ``rows``,
+so ``vanishing_pattern`` and ``FlagOracle`` index the table by it, and
+``random_cell_point`` walks a per-n list of (subset, mask) pairs that needs
+no orbit table.  ``nonzero`` and ``minor`` validate row lists for outside
+callers; ``minor`` divides by d_1 ... d_|I| for the exact Fraction.
 """
 
 from __future__ import annotations
@@ -22,15 +23,23 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
+from operator import le
 
 from .perms import check_permutation
-from .plucker import orbit, subset_of, subset_str
+from .plucker import orbit, subset_str
 from .weyl import WeylGroup, weyl_group
 
 def type_a_group(n: int) -> WeylGroup:
     """The (cached) Weyl group acting on flags in C^n."""
     return weyl_group("A", n - 1)
+
+
+def check_flag_group(n: int, group: WeylGroup) -> None:
+    """Refuse a group whose weights are not row masks of a flag in C^n."""
+    if group.type_letter != "A" or group.rank != n - 1:
+        raise ValueError(f"a flag in C^{n} needs the group A{n - 1}, not {group.datum.name}")
 
 
 @dataclass(frozen=True)
@@ -49,6 +58,9 @@ class Flag:
         n = len(self.matrix)
         if n == 0 or any(len(row) != n for row in self.matrix):
             raise ValueError("flag matrix must be square and nonempty")
+        bad = [e for row in self.matrix for e in row if type(e) not in (int, Fraction)]
+        if bad:
+            raise ValueError(f"flag entry {bad[0]!r} is not an int or Fraction")  # nor a bool
         cols, scales = [], [1]
         for j in range(n):
             col = [row[j] for row in self.matrix]
@@ -96,7 +108,13 @@ class Flag:
     def nonzero(self, rows) -> bool:
         """Whether the minor on the distinct rows ``rows`` (1-based) and
         columns [1, |rows|] is nonzero, read off the integer table."""
-        return self._minors[self._mask(rows)] != 0
+        return self.nonzero_at(self._mask(rows))
+
+    def nonzero_at(self, mask: int) -> bool:
+        """``nonzero`` for the rows of ``mask`` (bit r - 1 for row r)."""
+        if not 0 <= mask < len(self._minors):
+            raise ValueError(f"row mask {mask:#b} not within [1, {self.n}]")
+        return self._minors[mask] != 0
 
     def minor(self, rows) -> Fraction:
         """Minor on the distinct rows ``rows`` and columns [1, |rows|], 1-based."""
@@ -115,7 +133,7 @@ def flag_from_columns(cols) -> Flag:
 
 def plucker_coordinate(x: Flag, I) -> Fraction:
     """Exact value of p_I: the minor with row set I and column set [1, |I|]."""
-    I = frozenset(I)
+    I = tuple(I)  # a set would hide a repeated row from Flag.minor
     if not 1 <= len(I) <= x.n - 1:
         raise ValueError(f"subset size {len(I)} out of range 1..{x.n - 1}")
     return x.minor(I)
@@ -131,26 +149,29 @@ def coordinate_flag(w) -> Flag:
     return flag_from_rows(rows)
 
 
-def proper_subsets(n: int):
-    for i in range(1, n):
-        for I in combinations(range(1, n + 1), i):
-            yield frozenset(I)
+@cache
+def subset_masks(n: int) -> tuple[tuple[tuple[tuple[int, ...], int], ...], ...]:
+    """Per level k = 1..n-1, each k-subset of [1, n] as (sorted I, row mask)."""
+    return tuple(tuple((I, sum(1 << r - 1 for r in I)) for I in combinations(range(1, n + 1), k))
+                 for k in range(1, n))
 
 
 def subset_pattern(x: Flag) -> dict[frozenset[int], int]:
     """Raw vanishing pattern keyed by subsets."""
-    return {I: (1 if x.nonzero(I) else 0) for I in proper_subsets(x.n)}
+    return {frozenset(I): int(x.nonzero_at(m)) for level in subset_masks(x.n) for I, m in level}
 
 
 def vanishing_pattern(x: Flag, group: WeylGroup | None = None):
-    """The vanishing pattern of a flag as a VanishingPattern over the Plucker
-    weights of the corresponding type A group."""
+    """The vanishing pattern of a flag over the Plucker weights of its type A
+    group, read off the minor table at each weight's row mask."""
     from .patterns import VanishingPattern
 
     if group is None:
         group = type_a_group(x.n)
+    check_flag_group(x.n, group)
+    minors = x._minors
     return VanishingPattern.from_levels(group, (
-        sum(1 << pw.index for pw in orbit(group, i) if x.nonzero(subset_of(pw)))
+        sum(1 << pw.index for pw in orbit(group, i) if minors[pw.rows])
         for i in range(1, group.rank + 1)
     ))
 
@@ -161,11 +182,11 @@ MAX_SAMPLE_RETRIES = 64
 def _has_generic_pattern(x: Flag, w: tuple[int, ...]) -> bool:
     """Whether p_I(x) != 0 exactly when sorted(I) <= sorted(w([1, |I|]))
     componentwise, checked on every proper subset I."""
-    n = len(w)
-    for k in range(1, n):
+    minors = x._minors
+    for k, level in enumerate(subset_masks(len(w)), 1):
         prefix = sorted(w[:k])
-        for I in combinations(range(1, n + 1), k):
-            if x.nonzero(I) != all(a <= b for a, b in zip(I, prefix)):
+        for I, mask in level:
+            if (minors[mask] != 0) != all(map(le, I, prefix)):
                 return False
     return True
 
@@ -201,7 +222,7 @@ def random_cell_point(w, seed=None) -> Flag:
 # ----- parsing ------------------------------------------------------------------
 
 def _parse_entry(e) -> Fraction:
-    if not isinstance(e, (str, int, Fraction)):
+    if isinstance(e, bool) or not isinstance(e, (str, int, Fraction)):
         raise ValueError(f"flag entry {e!r} is not a number")
     return Fraction(e)
 
@@ -243,5 +264,4 @@ def load_flag(path: str) -> Flag:
 
 
 def pattern_json(x: Flag) -> str:
-    out = {subset_str(I): bit for I, bit in subset_pattern(x).items()}
-    return json.dumps(out, sort_keys=True)
+    return json.dumps({subset_str(I): b for I, b in subset_pattern(x).items()}, sort_keys=True)

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from functools import cache
 from itertools import product
 
-from . import perms
 from .errors import UnacceptableInputError
 from .plucker import (
     PluckerWeight,
@@ -152,12 +151,11 @@ def generic_pattern(group: WeylGroup, w: WeylElement) -> VanishingPattern:
 
 def coordinate_flag_pattern(group: WeylGroup, w: WeylElement) -> VanishingPattern:
     """The pattern of the coordinate flag of w (type A): bit 1 exactly on the
-    prefix subsets w([1, i])."""
+    prefix subsets w([1, i]), which are the weights w omega_i."""
     if group.type_letter != "A":
         raise ValueError("coordinate flags exist in type A only")
-    perm = group.one_line(w)
-    bits = tuple(perms.pi_pattern_bit(perm, subset_of(pw)) for pw in all_weights(group))
-    return VanishingPattern(group, bits)
+    return VanishingPattern.from_levels(
+        group, (1 << orbit_table(group, i).position(w) for i in range(1, group.rank + 1)))
 
 
 def random_acceptable(group: WeylGroup, w: WeylElement, seed=None) -> VanishingPattern:
@@ -294,14 +292,10 @@ def realizable_full_patterns(n: int):
         if not report.accepted:
             continue
         by_subset = dict(zip(subsets, bits))
-        if n == 3:
-            prods = (
-                by_subset[frozenset({1})] & by_subset[frozenset({2, 3})],
-                by_subset[frozenset({2})] & by_subset[frozenset({1, 3})],
-                by_subset[frozenset({3})] & by_subset[frozenset({1, 2})],
-            )
-            if sum(prods) == 1:
-                continue
+        # p1 p23 - p2 p13 + p3 p12 = 0 cannot hold with one nonzero term
+        if n == 3 and sum(by_subset[frozenset({j})] & by_subset[frozenset({1, 2, 3} - {j})]
+                          for j in (1, 2, 3)) == 1:
+            continue
         flag = _realize(n, by_subset)
         if flag is None:
             raise RuntimeError(

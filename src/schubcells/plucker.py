@@ -35,8 +35,10 @@ def ones(m: int):
 @dataclass(frozen=True, eq=False, slots=True)
 class PluckerWeight:
     """A weight in the orbit W omega_i, with its minimal coset representative,
-    its Dynkin labels, its index in the orbit table and, in type A, the
-    subset I with weight e_I.
+    its Dynkin labels, its index in the orbit table and, in type A, the row
+    mask ``rows`` of the subset I with weight e_I (bit r - 1 for row r): the
+    index of p_I in the minor table of ``flags.Flag``, which
+    ``vanishing_pattern`` and ``FlagOracle`` read; ``subset_of`` gives I.
 
     Equality and hashing use (level, labels), injective on an orbit; the hash
     is precomputed.
@@ -46,7 +48,7 @@ class PluckerWeight:
     min_rep: WeylElement = field(repr=False)
     labels: Labels = field(repr=False)
     index: int = field(repr=False)
-    subset: frozenset[int] | None = field(default=None, repr=False)
+    rows: int | None = field(default=None, repr=False)
     _hash: int = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -125,7 +127,8 @@ class OrbitTable:
         type_a = group.type_letter == "A"  # weights are indicator vectors e_I
         self.weights: tuple[PluckerWeight, ...] = tuple(
             PluckerWeight(level, reps[k], labels[k], pos,
-                          frozenset(group.one_line(reps[k])[:level]) if type_a else None)
+                          sum(1 << r - 1 for r in group.one_line(reps[k])[:level])
+                          if type_a else None)
             for pos, k in enumerate(order)
         )
         self.by_labels: dict[Labels, int] = {pw.labels: pw.index for pw in self.weights}
@@ -325,10 +328,10 @@ def linear_order_check(group: WeylGroup, i: int) -> bool:
 # ----- serialization ------------------------------------------------------------
 
 def subset_of(pw: PluckerWeight) -> frozenset[int]:
-    """The subset I of a type A Plucker weight e_I, stored by its orbit table."""
-    if pw.subset is None:
+    """The subset I of a type A Plucker weight e_I, read off its row mask."""
+    if pw.rows is None:
         raise ValueError("weight is not a type A indicator vector")
-    return pw.subset
+    return frozenset(j + 1 for j in ones(pw.rows))
 
 
 def weight_from_subset(group: WeylGroup, subset) -> PluckerWeight:

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from itertools import count, product
 
 from .errors import UnacceptableInputError
-from .flags import Flag, type_a_group
+from .flags import Flag, check_flag_group, type_a_group
 from .patterns import VanishingPattern
 from .perms import one_line_str
 from .plucker import (
@@ -34,7 +34,6 @@ from .plucker import (
     ones,
     orbit_table,
     standard_ordering,
-    subset_of,
     weight_from_subset,
     weight_label,
 )
@@ -64,13 +63,14 @@ class PatternOracle:
 
 
 class FlagOracle:
-    """Evaluates the exact minor of a flag on demand (type A)."""
+    """Reads a flag's exact minor at the weight's row mask (type A)."""
 
     def __init__(self, flag: Flag):
         self.flag = flag
 
     def query(self, pw: PluckerWeight) -> int:
-        return 1 if self.flag.nonzero(subset_of(pw)) else 0
+        check_flag_group(self.flag.n, pw.min_rep.group)
+        return 1 if self.flag.nonzero_at(pw.rows) else 0
 
 
 class CountingOracle:

@@ -96,7 +96,7 @@ def test_recognize_checks_flag_size_before_building_it(tmp_path, monkeypatch, ca
     assert (code, out, err) == (1, "", "flag size 8 does not match A2\n")
 
 
-@pytest.mark.parametrize("text", ["5", "[1, 2]", '{"a": [1]}', "[[null]]"])
+@pytest.mark.parametrize("text", ["5", "[1, 2]", '{"a": [1]}', "[[null]]", "[[true, 0], [0, 1]]"])
 def test_recognize_refuses_json_that_is_not_rows(tmp_path, capsys, text):
     p = tmp_path / "flag.json"
     p.write_text(text)

@@ -23,13 +23,19 @@ from schubcells.flags import (
     parse_flag_json,
     pattern_json,
     plucker_coordinate,
-    proper_subsets,
     random_cell_point,
     subset_pattern,
     type_a_group,
     vanishing_pattern,
 )
-from schubcells.patterns import check_acceptable, generic_pattern
+from schubcells.patterns import VanishingPattern, check_acceptable, generic_pattern
+from schubcells.plucker import orbit, subset_of
+from schubcells.recognition import FlagOracle, recognize_typeA
+from schubcells.weyl import weyl_group
+
+
+def proper_subsets(n):
+    return [frozenset(I) for k in range(1, n) for I in combinations(range(1, n + 1), k)]
 
 
 def brute_minor(rows, I):
@@ -164,6 +170,8 @@ def test_minor_rejects_repeated_rows():
             x.minor(rows)
         with pytest.raises(ValueError, match=f"row {rows[-1]} repeated"):
             x.nonzero(rows)
+    with pytest.raises(ValueError, match="row 1 repeated"):
+        plucker_coordinate(x, [1, 1])
     assert x.minor([2, 1]) == -2 and x.nonzero([1, 2])
 
 
@@ -219,13 +227,13 @@ def test_random_cell_point_gives_up_after_retries(monkeypatch):
     # if every draw looks degenerate, all retries are spent and RuntimeError
     # is raised
     draws = []
+    identity = coordinate_flag((1, 2, 3))  # p_2 = 0: not generic for 213
 
     def counting_flag_from_rows(rows):
         draws.append(rows)
-        return flag_from_rows(rows)
+        return identity
 
     monkeypatch.setattr(flags, "flag_from_rows", counting_flag_from_rows)
-    monkeypatch.setattr(Flag, "nonzero", lambda self, rows: False)
     with pytest.raises(RuntimeError, match="failed to sample"):
         random_cell_point((2, 1, 3), seed=0)
     assert len(draws) == MAX_SAMPLE_RETRIES
@@ -357,6 +365,11 @@ def test_flag_validation():
         plucker_coordinate(x, {0})
     with pytest.raises(ValueError):
         plucker_coordinate(x, set())
+    # entries are exact: a float, or a bool posing as an int, is refused
+    with pytest.raises(ValueError, match="flag entry 1.5 is not an int or Fraction"):
+        Flag(((1.5, 0.0), (0.0, 1.0)))
+    with pytest.raises(ValueError, match="flag entry True"):
+        Flag(((True, 0), (0, 1)))
 
 
 def test_parsing_round_trip(tmp_path):
@@ -389,7 +402,120 @@ def test_json_decimals_are_read_exactly(tmp_path):
     assert json.loads(pattern_json(load_flag(str(p))))["12"] == 0
 
 
-@pytest.mark.parametrize("text", ["5", "[1, 2]", '{"a": [1]}', "[[null]]", "[[[1]]]"])
+@pytest.mark.parametrize(
+    "text", ["5", "[1, 2]", '{"a": [1]}', "[[null]]", "[[[1]]]", "[[true, 0], [0, 1]]"]
+)
 def test_json_that_is_not_a_list_of_rows_is_refused(text):
     with pytest.raises(ValueError, match="JSON flag|flag entry"):
         parse_flag_json(text)
+
+
+# ----- row-mask read-off against the per-subset oracles ----------------------------
+
+def subset_vanishing_pattern(x, group):
+    """Oracle: the pattern asked one validated subset at a time."""
+    return VanishingPattern.from_levels(group, (
+        sum(1 << pw.index for pw in orbit(group, i) if x.nonzero(subset_of(pw)))
+        for i in range(1, group.rank + 1)
+    ))
+
+
+def subset_has_generic_pattern(x, w):
+    """Oracle: the generic test asked one validated subset at a time."""
+    n = len(w)
+    for k in range(1, n):
+        prefix = sorted(w[:k])
+        for I in combinations(range(1, n + 1), k):
+            if x.nonzero(I) != all(a <= b for a, b in zip(I, prefix)):
+                return False
+    return True
+
+
+def assert_mask_reads_agree(x, ws):
+    g = type_a_group(x.n)
+    assert vanishing_pattern(x) == subset_vanishing_pattern(x, g)
+    for w in ws:
+        assert flags._has_generic_pattern(x, w) == subset_has_generic_pattern(x, w)
+
+
+def adjacent_swaps(w):
+    return [w[:j] + (w[j + 1], w[j]) + w[j + 2:] for j in range(len(w) - 1)]
+
+
+def test_mask_reads_agree_on_every_coordinate_flag():
+    # a coordinate flag is generic only for the identity, so the generic test
+    # mostly rejects, at different subsets
+    rng = random.Random(3)
+    for n in range(3, 7):
+        everything = list(perms.all_perms(n))
+        for u in everything:
+            ws = [u, perms.identity(n), *rng.sample(everything, 2)]
+            assert_mask_reads_agree(coordinate_flag(u), ws)
+
+
+def test_mask_reads_agree_on_seeded_cell_points():
+    # each point is generic for w; against the neighbours w s_j and another
+    # random w' the test rejects, often deep into the subsets
+    rng = random.Random(8)
+    accepted = rejected = 0
+    for n in (6, 7, 8):
+        for seed in range(12):
+            w = tuple(rng.sample(range(1, n + 1), n))
+            x = random_cell_point(w, seed=seed)
+            ws = [w, *adjacent_swaps(w), tuple(rng.sample(range(1, n + 1), n))]
+            assert_mask_reads_agree(x, ws)
+            verdicts = [flags._has_generic_pattern(x, v) for v in ws]
+            assert verdicts[0]
+            accepted += sum(verdicts)
+            rejected += len(verdicts) - sum(verdicts)
+    assert accepted >= 36 and rejected > 0
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(2, 6).flatmap(lambda n: st.tuples(
+    st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n), min_size=n, max_size=n),
+    st.permutations(range(1, n + 1)),
+)))
+def test_mask_reads_property(case):
+    rows, w = case
+    try:
+        x = flag_from_rows(rows)
+    except ValueError:  # singular
+        return
+    n = x.n
+    witness, _ = recognize_typeA(FlagOracle(x), n)
+    assert_mask_reads_agree(x, [tuple(w), witness])
+
+
+@pytest.mark.parametrize("spec", ["A1", "A3", "B2"])
+def test_vanishing_pattern_refuses_a_group_of_another_size(spec):
+    with pytest.raises(ValueError, match=f"flag in C\\^3 needs the group A2, not {spec}"):
+        vanishing_pattern(coordinate_flag((2, 3, 1)), weyl_group(spec))
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_flag_oracle_refuses_weights_of_another_size(n):
+    x = random_cell_point((3, 1, 4, 2), seed=1)
+    with pytest.raises(ValueError, match=f"flag in C\\^4 needs the group A3, not A{n - 1}"):
+        recognize_typeA(FlagOracle(x), n)
+
+
+def test_mask_reader_checks_its_range():
+    x = coordinate_flag((2, 1, 3))
+    assert x.nonzero_at(0b10) and not x.nonzero_at(0b100)
+    for mask in (-1, 0b1000):
+        with pytest.raises(ValueError, match="not within"):
+            x.nonzero_at(mask)
+
+
+def test_random_cell_point_past_n9_builds_no_orbit_table(monkeypatch):
+    from schubcells import plucker
+
+    def boom(self, group, level):
+        raise AssertionError("orbit table built")
+
+    monkeypatch.setattr(plucker.OrbitTable, "__init__", boom)
+    w = (3, 10, 1, 7, 2, 9, 4, 8, 6, 5)
+    x = random_cell_point(w, seed=10)
+    assert x.n == 10 and flags._has_generic_pattern(x, w)
+    assert subset_has_generic_pattern(x, w)
