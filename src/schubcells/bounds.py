@@ -313,18 +313,6 @@ def code_bound_check(fam: CodeFamily) -> bool:
     return len(fam.subsets) <= Fraction(comb(fam.n, fam.i - 1), fam.i)
 
 
-def max_code_size(n: int, i: int) -> int:
-    """Brute-force maximum size of a distance->2 family (test oracle sizes only)."""
-    pool = [frozenset(I) for I in combinations(range(1, n + 1), i)]
-    if len(pool) > 20:
-        raise ValueError("brute-force code search is for tiny cases only")
-    for size in range(len(pool), 0, -1):
-        for cand in combinations(pool, size):
-            if all(len(I ^ J) != 2 for I, J in combinations(cand, 2)):
-                return size
-    return 0
-
-
 # ----- chain corollary -----------------------------------------------------------------
 
 

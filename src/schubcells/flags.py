@@ -3,12 +3,16 @@ coordinates as minors, coordinate flags of permutations, and generic cell
 points.
 
 Vanishing is decided exactly, never in floating point.  Entries are ints or
-Fractions; column j is scaled by d_j, the lcm of its denominators, so the
-minors are Python ints.  One table holds the minor of every column prefix
-[1, |I|] on every row set I, built in increasing order of the row mask of I
-(bit r - 1 for row r) by Laplace expansion along column |I|.  The row mask
-is the one format of a type A subset: Plucker weights carry it as ``rows``,
-so ``vanishing_pattern`` and ``FlagOracle`` index the table by it, and
+Fractions, and int entries stay ints; a column with a Fraction is scaled by
+d_j, the lcm of its denominators, so the minors are Python ints.  One table
+holds the minor of every column prefix [1, |I|] on every row set I, indexed
+by the row mask of I (bit r - 1 for row r), and is built level by level by
+Laplace expansion along column |I|: a cached per-n expansion plan lists, for
+each row r and level k, the masks that contain r by the sign of r's
+cofactor, so each nonzero entry of column k is added into the minors that
+use it and zero entries cost nothing.  The row mask is the one format of a
+type A subset: Plucker weights carry it as ``rows``, so
+``vanishing_pattern`` and ``FlagOracle`` index the table by it, and
 ``random_cell_point`` walks a per-n list of (subset, mask) pairs that needs
 no orbit table.  ``nonzero`` and ``minor`` validate row lists for outside
 callers; ``minor`` divides by d_1 ... d_|I| for the exact Fraction.
@@ -42,12 +46,30 @@ def check_flag_group(n: int, group: WeylGroup) -> None:
         raise ValueError(f"a flag in C^{n} needs the group A{n - 1}, not {group.datum.name}")
 
 
+@cache
+def expansion_plan(n: int) -> tuple[tuple[tuple[tuple[int, ...], tuple[int, ...]], ...], ...]:
+    """Per level k = 1..n and row r (bit r), the row masks m of popcount k
+    that contain r, as (plus, minus) by the sign (-1)^(rows of m above r) of
+    r's cofactor along column k: minors[m] is the signed sum of
+    col_k[r] * minors[m ^ 1 << r] over the rows r of m."""
+    levels = [[([], []) for _ in range(n)] for _ in range(n)]
+    for m in range(1, 1 << n):
+        level = levels[m.bit_count() - 1]
+        rest, odd = m, 0
+        while rest:  # rows from the top down
+            r = rest.bit_length() - 1
+            level[r][odd].append(m)
+            odd ^= 1
+            rest ^= 1 << r
+    return tuple(tuple((tuple(plus), tuple(minus)) for plus, minus in level) for level in levels)
+
+
 @dataclass(frozen=True)
 class Flag:
     """A complete flag: column i of a nonsingular matrix spans F_i together
     with columns 1..i-1."""
 
-    matrix: tuple[tuple[Fraction, ...], ...]
+    matrix: tuple[tuple[int | Fraction, ...], ...]
     # _minors[mask]: the minor of the column-scaled integer matrix on the
     # rows in mask and the first popcount(mask) columns; _scales[k] is
     # d_1 ... d_k, by which the minors on k columns were multiplied.
@@ -64,25 +86,23 @@ class Flag:
         cols, scales = [], [1]
         for j in range(n):
             col = [row[j] for row in self.matrix]
-            d = math.lcm(*(e.denominator for e in col))
-            cols.append([e.numerator * (d // e.denominator) for e in col])
+            d = 1
+            if Fraction in map(type, col):
+                d = math.lcm(*(e.denominator for e in col))
+                col = [e.numerator * (d // e.denominator) for e in col]
+            cols.append(col)
             scales.append(scales[-1] * d)
-        minors = [1] * (1 << n)
-        for mask in range(1, 1 << n):
-            k = mask.bit_count()
-            col = cols[k - 1]
-            # the lowest row's cofactor sign along column k is (-1)^(1 + k)
-            sign = 1 if k & 1 else -1
-            total = 0
-            rest = mask
-            while rest:
-                low = rest & -rest
-                entry = col[low.bit_length() - 1]
-                if entry:
-                    total += sign * entry * minors[mask ^ low]
-                sign = -sign
-                rest ^= low
-            minors[mask] = total
+        minors = [0] * (1 << n)
+        minors[0] = 1
+        for col, level in zip(cols, expansion_plan(n)):
+            for r, c in enumerate(col):
+                if c:
+                    bit = 1 << r
+                    plus, minus = level[r]
+                    for m in plus:
+                        minors[m] += c * minors[m ^ bit]
+                    for m in minus:
+                        minors[m] -= c * minors[m ^ bit]
         if minors[-1] == 0:
             raise ValueError("flag matrix is singular")
         object.__setattr__(self, "_minors", minors)
@@ -123,7 +143,9 @@ class Flag:
 
 
 def flag_from_rows(rows) -> Flag:
-    return Flag(tuple(tuple(Fraction(x) for x in row) for row in rows))
+    """The flag of a matrix given by rows; int entries stay ints, the others
+    become Fractions."""
+    return Flag(tuple(tuple(x if type(x) is int else Fraction(x) for x in row) for row in rows))
 
 
 def flag_from_columns(cols) -> Flag:
@@ -143,9 +165,9 @@ def coordinate_flag(w) -> Flag:
     """The flag of coordinate subspaces spanned by e_{w(1)}, ..., e_{w(i)}."""
     w = tuple(w)
     n = len(w)
-    rows = [[Fraction(0)] * n for _ in range(n)]
+    rows = [[0] * n for _ in range(n)]
     for i, target in enumerate(w):
-        rows[target - 1][i] = Fraction(1)
+        rows[target - 1][i] = 1
     return flag_from_rows(rows)
 
 

@@ -29,10 +29,6 @@ def one_line_str(w) -> str:
     return sep.join(map(str, w))
 
 
-def identity(n: int) -> tuple[int, ...]:
-    return tuple(range(1, n + 1))
-
-
 def length(w) -> int:
     """Number of inversions."""
     n = len(w)
@@ -109,7 +105,3 @@ def longest_in_parabolic(n: int, J) -> tuple[int, ...]:
         start = end + 1
     return tuple(out)
 
-
-def pi_pattern_bit(w, I) -> int:
-    """Vanishing-pattern bit of the coordinate flag of w at the subset I."""
-    return 1 if frozenset(I) == prefix_set(w, len(I)) else 0

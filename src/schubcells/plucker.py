@@ -132,6 +132,8 @@ class OrbitTable:
             for pos, k in enumerate(order)
         )
         self.by_labels: dict[Labels, int] = {pw.labels: pw.index for pw in self.weights}
+        # type A: the weight e_I by the row mask of I (empty in other types)
+        self.by_rows: dict[int, PluckerWeight] = {pw.rows: pw for pw in self.weights if type_a}
         # gen[i - 1][k]: index of s_i applied to weights[k]
         self.gen: tuple[tuple[int, ...], ...] = tuple(
             tuple(self.by_labels[group.reflect_labels(i, pw.labels)] for pw in self.weights)
@@ -335,23 +337,20 @@ def subset_of(pw: PluckerWeight) -> frozenset[int]:
 
 
 def weight_from_subset(group: WeylGroup, subset) -> PluckerWeight:
-    """The type A weight e_I, found by its labels [j in I] - [j+1 in I].
+    """The type A weight e_I, read off the row mask of I.
 
-    A subset of size 0 or n, or one reaching outside 1..n (whose labels are
-    those of a smaller subset, in another orbit), names no weight: ValueError
-    names the subset.
+    A subset of size 0 or n, or one reaching outside 1..n, names no weight:
+    ValueError names the subset.
     """
     subset = frozenset(subset)
+    if group.type_letter != "A":
+        raise ValueError(f"{group.datum.name} has no weight e_I")
     if not 1 <= len(subset) <= group.rank:
         raise ValueError(f"subset {subset_str(subset)} is not of size 1..{group.rank}")
-    table = orbit_table(group, len(subset))
-    labels = tuple(
-        (j in subset) - (j + 1 in subset) for j in range(1, group.rank + 1)
-    )
-    k = table.by_labels.get(labels)
-    if k is None:
+    rows = sum(1 << j - 1 for j in range(1, group.rank + 2) if j in subset)
+    if rows.bit_count() != len(subset):
         raise ValueError(f"subset {subset_str(subset)} is not within 1..{group.rank + 1}")
-    return table.weights[k]
+    return orbit_table(group, len(subset)).by_rows[rows]
 
 
 def subset_str(subset) -> str:

@@ -34,7 +34,6 @@ from .plucker import (
     ones,
     orbit_table,
     standard_ordering,
-    weight_from_subset,
     weight_label,
 )
 from .weyl import WeylElement, WeylGroup, word_str
@@ -154,22 +153,19 @@ def recognize_typeA(oracle, n: int, check_input: bool = False):
     n(n-1)/2 bits.  Returns (one-line permutation, QueryLog)."""
     group = type_a_group(n)
     counter = oracle if isinstance(oracle, CountingOracle) else CountingOracle(oracle)
-    I: set[int] = set()
+    rows = 0  # the row mask of I = {w(1), ..., w(i - 1)}
     w = []
-    for i in range(1, n + 1):
-        rest_min = min(x for x in range(1, n + 1) if x not in I)
+    for i in range(1, n):
+        table = orbit_table(group, i).by_rows
+        rest_min = (~rows & rows + 1).bit_length()
         k = n
-        while k > rest_min and (
-            k in I or counter.query(weight_from_subset(group, I | {k})) == 0
-        ):
+        while k > rest_min and (rows >> k - 1 & 1 or counter.query(table[rows | 1 << k - 1]) == 0):
             k -= 1
-        if check_input and k == rest_min and len(I) + 1 < n:
-            if counter.query(weight_from_subset(group, I | {k})) == 0:
-                raise UnacceptableInputError(
-                    f"level-{i} scan found no nonzero bit"
-                )
+        if check_input and k == rest_min and counter.query(table[rows | 1 << k - 1]) == 0:
+            raise UnacceptableInputError(f"level-{i} scan found no nonzero bit")
         w.append(k)
-        I.add(k)
+        rows |= 1 << k - 1
+    w.append((~rows & rows + 1).bit_length())  # the one row left
     return tuple(w), counter.log
 
 

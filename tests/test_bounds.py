@@ -22,7 +22,6 @@ from schubcells.bounds import (
     construct_witness_family,
     defining_set_lower_bound,
     feedback_free_min_set,
-    max_code_size,
     minimum_defining_hitting_set,
     variety_equation_count,
     witness_case_count,
@@ -301,13 +300,25 @@ def test_adjacent_exchange_forcing_n3():
             diffs = {
                 S
                 for S in (frozenset(c) for r in (1, 2) for c in combinations(range(1, 4), r))
-                if perms.pi_pattern_bit(u, S) != perms.pi_pattern_bit(v, S)
+                if (perms.prefix_set(u, len(S)) == S) != (perms.prefix_set(v, len(S)) == S)
             }
             assert diffs == {I, J}
             assert I in chosen or J in chosen
 
 
 # ----- code families ---------------------------------------------------------------------
+
+
+def max_code_size(n: int, i: int) -> int:
+    """Brute-force maximum size of a distance->2 family (test oracle sizes only)."""
+    pool = [frozenset(I) for I in combinations(range(1, n + 1), i)]
+    if len(pool) > 20:
+        raise ValueError("brute-force code search is for tiny cases only")
+    for size in range(len(pool), 0, -1):
+        for cand in combinations(pool, size):
+            if all(len(I ^ J) != 2 for I, J in combinations(cand, 2)):
+                return size
+    return 0
 
 
 def test_code_family_validation():

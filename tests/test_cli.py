@@ -71,6 +71,17 @@ def test_recognize_byte_stable(capsys):
     assert a == b
 
 
+def test_recognize_a_cell_point_of_a8_is_pinned(capsys):
+    # n = 9, the largest flag the CLI takes: the names and order of all 20 queries
+    code, out, _ = run(capsys, "--seed", "1", "recognize", "--group", "A8", "--cell", "918273645")
+    assert code == 0
+    assert out == (
+        "w = 918273645; queries = 20 (p9, p89, p79, p69, p59, p49, p39, p29, p189, "
+        "p1789, p1689, p1589, p1489, p1389, p12789, p126789, p125789, p124789, "
+        "p1236789, p12356789)\n"
+    )
+
+
 def test_recognize_errors(tmp_path, capsys):
     code, _, err = run(capsys, "recognize", "--group", "B2", "--flag", "x.json")
     assert code == 1 and "type A" in err

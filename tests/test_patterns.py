@@ -150,7 +150,7 @@ def test_coordinate_flag_pattern_is_extreme_acceptable():
         assert report.accepted and report.witness == w
         line = g.one_line(w)
         for pw in all_weights(g):
-            assert pat.bit(pw) == perms.pi_pattern_bit(line, subset_of(pw))
+            assert pat.bit(pw) == (perms.prefix_set(line, pw.level) == subset_of(pw))
 
 
 # ----- realizable sets ------------------------------------------------------------

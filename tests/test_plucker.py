@@ -428,6 +428,23 @@ def test_weight_from_subset_names_a_subset_of_the_wrong_size(subset):
         weight_from_subset(weyl_group("A2"), subset)
 
 
+@pytest.mark.parametrize("subset", [{0, 1}, {3, 4}, {1, 4}, {2, 0.5}])
+def test_weight_from_subset_names_a_subset_outside_the_rows(subset):
+    with pytest.raises(ValueError, match=f"subset {subset_str(subset)} is not within 1..3"):
+        weight_from_subset(weyl_group("A2"), subset)
+
+
+def test_weight_from_subset_reads_the_row_mask_table():
+    g = weyl_group("A3")
+    for i in (1, 2, 3):
+        table = orbit_table(g, i)
+        for pw in table.weights:
+            assert weight_from_subset(g, subset_of(pw)) is pw is table.by_rows[pw.rows]
+    with pytest.raises(ValueError, match="B2 has no weight e_I"):
+        weight_from_subset(weyl_group("B2"), {1})
+    assert orbit_table(weyl_group("B2"), 1).by_rows == {}
+
+
 # ----- memoized tables ------------------------------------------------------------
 
 

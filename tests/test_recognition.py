@@ -1,6 +1,7 @@
 """Oracle recognition: correctness, traces, query bounds, agreement of the
 type A specialization with the general algorithm, decision trees."""
 
+import random
 from collections import Counter
 from itertools import permutations
 
@@ -16,7 +17,7 @@ from schubcells.patterns import (
     generic_pattern,
     random_acceptable,
 )
-from schubcells.plucker import WeightOrdering, subset_of
+from schubcells.plucker import WeightOrdering, orbit_table, subset_of
 from schubcells.recognition import (
     CountingOracle,
     DecisionTree,
@@ -127,6 +128,64 @@ def test_typeA_agrees_with_general_n5_sampled():
             w2, log2 = recognize_typeA(PatternOracle(pat), n)
             assert g.one_line(w1) == w2 == line
             assert query_multiset(log1) == query_multiset(log2)
+
+
+def subset_weight(group, subset):
+    """Oracle: the weight e_I found by its labels [j in I] - [j+1 in I]."""
+    table = orbit_table(group, len(subset))
+    labels = tuple((j in subset) - (j + 1 in subset) for j in range(1, group.rank + 1))
+    return table.weights[table.by_labels[labels]]
+
+
+def subset_recognize_typeA(oracle, n, check_input=False):
+    """Oracle: the type A scan over subsets, each query named by its labels."""
+    group = type_a_group(n)
+    counter = CountingOracle(oracle)
+    I = set()
+    w = []
+    for i in range(1, n + 1):
+        rest_min = min(x for x in range(1, n + 1) if x not in I)
+        k = n
+        while k > rest_min and (k in I or counter.query(subset_weight(group, I | {k})) == 0):
+            k -= 1
+        if check_input and k == rest_min and len(I) + 1 < n:
+            if counter.query(subset_weight(group, I | {k})) == 0:
+                raise UnacceptableInputError(f"level-{i} scan found no nonzero bit")
+        w.append(k)
+        I.add(k)
+    return tuple(w), counter.log
+
+
+def assert_same_scan(oracle, n):
+    for check_input in (False, True):
+        try:
+            expected = subset_recognize_typeA(oracle, n, check_input)
+        except UnacceptableInputError as err:
+            with pytest.raises(UnacceptableInputError, match=str(err)):
+                recognize_typeA(oracle, n, check_input)
+            continue
+        got, log = recognize_typeA(oracle, n, check_input)
+        assert (got, log.entries) == (expected[0], expected[1].entries)
+        assert all(a is b for (a, _), (b, _) in zip(log.entries, expected[1].entries))
+
+
+def test_row_mask_scan_matches_the_subset_scan():
+    rng = random.Random(16)
+    for n in range(2, 7):
+        g = type_a_group(n)
+        for w in perms.all_perms(n):
+            assert_same_scan(FlagOracle(coordinate_flag(w)), n)
+            assert_same_scan(FlagOracle(random_cell_point(w, seed=hash(w) & 0xFFFF)), n)
+            assert_same_scan(PatternOracle(random_acceptable(g, g.from_one_line(w), seed=n)), n)
+    for n in (2, 3, 4):  # every acceptable vector, the forced bits of check_input too
+        for pat, _ in all_acceptable_patterns(type_a_group(n)):
+            assert_same_scan(PatternOracle(pat), n)
+    for n in (7, 8, 9):
+        for seed in range(10):
+            w = tuple(rng.sample(range(1, n + 1), n))
+            assert_same_scan(FlagOracle(random_cell_point(w, seed=seed)), n)
+    zero = VanishingPattern(type_a_group(3), (0,) * 6)
+    assert_same_scan(PatternOracle(zero), 3)
 
 
 # ----- unacceptable input ----------------------------------------------------------
