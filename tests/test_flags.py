@@ -119,7 +119,7 @@ def test_integer_table_matches_cofactor_and_sympy_oracles():
 def laplace_minors(matrix):
     """Oracle: the minor table built one row mask at a time, in increasing
     mask order, by Laplace expansion along column |I| of the column-scaled
-    integer matrix (the construction the expansion plan replaced)."""
+    integer matrix, walking every row of the mask."""
     n = len(matrix)
     cols = []
     for j in range(n):
