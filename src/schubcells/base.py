@@ -1,5 +1,6 @@
-"""Bases of finite posets and of Weyl groups, bigrassmannian permutations,
-and feedback-free recognition of generic patterns.
+"""Bases of Weyl groups and of the orbit posets they are read from,
+bigrassmannian permutations, and feedback-free recognition of generic
+patterns.
 
 The base of a poset is the set of elements that cannot be written as the
 supremum of other elements; mapping each element to the base elements below
@@ -9,8 +10,9 @@ element has a unique left and a unique right descent; attaching to each base
 element u (with right descent i) the weight u omega_i yields the minimal set
 of Plucker coordinates whose generic vanishing pattern identifies a cell.
 They are the bases of the orbit posets W omega_i (see weyl_base), so no
-poset on W is built: each orbit poset is its table's up- and down-masks, and
-a generic pattern is one down-mask per level.
+poset on W is built: each orbit poset is its table's up- and down-masks,
+whose base poset_base_indices takes, and a generic pattern is one down-mask
+per level.
 """
 
 from __future__ import annotations
@@ -18,73 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .patterns import VanishingPattern, element_of_weights, generic_pattern
-from .plucker import PluckerWeight, ones, orbit_table, weight_of
+from .plucker import PluckerWeight, orbit_table, weight_of
 from .weyl import WeylElement, WeylGroup
-
-
-class FinitePoset:
-    """A finite poset with unique minimum and maximum, stored as up-set
-    bitmasks over an indexed element list."""
-
-    def __init__(self, elements, up_masks: list[int]):
-        self.elements = list(elements)
-        self.up = list(up_masks)
-        n = len(self.elements)
-        if len(self.up) != n:
-            raise ValueError("one up-mask per element required")
-        for j in range(n):
-            if not self.up[j] >> j & 1:
-                raise ValueError("order must be reflexive")
-        self.down = [0] * n
-        for j in range(n):
-            acc = 0
-            for k in ones(self.up[j]):
-                if j != k and self.up[k] >> j & 1:
-                    raise ValueError("order must be antisymmetric")
-                self.down[k] |= 1 << j
-                acc |= self.up[k]
-            if acc != self.up[j]:
-                raise ValueError("order must be transitive")
-        mins = [j for j in range(n) if self.down[j] == 1 << j]
-        maxs = [j for j in range(n) if self.up[j] == 1 << j]
-        if len(mins) != 1 or len(maxs) != 1:
-            raise ValueError("poset must have a unique minimum and maximum")
-        self.minimum = mins[0]
-        self.maximum = maxs[0]
-
-    @classmethod
-    def from_leq(cls, elements, leq) -> "FinitePoset":
-        elements = list(elements)
-        masks = []
-        for a in elements:
-            m = 0
-            for k, b in enumerate(elements):
-                if leq(a, b):
-                    m |= 1 << k
-            masks.append(m)
-        return cls(elements, masks)
-
-    def __len__(self):
-        return len(self.elements)
-
-    def leq_idx(self, a: int, b: int) -> bool:
-        return bool(self.up[a] >> b & 1)
-
-
-def supremum_idx(P: FinitePoset, Q) -> int | None:
-    """Least upper bound of the index set Q, or None when it does not exist."""
-    ub = (1 << len(P)) - 1
-    for q in Q:
-        ub &= P.up[q]
-    if ub == 0:
-        return None
-    return next((k for k in ones(ub) if ub & ~P.up[k] == 0), None)
-
-
-def supremum(P: FinitePoset, Q):
-    """Least upper bound of a subset of elements, or None."""
-    idx = supremum_idx(P, [P.elements.index(q) for q in Q])
-    return None if idx is None else P.elements[idx]
 
 
 def poset_base_indices(up: list[int], down: list[int]) -> list[int]:
@@ -108,10 +45,6 @@ def poset_base_indices(up: list[int], down: list[int]) -> list[int]:
         if ub != up[a]:
             out.append(a)
     return out
-
-
-def poset_base(P: FinitePoset) -> list:
-    return [P.elements[a] for a in poset_base_indices(P.up, P.down)]
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,8 @@
   cell_description_economical  one equation per root kept positive by w, one
                                inequality per level hit by a flipped root
                                (requires an economical ordering)
-  cell_description_typeA     the explicit subset form for permutations
+  cell_description_typeA     the economical sets for permutations, in the
+                               (i, j) order of the explicit subset form
   cell_description_typeD     economical-style sets under the dedicated D
                                ordering plus the sign-flip equations
 
@@ -27,7 +28,6 @@ from .plucker import (
     mu,
     orbit_table,
     standard_ordering,
-    weight_from_subset,
     weight_of,
 )
 from .weyl import WeylElement, WeylGroup
@@ -140,9 +140,10 @@ def cell_description_economical(
 
 
 def cell_description_typeA(group: WeylGroup, w) -> CellDescription:
-    """Explicit description for permutations: p_{w([1,i-1] + {j})} = 0 for
-    i < j with w(i) < w(j), and p_{w([1,i])} != 0 when some later value drops
-    below w(i)."""
+    """The economical sets of the standard ordering in the order of the
+    explicit form for permutations: p_{w([1,i-1] + {j})} = 0 for i < j with
+    w(i) < w(j), by (i, j), and p_{w([1,i])} != 0 when some later value drops
+    below w(i), by i."""
     if group.type_letter != "A":
         raise ValueError("type A description requires a type A group")
     if isinstance(w, WeylElement):
@@ -151,18 +152,15 @@ def cell_description_typeA(group: WeylGroup, w) -> CellDescription:
     else:
         perm = tuple(w)
         elem = group.from_one_line(perm)
-    n = group.rank + 1
-    eqs = []
-    for i in range(1, n):
-        for j in range(i + 1, n + 1):
-            if perm[i - 1] < perm[j - 1]:
-                I = frozenset(perm[: i - 1]) | {perm[j - 1]}
-                eqs.append(weight_from_subset(group, I))
-    ineqs = []
-    for i in range(1, n):
-        if any(perm[j - 1] < perm[i - 1] for j in range(i + 1, n + 1)):
-            ineqs.append(weight_from_subset(group, frozenset(perm[:i])))
-    return CellDescription(elem, tuple(eqs), tuple(ineqs), standard_ordering(group))
+    ordering = standard_ordering(group)
+    eqs, ineqs = _economical_style_sets(group, elem, ordering)
+    # an equality of level i has rows w([1,i-1]) + {w(j)}; rank it by (i, j)
+    prefix, position = [0], {}
+    for j, v in enumerate(perm):
+        prefix.append(prefix[-1] | 1 << v - 1)
+        position[v] = j
+    eqs.sort(key=lambda pw: (pw.level, position[(pw.rows ^ prefix[pw.level - 1]).bit_length()]))
+    return CellDescription(elem, tuple(eqs), tuple(ineqs), ordering)
 
 
 def cell_description_typeD(

@@ -243,20 +243,25 @@ def random_cell_point(w, seed=None) -> Flag:
 
 # ----- parsing ------------------------------------------------------------------
 
-def _parse_entry(e) -> Fraction:
+def _parse_entry(e) -> int | Fraction:
+    """An entry as an int when it is integral, else as a Fraction."""
     if isinstance(e, bool) or not isinstance(e, (str, int, Fraction)):
         raise ValueError(f"flag entry {e!r} is not a number")
-    return Fraction(e)
+    try:
+        x = Fraction(e)
+    except ZeroDivisionError:
+        raise ValueError(f"flag entry {e!r} divides by zero") from None
+    return x.numerator if x.denominator == 1 else x
 
 
-def _json_rows(text: str) -> list[list[Fraction]]:
+def _json_rows(text: str) -> list[list[int | Fraction]]:
     data = json.loads(text, parse_float=Fraction)
     if not isinstance(data, list) or not all(isinstance(row, list) for row in data):
         raise ValueError("a JSON flag must be a list of rows")
     return [[_parse_entry(e) for e in row] for row in data]
 
 
-def _csv_rows(text: str) -> list[list[Fraction]]:
+def _csv_rows(text: str) -> list[list[int | Fraction]]:
     return [[_parse_entry(e) for e in row] for row in csv.reader(io.StringIO(text)) if row]
 
 
@@ -268,7 +273,7 @@ def parse_flag_csv(text: str) -> Flag:
     return flag_from_rows(_csv_rows(text))
 
 
-def load_flag_rows(path: str) -> list[list[Fraction]]:
+def load_flag_rows(path: str) -> list[list[int | Fraction]]:
     """The rows of a JSON or CSV matrix file, read without building the
     flag, so that a caller can check the size before paying 2^n minors."""
     with open(path) as fh:

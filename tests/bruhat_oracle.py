@@ -1,12 +1,84 @@
-"""Test oracle: the Bruhat order as a poset on all of W.
+"""Test oracle: finite posets with suprema, and the Bruhat order as a poset
+on all of W.
 
 The package never builds a poset on W; its base is read off the orbit posets
 W omega_i.  This oracle enumerates W and pulls each orbit order back to it,
-so the base of W can be taken by definition and compared.
+so the base of W can be taken by definition and compared.  ``FinitePoset``
+validates a mask table (reflexive, antisymmetric, transitive, bounded), and
+``supremum`` lets a base be checked against its literal definition.
 """
 
-from schubcells.base import FinitePoset
+from schubcells.base import poset_base_indices
 from schubcells.plucker import ones, orbit_table
+
+
+class FinitePoset:
+    """A finite poset with unique minimum and maximum, stored as up-set
+    bitmasks over an indexed element list."""
+
+    def __init__(self, elements, up_masks: list[int]):
+        self.elements = list(elements)
+        self.up = list(up_masks)
+        n = len(self.elements)
+        if len(self.up) != n:
+            raise ValueError("one up-mask per element required")
+        for j in range(n):
+            if not self.up[j] >> j & 1:
+                raise ValueError("order must be reflexive")
+        self.down = [0] * n
+        for j in range(n):
+            acc = 0
+            for k in ones(self.up[j]):
+                if j != k and self.up[k] >> j & 1:
+                    raise ValueError("order must be antisymmetric")
+                self.down[k] |= 1 << j
+                acc |= self.up[k]
+            if acc != self.up[j]:
+                raise ValueError("order must be transitive")
+        mins = [j for j in range(n) if self.down[j] == 1 << j]
+        maxs = [j for j in range(n) if self.up[j] == 1 << j]
+        if len(mins) != 1 or len(maxs) != 1:
+            raise ValueError("poset must have a unique minimum and maximum")
+        self.minimum = mins[0]
+        self.maximum = maxs[0]
+
+    @classmethod
+    def from_leq(cls, elements, leq) -> "FinitePoset":
+        elements = list(elements)
+        masks = []
+        for a in elements:
+            m = 0
+            for k, b in enumerate(elements):
+                if leq(a, b):
+                    m |= 1 << k
+            masks.append(m)
+        return cls(elements, masks)
+
+    def __len__(self):
+        return len(self.elements)
+
+    def leq_idx(self, a: int, b: int) -> bool:
+        return bool(self.up[a] >> b & 1)
+
+
+def supremum_idx(P: FinitePoset, Q) -> int | None:
+    """Least upper bound of the index set Q, or None when it does not exist."""
+    ub = (1 << len(P)) - 1
+    for q in Q:
+        ub &= P.up[q]
+    if ub == 0:
+        return None
+    return next((k for k in ones(ub) if ub & ~P.up[k] == 0), None)
+
+
+def supremum(P: FinitePoset, Q):
+    """Least upper bound of a subset of elements, or None."""
+    idx = supremum_idx(P, [P.elements.index(q) for q in Q])
+    return None if idx is None else P.elements[idx]
+
+
+def poset_base(P: FinitePoset) -> list:
+    return [P.elements[a] for a in poset_base_indices(P.up, P.down)]
 
 
 def bruhat_poset(group) -> FinitePoset:

@@ -13,6 +13,8 @@ import time
 from fractions import Fraction
 from math import comb
 
+from witness_oracle import witness_case_count
+
 from schubcells import perms
 from schubcells.base import (
     base_weights,
@@ -24,10 +26,9 @@ from schubcells.base import (
 from schubcells.bounds import (
     chain_corollary_check,
     construct_witness_family,
-    defining_set_lower_bound,
     feedback_free_min_set,
+    minimum_defining_hitting_set,
     variety_equation_count,
-    witness_case_count,
     witness_prefix_counts,
 )
 from schubcells.cells import (
@@ -306,8 +307,8 @@ def test_criterion_9_lower_bounds():
         for I, count in witness_prefix_counts(fam).items():
             assert count <= comb(2 * k, k)
             assert count == witness_case_count(fam, I)
-    assert defining_set_lower_bound(fam1.w, 4) >= fam1.lower_bound
-    assert variety_equation_count(fam1.w, 4) >= defining_set_lower_bound(fam1.w, 4)
+    assert minimum_defining_hitting_set(fam1.w, 4)[0] >= fam1.lower_bound
+    assert variety_equation_count(fam1.w, 4) >= minimum_defining_hitting_set(fam1.w, 4)[0]
     res = feedback_free_min_set(3)
     assert res.size == 4 and res.unique and res.certified
     assert set(res.subsets) == {

@@ -6,20 +6,17 @@ from itertools import combinations
 from math import comb
 
 import pytest
-from bruhat_oracle import bruhat_poset
+from bruhat_oracle import FinitePoset, bruhat_poset, poset_base, supremum, supremum_idx
 
 from schubcells import perms
 from schubcells.base import (
     BaseElement,
     embedding_minimality_check,
-    FinitePoset,
     base_weights,
     bigrassmannian_typeA,
     generic_recognize_from_base,
     minimality_check,
-    poset_base,
     poset_base_indices,
-    supremum,
     weyl_base,
 )
 from schubcells.cartan import cartan_datum, weyl_order
@@ -54,8 +51,6 @@ def brute_force_base(P):
         expressible = False
         for r in range(len(lower) + 1):
             for Q in combinations(lower, r):
-                from schubcells.base import supremum_idx
-
                 if supremum_idx(P, Q) == a:
                     expressible = True
                     break

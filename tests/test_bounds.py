@@ -10,6 +10,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from witness_oracle import witness_case_count
 
 from schubcells import perms
 from schubcells.bounds import (
@@ -20,11 +21,9 @@ from schubcells.bounds import (
     code_bound_check,
     code_excludable_bound,
     construct_witness_family,
-    defining_set_lower_bound,
     feedback_free_min_set,
     minimum_defining_hitting_set,
     variety_equation_count,
-    witness_case_count,
     witness_prefix_counts,
 )
 
@@ -217,8 +216,8 @@ def test_defining_set_lower_bound_s1_n3():
 
 
 def test_defining_set_lower_bound_2143():
-    assert defining_set_lower_bound((4, 3, 2, 1), 4) == 0
-    lb = defining_set_lower_bound((2, 1, 4, 3), 4)
+    assert minimum_defining_hitting_set((4, 3, 2, 1), 4)[0] == 0
+    lb = minimum_defining_hitting_set((2, 1, 4, 3), 4)[0]
     assert lb >= construct_witness_family(1).lower_bound == 2
     assert lb == 5  # frozen exact hitting-set value
     assert lb <= variety_equation_count((2, 1, 4, 3), 4)

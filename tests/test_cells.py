@@ -192,6 +192,36 @@ def test_typeA_rows():
     assert subsets_of(d.inequalities) == {frozenset({3})}
 
 
+def oracle_typeA_description(g, perm):
+    """The explicit loop that ``cell_description_typeA`` replaced:
+    p_{w([1,i-1] + {j})} = 0 for i < j with w(i) < w(j), in (i, j) order, and
+    p_{w([1,i])} != 0 when some later value drops below w(i)."""
+    n = g.rank + 1
+    eqs = []
+    for i in range(1, n):
+        for j in range(i + 1, n + 1):
+            if perm[i - 1] < perm[j - 1]:
+                I = frozenset(perm[: i - 1]) | {perm[j - 1]}
+                eqs.append(weight_from_subset(g, I))
+    ineqs = []
+    for i in range(1, n):
+        if any(perm[j - 1] < perm[i - 1] for j in range(i + 1, n + 1)):
+            ineqs.append(weight_from_subset(g, frozenset(perm[:i])))
+    return CellDescription(
+        g.from_one_line(perm), tuple(eqs), tuple(ineqs), standard_ordering(g)
+    )
+
+
+def test_typeA_matches_the_explicit_loop_in_order():
+    for n in range(2, 8):
+        g = weyl_group("A", n - 1)
+        for w in g.elements():
+            perm = g.one_line(w)
+            expected = oracle_typeA_description(g, perm)
+            assert cell_description_typeA(g, w) == expected
+            assert cell_description_typeA(g, perm) == expected
+
+
 def test_typeA_matches_economical():
     for n in (2, 3, 4, 5):
         g = weyl_group("A", n - 1)

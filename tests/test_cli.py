@@ -32,6 +32,15 @@ def test_describe_json(capsys):
     assert data["nonzero"] == ["2"]
 
 
+def test_describe_a3_json_is_pinned(capsys):
+    # the equalities in the (i, j) order of the explicit type A form
+    code, out, _ = run(capsys, "describe", "--group", "A3", "--w", "2143", "--format", "json")
+    assert (code, out) == (0, (
+        '{"group": "A3", "nonzero": ["2", "124"], "w": "2143 (s1.s3)", '
+        '"zero": ["4", "3", "24", "23"]}\n'
+    ))
+
+
 def test_describe_variety(capsys):
     code, out, _ = run(capsys, "describe-variety", "--group", "A2", "--w", "213", "--format", "json")
     assert code == 0
@@ -105,6 +114,32 @@ def test_recognize_checks_flag_size_before_building_it(tmp_path, monkeypatch, ca
     p.write_text("\n".join(",".join("1" if i == j else "0" for j in range(8)) for i in range(8)))
     code, out, err = run(capsys, "recognize", "--group", "A2", "--flag", str(p))
     assert (code, out, err) == (1, "", "flag size 8 does not match A2\n")
+
+
+@pytest.mark.parametrize("name, text, out", [
+    ("int.json", "[[0, 1, 2, 0], [1, 0, 3, 0], [0, 0, 1, 1], [2, 0, 0, 5]]",
+     "w = 4132; queries = 4 (p4, p34, p24, p134)\n"),
+    ("int.csv", "0,1,2,0\n1,0,3,0\n0,0,1,1\n2,0,0,5\n",
+     "w = 4132; queries = 4 (p4, p34, p24, p134)\n"),
+    ("rational.json", '[["1/2", 0, 1, 0], [0, "2/3", 0.5, 0], [1, 1, 0, 0], [0, 0, 0, "7/3"]]',
+     "w = 3214; queries = 5 (p4, p3, p34, p23, p234)\n"),
+])
+def test_recognize_flag_files_are_pinned(tmp_path, capsys, name, text, out):
+    p = tmp_path / name
+    p.write_text(text)
+    assert run(capsys, "recognize", "--group", "A3", "--flag", str(p)) == (0, out, "")
+
+
+@pytest.mark.parametrize("name, text", [
+    ("flag.csv", "1/0,0\n0,1\n"),
+    ("flag.json", '[["1/0", 0], [0, 1]]'),
+])
+def test_recognize_refuses_a_zero_denominator(tmp_path, capsys, name, text):
+    p = tmp_path / name
+    p.write_text(text)
+    code, out, err = run(capsys, "recognize", "--group", "A1", "--flag", str(p))
+    assert (code, out) == (1, "")
+    assert err == "error: flag entry '1/0' divides by zero\n"
 
 
 @pytest.mark.parametrize("text", ["5", "[1, 2]", '{"a": [1]}', "[[null]]", "[[true, 0], [0, 1]]"])

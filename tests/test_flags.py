@@ -20,6 +20,7 @@ from schubcells.flags import (
     coordinate_flag,
     flag_from_rows,
     load_flag,
+    load_flag_rows,
     parse_flag_csv,
     parse_flag_json,
     pattern_json,
@@ -485,6 +486,43 @@ def test_json_decimals_are_read_exactly(tmp_path):
     p = tmp_path / "flag.json"
     p.write_text(text)
     assert json.loads(pattern_json(load_flag(str(p))))["12"] == 0
+
+
+def test_integral_file_entries_are_ints(tmp_path):
+    p = tmp_path / "flag.json"
+    p.write_text('[[1, 2], [3, 4]]')
+    c = tmp_path / "flag.csv"
+    c.write_text("1,2\n3,4\n")
+    for path in (p, c):
+        rows = load_flag_rows(str(path))
+        assert rows == [[1, 2], [3, 4]]
+        assert all(type(e) is int for row in rows for e in row)
+    # integral rationals and decimals are ints too; the others stay Fractions
+    p.write_text('[["1/2", 0.5, "6/3"], [2.0, "7", 1], [0, 1, "-4/2"]]')
+    c.write_text("1/2,0.5,6/3\n2.0,7,1\n0,1,-4/2\n")
+    for path in (p, c):
+        rows = load_flag_rows(str(path))
+        assert rows == [[Fraction(1, 2), Fraction(1, 2), 2], [2, 7, 1], [0, 1, -2]]
+        assert [[type(e) for e in row] for row in rows] == [
+            [Fraction, Fraction, int], [int, int, int], [int, int, int]
+        ]
+
+
+def test_loaded_int_rows_give_the_table_of_their_fraction_copies(tmp_path):
+    c = tmp_path / "flag.csv"
+    c.write_text("0,1,2,0\n1,0,3,0\n0,0,1,1\n2,0,0,5\n")
+    x = load_flag(str(c))
+    y = Flag(tuple(tuple(Fraction(e) for e in row) for row in x.matrix))
+    assert x._minors == y._minors and x._scales == y._scales
+
+
+@pytest.mark.parametrize("parse, text", [
+    (parse_flag_csv, "1/0,0\n0,1\n"),
+    (parse_flag_json, '[["1/0", 0], [0, 1]]'),
+])
+def test_a_zero_denominator_is_a_value_error_naming_the_entry(parse, text):
+    with pytest.raises(ValueError, match="flag entry '1/0'"):
+        parse(text)
 
 
 @pytest.mark.parametrize(
