@@ -4,9 +4,13 @@ family for defining one Schubert variety, exact minimal-defining-set search
 recognition problem with its constant-weight-code inequality, and the
 codimension-one chain corollary.
 
-Everything here works on raw one-line permutations; the subset criterion for
-Bruhat comparisons is the type A specialization and is cross-checked against
-the general implementation in the tests.
+Everything here works on raw one-line permutations, up to S_12 for the
+witness family, where no orbit table is built.  u <= w in Bruhat order
+exactly when every prefix set u([1, i]) lies in the down-set of w([1, i]),
+read as row masks from ``perms.down_rows``; ``_violations`` lists the
+prefixes that do not, and the defining sets, witness checks and equation
+counts are all read off it.  The chain corollary walks covers in the type A
+Weyl group.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from itertools import combinations
 from math import comb
 
 from . import perms
+from .flags import coordinate_flag, subset_pattern, type_a_group
 
 
 # ----- witness family ---------------------------------------------------------
@@ -48,7 +53,7 @@ def construct_witness_family(k: int) -> WitnessFamily:
     n = 4 * k
     if n > 12:
         raise ValueError("witness construction is verified exhaustively only up to n = 12")
-    w = perms.longest_in_parabolic(n, set(range(1, n)) - {2 * k})
+    w = _block_reversal(k)
     first_blocks = list(combinations(range(1, 2 * k + 1), k))
     second_blocks = list(combinations(range(2 * k + 1, 4 * k + 1), k))
     members = []
@@ -70,11 +75,33 @@ def construct_witness_family(k: int) -> WitnessFamily:
     return fam
 
 
+def _block_reversal(k: int) -> tuple[int, ...]:
+    """(2k, ..., 1, 4k, ..., 2k + 1): the longest element of S_2k x S_2k in S_4k."""
+    return tuple(range(2 * k, 0, -1)) + tuple(range(4 * k, 2 * k, -1))
+
+
+def _below(w) -> list[set[int]]:
+    """Per level i = 1..n-1, the row masks of the down-set of w([1, i])."""
+    return [set(perms.down_rows(w[:i])) for i in range(1, len(w))]
+
+
+def _violations(u, below) -> list[frozenset[int]]:
+    """The prefix sets u([1, i]) whose row mask is not in below[i - 1]; with
+    below = _below(w), u <= w in Bruhat order exactly when there are none."""
+    out, mask = [], 0
+    for i, (r, down) in enumerate(zip(u, below), 1):
+        mask |= 1 << r - 1
+        if mask not in down:
+            out.append(frozenset(u[:i]))
+    return out
+
+
 def _verify_witness_family(fam: WitnessFamily):
     k, n, w = fam.k, fam.n, fam.w
     target = frozenset(range(1, 2 * k + 1))
+    below = _below(w)
     for u in fam.members:
-        if perms.ehresmann_leq(u, w):
+        if not _violations(u, below):
             raise RuntimeError(f"witness {u} is below {w}")
         if frozenset(u[: k]) | frozenset(u[2 * k : 3 * k]) != target:
             raise RuntimeError(f"witness {u} misses the block condition")
@@ -92,11 +119,10 @@ def _verify_witness_family(fam: WitnessFamily):
 def witness_prefix_counts(fam: WitnessFamily) -> dict[frozenset[int], int]:
     """For each I with I !<= w([1,|I|]): how many members have I as a prefix set."""
     counts: dict[frozenset[int], int] = {}
+    below = _below(fam.w)
     for u in fam.members:
-        for i in range(1, fam.n):
-            I = perms.prefix_set(u, i)
-            if not perms.subset_leq(I, perms.prefix_set(fam.w, i)):
-                counts[I] = counts.get(I, 0) + 1
+        for I in _violations(u, below):
+            counts[I] = counts.get(I, 0) + 1
     return counts
 
 
@@ -104,21 +130,11 @@ def witness_prefix_counts(fam: WitnessFamily) -> dict[frozenset[int], int]:
 
 
 def _constraint_families(w, n: int):
-    """For each u !<= w, the subsets I = u([1,i]) with I !<= w([1,i]).
-
-    By the prefix-subset criterion u <= w exactly when no prefix is violated,
-    so the permutations below w are the ones with no options."""
-    w_prefixes = [sorted(w[:i]) for i in range(1, n)]
-    out = []
-    for u in perms.all_perms(n):
-        opts = frozenset(
-            frozenset(u[:i])
-            for i, wp in enumerate(w_prefixes, 1)
-            if any(a > b for a, b in zip(sorted(u[:i]), wp))
-        )
-        if opts:
-            out.append(opts)
-    return out
+    """For each u !<= w, the subsets I = u([1,i]) with I !<= w([1,i]); the
+    permutations below w are the ones with no options."""
+    below = _below(w)
+    violated = (_violations(u, below) for u in perms.all_perms(n))
+    return [frozenset(opts) for opts in violated if opts]
 
 
 def minimum_defining_hitting_set(w, n: int) -> tuple[int, tuple[frozenset[int], ...]]:
@@ -170,12 +186,7 @@ def minimum_defining_hitting_set(w, n: int) -> tuple[int, tuple[frozenset[int], 
 def variety_equation_count(w, n: int) -> int:
     """Size of the universal defining set {I : I !<= w([1,|I|])}."""
     w = perms.check_permutation(w, n)
-    count = 0
-    for i in range(1, n):
-        for I in combinations(range(1, n + 1), i):
-            if not perms.subset_leq(I, perms.prefix_set(w, i)):
-                count += 1
-    return count
+    return sum(comb(n, i) - len(perms.down_rows(w[:i])) for i in range(1, n))
 
 
 # ----- feedback-free recognition ---------------------------------------------------
@@ -218,7 +229,6 @@ def feedback_free_min_set(n: int) -> FeedbackFreeResult:
     """
     if not 2 <= n <= 4:
         raise ValueError(f"feedback-free search supports n in 2..4, got n = {n}")
-    from .flags import coordinate_flag, subset_pattern
     from .patterns import realizable_full_patterns
 
     if n <= 3:
@@ -280,7 +290,7 @@ def code_bound_check(fam: CodeFamily) -> bool:
             if sub in seen:
                 raise RuntimeError("counting argument violated: duplicate subset")
             seen.add(sub)
-    return len(fam.subsets) <= Fraction(comb(fam.n, fam.i - 1), fam.i)
+    return len(fam.subsets) * fam.i <= comb(fam.n, fam.i - 1)
 
 
 # ----- chain corollary -----------------------------------------------------------------
@@ -297,18 +307,21 @@ class ChainReport:
 
 def chain_corollary_check(k: int) -> ChainReport:
     """Build a saturated chain from the witness-family target up to the top
-    element and derive the per-step lower bound C(2k,k)/(4 k^2)."""
+    element, each step the least cover w t (by one-line order) over the
+    reflections t, and derive the per-step lower bound C(2k,k)/(4 k^2)."""
     if k != 1:
         raise ValueError("the chain check is implemented for k = 1 (n = 4)")
-    n = 4 * k
-    w = perms.longest_in_parabolic(n, set(range(1, n)) - {2 * k})
-    chain = perms.saturated_chain_to_top(w)
+    g = type_a_group(4 * k)
+    cur, top = g.from_one_line(_block_reversal(k)), g.longest_element()
+    chain = [cur]
+    while cur != top:
+        covers = (g.multiply(cur, t) for t in g.reflections())
+        cur = min((v for v in covers if v.length == cur.length + 1), key=g.one_line)
+        chain.append(cur)
+    chain = [g.one_line(v) for v in chain]
     steps = len(chain) - 1
     if steps != 4 * k * k:
         raise RuntimeError(f"chain has {steps} steps, expected {4 * k * k}")
-    for a, b in zip(chain, chain[1:]):
-        if perms.length(b) != perms.length(a) + 1:
-            raise RuntimeError("chain is not saturated")
     bound = Fraction(comb(2 * k, k), 4 * k * k)
     implied = int(bound) if bound.denominator == 1 else int(bound) + 1
     return ChainReport(

@@ -163,9 +163,7 @@ def cell_description_typeA(group: WeylGroup, w) -> CellDescription:
     return CellDescription(elem, tuple(eqs), tuple(ineqs), ordering)
 
 
-def cell_description_typeD(
-    group: WeylGroup, w: WeylElement, ordering: WeightOrdering | None = None
-) -> CellDescription:
+def cell_description_typeD(group: WeylGroup, w: WeylElement) -> CellDescription:
     """Economical-style sets under the dedicated D ordering, extended by the
     equations p_{w(e_1+...+e_{i-1}-e_i)} = 0 whenever that weight lies
     strictly above w(e_1+...+e_i), for i <= r-3.
@@ -175,10 +173,7 @@ def cell_description_typeD(
     """
     if group.type_letter != "D":
         raise ValueError("type D description requires a type D group")
-    if ordering is None:
-        ordering = standard_ordering(group)
-    if ordering != standard_ordering(group):
-        raise ValueError("the type D description requires its dedicated ordering")
+    ordering = standard_ordering(group)
     eqs, ineqs = _economical_style_sets(group, w, ordering)
     r = group.rank
     seen = set(eqs)

@@ -12,10 +12,12 @@ each row r and level k, the masks that contain r by the sign of r's
 cofactor, so each nonzero entry of column k is added into the minors that
 use it and zero entries cost nothing.  The row mask is the one format of a
 type A subset: Plucker weights carry it as ``rows``, so
-``vanishing_pattern`` and ``FlagOracle`` index the table by it, and
-``random_cell_point`` walks a per-n list of (subset, mask) pairs that needs
-no orbit table.  ``nonzero`` and ``minor`` validate row lists for outside
-callers; ``minor`` divides by d_1 ... d_|I| for the exact Fraction.
+``vanishing_pattern`` and ``FlagOracle`` index the table by it;
+``random_cell_point`` checks a draw against the masks of
+``perms.down_rows``, which needs no orbit table, and ``subset_pattern``
+reads every mask of the table back as a subset.  ``nonzero`` and ``minor``
+validate row lists for outside callers; ``minor`` divides by
+d_1 ... d_|I| for the exact Fraction.
 """
 
 from __future__ import annotations
@@ -28,11 +30,9 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
-from itertools import combinations
-from operator import le
 
-from .perms import check_permutation
-from .plucker import orbit, subset_str
+from .perms import check_permutation, down_rows
+from .plucker import ones, orbit, subset_str
 from .weyl import WeylGroup, weyl_group
 
 def type_a_group(n: int) -> WeylGroup:
@@ -171,16 +171,11 @@ def coordinate_flag(w) -> Flag:
     return flag_from_rows(rows)
 
 
-@cache
-def subset_masks(n: int) -> tuple[tuple[tuple[tuple[int, ...], int], ...], ...]:
-    """Per level k = 1..n-1, each k-subset of [1, n] as (sorted I, row mask)."""
-    return tuple(tuple((I, sum(1 << r - 1 for r in I)) for I in combinations(range(1, n + 1), k))
-                 for k in range(1, n))
-
-
 def subset_pattern(x: Flag) -> dict[frozenset[int], int]:
-    """Raw vanishing pattern keyed by subsets."""
-    return {frozenset(I): int(x.nonzero_at(m)) for level in subset_masks(x.n) for I, m in level}
+    """Raw vanishing pattern keyed by the proper subsets, read off every
+    mask of the minor table but the empty and the full one."""
+    return {frozenset(r + 1 for r in ones(m)): int(c != 0)
+            for m, c in enumerate(x._minors[1:-1], 1)}
 
 
 def vanishing_pattern(x: Flag, group: WeylGroup | None = None):
@@ -203,14 +198,16 @@ MAX_SAMPLE_RETRIES = 64
 
 def _has_generic_pattern(x: Flag, w: tuple[int, ...]) -> bool:
     """Whether p_I(x) != 0 exactly when sorted(I) <= sorted(w([1, |I|]))
-    componentwise, checked on every proper subset I."""
+    componentwise: every mask of ``down_rows`` is nonzero, and no other
+    proper minor is (the count of nonzero proper minors is their total)."""
     minors = x._minors
-    for k, level in enumerate(subset_masks(len(w)), 1):
-        prefix = sorted(w[:k])
-        for I, mask in level:
-            if (minors[mask] != 0) != all(map(le, I, prefix)):
-                return False
-    return True
+    below = 0
+    for k in range(1, len(w)):
+        rows = down_rows(w[:k])
+        if not all(minors[m] for m in rows):
+            return False
+        below += len(rows)
+    return len(minors) - 2 - minors.count(0) == below
 
 
 def random_cell_point(w, seed=None) -> Flag:

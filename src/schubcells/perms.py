@@ -1,9 +1,12 @@
-"""One-line permutation utilities for the type A fast paths.
+"""One-line permutations and the type A down-sets that need no orbit table.
 
-Permutations are tuples (w(1), ..., w(n)) of 1-based values.  The subset
-criterion implemented here (componentwise comparison of sorted prefixes) is
-the classical characterization of Bruhat order on the symmetric group; tests
-cross-check it against the generic descent-recursion implementation.
+Permutations are tuples (w(1), ..., w(n)) of 1-based values.  In type A,
+p_I vanishes on the Schubert variety of w exactly when sorted(I) is not
+componentwise <= sorted(w([1, |I|])) [FZ98 §1]; ``down_rows`` lists the
+subsets that pass, as the row masks (bit r - 1 for row r) that Plucker
+weights carry as ``rows`` and that index ``flags.Flag``'s minor table.  It
+is the one subset comparison of the package outside the orbit tables; the
+tests check it against those tables and against a sorted-subset oracle.
 """
 
 from __future__ import annotations
@@ -29,79 +32,11 @@ def one_line_str(w) -> str:
     return sep.join(map(str, w))
 
 
-def length(w) -> int:
-    """Number of inversions."""
-    n = len(w)
-    return sum(1 for i in range(n) for j in range(i + 1, n) if w[i] > w[j])
-
-
-def prefix_set(w, i) -> frozenset[int]:
-    """w([1, i])."""
-    return frozenset(w[:i])
-
-
-def subset_leq(J, K) -> bool:
-    """Componentwise comparison of the sorted i-subsets J and K."""
-    sj, sk = sorted(J), sorted(K)
-    if len(sj) != len(sk):
-        raise ValueError("subset comparison requires equal cardinalities")
-    return all(a <= b for a, b in zip(sj, sk))
-
-
-def ehresmann_leq(u, v) -> bool:
-    """u <= v in Bruhat order via the prefix-subset criterion."""
-    n = len(u)
-    return all(subset_leq(u[:i], v[:i]) for i in range(1, n))
-
-
-def right_mult_transposition(w, a, b):
-    """w * t_{a,b}: swap the values in positions a and b (1-based)."""
-    out = list(w)
-    out[a - 1], out[b - 1] = out[b - 1], out[a - 1]
-    return tuple(out)
-
-
-def bruhat_covers_up(w):
-    """All v = w t with l(v) = l(w) + 1."""
-    n = len(w)
-    base = length(w)
-    out = []
-    for a in range(1, n):
-        for b in range(a + 1, n + 1):
-            v = right_mult_transposition(w, a, b)
-            if length(v) == base + 1:
-                out.append(v)
-    return out
-
-
-def saturated_chain_to_top(w):
-    """A saturated Bruhat chain from w up to the reversal n...1."""
-    n = len(w)
-    top = tuple(range(n, 0, -1))
-    chain = [w]
-    cur = w
-    while cur != top:
-        ups = bruhat_covers_up(cur)
-        if not ups:
-            raise RuntimeError("no cover found below the top element")
-        cur = min(ups)
-        chain.append(cur)
-    return chain
-
-
-def longest_in_parabolic(n: int, J) -> tuple[int, ...]:
-    """Longest element of the parabolic subgroup of S_n generated by {s_j : j in J}.
-
-    It reverses each maximal run of consecutive generator indices.
-    """
-    J = set(J)
-    out = list(range(1, n + 1))
-    start = 1
-    while start <= n:
-        end = start
-        while end < n and end in J:
-            end += 1
-        out[start - 1:end] = reversed(out[start - 1:end])
-        start = end + 1
-    return tuple(out)
-
+def down_rows(P) -> list[int]:
+    """Row masks of the |P|-subsets I with sorted(I) <= sorted(P)
+    componentwise: each next row lies above the previous one and at or below
+    the matching entry of sorted(P)."""
+    grown = [(0, 0)]  # (mask, its highest row)
+    for p in sorted(P):
+        grown = [(m | 1 << r - 1, r) for m, top in grown for r in range(top + 1, p + 1)]
+    return [m for m, _ in grown]

@@ -6,10 +6,47 @@ W omega_i.  This oracle enumerates W and pulls each orbit order back to it,
 so the base of W can be taken by definition and compared.  ``FinitePoset``
 validates a mask table (reflexive, antisymmetric, transitive, bounded), and
 ``supremum`` lets a base be checked against its literal definition.
+
+In type A, Ehresmann's criterion compares permutations directly: u <= v iff
+sorted(u([1, i])) <= sorted(v([1, i])) componentwise for every i.
+``ehresmann_leq`` and ``subset_leq`` are that oracle, with the inversion
+count ``length`` and the transposition ``right_mult_transposition``.
 """
 
 from schubcells.base import poset_base_indices
 from schubcells.plucker import ones, orbit_table
+
+
+def length(w) -> int:
+    """Number of inversions."""
+    n = len(w)
+    return sum(1 for i in range(n) for j in range(i + 1, n) if w[i] > w[j])
+
+
+def prefix_set(w, i) -> frozenset[int]:
+    """w([1, i])."""
+    return frozenset(w[:i])
+
+
+def subset_leq(J, K) -> bool:
+    """Componentwise comparison of the sorted i-subsets J and K."""
+    sj, sk = sorted(J), sorted(K)
+    if len(sj) != len(sk):
+        raise ValueError("subset comparison requires equal cardinalities")
+    return all(a <= b for a, b in zip(sj, sk))
+
+
+def ehresmann_leq(u, v) -> bool:
+    """u <= v in Bruhat order via the prefix-subset criterion."""
+    n = len(u)
+    return all(subset_leq(u[:i], v[:i]) for i in range(1, n))
+
+
+def right_mult_transposition(w, a, b):
+    """w * t_{a,b}: swap the values in positions a and b (1-based)."""
+    out = list(w)
+    out[a - 1], out[b - 1] = out[b - 1], out[a - 1]
+    return tuple(out)
 
 
 class FinitePoset:

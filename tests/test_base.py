@@ -6,9 +6,15 @@ from itertools import combinations
 from math import comb
 
 import pytest
-from bruhat_oracle import FinitePoset, bruhat_poset, poset_base, supremum, supremum_idx
+from bruhat_oracle import (
+    FinitePoset,
+    bruhat_poset,
+    poset_base,
+    prefix_set,
+    supremum,
+    supremum_idx,
+)
 
-from schubcells import perms
 from schubcells.base import (
     BaseElement,
     embedding_minimality_check,
@@ -249,7 +255,7 @@ def test_bigrassmannian_typeA():
         for t, p, s in bigrassmannian_typeA(n):
             d = [i for i in range(1, n) if p[i - 1] > p[i]]
             assert len(d) == 1
-            assert perms.prefix_set(p, d[0]) == s
+            assert prefix_set(p, d[0]) == s
 
 
 def test_base_weights():

@@ -8,6 +8,13 @@ from itertools import combinations
 from math import comb
 
 import pytest
+from bruhat_oracle import (
+    ehresmann_leq,
+    length,
+    prefix_set,
+    right_mult_transposition,
+    subset_leq,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from witness_oracle import witness_case_count
@@ -26,6 +33,7 @@ from schubcells.bounds import (
     variety_equation_count,
     witness_prefix_counts,
 )
+from schubcells.flags import type_a_group
 
 
 # ----- witness family ------------------------------------------------------------
@@ -55,12 +63,20 @@ def test_witness_family_k2():
 
 
 @pytest.mark.parametrize("k", (1, 2))
+def test_witness_target_is_the_longest_block_element(k):
+    n = 4 * k
+    g = type_a_group(n)
+    J = set(range(1, n)) - {2 * k}
+    assert construct_witness_family(k).w == g.one_line(g.longest_element(J))
+
+
+@pytest.mark.parametrize("k", (1, 2))
 def test_witness_properties_direct(k):
     fam = construct_witness_family(k)
     n, w = fam.n, fam.w
     # (1) no member is below w (independent subset-criterion check)
     for u in fam.members:
-        assert not perms.ehresmann_leq(u, w)
+        assert not ehresmann_leq(u, w)
     # (3) per-subset counts never exceed C(2k,k), and the exact case formulas
     # reproduce the direct counts
     counts = witness_prefix_counts(fam)
@@ -71,7 +87,7 @@ def test_witness_properties_direct(k):
     # small and large prefixes of members always sit below w
     for u in fam.members:
         for i in list(range(1, k + 1)) + list(range(3 * k, n)):
-            assert perms.subset_leq(perms.prefix_set(u, i), perms.prefix_set(w, i))
+            assert subset_leq(prefix_set(u, i), prefix_set(w, i))
 
 
 def test_witness_family_validation():
@@ -113,12 +129,12 @@ def oracle_families(w, n):
     """For each u !<= w (by `ehresmann_leq`), its violated prefix sets."""
     out = []
     for u in perms.all_perms(n):
-        if u == tuple(w) or perms.ehresmann_leq(u, w):
+        if u == tuple(w) or ehresmann_leq(u, w):
             continue
         opts = frozenset(
-            perms.prefix_set(u, i)
+            prefix_set(u, i)
             for i in range(1, n)
-            if not perms.subset_leq(perms.prefix_set(u, i), perms.prefix_set(w, i))
+            if not subset_leq(prefix_set(u, i), prefix_set(w, i))
         )
         assert opts, "incomparable permutation with no violated prefix"
         out.append(opts)
@@ -290,16 +306,16 @@ def test_adjacent_exchange_forcing_n3():
         for I in combinations(range(1, 4), i):
             I = frozenset(I)
             u = next(
-                u for u in perms.all_perms(3) if perms.prefix_set(u, i) == I
+                u for u in perms.all_perms(3) if prefix_set(u, i) == I
             )
-            v = perms.right_mult_transposition(u, i, i + 1)
-            J = perms.prefix_set(v, i)
+            v = right_mult_transposition(u, i, i + 1)
+            J = prefix_set(v, i)
             assert J != I and len(I ^ J) == 2
             # patterns of the two coordinate flags differ exactly at I and J
             diffs = {
                 S
                 for S in (frozenset(c) for r in (1, 2) for c in combinations(range(1, 4), r))
-                if (perms.prefix_set(u, len(S)) == S) != (perms.prefix_set(v, len(S)) == S)
+                if (prefix_set(u, len(S)) == S) != (prefix_set(v, len(S)) == S)
             }
             assert diffs == {I, J}
             assert I in chosen or J in chosen
@@ -351,8 +367,8 @@ def test_chain_corollary():
     assert rep.chain[0] == (2, 1, 4, 3)
     assert rep.chain[-1] == (4, 3, 2, 1)
     for a, b in zip(rep.chain, rep.chain[1:]):
-        assert perms.length(b) == perms.length(a) + 1
-        assert perms.ehresmann_leq(a, b)
+        assert length(b) == length(a) + 1
+        assert ehresmann_leq(a, b)
     assert rep.per_step_bound == Fraction(1, 2)
     assert rep.implied_min_equations == 1
     with pytest.raises(ValueError):

@@ -41,6 +41,35 @@ def test_describe_a3_json_is_pinned(capsys):
     ))
 
 
+BOUNDS_PINS = [
+    (("bounds", "--witness", "3"), (
+        "k=3: defining the variety of 6,5,4,3,2,1,12,11,10,9,8,7 in S_12 needs >= 20 "
+        "equations (family of 400 witnesses; codimension 36)\n"
+    )),
+    (("bounds", "--defining", "321654", "6"), (
+        "defining the variety of 321654 in S_6: >= 19 equations (universal set has 49)\n"
+        "  certificate: p124, p125, p126, p134, p135, p136, p145, p146, p156, p234, "
+        "p235, p236, p245, p246, p256, p345, p346, p356, p456\n"
+    )),
+    (("bounds", "--defining", "2134567", "7", "--format", "json"), (
+        '{"certificate": ["13", "23", "124", "134", "234", "1235", "1245", "1345", '
+        '"2345", "12346", "12356", "12456", "13456", "23456", "123457", "123467", '
+        '"123567", "124567", "134567", "234567"], "lower_bound": 20, "n": 7, '
+        '"universal_count": 119, "w": "2134567"}\n'
+    )),
+    (("bounds", "--feedback-free", "4"), (
+        "n=4: minimal feedback-free set has size 10 [coordinate-flag lower bound]\n"
+        "  coordinates: p1, p2, p3, p12, p13, p24, p34, p123, p124, p134\n"
+    )),
+]
+
+
+@pytest.mark.parametrize("argv, expected", BOUNDS_PINS, ids=[" ".join(a[1:]) for a, _ in BOUNDS_PINS])
+def test_bounds_stdout_is_pinned(capsys, argv, expected):
+    # --witness 3 runs in S_12, where no orbit table is built
+    assert run(capsys, *argv)[:2] == (0, expected)
+
+
 def test_describe_variety(capsys):
     code, out, _ = run(capsys, "describe-variety", "--group", "A2", "--w", "213", "--format", "json")
     assert code == 0

@@ -9,6 +9,7 @@ from itertools import combinations
 
 import pytest
 import sympy
+from bruhat_oracle import prefix_set
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -361,7 +362,7 @@ def test_permutation_support_lemma():
         for w in perms.all_perms(n):
             x = coordinate_flag(w)
             for I in proper_subsets(n):
-                assert (x.minor(I) != 0) == (I == perms.prefix_set(w, len(I)))
+                assert (x.minor(I) != 0) == (I == prefix_set(w, len(I)))
 
 
 def test_pattern_of_pi_213():

@@ -6,8 +6,8 @@ from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
+from bruhat_oracle import prefix_set, subset_leq
 
-from schubcells import perms
 from schubcells.errors import UnacceptableInputError
 from schubcells.flags import flag_from_columns, type_a_group
 from schubcells.patterns import (
@@ -38,7 +38,7 @@ def pattern_by_subsets(g, ones):
 def generic_pattern_bit(w, I) -> int:
     """Type A oracle: the generic bit of the cell of w at I is 1 iff sorted(I)
     lies below sorted(w([1, |I|])) componentwise."""
-    return int(perms.subset_leq(I, perms.prefix_set(w, len(I))))
+    return int(subset_leq(I, prefix_set(w, len(I))))
 
 
 def test_pattern_totality():
@@ -150,7 +150,7 @@ def test_coordinate_flag_pattern_is_extreme_acceptable():
         assert report.accepted and report.witness == w
         line = g.one_line(w)
         for pw in all_weights(g):
-            assert pat.bit(pw) == (perms.prefix_set(line, pw.level) == subset_of(pw))
+            assert pat.bit(pw) == (prefix_set(line, pw.level) == subset_of(pw))
 
 
 # ----- realizable sets ------------------------------------------------------------

@@ -1,13 +1,15 @@
 """Plucker weights, orbit Bruhat order, R(i)/mu machinery, economical
 indices and orderings."""
 
-from itertools import permutations
+import random
+from itertools import combinations, permutations
 
 import pytest
 from ambient import ambient
+from bruhat_oracle import subset_leq
 
-from schubcells import perms
 from schubcells.cartan import cartan_datum
+from schubcells.perms import down_rows
 from schubcells.plucker import (
     WeightOrdering,
     is_economical_index,
@@ -15,6 +17,7 @@ from schubcells.plucker import (
     is_economical_ordering,
     linear_order_check,
     mu,
+    ones,
     orbit,
     orbit_bruhat_leq,
     orbit_table,
@@ -140,10 +143,38 @@ def test_orbit_bruhat_typeA_subset_criterion():
             table = orbit(g, i)
             for a in table:
                 for b in table:
-                    expect = perms.subset_leq(subset_of(a), subset_of(b))
+                    expect = subset_leq(subset_of(a), subset_of(b))
                     assert orbit_bruhat_leq(g, a, b) == expect
         if n > 5:
             assert g._elements is None
+
+
+def test_down_rows_are_the_orbit_down_sets():
+    # every entry of every level of A1..A8; ranks past 4 on fresh groups
+    for r in range(1, 9):
+        g = weyl_group("A", r) if r <= 4 else WeylGroup(cartan_datum("A", r))
+        for i in range(1, r + 1):
+            table = orbit_table(g, i)
+            for pw, down in zip(table.weights, table.down_masks()):
+                rows = down_rows(subset_of(pw))
+                assert len(rows) == down.bit_count()
+                got = {frozenset(j + 1 for j in ones(m)) for m in rows}
+                assert got == {subset_of(table.weights[k]) for k in ones(down)}
+
+
+@pytest.mark.parametrize("n", (10, 11, 12))
+def test_down_rows_match_the_sorted_subset_oracle(n):
+    # past n = 9 no orbit table is built; the brute comparison decides
+    rng = random.Random(n)
+    for _ in range(4):
+        w = rng.sample(range(1, n + 1), n)
+        for i in range(1, n):
+            expect = sorted(
+                sum(1 << r - 1 for r in I)
+                for I in combinations(range(1, n + 1), i)
+                if subset_leq(I, w[:i])
+            )
+            assert sorted(down_rows(w[:i])) == expect
 
 
 def test_orbit_bruhat_reflexive_and_level_mismatch():

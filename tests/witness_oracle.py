@@ -4,7 +4,8 @@ two-case split of its prefix subsets, against which the counts that
 
 from math import comb
 
-from schubcells import perms
+from bruhat_oracle import prefix_set
+
 from schubcells.bounds import WitnessFamily
 
 
@@ -31,4 +32,4 @@ def witness_case_count(fam: WitnessFamily, I) -> int:
         if len(required) > k:
             return 0
         return comb(len(low) - len(required), k - len(required))
-    return sum(1 for u in fam.members if perms.prefix_set(u, size) == I)
+    return sum(1 for u in fam.members if prefix_set(u, size) == I)
