@@ -187,7 +187,12 @@ def _cmd_patterns_poset(args) -> int:
                 entries = list(body)
             if not entries or not all(e.strip().isdecimal() for e in entries):
                 raise ValueError(f"cannot parse coordinate {token!r}")
-            coords.append(weight_from_subset(group, frozenset(map(int, entries))))
+            rows = [int(e) for e in entries]
+            if repeated := [r for r in rows if rows.count(r) > 1]:
+                raise ValueError(f"row {repeated[0]} repeated in coordinate {token!r}")
+            if (pw := weight_from_subset(group, rows)) in coords:
+                raise ValueError(f"coordinate {token!r} repeated in --coords")
+            coords.append(pw)
     else:
         coords = list(base_mod.base_weights(group))
     realizable = patterns.realizable_restricted_patterns(n, coords)
@@ -282,7 +287,7 @@ def _cmd_bounds(args) -> int:
 
 def _cmd_economical(args) -> int:
     group = weyl_group(args.group)
-    if args.ordering:
+    if args.ordering is not None:
         tokens = args.ordering.split(",")
         for token in tokens:
             if not token.strip().isdecimal():
@@ -293,7 +298,7 @@ def _cmd_economical(args) -> int:
         ordering = standard_ordering(group)
     rows = []
     for i in range(1, group.rank + 1):
-        # one orbit BFS per level: is_economical_index's test, on the printed counts
+        # is_economical_index's test, on the printed counts; orbit_size lists no orbit
         size, roots = orbit_size(group, i), len(roots_R(group, i))
         rows.append({"index": i, "orbit_size": size, "roots": roots,
                      "economical": 1 + roots == size})

@@ -20,6 +20,7 @@ their bases (``base.weyl_base``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import prod
 
 from .weyl import Labels, Root, WeylElement, WeylGroup, along_tree, orbit_bfs, word_str
 
@@ -244,8 +245,19 @@ def orbit_bruhat_leq(group: WeylGroup, a: PluckerWeight, b: PluckerWeight) -> bo
 # ----- orbit sizes without group enumeration ---------------------------------
 
 def orbit_size(group: WeylGroup, level: int, J=None) -> int:
-    """|W_J omega_i| (|W omega_i| when J is None), counted on labels."""
-    return len(_orbit_labels(group, level, J)[0])
+    """|W_J omega_i| (|W omega_i| when J is None) as the index |W_J| / |W_{J - {i}}|,
+    exact as the stabilizer of omega_i in W_J is W_{J - {i}} [Bou68 V §3.3]."""
+    if not 1 <= level <= group.rank:
+        raise ValueError(f"level {level} out of range 1..{group.rank}")
+    J = group.check_parabolic(range(1, group.rank + 1) if J is None else J)
+    return _parabolic_order(group, J) // _parabolic_order(group, J - {level})
+
+
+def _parabolic_order(group: WeylGroup, K) -> int:
+    """|W_K| = |W_K omega_k| |W_{K - {k}}| for the lowest k in K, peeled down to
+    the empty K: one small orbit_bfs per factor (2n labels in B_n, n + 1 in A_n)."""
+    K = sorted(K)
+    return prod(len(_orbit_labels(group, k, K[t:])[0]) for t, k in enumerate(K))
 
 
 # ----- R(i) and mu ------------------------------------------------------------
@@ -285,12 +297,7 @@ def reflection_weight_map(group: WeylGroup, i: int) -> dict[Root, PluckerWeight]
 
 def _parabolic_positive_root_count(group: WeylGroup, i: int, J: frozenset[int]) -> int:
     """|{alpha > 0 : support(alpha) within J, alpha_i in support(alpha)}|."""
-    count = 0
-    for rt in group.positive_roots():
-        sup = rt.support()
-        if i in sup and sup <= J:
-            count += 1
-    return count
+    return sum(i in (sup := rt.support()) and sup <= J for rt in group.positive_roots())
 
 
 def is_economical_index_parabolic(group: WeylGroup, i: int, J) -> bool:

@@ -257,26 +257,25 @@ class WeylGroup:
     # ----- roots -------------------------------------------------------------
 
     def positive_roots(self) -> tuple[Root, ...]:
-        """Positive roots by height, then expansion: the W-orbits of the
-        (alpha_j, alpha_j^vee) pairs, with s_i acting on root expansions
-        through the Cartan matrix and on coroot expansions through its
-        transpose."""
+        """Positive roots by height, then expansion, swept up from the simple
+        roots: if c = <beta, alpha_i^vee> < 0, s_i beta = beta - c alpha_i is a
+        higher root [Bou68 VI §1.6].  s_i acts on root expansions through the
+        Cartan matrix and on coroot expansions through its transpose."""
         if self._roots is None:
             r, m = self.rank, self.datum.cartan_matrix
 
             def step(i, pair):
+                if pair is None:  # the sweep's root, whose children are the simple roots
+                    return (unit := tuple(int(k == i - 1) for k in range(r))), unit
                 e, f = pair
-                c = sum(m[i - 1][j] * e[j] for j in range(r))  # <alpha, alpha_i^vee>
-                d = sum(m[j][i - 1] * f[j] for j in range(r))  # <alpha_i, alpha^vee>
-                return (e[: i - 1] + (e[i - 1] - c,) + e[i:],
-                        f[: i - 1] + (f[i - 1] - d,) + f[i:])
+                c = sum(m[i - 1][j] * e[j] for j in range(r))  # <beta, alpha_i^vee>
+                d = sum(m[j][i - 1] * f[j] for j in range(r))  # <alpha_i, beta^vee>
+                # s_i raises beta iff c < 0; otherwise orbit_bfs has seen beta
+                return pair if c >= 0 else (e[: i - 1] + (e[i - 1] - c,) + e[i:],
+                                            f[: i - 1] + (f[i - 1] - d,) + f[i:])
 
-            pairs = set()
-            for j in range(r):
-                unit = tuple(int(k == j) for k in range(r))
-                pairs.update(orbit_bfs((unit, unit), range(1, r + 1), step)[0])
-            pos = sorted((p for p in pairs if min(p[0]) >= 0), key=lambda p: (sum(p[0]), p[0]))
-            self._roots = tuple(Root(e, f) for e, f in pos)
+            pairs = orbit_bfs(None, range(1, r + 1), step)[0][1:]
+            self._roots = tuple(Root(*p) for p in sorted(pairs, key=lambda p: (sum(p[0]), p[0])))
         return self._roots
 
     def root_signs(self, w: WeylElement) -> tuple[int, ...]:

@@ -250,6 +250,23 @@ def test_patterns_poset_braced_coordinate(capsys):
     assert run(capsys, "patterns-poset", "--group", "A3", "--coords", "p13,p2")[1] == out
 
 
+@pytest.mark.parametrize(
+    "coords, message",
+    [
+        ("p11", "row 1 repeated in coordinate 'p11'"),
+        ("p112", "row 1 repeated in coordinate 'p112'"),
+        ("p{1,1}", "row 1 repeated in coordinate 'p{1,1}'"),
+        ("p1,p1", "coordinate 'p1' repeated in --coords"),
+        ("p2,p{2}", "coordinate 'p{2}' repeated in --coords"),
+    ],
+)
+def test_patterns_poset_rejects_a_repeated_row_or_coordinate(capsys, coords, message):
+    # a set of rows would read p11 as p1 and p112 as p12
+    code, out, err = run(capsys, "patterns-poset", "--group", "A2", "--coords", coords)
+    assert (code, out) == (1, "")
+    assert err == f"error: {message}\n"
+
+
 def test_rank8_descriptions_leave_w_unenumerated(capsys):
     # |W| is over the enumeration cap for both groups; orbit tables suffice
     from schubcells.weyl import weyl_group
@@ -345,6 +362,7 @@ def test_single_digit_one_is_s1(capsys):
         (("bounds", "--defining", "321", "x"), "'x'"),
         (("bounds", "--defining", "3x1", "3"), "'3x1'"),
         (("economical", "--group", "A2", "--ordering", "2,x"), "'x' in --ordering"),
+        (("economical", "--group", "A2", "--ordering", ""), "cannot parse '' in --ordering"),
     ],
 )
 def test_input_errors_quote_the_token(capsys, argv, token):

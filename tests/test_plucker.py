@@ -3,15 +3,18 @@ indices and orderings."""
 
 import random
 from itertools import combinations, permutations
+from math import comb
 
 import pytest
 from ambient import ambient
 from bruhat_oracle import subset_leq
 
-from schubcells.cartan import cartan_datum
+from schubcells.cartan import cartan_datum, weyl_order
 from schubcells.perms import down_rows
 from schubcells.plucker import (
     WeightOrdering,
+    _orbit_labels,
+    _parabolic_order,
     is_economical_index,
     is_economical_index_parabolic,
     is_economical_ordering,
@@ -20,6 +23,7 @@ from schubcells.plucker import (
     ones,
     orbit,
     orbit_bruhat_leq,
+    orbit_size,
     orbit_table,
     reflection_weight_map,
     roots_R,
@@ -91,6 +95,55 @@ def test_orbits_disjoint():
             vecs = {ambient(g).weight(pw) for pw in orbit(g, i)}
             assert not (vecs & seen)
             seen |= vecs
+
+
+SUPPORTED_GROUPS = (
+    tuple(f"A{r}" for r in range(1, 9)) + tuple(f"B{r}" for r in range(2, 9))
+    + tuple(f"C{r}" for r in range(2, 9)) + tuple(f"D{r}" for r in range(4, 9)) + ("G2",)
+)
+
+
+def fundamental_orbit_size(letter, n, i):
+    """|W omega_i| in closed form: i-subsets of n + 1 in A_n, signed
+    i-subsets of n in B_n and C_n (and in D_n below the spin nodes), half
+    of all sign vectors at the two spin nodes of D_n."""
+    if letter == "A":
+        return comb(n + 1, i)
+    if letter == "G":
+        return 6
+    if letter == "D" and i >= n - 1:
+        return 2 ** (n - 1)
+    return 2 ** i * comb(n, i)
+
+
+@pytest.mark.parametrize("spec", SUPPORTED_GROUPS)
+def test_orbit_sizes_in_closed_form(spec):
+    g = weyl_group(spec)
+    for i in range(1, g.rank + 1):
+        assert orbit_size(g, i) == fundamental_orbit_size(g.type_letter, g.rank, i)
+
+
+@pytest.mark.parametrize("spec", SUPPORTED_GROUPS)
+def test_peeled_parabolic_order_of_all_of_w_is_its_order(spec):
+    g = weyl_group(spec)
+    assert _parabolic_order(g, range(1, g.rank + 1)) == weyl_order(g.type_letter, g.rank)
+
+
+@pytest.mark.parametrize("spec", [s for s in SUPPORTED_GROUPS if int(s[1:]) <= 5])
+def test_orbit_size_as_an_index_counts_the_listed_orbit(spec):
+    # |W_J| / |W_{J - {i}}| against the BFS listing of W_J omega_i, every J
+    g = weyl_group(spec)
+    gens = range(1, g.rank + 1)
+    for J in (J for k in range(g.rank + 1) for J in combinations(gens, k)):
+        for i in gens:
+            assert orbit_size(g, i, J) == len(_orbit_labels(g, i, J)[0]), (i, J)
+
+
+def test_orbit_size_names_a_level_out_of_range():
+    g = weyl_group("B3")
+    for level in (0, 4):
+        with pytest.raises(ValueError, match=f"level {level} out of range 1..3"):
+            orbit_size(g, level)
 
 
 ORACLE_GROUPS = (

@@ -19,7 +19,7 @@ from schubcells import perms
 from schubcells.cartan import cartan_datum, parse_group_spec, weyl_order
 from schubcells.errors import UnsupportedGroupError
 from schubcells.plucker import orbit_table
-from schubcells.weyl import weyl_group
+from schubcells.weyl import orbit_bfs, weyl_group
 
 SMALL_GROUPS = ("A1", "A2", "A3", "B2", "B3", "G2")
 RANK4_GROUPS = ("A4", "B4", "C4", "D4")
@@ -423,6 +423,40 @@ def test_act_is_a_homomorphism_and_isometry():
 
 
 # ----- roots and reflections -----------------------------------------------------------------------
+
+
+SUPPORTED_GROUPS = (
+    tuple(f"A{r}" for r in range(1, 9)) + tuple(f"B{r}" for r in range(2, 9))
+    + tuple(f"C{r}" for r in range(2, 9)) + tuple(f"D{r}" for r in range(4, 9)) + ("G2",)
+)
+
+
+def positive_roots_by_orbits(g):
+    """Oracle: the W-orbits of the (alpha_j, alpha_j^vee) pairs, one BFS over
+    all of +-Phi per simple root, keeping the positive pairs, sorted by
+    height, then expansion."""
+    r, m = g.rank, g.datum.cartan_matrix
+
+    def step(i, pair):
+        e, f = pair
+        c = sum(m[i - 1][j] * e[j] for j in range(r))  # <alpha, alpha_i^vee>
+        d = sum(m[j][i - 1] * f[j] for j in range(r))  # <alpha_i, alpha^vee>
+        return (e[: i - 1] + (e[i - 1] - c,) + e[i:],
+                f[: i - 1] + (f[i - 1] - d,) + f[i:])
+
+    pairs = set()
+    for j in range(r):
+        unit = tuple(int(k == j) for k in range(r))
+        pairs.update(orbit_bfs((unit, unit), range(1, r + 1), step)[0])
+    return sorted((p for p in pairs if min(p[0]) >= 0), key=lambda p: (sum(p[0]), p[0]))
+
+
+@pytest.mark.parametrize("spec", SUPPORTED_GROUPS)
+def test_upward_root_sweep_matches_the_orbit_oracle(spec):
+    # the same roots and coroots in the same order, so root_signs, the
+    # cells root plans and reflections() keep their indexing
+    g = weyl_group(spec)
+    assert [(rt.expansion, rt.coroot) for rt in g.positive_roots()] == positive_roots_by_orbits(g)
 
 
 def test_positive_roots():
