@@ -254,8 +254,7 @@ def orbit_size(group: WeylGroup, level: int, J=None) -> int:
 
 
 def _parabolic_order(group: WeylGroup, K) -> int:
-    """|W_K| = |W_K omega_k| |W_{K - {k}}| for the lowest k in K, peeled down to
-    the empty K: one small orbit_bfs per factor (2n labels in B_n, n + 1 in A_n)."""
+    """|W_K| = |W_K omega_k| |W_{K - {k}}| for the lowest k in K, peeled to K empty."""
     K = sorted(K)
     return prod(len(_orbit_labels(group, k, K[t:])[0]) for t, k in enumerate(K))
 
@@ -297,7 +296,12 @@ def reflection_weight_map(group: WeylGroup, i: int) -> dict[Root, PluckerWeight]
 
 def _parabolic_positive_root_count(group: WeylGroup, i: int, J: frozenset[int]) -> int:
     """|{alpha > 0 : support(alpha) within J, alpha_i in support(alpha)}|."""
-    return sum(i in (sup := rt.support()) and sup <= J for rt in group.positive_roots())
+    count = 0
+    for rt in group.positive_roots():
+        sup = rt.support()
+        if i in sup and sup <= J:
+            count += 1
+    return count
 
 
 def is_economical_index_parabolic(group: WeylGroup, i: int, J) -> bool:
