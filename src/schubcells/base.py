@@ -17,8 +17,6 @@ per level.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .patterns import VanishingPattern, element_of_weights, generic_pattern
 from .plucker import PluckerWeight, orbit_table, weight_of
 from .weyl import WeylElement, WeylGroup
@@ -47,11 +45,19 @@ def poset_base_indices(up: list[int], down: list[int]) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
 class BaseElement:
-    element: WeylElement
-    left_descent: int
-    right_descent: int
+    __slots__ = ("element", "left_descent", "right_descent")
+
+    def __init__(self, element: WeylElement, left_descent: int, right_descent: int):
+        self.element, self.left_descent, self.right_descent = element, left_descent, right_descent
+
+    def __eq__(self, other):
+        return isinstance(other, BaseElement) and (
+            self.element, self.left_descent, self.right_descent
+        ) == (other.element, other.left_descent, other.right_descent)
+
+    def __hash__(self):
+        return hash((self.element, self.left_descent, self.right_descent))
 
 
 def weyl_base(group: WeylGroup) -> tuple[BaseElement, ...]:

@@ -15,7 +15,6 @@ Weyl group.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -27,14 +26,13 @@ from .flags import coordinate_flag, subset_pattern, type_a_group
 # ----- witness family ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class WitnessFamily:
-    k: int
-    n: int
-    w: tuple[int, ...]
-    members: tuple[tuple[int, ...], ...]
-    lower_bound: int
-    codimension: int
+    __slots__ = ("k", "n", "w", "members", "lower_bound", "codimension")
+
+    def __init__(self, k: int, n: int, w: tuple[int, ...], members: tuple[tuple[int, ...], ...],
+                 lower_bound: int, codimension: int):
+        self.k, self.n, self.w = k, n, w
+        self.members, self.lower_bound, self.codimension = members, lower_bound, codimension
 
     @property
     def size(self) -> int:
@@ -192,13 +190,13 @@ def variety_equation_count(w, n: int) -> int:
 # ----- feedback-free recognition ---------------------------------------------------
 
 
-@dataclass(frozen=True)
 class FeedbackFreeResult:
-    n: int
-    size: int
-    subsets: tuple[frozenset[int], ...]
-    unique: bool
-    certified: bool
+    __slots__ = ("n", "size", "subsets", "unique", "certified")
+
+    def __init__(self, n: int, size: int, subsets: tuple[frozenset[int], ...], unique: bool,
+                 certified: bool):
+        self.n, self.size, self.subsets = n, size, subsets
+        self.unique, self.certified = unique, certified
 
 
 def _separates(coords, labelled_patterns) -> bool:
@@ -263,21 +261,19 @@ def feedback_free_min_set(n: int) -> FeedbackFreeResult:
 # ----- constant-weight codes ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class CodeFamily:
-    n: int
-    i: int
-    subsets: tuple[frozenset[int], ...]
+    __slots__ = ("n", "i", "subsets")
 
-    def __post_init__(self):
-        for I in self.subsets:
-            if len(I) != self.i or not I <= set(range(1, self.n + 1)):
+    def __init__(self, n: int, i: int, subsets: tuple[frozenset[int], ...]):
+        for I in subsets:
+            if len(I) != i or not I <= set(range(1, n + 1)):
                 raise ValueError(f"{sorted(I)} is not an i-subset of [1, n]")
-        for I, J in combinations(self.subsets, 2):
+        for I, J in combinations(subsets, 2):
             if len(I ^ J) == 2:
                 raise ValueError(
                     f"{sorted(I)} and {sorted(J)} differ by a single exchange"
                 )
+        self.n, self.i, self.subsets = n, i, subsets
 
 
 def code_bound_check(fam: CodeFamily) -> bool:
@@ -296,13 +292,13 @@ def code_bound_check(fam: CodeFamily) -> bool:
 # ----- chain corollary -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class ChainReport:
-    k: int
-    chain: tuple[tuple[int, ...], ...]
-    steps: int
-    per_step_bound: Fraction
-    implied_min_equations: int
+    __slots__ = ("k", "chain", "steps", "per_step_bound", "implied_min_equations")
+
+    def __init__(self, k: int, chain: tuple[tuple[int, ...], ...], steps: int,
+                 per_step_bound: Fraction, implied_min_equations: int):
+        self.k, self.chain, self.steps = k, chain, steps
+        self.per_step_bound, self.implied_min_equations = per_step_bound, implied_min_equations
 
 
 def chain_corollary_check(k: int) -> ChainReport:

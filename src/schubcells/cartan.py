@@ -11,7 +11,6 @@ labels of alpha_j, which is all the Weyl-group code needs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import UnsupportedGroupError
 
@@ -19,20 +18,27 @@ SUPPORTED_TYPES = ("A", "B", "C", "D", "G")
 MAX_RANK = 8
 
 
-@dataclass(frozen=True)
 class CartanDatum:
-    type_letter: str
-    rank: int
-    cartan_matrix: tuple[tuple[int, ...], ...]
+    """A type letter, a rank and the Cartan matrix; equal data are equal."""
 
-    def __post_init__(self):
-        r = self.rank
-        for i in range(r):
-            if self.cartan_matrix[i][i] != 2:
+    __slots__ = ("type_letter", "rank", "cartan_matrix")
+
+    def __init__(self, type_letter: str, rank: int, cartan_matrix: tuple[tuple[int, ...], ...]):
+        for i in range(rank):
+            if cartan_matrix[i][i] != 2:
                 raise ValueError("Cartan matrix diagonal must be 2")
-            for j in range(r):
-                if i != j and self.cartan_matrix[i][j] > 0:
+            for j in range(rank):
+                if i != j and cartan_matrix[i][j] > 0:
                     raise ValueError("Cartan matrix off-diagonal must be <= 0")
+        self.type_letter, self.rank, self.cartan_matrix = type_letter, rank, cartan_matrix
+
+    def __eq__(self, other):
+        return isinstance(other, CartanDatum) and (
+            self.type_letter, self.rank, self.cartan_matrix
+        ) == (other.type_letter, other.rank, other.cartan_matrix)
+
+    def __hash__(self):
+        return hash((self.type_letter, self.rank, self.cartan_matrix))
 
     @property
     def name(self) -> str:

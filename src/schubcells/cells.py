@@ -17,8 +17,6 @@ checked, not assumed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .patterns import generic_pattern
 from .plucker import (
     PluckerWeight,
@@ -33,33 +31,47 @@ from .plucker import (
 from .weyl import WeylElement, WeylGroup
 
 
-@dataclass(frozen=True)
 class CellDescription:
-    w: WeylElement
-    equalities: tuple[PluckerWeight, ...]
-    inequalities: tuple[PluckerWeight, ...]
-    ordering: WeightOrdering
-    # Type D only: candidate pairs the Bruhat comparison left undecided.
-    incomparable: tuple[tuple[PluckerWeight, PluckerWeight], ...] = ()
+    """Equalities and inequalities cutting out the cell of w; descriptions
+    with the same data under the same order of levels are equal.
+    ``incomparable`` (type D only) holds the candidate pairs the Bruhat
+    comparison left undecided."""
 
-    def __post_init__(self):
-        eq = set(self.equalities)
-        if eq & set(self.inequalities):
+    __slots__ = ("w", "equalities", "inequalities", "ordering", "incomparable")
+
+    def __init__(self, w: WeylElement, equalities: tuple[PluckerWeight, ...],
+                 inequalities: tuple[PluckerWeight, ...], ordering: WeightOrdering,
+                 incomparable: tuple[tuple[PluckerWeight, PluckerWeight], ...] = ()):
+        eq = set(equalities)
+        if eq & set(inequalities):
             raise ValueError("a weight cannot be both an equality and an inequality")
-        group = self.w.group
+        group = w.group
         for i in range(1, group.rank + 1):
-            if weight_of(group, self.w, i) in eq:
+            if weight_of(group, w, i) in eq:
                 raise ValueError("w omega_i can never be required to vanish")
+        self.w, self.equalities, self.inequalities = w, equalities, inequalities
+        self.ordering, self.incomparable = ordering, incomparable
+
+    def _key(self):
+        return self.w, self.equalities, self.inequalities, self.ordering.order, self.incomparable
+
+    def __eq__(self, other):
+        return isinstance(other, CellDescription) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     @property
     def size(self) -> int:
         return len(self.equalities) + len(self.inequalities)
 
 
-@dataclass(frozen=True)
 class VarietyDescription:
-    w: WeylElement
-    equalities: tuple[PluckerWeight, ...]
+    __slots__ = ("w", "equalities")
+
+    def __init__(self, w: WeylElement, equalities: tuple[PluckerWeight, ...]):
+        self.w = w
+        self.equalities = equalities
 
     @property
     def inequalities(self) -> tuple[PluckerWeight, ...]:

@@ -27,7 +27,6 @@ import io
 import json
 import math
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 
@@ -64,28 +63,27 @@ def expansion_plan(n: int) -> tuple[tuple[tuple[tuple[int, ...], tuple[int, ...]
     return tuple(tuple((tuple(plus), tuple(minus)) for plus, minus in level) for level in levels)
 
 
-@dataclass(frozen=True)
 class Flag:
     """A complete flag: column i of a nonsingular matrix spans F_i together
-    with columns 1..i-1."""
+    with columns 1..i-1.  Flags with equal matrices are equal.
 
-    matrix: tuple[tuple[int | Fraction, ...], ...]
-    # _minors[mask]: the minor of the column-scaled integer matrix on the
-    # rows in mask and the first popcount(mask) columns; _scales[k] is
-    # d_1 ... d_k, by which the minors on k columns were multiplied.
-    _minors: list[int] = field(init=False, compare=False, repr=False)
-    _scales: list[int] = field(init=False, compare=False, repr=False)
+    ``_minors[mask]`` is the minor of the column-scaled integer matrix on the
+    rows in mask and the first popcount(mask) columns; ``_scales[k]`` is
+    d_1 ... d_k, by which the minors on k columns were multiplied.
+    """
 
-    def __post_init__(self):
-        n = len(self.matrix)
-        if n == 0 or any(len(row) != n for row in self.matrix):
+    __slots__ = ("matrix", "_minors", "_scales")
+
+    def __init__(self, matrix: tuple[tuple[int | Fraction, ...], ...]):
+        n = len(matrix)
+        if n == 0 or any(len(row) != n for row in matrix):
             raise ValueError("flag matrix must be square and nonempty")
-        bad = [e for row in self.matrix for e in row if type(e) not in (int, Fraction)]
+        bad = [e for row in matrix for e in row if type(e) not in (int, Fraction)]
         if bad:
             raise ValueError(f"flag entry {bad[0]!r} is not an int or Fraction")  # nor a bool
         cols, scales = [], [1]
         for j in range(n):
-            col = [row[j] for row in self.matrix]
+            col = [row[j] for row in matrix]
             d = 1
             if Fraction in map(type, col):
                 d = math.lcm(*(e.denominator for e in col))
@@ -105,8 +103,15 @@ class Flag:
                         minors[m] -= c * minors[m ^ bit]
         if minors[-1] == 0:
             raise ValueError("flag matrix is singular")
-        object.__setattr__(self, "_minors", minors)
-        object.__setattr__(self, "_scales", scales)
+        self.matrix = matrix
+        self._minors = minors
+        self._scales = scales
+
+    def __eq__(self, other):
+        return isinstance(other, Flag) and self.matrix == other.matrix
+
+    def __hash__(self):
+        return hash(self.matrix)
 
     @property
     def n(self) -> int:

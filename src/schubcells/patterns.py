@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
 from functools import cache
 from itertools import product
 
@@ -93,12 +92,20 @@ class VanishingPattern:
         return f"VanishingPattern({''.join(map(str, self.bits))})"
 
 
-@dataclass(frozen=True)
 class AcceptabilityReport:
-    accepted: bool
-    per_level_max: dict[int, PluckerWeight | None]
-    witness: WeylElement | None
-    failure_reason: str | None  # empty_level | no_unique_max | no_common_w
+    """``failure_reason`` is None, empty_level, no_unique_max or no_common_w."""
+
+    __slots__ = ("accepted", "per_level_max", "witness", "failure_reason")
+
+    def __init__(self, accepted: bool, per_level_max: dict[int, PluckerWeight | None],
+                 witness: WeylElement | None, failure_reason: str | None):
+        self.accepted, self.per_level_max = accepted, per_level_max
+        self.witness, self.failure_reason = witness, failure_reason
+
+    def __eq__(self, other):
+        return isinstance(other, AcceptabilityReport) and (
+            self.accepted, self.per_level_max, self.witness, self.failure_reason
+        ) == (other.accepted, other.per_level_max, other.witness, other.failure_reason)
 
     def require_witness(self) -> WeylElement:
         if not self.accepted or self.witness is None:
@@ -178,15 +185,16 @@ def random_acceptable(group: WeylGroup, w: WeylElement, seed=None) -> VanishingP
 # ----- poset of restricted patterns ---------------------------------------------
 
 
-@dataclass(frozen=True)
 class PatternPoset:
     """Bitwise-dominance order on a set of restricted patterns; fewer ones is
     lower.  Edges are the Hasse covers within the set."""
 
-    coords: tuple[PluckerWeight, ...]
-    vertices: tuple[tuple[int, ...], ...]
-    labels: dict[tuple[int, ...], tuple]
-    covers: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
+    __slots__ = ("coords", "vertices", "labels", "covers")
+
+    def __init__(self, coords: tuple[PluckerWeight, ...], vertices: tuple[tuple[int, ...], ...],
+                 labels: dict[tuple[int, ...], tuple],
+                 covers: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]):
+        self.coords, self.vertices, self.labels, self.covers = coords, vertices, labels, covers
 
     @staticmethod
     def dominated(u, v) -> bool:
@@ -255,7 +263,6 @@ def pattern_poset(coords, patterns: dict) -> PatternPoset:
 # ----- realizable patterns at small n (type A) -----------------------------------
 
 
-@dataclass(frozen=True)
 class RealizableSet:
     """Restricted patterns realized by actual flags, with cell labels.
 
@@ -263,9 +270,11 @@ class RealizableSet:
     sampled lower-bound sets.
     """
 
-    coords: tuple[PluckerWeight, ...]
-    patterns: dict[tuple[int, ...], tuple]
-    certified: bool
+    __slots__ = ("coords", "patterns", "certified")
+
+    def __init__(self, coords: tuple[PluckerWeight, ...],
+                 patterns: dict[tuple[int, ...], tuple], certified: bool):
+        self.coords, self.patterns, self.certified = coords, patterns, certified
 
 
 @cache

@@ -19,7 +19,6 @@ their bases (``base.weyl_base``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import prod
 
 from .weyl import Labels, Root, WeylElement, WeylGroup, along_tree, orbit_bfs, word_str
@@ -33,7 +32,6 @@ def ones(m: int):
         m ^= low
 
 
-@dataclass(frozen=True, eq=False, slots=True)
 class PluckerWeight:
     """A weight in the orbit W omega_i, with its minimal coset representative,
     its Dynkin labels, its index in the orbit table and, in type A, the row
@@ -45,15 +43,13 @@ class PluckerWeight:
     is precomputed.
     """
 
-    level: int
-    min_rep: WeylElement = field(repr=False)
-    labels: Labels = field(repr=False)
-    index: int = field(repr=False)
-    rows: int | None = field(default=None, repr=False)
-    _hash: int = field(init=False, repr=False)
+    __slots__ = ("level", "min_rep", "labels", "index", "rows", "_hash")
 
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.level, self.labels)))
+    def __init__(self, level: int, min_rep: WeylElement, labels: Labels, index: int,
+                 rows: int | None = None):
+        self.level, self.min_rep, self.labels = level, min_rep, labels
+        self.index, self.rows = index, rows
+        self._hash = hash((level, labels))
 
     def __hash__(self):
         return self._hash
@@ -67,15 +63,15 @@ class PluckerWeight:
         return f"PluckerWeight(level={self.level}, {word_str(self.min_rep.word)})"
 
 
-@dataclass(frozen=True)
 class WeightOrdering:
     """A linear order on the fundamental weight indices 1..r."""
 
-    order: tuple[int, ...]
+    __slots__ = ("order",)
 
-    def __post_init__(self):
-        if sorted(self.order) != list(range(1, len(self.order) + 1)):
-            raise ValueError(f"{self.order} is not a permutation of 1..{len(self.order)}")
+    def __init__(self, order: tuple[int, ...]):
+        if sorted(order) != list(range(1, len(order) + 1)):
+            raise ValueError(f"{order} is not a permutation of 1..{len(order)}")
+        self.order = order
 
     @property
     def rank(self) -> int:
@@ -350,10 +346,14 @@ def subset_of(pw: PluckerWeight) -> frozenset[int]:
 def weight_from_subset(group: WeylGroup, subset) -> PluckerWeight:
     """The type A weight e_I, read off the row mask of I.
 
-    A subset of size 0 or n, or one reaching outside 1..n, names no weight:
-    ValueError names the subset.
+    A repeated row, a subset of size 0 or n, or one reaching outside 1..n
+    names no weight: ValueError names the row or the subset.
     """
-    subset = frozenset(subset)
+    items = sorted(subset)
+    subset = frozenset(items)
+    if len(subset) != len(items):
+        repeated = next(a for a, b in zip(items, items[1:]) if a == b)
+        raise ValueError(f"row {repeated} repeated in {items}")
     if group.type_letter != "A":
         raise ValueError(f"{group.datum.name} has no weight e_I")
     if not 1 <= len(subset) <= group.rank:

@@ -19,7 +19,6 @@ optimal (minimax) tree searches every acceptable vector of a tiny group.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import count, product
 
 from .errors import UnacceptableInputError
@@ -39,9 +38,11 @@ from .plucker import (
 from .weyl import WeylElement, WeylGroup, word_str
 
 
-@dataclass
 class QueryLog:
-    entries: list[tuple[PluckerWeight, int]] = field(default_factory=list)
+    __slots__ = ("entries",)
+
+    def __init__(self, entries: list[tuple[PluckerWeight, int]] | None = None):
+        self.entries = [] if entries is None else entries
 
     @property
     def count(self) -> int:
@@ -172,31 +173,35 @@ def recognize_typeA(oracle, n: int, check_input: bool = False):
 # ----- decision trees --------------------------------------------------------------
 
 
-@dataclass
 class TreeLeaf:
-    w: WeylElement
+    __slots__ = ("w",)
+
+    def __init__(self, w: WeylElement):
+        self.w = w
 
     @property
     def depth(self) -> int:
         return 0
 
 
-@dataclass
 class TreeNode:
-    weight: PluckerWeight
-    low: "TreeNode | TreeLeaf"   # branch for bit 0
-    high: "TreeNode | TreeLeaf"  # branch for bit 1
+    """A query of ``weight``: ``low`` is the branch for bit 0, ``high`` for bit 1."""
+
+    __slots__ = ("weight", "low", "high")
+
+    def __init__(self, weight: PluckerWeight, low: TreeNode | TreeLeaf, high: TreeNode | TreeLeaf):
+        self.weight, self.low, self.high = weight, low, high
 
     @property
     def depth(self) -> int:
         return 1 + max(self.low.depth, self.high.depth)
 
 
-@dataclass
 class DecisionTree:
-    group: WeylGroup
-    root: TreeNode | TreeLeaf
-    strategy: str
+    __slots__ = ("group", "root", "strategy")
+
+    def __init__(self, group: WeylGroup, root: TreeNode | TreeLeaf, strategy: str):
+        self.group, self.root, self.strategy = group, root, strategy
 
     @property
     def depth(self) -> int:

@@ -17,15 +17,13 @@ Bruhat order has one engine, the orbit tables of ``plucker``: u <= v iff
 u omega_i <= v omega_i on every orbit W omega_i (Deodhar's criterion
 [BB05 2.6]), so comparing two elements never enumerates W.
 
-All values are immutable after construction.  The only internal mutation is
+No value is changed after construction.  The only internal mutation is
 memoization: each table derived from a group is a field of the group, filled
 by its builder on first use, so it lives exactly as long as the group.  Dict
 insertion is atomic under CPython, so groups can be shared across threads.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 from .cartan import CartanDatum, cartan_datum, parse_group_spec, weyl_order
 from .errors import UnsupportedGroupError
@@ -36,16 +34,16 @@ ENUMERATION_CAP = 10 ** 6
 Labels = tuple[int, ...]
 
 
-@dataclass(frozen=True, slots=True)
 class WeylElement:
     """A group element in canonical form (shortlex-minimal reduced word).
 
     ``fingerprint`` is the tuple of Dynkin labels of w^{-1} rho.
     """
 
-    word: tuple[int, ...]
-    fingerprint: Labels
-    group: "WeylGroup" = field(compare=False, repr=False, hash=False)
+    __slots__ = ("word", "fingerprint", "group")
+
+    def __init__(self, word: tuple[int, ...], fingerprint: Labels, group: WeylGroup):
+        self.word, self.fingerprint, self.group = word, fingerprint, group
 
     @property
     def length(self) -> int:
@@ -65,13 +63,15 @@ class WeylElement:
         return f"WeylElement({word_str(self.word)})"
 
 
-@dataclass(frozen=True)
 class Root:
     """A root alpha by its simple-root expansion, with the simple-coroot
     expansion of alpha^vee (so <lambda, alpha^vee> = sum lambda_j coroot_j)."""
 
-    expansion: tuple[int, ...]
-    coroot: tuple[int, ...]
+    __slots__ = ("expansion", "coroot")
+
+    def __init__(self, expansion: tuple[int, ...], coroot: tuple[int, ...]):
+        self.expansion = expansion
+        self.coroot = coroot
 
     @property
     def is_positive(self) -> bool:

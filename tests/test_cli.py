@@ -135,10 +135,10 @@ def test_recognize_checks_flag_size_before_building_it(tmp_path, monkeypatch, ca
     # a flag's minor table costs 2^n: an oversized file must be refused first
     from schubcells import flags
 
-    def boom(self):
+    def boom(self, matrix):
         raise AssertionError("Flag built before the size check")
 
-    monkeypatch.setattr(flags.Flag, "__post_init__", boom)
+    monkeypatch.setattr(flags.Flag, "__init__", boom)
     p = tmp_path / "big.csv"
     p.write_text("\n".join(",".join("1" if i == j else "0" for j in range(8)) for i in range(8)))
     code, out, err = run(capsys, "recognize", "--group", "A2", "--flag", str(p))

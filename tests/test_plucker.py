@@ -2,6 +2,7 @@
 indices and orderings."""
 
 import random
+import re
 from itertools import combinations, permutations
 from math import comb
 
@@ -515,6 +516,13 @@ def test_weight_from_subset_names_a_subset_of_the_wrong_size(subset):
 @pytest.mark.parametrize("subset", [{0, 1}, {3, 4}, {1, 4}, {2, 0.5}])
 def test_weight_from_subset_names_a_subset_outside_the_rows(subset):
     with pytest.raises(ValueError, match=f"subset {subset_str(subset)} is not within 1..3"):
+        weight_from_subset(weyl_group("A2"), subset)
+
+
+@pytest.mark.parametrize("subset, row", [([1, 1], 1), ([1, 1, 2], 1), ((3, 2, 3), 3)])
+def test_weight_from_subset_names_a_repeated_row(subset, row):
+    # a set of rows would drop the repeat and answer p1 for [1, 1]
+    with pytest.raises(ValueError, match=re.escape(f"row {row} repeated in {sorted(subset)}")):
         weight_from_subset(weyl_group("A2"), subset)
 
 

@@ -1,6 +1,9 @@
 """Invariants of the package source itself."""
 
 import ast
+import os
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -32,3 +35,25 @@ def test_all_lists_exactly_the_public_names():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert set(exported) == public
+
+
+def test_no_module_imports_dataclasses():
+    """Records are plain slotted classes: generating their methods at import
+    time costs every cold CLI process."""
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom) and node.module == "dataclasses"
+        or isinstance(node, ast.Import) and any(a.name == "dataclasses" for a in node.names)
+    ]
+    assert found == []
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # -S: no site-packages .pth file may load them first
+    code = "import sys, schubcells.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    run = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert run.stdout == "[]\n"
