@@ -4,13 +4,14 @@ family for defining one Schubert variety, exact minimal-defining-set search
 recognition problem with its constant-weight-code inequality, and the
 codimension-one chain corollary.
 
-Everything here works on raw one-line permutations, up to S_12 for the
-witness family, where no orbit table is built.  u <= w in Bruhat order
-exactly when every prefix set u([1, i]) lies in the down-set of w([1, i]),
-read as row masks from ``perms.down_rows``; ``_violations`` lists the
-prefixes that do not, and the defining sets, witness checks and equation
-counts are all read off it.  The chain corollary walks covers in the type A
-Weyl group.
+Everything here but the feedback-free search works on raw one-line
+permutations, up to S_12 for the witness family, where no orbit table is
+built.  u <= w in Bruhat order exactly when every prefix set u([1, i]) lies
+in the down-set of w([1, i]), read as row masks from ``perms.down_rows``;
+``_violations`` lists the prefixes that do not, and the defining sets,
+witness checks and equation counts are all read off it.  The feedback-free
+search reads vanishing patterns; the chain corollary walks covers in the
+type A Weyl group.
 """
 
 from __future__ import annotations
@@ -20,7 +21,10 @@ from itertools import combinations
 from math import comb
 
 from . import perms
-from .flags import coordinate_flag, subset_pattern, type_a_group
+from .flags import realizable_full_patterns, type_a_group
+from .patterns import coordinate_flag_pattern
+from .plucker import all_weights, subset_of
+from .weyl import WeylElement
 
 
 # ----- witness family ---------------------------------------------------------
@@ -199,10 +203,10 @@ class FeedbackFreeResult:
         self.unique, self.certified = unique, certified
 
 
-def _separates(coords, labelled_patterns) -> bool:
-    seen: dict[tuple[int, ...], tuple] = {}
+def _separates(cand, labelled_patterns) -> bool:
+    seen: dict[tuple[int, ...], WeylElement] = {}
     for bits, label in labelled_patterns:
-        key = tuple(bits[I] for I in coords)
+        key = tuple(bits[k] for k in cand)
         prior = seen.get(key)
         if prior is None:
             seen[key] = label
@@ -227,31 +231,26 @@ def feedback_free_min_set(n: int) -> FeedbackFreeResult:
     """
     if not 2 <= n <= 4:
         raise ValueError(f"feedback-free search supports n in 2..4, got n = {n}")
-    from .patterns import realizable_full_patterns
-
-    if n <= 3:
-        labelled = [
-            (subset_pattern(flag), pat.group.one_line(witness))
-            for pat, witness, flag in realizable_full_patterns(n)
-        ]
-    else:
-        labelled = [(subset_pattern(coordinate_flag(u)), u) for u in perms.all_perms(n)]
+    group = type_a_group(n)
     certified = n <= 3
-    universe = sorted(
-        {I for bits, _ in labelled for I in bits}, key=lambda s: (len(s), sorted(s))
-    )
+    if certified:
+        labelled = [(pat, w) for pat, w, _flag in realizable_full_patterns(n)]
+    else:
+        labelled = [(coordinate_flag_pattern(group, w), w) for w in group.elements()]
+    universe = sorted(all_weights(group), key=lambda pw: (pw.level, sorted(subset_of(pw))))
+    labelled = [(pat.restrict(universe), w) for pat, w in labelled]
     start = max(0, len(universe) - code_excludable_bound(n))
     for size in range(start, len(universe) + 1):
         winners = [
             cand
-            for cand in combinations(universe, size)
+            for cand in combinations(range(len(universe)), size)
             if _separates(cand, labelled)
         ]
         if winners:
             return FeedbackFreeResult(
                 n=n,
                 size=size,
-                subsets=tuple(winners[0]),
+                subsets=tuple(subset_of(universe[k]) for k in winners[0]),
                 unique=len(winners) == 1,
                 certified=certified,
             )

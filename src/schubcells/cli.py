@@ -187,15 +187,16 @@ def _cmd_patterns_poset(args) -> int:
                 entries = list(body)
             if not entries or not all(e.strip().isdecimal() for e in entries):
                 raise ValueError(f"cannot parse coordinate {token!r}")
-            rows = [int(e) for e in entries]
-            if repeated := [r for r in rows if rows.count(r) > 1]:
-                raise ValueError(f"row {repeated[0]} repeated in coordinate {token!r}")
-            if (pw := weight_from_subset(group, rows)) in coords:
+            try:
+                pw = weight_from_subset(group, [int(e) for e in entries])
+            except ValueError as exc:
+                raise ValueError(f"{exc} (coordinate {token!r})") from None
+            if pw in coords:
                 raise ValueError(f"coordinate {token!r} repeated in --coords")
             coords.append(pw)
     else:
         coords = list(base_mod.base_weights(group))
-    realizable = patterns.realizable_restricted_patterns(n, coords)
+    realizable = flags.realizable_restricted_patterns(n, coords)
     labels = {
         key: tuple(one_line_str(w) for w in ws)
         for key, ws in realizable.patterns.items()
@@ -347,8 +348,9 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("recognize", help="recognize the cell of a flag")
     p.add_argument("--group", required=True)
-    p.add_argument("--flag", help="JSON or CSV matrix of rationals")
-    p.add_argument("--cell", help="sample a generic point of this cell instead")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--flag", help="JSON or CSV matrix of rationals")
+    source.add_argument("--cell", help="sample a generic point of this cell instead")
     p.add_argument("--trace", action="store_true")
     p.add_argument("--format", choices=("plain", "json"), default="plain")
 

@@ -12,12 +12,15 @@ each row r and level k, the masks that contain r by the sign of r's
 cofactor, so each nonzero entry of column k is added into the minors that
 use it and zero entries cost nothing.  The row mask is the one format of a
 type A subset: Plucker weights carry it as ``rows``, so
-``vanishing_pattern`` and ``FlagOracle`` index the table by it;
+``vanishing_pattern`` and ``FlagOracle`` index the table by it, and
 ``random_cell_point`` checks a draw against the masks of
-``perms.down_rows``, which needs no orbit table, and ``subset_pattern``
-reads every mask of the table back as a subset.  ``nonzero`` and ``minor``
+``perms.down_rows``, which needs no orbit table.  ``nonzero`` and ``minor``
 validate row lists for outside callers; ``minor`` divides by
 d_1 ... d_|I| for the exact Fraction.
+
+Realizability lives beside the flags that certify it: at n <= 3 every
+acceptable vector that the three-term relation allows is realized by an
+integer flag whose ``vanishing_pattern`` is that vector.
 """
 
 from __future__ import annotations
@@ -29,9 +32,16 @@ import math
 import random
 from fractions import Fraction
 from functools import cache
+from itertools import product
 
+from .patterns import (
+    VanishingPattern,
+    all_acceptable_patterns,
+    coordinate_flag_pattern,
+    generic_pattern,
+)
 from .perms import check_permutation, down_rows
-from .plucker import ones, orbit, subset_str
+from .plucker import PluckerWeight, orbit, weight_from_subset
 from .weyl import WeylGroup, weyl_group
 
 def type_a_group(n: int) -> WeylGroup:
@@ -176,18 +186,9 @@ def coordinate_flag(w) -> Flag:
     return flag_from_rows(rows)
 
 
-def subset_pattern(x: Flag) -> dict[frozenset[int], int]:
-    """Raw vanishing pattern keyed by the proper subsets, read off every
-    mask of the minor table but the empty and the full one."""
-    return {frozenset(r + 1 for r in ones(m)): int(c != 0)
-            for m, c in enumerate(x._minors[1:-1], 1)}
-
-
-def vanishing_pattern(x: Flag, group: WeylGroup | None = None):
+def vanishing_pattern(x: Flag, group: WeylGroup | None = None) -> VanishingPattern:
     """The vanishing pattern of a flag over the Plucker weights of its type A
     group, read off the minor table at each weight's row mask."""
-    from .patterns import VanishingPattern
-
     if group is None:
         group = type_a_group(x.n)
     check_flag_group(x.n, group)
@@ -243,6 +244,100 @@ def random_cell_point(w, seed=None) -> Flag:
     raise RuntimeError(f"failed to sample a generic point of the cell of {w}")
 
 
+# ----- realizable patterns at small n --------------------------------------------
+
+
+class RealizableSet:
+    """Restricted patterns realized by actual flags, with cell labels.
+
+    ``certified`` distinguishes the exactly-enumerated small cases from
+    sampled lower-bound sets.
+    """
+
+    __slots__ = ("coords", "patterns", "certified")
+
+    def __init__(self, coords: tuple[PluckerWeight, ...],
+                 patterns: dict[tuple[int, ...], tuple], certified: bool):
+        self.coords, self.patterns, self.certified = coords, patterns, certified
+
+
+@cache
+def realizable_full_patterns(n: int):
+    """All vanishing patterns of flags in C^n for n <= 3, certified exact.
+
+    Candidates are the acceptable vectors consistent with the three-term
+    quadratic relation among the n=3 minors; each candidate is then realized
+    by an integer flag whose ``vanishing_pattern`` is the candidate, which
+    certifies the enumeration both ways.
+    Returns a list of (VanishingPattern, witness, Flag).
+    """
+    if n not in (2, 3):
+        raise ValueError("exact realizability enumeration is implemented for n <= 3")
+    group = type_a_group(n)
+    # p1 p23 - p2 p13 + p3 p12 = 0 cannot hold with one nonzero term
+    terms = [(weight_from_subset(group, {j}), weight_from_subset(group, {1, 2, 3} - {j}))
+             for j in (1, 2, 3)] if n == 3 else []
+    results = []
+    for pat, witness in all_acceptable_patterns(group):
+        if sum(pat.bit(a) & pat.bit(b) for a, b in terms) == 1:
+            continue
+        flag = _realize(n, pat)
+        if flag is None:
+            raise RuntimeError(
+                f"candidate pattern {pat.bits} passed the filters but was not realized"
+            )
+        results.append((pat, witness, flag))
+    return results
+
+
+def _realize(n: int, pattern: VanishingPattern) -> Flag | None:
+    """The first flag, in a fixed search order, whose vanishing pattern is
+    ``pattern``: column 1 holds the level-1 bits, each middle column ranges
+    over [-2, 2]^n and the last column is a unit vector.  ``Flag`` decides
+    singularity and every minor on its integer table."""
+    group = pattern.group
+    first = tuple(pattern.bit(weight_from_subset(group, {j})) for j in range(1, n + 1))
+    units = [tuple(int(j == k) for j in range(n)) for k in range(n)]
+    for middle in product(product(range(-2, 3), repeat=n), repeat=n - 2):
+        for last in units:
+            try:
+                flag = flag_from_columns((first, *middle, last))
+            except ValueError:  # singular
+                continue
+            if vanishing_pattern(flag, group) == pattern:
+                return flag
+    return None
+
+
+def realizable_restricted_patterns(n: int, coords) -> RealizableSet:
+    """Restrictions of flag vanishing patterns to the given coordinates.
+
+    Exact (certified) for n <= 3.  For n = 4 the result combines coordinate
+    flags and generic cell points only, so it is a sampled lower-bound set.
+    """
+    group = type_a_group(n)
+    coords = tuple(
+        pw if isinstance(pw, PluckerWeight) else weight_from_subset(group, pw)
+        for pw in coords
+    )
+    found: dict[tuple[int, ...], set] = {}
+    if n in (2, 3):
+        for pat, witness, _flag in realizable_full_patterns(n):
+            key = pat.restrict(coords)
+            found.setdefault(key, set()).add(group.one_line(witness))
+        certified = True
+    elif n == 4:
+        for w in group.elements():
+            for pat in (generic_pattern(group, w), coordinate_flag_pattern(group, w)):
+                key = pat.restrict(coords)
+                found.setdefault(key, set()).add(group.one_line(w))
+        certified = False
+    else:
+        raise ValueError("realizable pattern enumeration is implemented for n <= 4")
+    patterns = {key: tuple(sorted(ws)) for key, ws in found.items()}
+    return RealizableSet(coords, patterns, certified)
+
+
 # ----- parsing ------------------------------------------------------------------
 
 def _parse_entry(e) -> int | Fraction:
@@ -290,7 +385,3 @@ def load_flag_rows(path: str) -> list[list[int | Fraction]]:
 
 def load_flag(path: str) -> Flag:
     return flag_from_rows(load_flag_rows(path))
-
-
-def pattern_json(x: Flag) -> str:
-    return json.dumps({subset_str(I): b for I, b in subset_pattern(x).items()}, sort_keys=True)

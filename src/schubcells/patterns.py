@@ -1,30 +1,24 @@
-"""Vanishing patterns as first-class objects: acceptability, generic
-patterns, random acceptable vectors, restriction, the degeneration poset of
-restricted patterns, and the certified realizable sets at small n, each
-pattern realized by an integer flag whose minors ``flags.Flag`` computes.
+"""Vanishing patterns as first-class objects: acceptability, generic and
+coordinate-flag patterns, random acceptable vectors, the enumeration of every
+acceptable vector of a small group, restriction, and the degeneration poset
+of restricted patterns.
 
 A pattern is one int per level in the format of the orbit tables' interval
-masks, so the generic pattern of w is the down-masks of the w omega_i.  Only
-this module knows the flat layout, which ``VanishingPattern`` takes as input
-and reads back out as ``bits``.
+masks, so the generic pattern of w is the down-masks of the w omega_i.  It is
+the one pattern format of the package: recognition, descriptions, decision
+trees and the realizable sets of ``flags`` all read it.  Only this module
+knows the flat layout, which ``VanishingPattern`` takes as input and reads
+back out as ``bits``.
 """
 
 from __future__ import annotations
 
 import json
 import random
-from functools import cache
 from itertools import product
 
 from .errors import UnacceptableInputError
-from .plucker import (
-    PluckerWeight,
-    all_weights,
-    ones,
-    orbit_table,
-    subset_of,
-    weight_from_subset,
-)
+from .plucker import PluckerWeight, all_weights, ones, orbit_table
 from .weyl import WeylElement, WeylGroup
 
 
@@ -182,6 +176,38 @@ def random_acceptable(group: WeylGroup, w: WeylElement, seed=None) -> VanishingP
     return VanishingPattern.from_levels(group, levels)
 
 
+ACCEPTABLE_ENUMERATION_CAP = 200_000
+
+
+def all_acceptable_patterns(group: WeylGroup):
+    """Every acceptable vector, as (VanishingPattern, witness) pairs: per
+    witness w, bit 1 at each w omega_i and any bits strictly below it."""
+    total = 0
+    per_w = []
+    for w in group.elements():
+        fixed, free = [], []
+        for i in range(1, group.rank + 1):
+            table = orbit_table(group, i)
+            jw = table.position(w)
+            fixed.append(1 << jw)
+            free.extend((i - 1, 1 << k) for k in ones(table.down_masks()[jw] & ~(1 << jw)))
+        total += 2 ** len(free)
+        per_w.append((w, fixed, free))
+        if total > ACCEPTABLE_ENUMERATION_CAP:
+            raise ValueError(
+                f"acceptable-vector enumeration exceeds cap {ACCEPTABLE_ENUMERATION_CAP}"
+            )
+    out = []
+    for w, fixed, free in per_w:
+        for choice in product((0, 1), repeat=len(free)):
+            levels = list(fixed)
+            for (i, bit), b in zip(free, choice):
+                if b:
+                    levels[i] |= bit
+            out.append((VanishingPattern.from_levels(group, levels), w))
+    return out
+
+
 # ----- poset of restricted patterns ---------------------------------------------
 
 
@@ -258,108 +284,3 @@ def pattern_poset(coords, patterns: dict) -> PatternPoset:
             covers.append((lo, hi))
     labels = {v: tuple(patterns[v]) for v in verts}
     return PatternPoset(coords, tuple(verts), labels, tuple(covers))
-
-
-# ----- realizable patterns at small n (type A) -----------------------------------
-
-
-class RealizableSet:
-    """Restricted patterns realized by actual flags, with cell labels.
-
-    ``certified`` distinguishes the exactly-enumerated small cases from
-    sampled lower-bound sets.
-    """
-
-    __slots__ = ("coords", "patterns", "certified")
-
-    def __init__(self, coords: tuple[PluckerWeight, ...],
-                 patterns: dict[tuple[int, ...], tuple], certified: bool):
-        self.coords, self.patterns, self.certified = coords, patterns, certified
-
-
-@cache
-def realizable_full_patterns(n: int):
-    """All vanishing patterns of flags in C^n for n <= 3, certified exact.
-
-    Candidates are the acceptable bit vectors consistent with the three-term
-    quadratic relation among the n=3 minors; each candidate is then realized
-    by an integer flag whose pattern is read off ``Flag``'s minor table,
-    which certifies the enumeration both ways.
-    Returns a list of (VanishingPattern, witness, Flag).
-    """
-    from .flags import type_a_group
-
-    if n not in (2, 3):
-        raise ValueError("exact realizability enumeration is implemented for n <= 3")
-    group = type_a_group(n)
-    weights = all_weights(group)
-    subsets = [subset_of(pw) for pw in weights]
-    results = []
-    for bits in product((0, 1), repeat=len(weights)):
-        pat = VanishingPattern(group, bits)
-        report = check_acceptable(pat)
-        if not report.accepted:
-            continue
-        by_subset = dict(zip(subsets, bits))
-        # p1 p23 - p2 p13 + p3 p12 = 0 cannot hold with one nonzero term
-        if n == 3 and sum(by_subset[frozenset({j})] & by_subset[frozenset({1, 2, 3} - {j})]
-                          for j in (1, 2, 3)) == 1:
-            continue
-        flag = _realize(n, by_subset)
-        if flag is None:
-            raise RuntimeError(
-                f"candidate pattern {bits} passed the filters but was not realized"
-            )
-        results.append((pat, report.witness, flag))
-    return results
-
-
-def _realize(n: int, by_subset):
-    """The first flag, in a fixed search order, whose pattern is
-    ``by_subset``: column 1 holds the level-1 bits, each middle column ranges
-    over [-2, 2]^n and the last column is a unit vector.  ``Flag`` decides
-    singularity and every minor on its integer table."""
-    from .flags import flag_from_columns, subset_pattern
-
-    first = tuple(by_subset[frozenset({j})] for j in range(1, n + 1))
-    units = [tuple(int(j == k) for j in range(n)) for k in range(n)]
-    for middle in product(product(range(-2, 3), repeat=n), repeat=n - 2):
-        for last in units:
-            try:
-                flag = flag_from_columns((first, *middle, last))
-            except ValueError:  # singular
-                continue
-            if subset_pattern(flag) == by_subset:
-                return flag
-    return None
-
-
-def realizable_restricted_patterns(n: int, coords) -> RealizableSet:
-    """Restrictions of flag vanishing patterns to the given coordinates.
-
-    Exact (certified) for n <= 3.  For n = 4 the result combines coordinate
-    flags and generic cell points only, so it is a sampled lower-bound set.
-    """
-    from .flags import type_a_group
-
-    group = type_a_group(n)
-    coords = tuple(
-        pw if isinstance(pw, PluckerWeight) else weight_from_subset(group, pw)
-        for pw in coords
-    )
-    found: dict[tuple[int, ...], set] = {}
-    if n in (2, 3):
-        for pat, witness, _flag in realizable_full_patterns(n):
-            key = pat.restrict(coords)
-            found.setdefault(key, set()).add(group.one_line(witness))
-        certified = True
-    elif n == 4:
-        for w in group.elements():
-            for pat in (generic_pattern(group, w), coordinate_flag_pattern(group, w)):
-                key = pat.restrict(coords)
-                found.setdefault(key, set()).add(group.one_line(w))
-        certified = False
-    else:
-        raise ValueError("realizable pattern enumeration is implemented for n <= 4")
-    patterns = {key: tuple(sorted(ws)) for key, ws in found.items()}
-    return RealizableSet(coords, patterns, certified)

@@ -19,18 +19,17 @@ optimal (minimax) tree searches every acceptable vector of a tiny group.
 
 from __future__ import annotations
 
-from itertools import count, product
+from itertools import count
 
 from .errors import UnacceptableInputError
 from .flags import Flag, check_flag_group, type_a_group
-from .patterns import VanishingPattern
+from .patterns import VanishingPattern, all_acceptable_patterns
 from .perms import one_line_str
 from .plucker import (
     PluckerWeight,
     WeightOrdering,
     all_weights,
     is_economical_ordering,
-    ones,
     orbit_table,
     standard_ordering,
     weight_label,
@@ -240,38 +239,6 @@ def _element_label(group: WeylGroup, w: WeylElement) -> str:
     if group.type_letter == "A":
         return one_line_str(group.one_line(w))
     return word_str(w.word)
-
-
-ACCEPTABLE_ENUMERATION_CAP = 200_000
-
-
-def all_acceptable_patterns(group: WeylGroup):
-    """Every acceptable vector, as (VanishingPattern, witness) pairs: per
-    witness w, bit 1 at each w omega_i and any bits strictly below it."""
-    total = 0
-    per_w = []
-    for w in group.elements():
-        fixed, free = [], []
-        for i in range(1, group.rank + 1):
-            table = orbit_table(group, i)
-            jw = table.position(w)
-            fixed.append(1 << jw)
-            free.extend((i - 1, 1 << k) for k in ones(table.down_masks()[jw] & ~(1 << jw)))
-        total += 2 ** len(free)
-        per_w.append((w, fixed, free))
-        if total > ACCEPTABLE_ENUMERATION_CAP:
-            raise ValueError(
-                f"acceptable-vector enumeration exceeds cap {ACCEPTABLE_ENUMERATION_CAP}"
-            )
-    out = []
-    for w, fixed, free in per_w:
-        for choice in product((0, 1), repeat=len(free)):
-            levels = list(fixed)
-            for (i, bit), b in zip(free, choice):
-                if b:
-                    levels[i] |= bit
-            out.append((VanishingPattern.from_levels(group, levels), w))
-    return out
 
 
 def build_decision_tree(

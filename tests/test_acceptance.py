@@ -40,15 +40,12 @@ from schubcells.cells import (
 from schubcells.flags import (
     coordinate_flag,
     random_cell_point,
+    realizable_full_patterns,
+    realizable_restricted_patterns,
     type_a_group,
     vanishing_pattern,
 )
-from schubcells.patterns import (
-    generic_pattern,
-    random_acceptable,
-    realizable_full_patterns,
-    realizable_restricted_patterns,
-)
+from schubcells.patterns import generic_pattern, random_acceptable
 from schubcells.plucker import (
     is_economical_index,
     subset_of,

@@ -17,12 +17,14 @@ from bruhat_oracle import (
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from pattern_oracle import feedback_free_min_set as oracle_feedback_free_min_set
 from witness_oracle import witness_case_count
 
 from schubcells import perms
 from schubcells.bounds import (
     ChainReport,
     CodeFamily,
+    FeedbackFreeResult,
     _constraint_families,
     chain_corollary_check,
     code_bound_check,
@@ -295,6 +297,15 @@ def test_feedback_free_n4_lower_bound_set():
     for n in (0, 1, 5):
         with pytest.raises(ValueError, match="2..4"):
             feedback_free_min_set(n)
+
+
+@pytest.mark.parametrize("n", (2, 3, 4))
+def test_feedback_free_matches_the_subset_pattern_oracle(n):
+    """Bit tuples in universe order separate exactly as frozenset-keyed
+    subset patterns do: every field of the result agrees."""
+    got, want = feedback_free_min_set(n), oracle_feedback_free_min_set(n)
+    fields = FeedbackFreeResult.__slots__
+    assert [getattr(got, f) for f in fields] == [getattr(want, f) for f in fields]
 
 
 def test_adjacent_exchange_forcing_n3():

@@ -5,6 +5,7 @@ import json
 from pathlib import Path
 
 import pytest
+from pattern_oracle import subset_pattern
 
 from schubcells.cli import main
 
@@ -57,6 +58,20 @@ BOUNDS_PINS = [
         '"123567", "124567", "134567", "234567"], "lower_bound": 20, "n": 7, '
         '"universal_count": 119, "w": "2134567"}\n'
     )),
+    (("bounds", "--feedback-free", "2"), (
+        "n=2: minimal feedback-free set has size 1 [exact] (unique)\n"
+        "  coordinates: p2\n"
+    )),
+    (("bounds", "--feedback-free", "2", "--format", "json"), (
+        '{"certified": true, "n": 2, "size": 1, "subsets": ["2"], "unique": true}\n'
+    )),
+    (("bounds", "--feedback-free", "3"), (
+        "n=3: minimal feedback-free set has size 4 [exact] (unique)\n"
+        "  coordinates: p2, p3, p13, p23\n"
+    )),
+    (("bounds", "--feedback-free", "3", "--format", "json"), (
+        '{"certified": true, "n": 3, "size": 4, "subsets": ["2", "3", "13", "23"], "unique": true}\n'
+    )),
     (("bounds", "--feedback-free", "4"), (
         "n=4: minimal feedback-free set has size 10 [coordinate-flag lower bound]\n"
         "  coordinates: p1, p2, p3, p12, p13, p24, p34, p123, p124, p134\n"
@@ -68,6 +83,58 @@ BOUNDS_PINS = [
 def test_bounds_stdout_is_pinned(capsys, argv, expected):
     # --witness 3 runs in S_12, where no orbit table is built
     assert run(capsys, *argv)[:2] == (0, expected)
+
+
+# the n = 4 sampled set: generic and coordinate-flag patterns of every w in S_4
+PATTERNS_POSET_A3 = (
+    "42 realizable patterns over (p2, p13, p124, p23, p3, p134, p14, p234, p4, p34) [sampled]\n"
+    "  0000000000  cell 1234\n"
+    "  0010000000  cell 1243\n"
+    "  0100000000  cell 1324\n"
+    "  1000000000  cell 2134\n"
+    "  0000000110  cell 4231\n"
+    "  0000011000  cell 1432\n"
+    "  0001100000  cell 3214\n"
+    "  0010000010  cell 4213\n"
+    "  0010001000  cell 1423\n"
+    "  0100010000  cell 1342\n"
+    "  0100100000  cell 3124\n"
+    "  1000000100  cell 2431\n"
+    "  1001000000  cell 2314\n"
+    "  1010000000  cell 2143,2413\n"
+    "  0000000111  cell 4321\n"
+    "  0000010011  cell 4312\n"
+    "  0000011010  cell 4132\n"
+    "  0000100101  cell 3421\n"
+    "  0000110001  cell 3412\n"
+    "  0001100100  cell 3241\n"
+    "  0010001010  cell 4123\n"
+    "  0100110000  cell 3142\n"
+    "  0110001000  cell 1423\n"
+    "  0110010000  cell 1342\n"
+    "  1001000100  cell 2341\n"
+    "  1100100000  cell 3124\n"
+    "  1101000000  cell 2314\n"
+    "  0110011000  cell 1432\n"
+    "  1101100000  cell 3214\n"
+    "  1110110000  cell 3142\n"
+    "  1111001000  cell 2413\n"
+    "  1110101010  cell 4123\n"
+    "  1111010100  cell 2341\n"
+    "  1110111010  cell 4132\n"
+    "  1111011100  cell 2431\n"
+    "  1111101010  cell 4213\n"
+    "  1111110100  cell 3241\n"
+    "  1111111001  cell 3412\n"
+    "  1111111011  cell 4312\n"
+    "  1111111101  cell 3421\n"
+    "  1111111110  cell 4231\n"
+    "  1111111111  cell 4321\n"
+)
+
+
+def test_patterns_poset_a3_stdout_is_pinned(capsys):
+    assert run(capsys, "patterns-poset", "--group", "A3")[:2] == (0, PATTERNS_POSET_A3)
 
 
 def test_describe_variety(capsys):
@@ -123,12 +190,22 @@ def test_recognize_a_cell_point_of_a8_is_pinned(capsys):
 def test_recognize_errors(tmp_path, capsys):
     code, _, err = run(capsys, "recognize", "--group", "B2", "--flag", "x.json")
     assert code == 1 and "type A" in err
-    code, _, err = run(capsys, "recognize", "--group", "A2")
-    assert code == 1
+    code, out, err = run(capsys, "recognize", "--group", "A2")
+    assert (code, out, err) == (1, "", "recognize needs --flag FILE or --cell W\n")
     p = tmp_path / "bad.json"
     p.write_text('[["1","0"],["0","1"]]')
     code, _, err = run(capsys, "recognize", "--group", "A2", "--flag", str(p))
     assert code == 1 and "does not match" in err
+
+
+def test_recognize_takes_a_flag_or_a_cell_not_both(tmp_path, capsys):
+    p = tmp_path / "id.json"
+    p.write_text("[[1, 0], [0, 1]]")
+    with pytest.raises(SystemExit) as exc:
+        main(["recognize", "--group", "A1", "--flag", str(p), "--cell", "21"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert "not allowed with argument" in captured.err
 
 
 def test_recognize_checks_flag_size_before_building_it(tmp_path, monkeypatch, capsys):
@@ -239,7 +316,7 @@ def test_patterns_poset_coordinate_of_the_wrong_size(capsys):
     # p123 in A2 is all of 1..3, which is no Plucker coordinate
     code, out, err = run(capsys, "patterns-poset", "--group", "A2", "--coords", "p123")
     assert (code, out) == (1, "")
-    assert err == "error: subset 123 is not of size 1..2\n"
+    assert err == "error: subset 123 is not of size 1..2 (coordinate 'p123')\n"
 
 
 def test_patterns_poset_braced_coordinate(capsys):
@@ -253,9 +330,9 @@ def test_patterns_poset_braced_coordinate(capsys):
 @pytest.mark.parametrize(
     "coords, message",
     [
-        ("p11", "row 1 repeated in coordinate 'p11'"),
-        ("p112", "row 1 repeated in coordinate 'p112'"),
-        ("p{1,1}", "row 1 repeated in coordinate 'p{1,1}'"),
+        ("p11", "row 1 repeated in [1, 1] (coordinate 'p11')"),
+        ("p112", "row 1 repeated in [1, 1, 2] (coordinate 'p112')"),
+        ("p{1,1}", "row 1 repeated in [1, 1] (coordinate 'p{1,1}')"),
         ("p1,p1", "coordinate 'p1' repeated in --coords"),
         ("p2,p{2}", "coordinate 'p{2}' repeated in --coords"),
     ],
@@ -435,8 +512,6 @@ def test_round_trip_describe_recognize(tmp_path, capsys):
         result = json.loads(out)
         assert result["w"] == wtext
         # the flag satisfies every printed constraint
-        from schubcells.flags import subset_pattern
-
         pat = subset_pattern(flag)
         to_set = lambda s: frozenset(int(c) for c in s.strip("{}").split(",")) if "{" in s else frozenset(int(c) for c in s)
         for s in desc["zero"]:

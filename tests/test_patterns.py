@@ -3,23 +3,27 @@ degeneration poset, and the certified realizable sets."""
 
 import json
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import product
 
 import pytest
 from bruhat_oracle import prefix_set, subset_leq
+from pattern_oracle import realizable_full_patterns as oracle_realizable_full_patterns
 
 from schubcells.errors import UnacceptableInputError
-from schubcells.flags import flag_from_columns, type_a_group
+from schubcells.flags import (
+    _realize,
+    flag_from_columns,
+    realizable_full_patterns,
+    realizable_restricted_patterns,
+    type_a_group,
+)
 from schubcells.patterns import (
     VanishingPattern,
-    _realize,
     check_acceptable,
     coordinate_flag_pattern,
     generic_pattern,
     pattern_poset,
     random_acceptable,
-    realizable_full_patterns,
-    realizable_restricted_patterns,
 )
 from schubcells.plucker import all_weights, subset_of, weight_from_subset
 from schubcells.weyl import weyl_group
@@ -210,13 +214,27 @@ def test_realize_matches_the_hand_rolled_oracle(n):
     def matrix(flag):
         return None if flag is None else flag.matrix
 
-    subsets = [frozenset(I) for k in range(1, n) for I in combinations(range(1, n + 1), k)]
+    g = type_a_group(n)
+    subsets = [subset_of(pw) for pw in all_weights(g)]
     for bits in product((0, 1), repeat=len(subsets)):
         by_subset = dict(zip(subsets, bits))
-        assert matrix(_realize(n, by_subset)) == matrix(oracle_realize(n, by_subset))
+        oracle = oracle_realize(n, by_subset)
+        assert matrix(_realize(n, VanishingPattern(g, bits))) == matrix(oracle)
     for pat, _witness, flag in realizable_full_patterns(n):
         by_subset = {subset_of(pw): bit for pw, bit in pat.as_dict().items()}
         assert flag.matrix == oracle_realize(n, by_subset).matrix
+
+
+@pytest.mark.parametrize("n", (2, 3))
+def test_realizable_full_patterns_match_the_flat_vector_filter(n):
+    """The acceptable vectors of ``all_acceptable_patterns`` realize the same
+    patterns, witnesses and flags as filtering all 2^N flat bit vectors."""
+    def triples(found):
+        return {(pat.levels, witness, flag.matrix) for pat, witness, flag in found}
+
+    found = realizable_full_patterns(n)
+    assert len(triples(found)) == len(found)
+    assert triples(found) == triples(oracle_realizable_full_patterns(n))
 
 
 def test_realizable_restricted_eleven():

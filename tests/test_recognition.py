@@ -13,6 +13,7 @@ from schubcells.errors import UnacceptableInputError
 from schubcells.flags import coordinate_flag, random_cell_point, type_a_group
 from schubcells.patterns import (
     VanishingPattern,
+    all_acceptable_patterns,
     coordinate_flag_pattern,
     generic_pattern,
     random_acceptable,
@@ -25,7 +26,6 @@ from schubcells.recognition import (
     PatternOracle,
     TreeLeaf,
     TreeNode,
-    all_acceptable_patterns,
     build_decision_tree,
     recognize_general,
     recognize_typeA,

@@ -23,7 +23,7 @@ SIGNATURES = [
       ("failure_reason", EMPTY)]),
     (patterns.PatternPoset,
      [("coords", EMPTY), ("vertices", EMPTY), ("labels", EMPTY), ("covers", EMPTY)]),
-    (patterns.RealizableSet, [("coords", EMPTY), ("patterns", EMPTY), ("certified", EMPTY)]),
+    (flags.RealizableSet, [("coords", EMPTY), ("patterns", EMPTY), ("certified", EMPTY)]),
     (cells.CellDescription,
      [("w", EMPTY), ("equalities", EMPTY), ("inequalities", EMPTY), ("ordering", EMPTY),
       ("incomparable", ())]),

@@ -57,3 +57,38 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     run = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert run.stdout == "[]\n"
+
+
+def _package_imports(tree):
+    """The package modules that ``tree`` imports, without the package prefix."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module == "schubcells"
+                                                 or node.module.startswith("schubcells.")):
+            if node.module in (None, "schubcells"):
+                found += [a.name for a in node.names]
+            else:
+                found.append(node.module.removeprefix("schubcells."))
+        elif isinstance(node, ast.Import):
+            found += [a.name.removeprefix("schubcells.") for a in node.names
+                      if a.name.startswith("schubcells.")]
+    return found
+
+
+def test_patterns_imports_nothing_from_flags():
+    """Realizability lives in ``flags``, which certifies it; ``patterns``
+    is the pattern format below it."""
+    tree = ast.parse((SRC / "patterns.py").read_text())
+    assert "flags" not in _package_imports(tree)
+
+
+def test_only_bruhat_leq_imports_a_package_module_in_its_body():
+    """Module-level imports only: a function-local import hides a cycle."""
+    found = {
+        (path.name, node.name)
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and any(_package_imports(stmt) for stmt in node.body)
+    }
+    assert found == {("weyl.py", "bruhat_leq")}
