@@ -8,10 +8,11 @@ Everything here but the feedback-free search works on raw one-line
 permutations, up to S_12 for the witness family, where no orbit table is
 built.  u <= w in Bruhat order exactly when every prefix set u([1, i]) lies
 in the down-set of w([1, i]), read as row masks from ``perms.down_rows``;
-``_violations`` lists the prefixes that do not, and the defining sets,
-witness checks and equation counts are all read off it.  The feedback-free
-search reads vanishing patterns; the chain corollary walks covers in the
-type A Weyl group.
+``_violations`` lists the prefixes that do not, and the defining sets and
+witness checks are read off it; the equation counts only count the
+down-sets, by ``perms.down_count``.  The feedback-free search reads
+vanishing patterns; the chain corollary walks covers in the type A Weyl
+group.
 """
 
 from __future__ import annotations
@@ -188,7 +189,7 @@ def minimum_defining_hitting_set(w, n: int) -> tuple[int, tuple[frozenset[int], 
 def variety_equation_count(w, n: int) -> int:
     """Size of the universal defining set {I : I !<= w([1,|I|])}."""
     w = perms.check_permutation(w, n)
-    return sum(comb(n, i) - len(perms.down_rows(w[:i])) for i in range(1, n))
+    return sum(comb(n, i) - perms.down_count(w[:i]) for i in range(1, n))
 
 
 # ----- feedback-free recognition ---------------------------------------------------

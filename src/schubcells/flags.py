@@ -3,20 +3,22 @@ coordinates as minors, coordinate flags of permutations, and generic cell
 points.
 
 Vanishing is decided exactly, never in floating point.  Entries are ints or
-Fractions, and int entries stay ints; a column with a Fraction is scaled by
-d_j, the lcm of its denominators, so the minors are Python ints.  One table
-holds the minor of every column prefix [1, |I|] on every row set I, indexed
-by the row mask of I (bit r - 1 for row r), and is built level by level by
-Laplace expansion along column |I|: a cached per-n expansion plan lists, for
-each row r and level k, the masks that contain r by the sign of r's
-cofactor, so each nonzero entry of column k is added into the minors that
-use it and zero entries cost nothing.  The row mask is the one format of a
-type A subset: Plucker weights carry it as ``rows``, so
-``vanishing_pattern`` and ``FlagOracle`` index the table by it, and
-``random_cell_point`` checks a draw against the masks of
-``perms.down_rows``, which needs no orbit table.  ``nonzero`` and ``minor``
-validate row lists for outside callers; ``minor`` divides by
-d_1 ... d_|I| for the exact Fraction.
+Fractions, and int entries stay ints; a matrix of ints only is read as it
+is, and otherwise a column with a Fraction is scaled by d_j, the lcm of its
+denominators, so the minors are Python ints.  One table holds the minor of
+every column prefix [1, |I|] on every row set I, indexed by the row mask of
+I (bit r - 1 for row r), and is built level by level by Laplace expansion
+along column |I|: a cached per-n expansion plan lists, for each row r and
+level k, the masks that contain r by the sign of r's cofactor, so each
+nonzero entry of column k is added into the minors that use it and zero
+entries cost nothing.  The row mask is the one format of a type A subset:
+Plucker weights carry it as ``rows``, so ``vanishing_pattern`` and
+``FlagOracle`` index the table by it.  ``random_cell_point`` certifies a
+draw u . P_w by a count alone: its nonzero proper minors all lie in the
+down-sets of w([1, k]), so it is generic when they number the sum of
+``perms.down_count`` over k, and neither an orbit table nor a mask list is
+built.  ``nonzero`` and ``minor`` validate row lists for outside callers;
+``minor`` divides by d_1 ... d_|I| for the exact Fraction.
 
 Realizability lives beside the flags that certify it: at n <= 3 every
 acceptable vector that the three-term relation allows is realized by an
@@ -40,7 +42,7 @@ from .patterns import (
     coordinate_flag_pattern,
     generic_pattern,
 )
-from .perms import check_permutation, down_rows
+from .perms import check_permutation, down_count
 from .plucker import PluckerWeight, orbit, weight_from_subset
 from .weyl import WeylGroup, weyl_group
 
@@ -88,18 +90,18 @@ class Flag:
         n = len(matrix)
         if n == 0 or any(len(row) != n for row in matrix):
             raise ValueError("flag matrix must be square and nonempty")
-        bad = [e for row in matrix for e in row if type(e) not in (int, Fraction)]
-        if bad:
-            raise ValueError(f"flag entry {bad[0]!r} is not an int or Fraction")  # nor a bool
-        cols, scales = [], [1]
-        for j in range(n):
-            col = [row[j] for row in matrix]
-            d = 1
-            if Fraction in map(type, col):
-                d = math.lcm(*(e.denominator for e in col))
-                col = [e.numerator * (d // e.denominator) for e in col]
-            cols.append(col)
-            scales.append(scales[-1] * d)
+        cols = list(zip(*matrix))
+        scales = [1] * (n + 1)
+        if {type(e) for col in cols for e in col} != {int}:
+            bad = [e for row in matrix for e in row if type(e) not in (int, Fraction)]
+            if bad:
+                raise ValueError(f"flag entry {bad[0]!r} is not an int or Fraction")  # nor a bool
+            for j, col in enumerate(cols):
+                d = 1
+                if Fraction in map(type, col):
+                    d = math.lcm(*(e.denominator for e in col))
+                    cols[j] = [e.numerator * (d // e.denominator) for e in col]
+                scales[j + 1] = scales[j] * d
         minors = [0] * (1 << n)
         minors[0] = 1
         for col, level in zip(cols, expansion_plan(n)):
@@ -113,7 +115,7 @@ class Flag:
                         minors[m] -= c * minors[m ^ bit]
         if minors[-1] == 0:
             raise ValueError("flag matrix is singular")
-        self.matrix = matrix
+        self.matrix = tuple(map(tuple, matrix))
         self._minors = minors
         self._scales = scales
 
@@ -160,7 +162,7 @@ class Flag:
 def flag_from_rows(rows) -> Flag:
     """The flag of a matrix given by rows; int entries stay ints, the others
     become Fractions."""
-    return Flag(tuple(tuple(x if type(x) is int else Fraction(x) for x in row) for row in rows))
+    return Flag([[x if type(x) is int else Fraction(x) for x in row] for row in rows])
 
 
 def flag_from_columns(cols) -> Flag:
@@ -202,20 +204,6 @@ def vanishing_pattern(x: Flag, group: WeylGroup | None = None) -> VanishingPatte
 MAX_SAMPLE_RETRIES = 64
 
 
-def _has_generic_pattern(x: Flag, w: tuple[int, ...]) -> bool:
-    """Whether p_I(x) != 0 exactly when sorted(I) <= sorted(w([1, |I|]))
-    componentwise: every mask of ``down_rows`` is nonzero, and no other
-    proper minor is (the count of nonzero proper minors is their total)."""
-    minors = x._minors
-    below = 0
-    for k in range(1, len(w)):
-        rows = down_rows(w[:k])
-        if not all(minors[m] for m in rows):
-            return False
-        below += len(rows)
-    return len(minors) - 2 - minors.count(0) == below
-
-
 def random_cell_point(w, seed=None) -> Flag:
     """A flag in the open cell of w whose vanishing pattern is the generic one.
 
@@ -227,6 +215,12 @@ def random_cell_point(w, seed=None) -> Flag:
     w = tuple(w)
     n = len(w)
     check_permutation(w, n)
+    # Column j of x is column w(j) of u, so it is zero below row w(j): a term
+    # of the minor on rows I and columns [1, k] can be nonzero only if
+    # sorted(I) <= sorted(w([1, k])) componentwise (Hall's condition).  Every
+    # nonzero proper minor of x thus lies in the down-sets, and the pattern
+    # is generic exactly when the nonzero proper minors number their total.
+    generic = sum(down_count(w[:k]) for k in range(1, n))
     rng = random.Random(seed)
     for _ in range(MAX_SAMPLE_RETRIES):
         u = [[0] * n for _ in range(n)]
@@ -235,11 +229,12 @@ def random_cell_point(w, seed=None) -> Flag:
             for j in range(i + 1, n):
                 val = 0
                 while val == 0:
-                    val = rng.randint(-1000, 1000)
+                    val = rng.randrange(2001) - 1000  # the stream of randint(-1000, 1000)
                 u[i][j] = val
         # P_w has its ones at (w(j), j), so column j of u . P_w is column w(j) of u
         x = flag_from_rows([[row[v - 1] for v in w] for row in u])
-        if _has_generic_pattern(x, w):
+        minors = x._minors
+        if len(minors) - 2 - minors.count(0) == generic:
             return x
     raise RuntimeError(f"failed to sample a generic point of the cell of {w}")
 

@@ -7,10 +7,13 @@ subsets that pass, as the row masks (bit r - 1 for row r) that Plucker
 weights carry as ``rows`` and that index ``flags.Flag``'s minor table.  It
 is the one subset comparison of the package outside the orbit tables; the
 tests check it against those tables and against a sorted-subset oracle.
+``down_count`` is its length, counted without listing, for callers that
+need only how many coordinates can be nonzero.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate
 from itertools import permutations as _permutations
 
 
@@ -40,3 +43,14 @@ def down_rows(P) -> list[int]:
     for p in sorted(P):
         grown = [(m | 1 << r - 1, r) for m, top in grown for r in range(top + 1, p + 1)]
     return [m for m, _ in grown]
+
+
+def down_count(P) -> int:
+    """``len(down_rows(P))``, counted rather than listed: c[r] is the number
+    of chains so far whose highest row is r; a next row r <= p extends every
+    chain topped below r, so the new c[r] is the sum of c[0..r-1]."""
+    c = [1]
+    for p in sorted(P):
+        c = [0, *accumulate(c)]
+        c += [c[-1]] * (p + 1 - len(c))
+    return sum(c)

@@ -457,6 +457,47 @@ def test_flag_validation():
         Flag(((True, 0), (0, 1)))
 
 
+@pytest.mark.parametrize("matrix, message", [
+    ([[True, 0], [0]], "square"),
+    ([["1", 0, 0], [0, 1]], "square"),
+    ((), "square"),
+    (((True, 0), (0, 0)), "flag entry True is not"),
+    (((0, "1"), (0, 0)), "flag entry '1' is not"),
+    (((1.5, 0.0), (0.0, 0.0)), "flag entry 1.5 is not"),
+    (((Fraction(1, 2), 2.5), (0, 0)), "flag entry 2.5 is not"),
+    (((1, 2), (2, 4)), "singular"),
+    (((Fraction(1, 2), 1), (1, 2)), "singular"),
+], ids=["ragged-bool", "ragged-str", "empty", "bool", "str", "float", "fraction-float",
+        "singular-int", "singular-fraction"])
+def test_flag_errors_keep_their_precedence(matrix, message):
+    # square, then a bad entry, then singular, whatever the entry types
+    with pytest.raises(ValueError, match=message):
+        Flag(matrix)
+
+
+def test_flags_from_lists_are_equal_and_hashable():
+    rows = [[1, 0], [0, 1]]
+    x = Flag(rows)
+    assert x == coordinate_flag((1, 2)) and hash(x) == hash(coordinate_flag((1, 2)))
+    assert x.matrix == ((1, 0), (0, 1))
+    rows[0][1] = 5  # the flag keeps its own copy
+    assert x.matrix == ((1, 0), (0, 1))
+    assert len({x, Flag(((1, 0), (0, 1))), flag_from_rows([[1, 0], ["0", 1]])}) == 1
+    assert flag_from_rows([[1, "1/2"], [0, 1]]) != x
+
+
+def test_int_and_fraction_paths_give_one_table():
+    # the int-only path scales nothing; one Fraction entry sends the matrix
+    # through the scaling path, which must give the same integer table
+    for w, seed in (((2, 3, 1), 0), ((4, 6, 1, 3, 5, 2), 3)):
+        x = random_cell_point(w, seed=seed)
+        assert x._scales == [1] * (x.n + 1)
+        rows = [list(row) for row in x.matrix]
+        rows[0][0] = Fraction(rows[0][0])
+        y = Flag(rows)
+        assert y._minors == x._minors and y._scales == x._scales and y == x
+
+
 def test_parsing_round_trip(tmp_path):
     x = parse_flag_json('[["1/2", 1, 0], [0, "3", 1], [1, 0, "2/5"]]')
     assert x.matrix[0][0] == Fraction(1, 2)
@@ -541,6 +582,32 @@ def subset_vanishing_pattern(x, group):
     ))
 
 
+def has_generic_pattern(x, w):
+    """Oracle: whether p_I(x) != 0 exactly when sorted(I) <= sorted(w([1, |I|]))
+    componentwise: every mask of ``down_rows`` is nonzero, and no other
+    proper minor is (the count of nonzero proper minors is their total)."""
+    minors = x._minors
+    below = 0
+    for k in range(1, len(w)):
+        rows = perms.down_rows(w[:k])
+        if not all(minors[m] for m in rows):
+            return False
+        below += len(rows)
+    return len(minors) - 2 - minors.count(0) == below
+
+
+def counted_verdict(x, w):
+    """The certificate of ``random_cell_point``: the nonzero proper minors
+    number the down-sets of w.  Exact only for x = u . P_w."""
+    generic = sum(perms.down_count(w[:k]) for k in range(1, len(w)))
+    return len(x._minors) - 2 - x._minors.count(0) == generic
+
+
+def cell_point_rows(u, w):
+    """The rows of u . P_w: column j is column w(j) of u."""
+    return [[row[v - 1] for v in w] for row in u]
+
+
 def subset_has_generic_pattern(x, w):
     """Oracle: the generic test asked one validated subset at a time."""
     n = len(w)
@@ -556,7 +623,7 @@ def assert_mask_reads_agree(x, ws):
     g = type_a_group(x.n)
     assert vanishing_pattern(x) == subset_vanishing_pattern(x, g)
     for w in ws:
-        assert flags._has_generic_pattern(x, w) == subset_has_generic_pattern(x, w)
+        assert has_generic_pattern(x, w) == subset_has_generic_pattern(x, w)
 
 
 def adjacent_swaps(w):
@@ -585,7 +652,7 @@ def test_mask_reads_agree_on_seeded_cell_points():
             x = random_cell_point(w, seed=seed)
             ws = [w, *adjacent_swaps(w), tuple(rng.sample(range(1, n + 1), n))]
             assert_mask_reads_agree(x, ws)
-            verdicts = [flags._has_generic_pattern(x, v) for v in ws]
+            verdicts = [has_generic_pattern(x, v) for v in ws]
             assert verdicts[0]
             accepted += sum(verdicts)
             rejected += len(verdicts) - sum(verdicts)
@@ -638,5 +705,70 @@ def test_random_cell_point_past_n9_builds_no_orbit_table(monkeypatch):
     monkeypatch.setattr(plucker.OrbitTable, "__init__", boom)
     w = (3, 10, 1, 7, 2, 9, 4, 8, 6, 5)
     x = random_cell_point(w, seed=10)
-    assert x.n == 10 and flags._has_generic_pattern(x, w)
+    assert x.n == 10 and has_generic_pattern(x, w) and counted_verdict(x, w)
     assert subset_has_generic_pattern(x, w)
+
+
+# ----- the counted certificate of random_cell_point --------------------------------
+
+def recorded_draws(monkeypatch):
+    """Every flag that ``random_cell_point`` draws, through its one hook."""
+    draws = []
+    build = flags.flag_from_rows
+
+    def recording_flag_from_rows(rows):
+        draws.append(build(rows))
+        return draws[-1]
+
+    monkeypatch.setattr(flags, "flag_from_rows", recording_flag_from_rows)
+    return draws
+
+
+def test_a_cancelling_draw_is_rejected_and_the_next_returned(monkeypatch):
+    # w = 321: p_12 of u . P_w is u13 - u12 u23, so u13 = u12 u23 cancels it
+    w = (3, 2, 1)
+    cancelling = flag_from_rows(cell_point_rows([[1, 2, 6], [0, 1, 3], [0, 0, 1]], w))
+    generic = flag_from_rows(cell_point_rows([[1, 2, 5], [0, 1, 3], [0, 0, 1]], w))
+    assert cancelling.minor({1, 2}) == 0 and generic.minor({1, 2}) == -1
+    script = [cancelling, generic, cancelling]
+    draws = []
+
+    def scripted_flag_from_rows(rows):
+        draws.append(rows)
+        return script[len(draws) - 1]
+
+    monkeypatch.setattr(flags, "flag_from_rows", scripted_flag_from_rows)
+    assert random_cell_point(w, seed=0) is generic
+    assert len(draws) == 2
+
+
+def test_counted_verdict_agrees_with_the_oracle_on_seeded_draws(monkeypatch):
+    draws = recorded_draws(monkeypatch)
+    rng = random.Random(22)
+    for n in (6, 7, 8):
+        for seed in range(10):
+            w = tuple(rng.sample(range(1, n + 1), n))
+            draws.clear()
+            x = random_cell_point(w, seed=seed)
+            verdicts = [has_generic_pattern(d, w) for d in draws]
+            assert [counted_verdict(d, w) for d in draws] == verdicts
+            assert x is draws[verdicts.index(True)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 7).flatmap(lambda n: st.tuples(
+    st.permutations(range(1, n + 1)),
+    st.lists(st.integers(-2, 2), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2),
+)))
+def test_counted_verdict_property(case):
+    # small entries, zeros among them, cancel often; on u . P_w the count
+    # decides exactly what the per-mask oracle decides
+    w, entries = case
+    n = len(w)
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    above = iter(entries)
+    for i in range(n):
+        for j in range(i + 1, n):
+            u[i][j] = next(above)
+    x = flag_from_rows(cell_point_rows(u, tuple(w)))
+    assert counted_verdict(x, tuple(w)) == has_generic_pattern(x, tuple(w))

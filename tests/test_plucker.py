@@ -9,9 +9,11 @@ from math import comb
 import pytest
 from ambient import ambient
 from bruhat_oracle import subset_leq
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from schubcells.cartan import cartan_datum, weyl_order
-from schubcells.perms import down_rows
+from schubcells.perms import down_count, down_rows
 from schubcells.plucker import (
     WeightOrdering,
     _orbit_labels,
@@ -229,6 +231,24 @@ def test_down_rows_match_the_sorted_subset_oracle(n):
                 if subset_leq(I, w[:i])
             )
             assert sorted(down_rows(w[:i])) == expect
+
+
+def test_down_count_counts_the_down_rows():
+    # every subset P of [n], n <= 8, against the listed masks and a brute
+    # count of the |P|-subsets below P
+    for n in range(1, 9):
+        for k in range(n + 1):
+            for P in combinations(range(1, n + 1), k):
+                brute = sum(subset_leq(I, P) for I in combinations(range(1, n + 1), k))
+                assert down_count(P) == len(down_rows(P)) == brute
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 14).flatmap(lambda n: st.lists(
+    st.integers(1, n), unique=True, max_size=n)))
+def test_down_count_property(P):
+    # unsorted input, up to n = 14 where C(14, 7) = 3432 masks are listed
+    assert down_count(P) == len(down_rows(P))
 
 
 def test_orbit_bruhat_reflexive_and_level_mismatch():
