@@ -215,11 +215,12 @@ def random_cell_point(w, seed=None) -> Flag:
     w = tuple(w)
     n = len(w)
     check_permutation(w, n)
-    # Column j of x is column w(j) of u, so it is zero below row w(j): a term
-    # of the minor on rows I and columns [1, k] can be nonzero only if
-    # sorted(I) <= sorted(w([1, k])) componentwise (Hall's condition).  Every
-    # nonzero proper minor of x thus lies in the down-sets, and the pattern
-    # is generic exactly when the nonzero proper minors number their total.
+    # P_w has its ones at (w(j), j), so column j of x = u . P_w is column
+    # w(j) of u and is zero below row w(j): a term of the minor on rows I and
+    # columns [1, k] can be nonzero only if sorted(I) <= sorted(w([1, k]))
+    # componentwise (Hall's condition).  Every nonzero proper minor of x thus
+    # lies in the down-sets, so all of those are nonzero, and the pattern is
+    # generic, exactly when the nonzero proper minors number their total.
     generic = sum(down_count(w[:k]) for k in range(1, n))
     rng = random.Random(seed)
     for _ in range(MAX_SAMPLE_RETRIES):
@@ -228,10 +229,9 @@ def random_cell_point(w, seed=None) -> Flag:
             u[i][i] = 1
             for j in range(i + 1, n):
                 val = 0
-                while val == 0:
-                    val = rng.randrange(2001) - 1000  # the stream of randint(-1000, 1000)
+                while val == 0:  # the draws of randint(-1000, 1000), at less cost
+                    val = rng.randrange(2001) - 1000
                 u[i][j] = val
-        # P_w has its ones at (w(j), j), so column j of u . P_w is column w(j) of u
         x = flag_from_rows([[row[v - 1] for v in w] for row in u])
         minors = x._minors
         if len(minors) - 2 - minors.count(0) == generic:

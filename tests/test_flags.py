@@ -191,8 +191,9 @@ def test_int_entries_stay_ints():
     for w, seed in (((2, 3, 1), 0), ((4, 6, 1, 3, 5, 2), 3), ((8, 6, 7, 2, 4, 1, 5, 3), 2026)):
         x = random_cell_point(w, seed=seed)
         assert all(type(e) is int for row in x.matrix for e in row)
+        assert x._scales == [1] * (len(w) + 1)
         y = Flag(tuple(tuple(Fraction(e) for e in row) for row in x.matrix))
-        assert y._minors == x._minors and y._scales == x._scales
+        assert y._minors == x._minors and y._scales == x._scales and y == x
         for I in proper_subsets(len(w)):
             assert y.minor(I) == x.minor(I)
     assert all(type(e) is int for row in coordinate_flag((3, 1, 2)).matrix for e in row)
@@ -486,18 +487,6 @@ def test_flags_from_lists_are_equal_and_hashable():
     assert flag_from_rows([[1, "1/2"], [0, 1]]) != x
 
 
-def test_int_and_fraction_paths_give_one_table():
-    # the int-only path scales nothing; one Fraction entry sends the matrix
-    # through the scaling path, which must give the same integer table
-    for w, seed in (((2, 3, 1), 0), ((4, 6, 1, 3, 5, 2), 3)):
-        x = random_cell_point(w, seed=seed)
-        assert x._scales == [1] * (x.n + 1)
-        rows = [list(row) for row in x.matrix]
-        rows[0][0] = Fraction(rows[0][0])
-        y = Flag(rows)
-        assert y._minors == x._minors and y._scales == x._scales and y == x
-
-
 def test_parsing_round_trip(tmp_path):
     x = parse_flag_json('[["1/2", 1, 0], [0, "3", 1], [1, 0, "2/5"]]')
     assert x.matrix[0][0] == Fraction(1, 2)
@@ -711,19 +700,6 @@ def test_random_cell_point_past_n9_builds_no_orbit_table(monkeypatch):
 
 # ----- the counted certificate of random_cell_point --------------------------------
 
-def recorded_draws(monkeypatch):
-    """Every flag that ``random_cell_point`` draws, through its one hook."""
-    draws = []
-    build = flags.flag_from_rows
-
-    def recording_flag_from_rows(rows):
-        draws.append(build(rows))
-        return draws[-1]
-
-    monkeypatch.setattr(flags, "flag_from_rows", recording_flag_from_rows)
-    return draws
-
-
 def test_a_cancelling_draw_is_rejected_and_the_next_returned(monkeypatch):
     # w = 321: p_12 of u . P_w is u13 - u12 u23, so u13 = u12 u23 cancels it
     w = (3, 2, 1)
@@ -743,7 +719,15 @@ def test_a_cancelling_draw_is_rejected_and_the_next_returned(monkeypatch):
 
 
 def test_counted_verdict_agrees_with_the_oracle_on_seeded_draws(monkeypatch):
-    draws = recorded_draws(monkeypatch)
+    # every draw passes through the hook, the rejected ones too
+    draws = []
+    build = flags.flag_from_rows
+
+    def recording_flag_from_rows(rows):
+        draws.append(build(rows))
+        return draws[-1]
+
+    monkeypatch.setattr(flags, "flag_from_rows", recording_flag_from_rows)
     rng = random.Random(22)
     for n in (6, 7, 8):
         for seed in range(10):
