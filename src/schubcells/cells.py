@@ -21,6 +21,7 @@ from .patterns import generic_pattern
 from .plucker import (
     PluckerWeight,
     WeightOrdering,
+    active_ordering,
     all_weights,
     is_economical_ordering,
     mu,
@@ -90,8 +91,7 @@ def cell_description_general(
 ) -> CellDescription:
     """All r inequalities p_{w omega_i} != 0 plus, per level, the coset-orbit
     weights w W_J omega_i strictly above w omega_i, in orbit-table order."""
-    if ordering is None:
-        ordering = standard_ordering(group)
+    ordering = active_ordering(group, ordering)
     ineqs = [weight_of(group, w, i) for i in ordering]
     eqs = []
     for pos in range(group.rank):
@@ -141,8 +141,7 @@ def _economical_style_sets(group: WeylGroup, w: WeylElement, ordering: WeightOrd
 def cell_description_economical(
     group: WeylGroup, w: WeylElement, ordering: WeightOrdering | None = None
 ) -> CellDescription:
-    if ordering is None:
-        ordering = standard_ordering(group)
+    ordering = active_ordering(group, ordering)
     if not is_economical_ordering(group, ordering):
         raise ValueError(
             f"ordering {ordering.order} is not economical for {group.datum.name}"

@@ -20,10 +20,10 @@ from .errors import UnacceptableInputError, UnsupportedGroupError
 from .perms import one_line_str
 from .plucker import (
     WeightOrdering,
+    active_ordering,
     is_economical_ordering,
     orbit_size,
     roots_R,
-    standard_ordering,
     subset_str,
     weight_from_subset,
     weight_json,
@@ -126,13 +126,14 @@ def _cmd_recognize(args) -> int:
 def _cmd_tree(args) -> int:
     group = weyl_group(args.group)
     strategy = "optimal" if args.optimal else "algorithmic"
-    tree = recognition.build_decision_tree(group, strategy)
     if args.format == "dot":
-        print(tree.to_dot())
-    elif args.format == "json":
-        print(json.dumps({"strategy": strategy, "depth": tree.depth}, sort_keys=True))
+        print(recognition.build_decision_tree(group, strategy).to_dot())
+        return 0
+    depth = recognition.worst_case_queries(group, strategy)
+    if args.format == "json":
+        print(json.dumps({"strategy": strategy, "depth": depth}, sort_keys=True))
     else:
-        print(f"{strategy} decision tree for {group.datum.name}: depth {tree.depth}")
+        print(f"{strategy} decision tree for {group.datum.name}: depth {depth}")
     return 0
 
 
@@ -288,15 +289,14 @@ def _cmd_bounds(args) -> int:
 
 def _cmd_economical(args) -> int:
     group = weyl_group(args.group)
+    ordering = None
     if args.ordering is not None:
         tokens = args.ordering.split(",")
         for token in tokens:
             if not token.strip().isdecimal():
                 raise ValueError(f"cannot parse {token!r} in --ordering: expected an integer")
-        order = tuple(int(x) for x in tokens)
-        ordering = WeightOrdering(order)
-    else:
-        ordering = standard_ordering(group)
+        ordering = WeightOrdering(tuple(int(x) for x in tokens))
+    ordering = active_ordering(group, ordering)
     rows = []
     for i in range(1, group.rank + 1):
         # is_economical_index's test, on the printed counts; orbit_size lists no orbit

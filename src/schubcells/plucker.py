@@ -99,6 +99,15 @@ def standard_ordering(group: WeylGroup) -> WeightOrdering:
     return WeightOrdering(tuple(range(1, r + 1)))
 
 
+def active_ordering(group: WeylGroup, ordering: WeightOrdering | None = None):
+    """``ordering``, or the standard one when None; ValueError unless it has the group's rank."""
+    if ordering is None:
+        return standard_ordering(group)
+    if ordering.rank != group.rank:
+        raise ValueError("ordering rank does not match the group")
+    return ordering
+
+
 def _orbit_labels(group: WeylGroup, level: int, J=None):
     """orbit_bfs of omega_i's labels under W_J (all of W when J is None)."""
     if not 1 <= level <= group.rank:
@@ -265,8 +274,7 @@ def roots_R(group: WeylGroup, i: int) -> tuple[Root, ...]:
 def mu(group: WeylGroup, root: Root, ordering: WeightOrdering | None = None) -> int:
     """The earliest index (in the active ordering) whose simple root appears
     in the expansion of the given positive root."""
-    if ordering is None:
-        ordering = standard_ordering(group)
+    ordering = active_ordering(group, ordering)
     if not root.is_positive:
         raise ValueError("mu expects a positive root")
     for i in ordering:
@@ -316,9 +324,7 @@ def is_economical_index(group: WeylGroup, i: int) -> bool:
 def is_economical_ordering(group: WeylGroup, ordering: WeightOrdering) -> bool:
     """Whether each index is economical for the parabolic generated by the
     indices from its position onward (held by the group per order)."""
-    if ordering.rank != group.rank:
-        raise ValueError("ordering rank does not match the group")
-    verdict = group.economical.get(ordering.order)
+    verdict = group.economical.get(active_ordering(group, ordering).order)
     if verdict is None:
         verdict = group.economical[ordering.order] = all(
             is_economical_index_parabolic(group, i, ordering.tail(pos))

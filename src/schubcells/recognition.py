@@ -12,9 +12,11 @@ above the bottom answered zero the bottom is forced and is not queried
 Oracles memoize their answers, so no deterministic run ever pays for a
 repeated question; the query log records first-time queries only.
 
-The algorithm's decision tree is its scan plans chained level by level, with
-|W| leaves and no input vectors; its depth is the worst-case query count.  The
-optimal (minimax) tree searches every acceptable vector of a tiny group.
+The algorithm's worst-case query count is a sum of coset-orbit sizes
+|W_J omega_i| read off parabolic orders, so it lists neither W nor a tree.
+Its decision tree, the scan plans chained level by level with |W| leaves, is
+built only for its DOT drawing.  The optimal (minimax) tree searches every
+acceptable vector of a tiny group, holding sets of vectors as int bitmasks.
 """
 
 from __future__ import annotations
@@ -28,10 +30,11 @@ from .perms import one_line_str
 from .plucker import (
     PluckerWeight,
     WeightOrdering,
+    active_ordering,
     all_weights,
     is_economical_ordering,
+    orbit_size,
     orbit_table,
-    standard_ordering,
     weight_label,
 )
 from .weyl import WeylElement, WeylGroup, word_str
@@ -121,8 +124,7 @@ def recognize_general(
     check_input: bool = False,
 ) -> tuple[WeylElement, QueryLog]:
     """Identify the witness of an acceptable bit vector behind an oracle."""
-    if ordering is None:
-        ordering = standard_ordering(group)
+    ordering = active_ordering(group, ordering)
     counter = oracle if isinstance(oracle, CountingOracle) else CountingOracle(oracle)
     fp = group.identity.fingerprint
     word: tuple[int, ...] = ()
@@ -178,10 +180,6 @@ class TreeLeaf:
     def __init__(self, w: WeylElement):
         self.w = w
 
-    @property
-    def depth(self) -> int:
-        return 0
-
 
 class TreeNode:
     """A query of ``weight``: ``low`` is the branch for bit 0, ``high`` for bit 1."""
@@ -190,10 +188,6 @@ class TreeNode:
 
     def __init__(self, weight: PluckerWeight, low: TreeNode | TreeLeaf, high: TreeNode | TreeLeaf):
         self.weight, self.low, self.high = weight, low, high
-
-    @property
-    def depth(self) -> int:
-        return 1 + max(self.low.depth, self.high.depth)
 
 
 class DecisionTree:
@@ -204,15 +198,12 @@ class DecisionTree:
 
     @property
     def depth(self) -> int:
-        return self.root.depth
+        def height(node) -> int:
+            if isinstance(node, TreeLeaf):
+                return 0
+            return 1 + max(height(node.low), height(node.high))
 
-    def route(self, pattern: VanishingPattern) -> tuple[WeylElement, int]:
-        node = self.root
-        queries = 0
-        while isinstance(node, TreeNode):
-            queries += 1
-            node = node.high if pattern.bit(node.weight) else node.low
-        return node.w, queries
+        return height(self.root)
 
     def to_dot(self) -> str:
         lines = ["digraph recognition {"]
@@ -247,7 +238,7 @@ def build_decision_tree(
     ordering: WeightOrdering | None = None,
 ) -> DecisionTree:
     if strategy == "algorithmic":
-        return _algorithmic_tree(group, ordering or standard_ordering(group))
+        return _algorithmic_tree(group, active_ordering(group, ordering))
     if strategy != "optimal":
         raise ValueError(f"unknown strategy {strategy!r}")
     if len(group) > 1000:
@@ -276,33 +267,33 @@ def _algorithmic_tree(group, ordering) -> DecisionTree:
 
 
 def _optimal_tree(group, vectors) -> DecisionTree:
+    """Minimax search over sets of vector ids held as int bitmasks: the zero
+    branch of query q is ``ids & zeros[q]``, and ``by_witness`` holds the ids
+    of each witness, for the leaf test and the ceil(log2) lower bound."""
     weights = all_weights(group)
-    witnesses = [w for _pattern, w in vectors]
-    columns = [[pattern.bit(pw) for pattern, _w in vectors] for pw in weights]
-    memo: dict[frozenset, tuple[int, object]] = {}
+    zeros = [sum(1 << t for t, (pattern, _w) in enumerate(vectors) if not pattern.bit(pw))
+             for pw in weights]
+    by_witness: dict = {}
+    for t, (_pattern, w) in enumerate(vectors):
+        by_witness[w.fingerprint] = by_witness.get(w.fingerprint, 0) | 1 << t
+    memo: dict[int, tuple[int, object]] = {}
 
-    def lower_bound(ids) -> int:
-        distinct = len({witnesses[t].fingerprint for t in ids})
-        return (distinct - 1).bit_length()
-
-    def solve(ids: frozenset):
+    def solve(ids: int):
         hit = memo.get(ids)
         if hit is not None:
             return hit
-        first = witnesses[next(iter(ids))]
-        if all(witnesses[t] == first for t in ids):
-            result = (0, TreeLeaf(first))
-            memo[ids] = result
+        first = vectors[(ids & -ids).bit_length() - 1][1]
+        if not ids & ~by_witness[first.fingerprint]:
+            result = memo[ids] = (0, TreeLeaf(first))
             return result
-        lb = lower_bound(ids)
+        lb = (sum(1 for m in by_witness.values() if ids & m) - 1).bit_length()
         best = None
-        for q, column in enumerate(columns):
-            zero = frozenset(t for t in ids if column[t] == 0)
-            if not zero or len(zero) == len(ids):
+        for q, column in enumerate(zeros):
+            zero = ids & column
+            if not zero or zero == ids:
                 continue
-            one = ids - zero
             d0, t0 = solve(zero)
-            d1, t1 = solve(one)
+            d1, t1 = solve(ids ^ zero)
             cand = (1 + max(d0, d1), TreeNode(weights[q], t0, t1))
             if best is None or cand[0] < best[0]:
                 best = cand
@@ -311,14 +302,18 @@ def _optimal_tree(group, vectors) -> DecisionTree:
         memo[ids] = best
         return best
 
-    depth, root = solve(frozenset(range(len(vectors))))
-    return DecisionTree(group, root, "optimal")
+    return DecisionTree(group, solve((1 << len(vectors)) - 1)[1], "optimal")
 
 
 def worst_case_queries(
     group: WeylGroup, method: str = "algorithmic", ordering: WeightOrdering | None = None
 ) -> int:
-    """Maximum query count over all acceptable inputs: the depth of the
-    method's decision tree.  The adaptive algorithm's count depends only on
-    the witness, so its depth is the worst case over W."""
-    return build_decision_tree(group, method, ordering).depth
+    """Maximum query count over all acceptable inputs.  Level pos scans the
+    |W_J omega_i| weights of v W_J omega_i, J = ``ordering.tail(pos)``, whatever
+    v is, and the input whose 1-bit is last at every level is asked all but the
+    forced last one: the algorithmic count is the sum of |W_J omega_i| - 1.  The
+    optimal count is the depth of the minimax tree."""
+    if method != "algorithmic":
+        return build_decision_tree(group, method, ordering).depth
+    ordering = active_ordering(group, ordering)
+    return sum(orbit_size(group, i, ordering.tail(pos)) - 1 for pos, i in enumerate(ordering))

@@ -263,11 +263,38 @@ def test_tree_beyond_the_acceptable_vector_cap(capsys, spec, depth):
     assert (code, out) == (0, f"algorithmic decision tree for {spec}: depth {depth}\n")
 
 
+@pytest.mark.parametrize("spec, depth", [("A8", 36), ("B8", 64), ("C8", 64), ("D8", 61)])
+def test_tree_over_the_enumeration_cap(capsys, spec, depth):
+    # the depth is a sum of orbit sizes, so plain and JSON answer past the cap
+    code, out, _ = run(capsys, "tree", "--group", spec)
+    assert (code, out) == (0, f"algorithmic decision tree for {spec}: depth {depth}\n")
+    code, out, _ = run(capsys, "tree", "--group", spec, "--format", "json")
+    assert (code, out) == (0, f'{{"depth": {depth}, "strategy": "algorithmic"}}\n')
+
+
 @pytest.mark.parametrize("spec, order", [("B8", 10321920), ("D8", 5160960)])
-def test_tree_over_the_enumeration_cap(capsys, spec, order):
-    code, out, err = run(capsys, "tree", "--group", spec)
+def test_tree_dot_over_the_enumeration_cap(capsys, spec, order):
+    # the DOT drawing has |W| leaves, so it keeps the cap
+    code, out, err = run(capsys, "tree", "--group", spec, "--format", "dot")
     assert (code, out) == (3, "")
     assert err == f"unsupported group: |W| = {order} exceeds the enumeration cap 1000000\n"
+
+
+def test_tree_depth_lists_neither_w_nor_a_tree(capsys, monkeypatch):
+    from schubcells.recognition import TreeLeaf, TreeNode
+    from schubcells.weyl import WeylGroup
+
+    def refuse(*args):
+        raise AssertionError("the depth path listed W or built a tree")
+
+    for owner, name in ((WeylGroup, "elements"), (WeylGroup, "check_enumerable"),
+                        (TreeNode, "__init__"), (TreeLeaf, "__init__")):
+        monkeypatch.setattr(owner, name, refuse)
+    for spec, depth in (("A3", 6), ("B6", 36), ("D8", 61)):
+        code, out, _ = run(capsys, "tree", "--group", spec)
+        assert (code, out) == (0, f"algorithmic decision tree for {spec}: depth {depth}\n")
+        code, out, _ = run(capsys, "tree", "--group", spec, "--format", "json")
+        assert json.loads(out) == {"depth": depth, "strategy": "algorithmic"}
 
 
 def test_tree_outputs(capsys):

@@ -6,6 +6,7 @@ from functools import cache
 from ambient import ambient
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from tree_oracle import route
 
 from schubcells.patterns import (
     AcceptabilityReport,
@@ -59,7 +60,7 @@ def test_decision_tree_routes_as_recognize_general(gw, seed):
     pattern = random_acceptable(g, w, seed=seed)
     got, log = recognize_general(PatternOracle(pattern), g)
     assert got == w
-    assert algorithmic_tree(g).route(pattern) == (got, log.count)
+    assert route(algorithmic_tree(g), pattern) == (got, log.count)
 
 
 @settings(max_examples=150, deadline=None)
