@@ -10,8 +10,6 @@ labels of alpha_j, which is all the Weyl-group code needs.
 
 from __future__ import annotations
 
-import math
-
 from .errors import UnsupportedGroupError
 
 SUPPORTED_TYPES = ("A", "B", "C", "D", "G")
@@ -43,19 +41,6 @@ class CartanDatum:
     @property
     def name(self) -> str:
         return f"{self.type_letter}{self.rank}"
-
-
-def weyl_order(letter: str, rank: int) -> int:
-    """|W| by the standard product formulas."""
-    if letter == "A":
-        return math.factorial(rank + 1)
-    if letter in ("B", "C"):
-        return (2 ** rank) * math.factorial(rank)
-    if letter == "D":
-        return (2 ** (rank - 1)) * math.factorial(rank)
-    if letter == "G":
-        return 12
-    raise UnsupportedGroupError(f"unsupported type {letter!r}")
 
 
 def _check_supported(letter: str, rank: int):

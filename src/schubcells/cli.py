@@ -92,7 +92,7 @@ def _cmd_recognize(args) -> int:
         if len(rows) != n:
             print(f"flag size {len(rows)} does not match {group.datum.name}", file=sys.stderr)
             return 1
-        flag = flags.flag_from_rows(rows)
+        flag = flags.Flag(rows)
     elif args.cell:
         w = _parse_element(group, args.cell)
         flag = flags.random_cell_point(group.one_line(w), seed=args.seed)

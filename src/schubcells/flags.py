@@ -2,8 +2,9 @@
 coordinates as minors, coordinate flags of permutations, and generic cell
 points.
 
-Vanishing is decided exactly, never in floating point.  Entries are ints or
-Fractions, and int entries stay ints; a matrix of ints only is read as it
+Vanishing is decided exactly, never in floating point.  ``Flag`` is the one
+builder, and it refuses any entry that is not an int or a Fraction (a float
+or a bool too).  Int entries stay ints; a matrix of ints only is read as it
 is, and otherwise a column with a Fraction is scaled by d_j, the lcm of its
 denominators, so the minors are Python ints.  One table holds the minor of
 every column prefix [1, |I|] on every row set I, indexed by the row mask of
@@ -159,15 +160,9 @@ class Flag:
         return Fraction(self._minors[mask], self._scales[mask.bit_count()])
 
 
-def flag_from_rows(rows) -> Flag:
-    """The flag of a matrix given by rows; int entries stay ints, the others
-    become Fractions."""
-    return Flag([[x if type(x) is int else Fraction(x) for x in row] for row in rows])
-
-
 def flag_from_columns(cols) -> Flag:
-    n = len(cols)
-    return flag_from_rows([[cols[j][i] for j in range(n)] for i in range(n)])
+    """The flag whose column i is cols[i]; ragged columns raise ValueError."""
+    return Flag(list(zip(*cols, strict=True)))
 
 
 def plucker_coordinate(x: Flag, I) -> Fraction:
@@ -185,7 +180,7 @@ def coordinate_flag(w) -> Flag:
     rows = [[0] * n for _ in range(n)]
     for i, target in enumerate(w):
         rows[target - 1][i] = 1
-    return flag_from_rows(rows)
+    return Flag(rows)
 
 
 def vanishing_pattern(x: Flag, group: WeylGroup | None = None) -> VanishingPattern:
@@ -232,7 +227,7 @@ def random_cell_point(w, seed=None) -> Flag:
                 while val == 0:  # the draws of randint(-1000, 1000), at less cost
                     val = rng.randrange(2001) - 1000
                 u[i][j] = val
-        x = flag_from_rows([[row[v - 1] for v in w] for row in u])
+        x = Flag([[row[v - 1] for v in w] for row in u])
         minors = x._minors
         if len(minors) - 2 - minors.count(0) == generic:
             return x
@@ -358,11 +353,11 @@ def _csv_rows(text: str) -> list[list[int | Fraction]]:
 
 
 def parse_flag_json(text: str) -> Flag:
-    return flag_from_rows(_json_rows(text))
+    return Flag(_json_rows(text))
 
 
 def parse_flag_csv(text: str) -> Flag:
-    return flag_from_rows(_csv_rows(text))
+    return Flag(_csv_rows(text))
 
 
 def load_flag_rows(path: str) -> list[list[int | Fraction]]:
@@ -379,4 +374,4 @@ def load_flag_rows(path: str) -> list[list[int | Fraction]]:
 
 
 def load_flag(path: str) -> Flag:
-    return flag_from_rows(load_flag_rows(path))
+    return Flag(load_flag_rows(path))

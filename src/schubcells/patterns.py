@@ -17,7 +17,6 @@ import json
 import random
 from itertools import product
 
-from .errors import UnacceptableInputError
 from .plucker import PluckerWeight, all_weights, ones, orbit_table
 from .weyl import WeylElement, WeylGroup
 
@@ -100,11 +99,6 @@ class AcceptabilityReport:
         return isinstance(other, AcceptabilityReport) and (
             self.accepted, self.per_level_max, self.witness, self.failure_reason
         ) == (other.accepted, other.per_level_max, other.witness, other.failure_reason)
-
-    def require_witness(self) -> WeylElement:
-        if not self.accepted or self.witness is None:
-            raise UnacceptableInputError(f"pattern rejected: {self.failure_reason}")
-        return self.witness
 
 
 def check_acceptable(pattern: VanishingPattern) -> AcceptabilityReport:

@@ -19,8 +19,6 @@ their bases (``base.weyl_base``).
 
 from __future__ import annotations
 
-from math import prod
-
 from .weyl import Labels, Root, WeylElement, WeylGroup, along_tree, orbit_bfs, word_str
 
 
@@ -108,13 +106,12 @@ def active_ordering(group: WeylGroup, ordering: WeightOrdering | None = None):
     return ordering
 
 
-def _orbit_labels(group: WeylGroup, level: int, J=None):
-    """orbit_bfs of omega_i's labels under W_J (all of W when J is None)."""
+def _orbit_labels(group: WeylGroup, level: int):
+    """orbit_bfs of omega_i's labels under W."""
     if not 1 <= level <= group.rank:
         raise ValueError(f"level {level} out of range 1..{group.rank}")
-    gens = range(1, group.rank + 1) if J is None else sorted(group.check_parabolic(J))
     omega = tuple(1 if j == level else 0 for j in range(1, group.rank + 1))
-    return orbit_bfs(omega, gens, group.reflect_labels)
+    return orbit_bfs(omega, range(1, group.rank + 1), group.reflect_labels)
 
 
 class OrbitTable:
@@ -255,13 +252,7 @@ def orbit_size(group: WeylGroup, level: int, J=None) -> int:
     if not 1 <= level <= group.rank:
         raise ValueError(f"level {level} out of range 1..{group.rank}")
     J = group.check_parabolic(range(1, group.rank + 1) if J is None else J)
-    return _parabolic_order(group, J) // _parabolic_order(group, J - {level})
-
-
-def _parabolic_order(group: WeylGroup, K) -> int:
-    """|W_K| = |W_K omega_k| |W_{K - {k}}| for the lowest k in K, peeled to K empty."""
-    K = sorted(K)
-    return prod(len(_orbit_labels(group, k, K[t:])[0]) for t, k in enumerate(K))
+    return group.parabolic_order(J) // group.parabolic_order(J - {level})
 
 
 # ----- R(i) and mu ------------------------------------------------------------
@@ -298,27 +289,19 @@ def reflection_weight_map(group: WeylGroup, i: int) -> dict[Root, PluckerWeight]
 
 # ----- economical indices and orderings ----------------------------------------
 
-def _parabolic_positive_root_count(group: WeylGroup, i: int, J: frozenset[int]) -> int:
-    """|{alpha > 0 : support(alpha) within J, alpha_i in support(alpha)}|."""
-    count = 0
-    for rt in group.positive_roots():
-        sup = rt.support()
-        if i in sup and sup <= J:
-            count += 1
-    return count
-
-
 def is_economical_index_parabolic(group: WeylGroup, i: int, J) -> bool:
-    """Whether index i is economical for the parabolic subgroup W_J."""
+    """Whether index i is economical for the parabolic subgroup W_J: whether
+    1 + |{alpha in R(i) : support(alpha) within J}| = |W_J omega_i|."""
     J = group.check_parabolic(J)
     if i not in J:
         raise ValueError(f"index {i} not in parabolic subset {sorted(J)}")
-    return 1 + _parabolic_positive_root_count(group, i, J) == orbit_size(group, i, J)
+    roots = sum(rt.support() <= J for rt in roots_R(group, i))
+    return 1 + roots == orbit_size(group, i, J)
 
 
 def is_economical_index(group: WeylGroup, i: int) -> bool:
     """Whether 1 + |R(i)| = |W omega_i|."""
-    return 1 + len(roots_R(group, i)) == orbit_size(group, i)
+    return is_economical_index_parabolic(group, i, range(1, group.rank + 1))
 
 
 def is_economical_ordering(group: WeylGroup, ordering: WeightOrdering) -> bool:

@@ -25,7 +25,7 @@ insertion is atomic under CPython, so groups can be shared across threads.
 
 from __future__ import annotations
 
-from .cartan import CartanDatum, cartan_datum, parse_group_spec, weyl_order
+from .cartan import CartanDatum, cartan_datum, parse_group_spec
 from .errors import UnsupportedGroupError
 from .perms import check_permutation
 
@@ -143,7 +143,7 @@ class WeylGroup:
             for i in range(self.rank)
         )
         self._rho = (1,) * self.rank
-        self.order = weyl_order(datum.type_letter, datum.rank)
+        self.order = self.parabolic_order(range(1, self.rank + 1))
         self.identity = WeylElement((), self._rho, self)
         self._elements: tuple[WeylElement, ...] | None = None
         self._roots: tuple[Root, ...] | None = None
@@ -298,11 +298,6 @@ class WeylGroup:
             for x, row in zip(lab, self.datum.cartan_matrix)
         )
 
-    def simple_root_index(self, rt: Root) -> int | None:
-        if sum(rt.expansion) == 1:
-            return rt.expansion.index(1) + 1
-        return None
-
     # ----- descents ----------------------------------------------------------
 
     def right_descents(self, w: WeylElement) -> frozenset[int]:
@@ -333,14 +328,19 @@ class WeylGroup:
             raise ValueError(f"parabolic subset {sorted(J)} not within [1, {self.rank}]")
         return J
 
+    def parabolic_order(self, K) -> int:
+        """|W_K| = |W_K omega_k| |W_{K - {k}}| for the lowest k in K, peeled
+        to K empty: the stabilizer of omega_k in W_K is W_{K - {k}} [Bou68 V §3.3]."""
+        K = sorted(self.check_parabolic(K))
+        order = 1
+        for t, k in enumerate(K):
+            omega = tuple(int(j == k) for j in range(1, self.rank + 1))
+            order *= len(orbit_bfs(omega, K[t:], self.reflect_labels)[0])
+        return order
+
     def min_coset_rep(self, w: WeylElement, J) -> WeylElement:
         """The minimal-length representative of the coset w W_J."""
         return self._climb(w.fingerprint, J, -1)
-
-    def in_parabolic(self, w: WeylElement, J) -> bool:
-        """w lies in W_J iff its (reduced) canonical word uses only J letters."""
-        J = self.check_parabolic(J)
-        return set(w.word) <= J
 
     def longest_element(self, J=None) -> WeylElement:
         """Longest element of W_J (of W when J is omitted), by greedy ascent."""

@@ -21,6 +21,7 @@ every Dynkin label, so the vector lookup here compares vectors, not labels.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import cache
 
@@ -162,6 +163,20 @@ class Ambient:
             index = {self.weight(pw): pw.index for pw in table.weights}
             self._by_vector[table.level] = index
         return table.weights[index[tuple(v)]]
+
+
+def closed_form_order(letter: str, rank: int) -> int:
+    """|W| by the standard product formulas: (r+1)! in A_r, 2^r r! in B_r and
+    C_r, 2^(r-1) r! in D_r, 12 in G_2."""
+    if letter == "A":
+        return math.factorial(rank + 1)
+    if letter in ("B", "C"):
+        return 2 ** rank * math.factorial(rank)
+    if letter == "D":
+        return 2 ** (rank - 1) * math.factorial(rank)
+    if letter == "G":
+        return 12
+    raise ValueError(f"no closed form for type {letter!r}")
 
 
 @cache

@@ -6,6 +6,7 @@ from itertools import combinations
 from math import comb
 
 import pytest
+from ambient import closed_form_order
 from bruhat_oracle import (
     FinitePoset,
     bruhat_poset,
@@ -25,7 +26,7 @@ from schubcells.base import (
     poset_base_indices,
     weyl_base,
 )
-from schubcells.cartan import cartan_datum, weyl_order
+from schubcells.cartan import cartan_datum
 from schubcells.patterns import generic_pattern
 from schubcells.plucker import orbit_table, subset_of
 from schubcells.weyl import WeylGroup, weyl_group
@@ -34,7 +35,7 @@ RANK4_GROUPS = ("A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4", "G2", "D4"
 ORACLE_GROUPS = tuple(
     f"{t}{r}" for t, ranks in (("A", range(1, 9)), ("B", range(2, 9)), ("C", range(2, 9)),
                                ("D", range(4, 9)), ("G", (2,)))
-    for r in ranks if weyl_order(t, r) <= 4000
+    for r in ranks if closed_form_order(t, r) <= 4000
 )
 
 

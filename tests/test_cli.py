@@ -229,6 +229,11 @@ def test_recognize_checks_flag_size_before_building_it(tmp_path, monkeypatch, ca
      "w = 4132; queries = 4 (p4, p34, p24, p134)\n"),
     ("rational.json", '[["1/2", 0, 1, 0], [0, "2/3", 0.5, 0], [1, 1, 0, 0], [0, 0, 0, "7/3"]]',
      "w = 3214; queries = 5 (p4, p3, p34, p23, p234)\n"),
+    # decimals are read as exact Fractions; as binary floats this flag would be 4321's
+    ("decimal.json", "[[0.7, 0, 0.6, 0.3], [0.6, 0, 0.9, 0.2], [0, 0.1, 0, 0.7], [0.2, 0.2, 0.3, 0.1]]",
+     "w = 4312; queries = 3 (p4, p34, p234)\n"),
+    ("decimal.csv", "0.7,0,0.6,0.3\n0.6,0,0.9,0.2\n0,0.1,0,0.7\n0.2,0.2,0.3,0.1\n",
+     "w = 4312; queries = 3 (p4, p34, p234)\n"),
 ])
 def test_recognize_flag_files_are_pinned(tmp_path, capsys, name, text, out):
     p = tmp_path / name

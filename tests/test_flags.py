@@ -3,6 +3,7 @@ extraction, parsing."""
 
 import math
 import random
+import re
 from fractions import Fraction
 from itertools import combinations
 
@@ -19,7 +20,6 @@ from schubcells.flags import (
     MAX_SAMPLE_RETRIES,
     flag_from_columns,
     coordinate_flag,
-    flag_from_rows,
     load_flag,
     load_flag_rows,
     parse_flag_csv,
@@ -64,7 +64,7 @@ def random_rational_matrix(rng, n):
             for _ in range(n)
         ]
         try:
-            return flag_from_rows(rows)
+            return Flag(rows)
         except ValueError:
             continue
 
@@ -94,7 +94,7 @@ def wide_rational_matrix(rng, n):
             for _ in range(n)
         ]
         try:
-            return flag_from_rows(rows)
+            return Flag(rows)
         except ValueError:
             continue
 
@@ -170,9 +170,9 @@ def test_plan_table_matches_the_laplace_oracle(rows):
     expected = laplace_minors(rows)
     if expected[-1] == 0:
         with pytest.raises(ValueError, match="singular"):
-            flag_from_rows(rows)
+            Flag(rows)
         return
-    x = flag_from_rows(rows)
+    x = Flag(rows)
     assert x._minors == expected
     assert all(type(m) is int for m in x._minors)
 
@@ -183,7 +183,7 @@ def test_plan_table_matches_the_laplace_oracle_on_cell_points_and_dense_matrices
         for seed in range(4):
             x = random_cell_point(tuple(rng.sample(range(1, n + 1), n)), seed=seed)
             assert x._minors == laplace_minors(x.matrix)
-            y = flag_from_rows([[rng.randint(-1000, 1000) for _ in range(n)] for _ in range(n)])
+            y = Flag([[rng.randint(-1000, 1000) for _ in range(n)] for _ in range(n)])
             assert y._minors == laplace_minors(y.matrix)
 
 
@@ -197,14 +197,14 @@ def test_int_entries_stay_ints():
         for I in proper_subsets(len(w)):
             assert y.minor(I) == x.minor(I)
     assert all(type(e) is int for row in coordinate_flag((3, 1, 2)).matrix for e in row)
-    mixed = flag_from_rows([[1, Fraction(1, 2)], ["3/4", 2]]).matrix
+    mixed = parse_flag_json('[[1, "1/2"], ["3/4", 2]]').matrix
     assert [[type(e) for e in row] for row in mixed] == [[int, Fraction], [Fraction, int]]
 
 
 def test_singular_prefixes_scaled_columns():
     # column 2 is 1/3 of column 1 on rows 1, 2, so p_12 vanishes; the column
     # denominators 3 and 7 are scaled away and back exactly
-    x = flag_from_rows([
+    x = Flag([
         [Fraction(3, 7), Fraction(1, 7), Fraction(0)],
         [Fraction(6, 7), Fraction(2, 7), Fraction(5)],
         [Fraction(0), Fraction(1, 3), Fraction(1, 2)],
@@ -228,9 +228,9 @@ def test_integer_table_property(rows):
     det = brute_minor(rows, range(1, n + 1))
     if det == 0:
         with pytest.raises(ValueError, match="singular"):
-            flag_from_rows(rows)
+            Flag(rows)
         return
-    x = flag_from_rows(rows)
+    x = Flag(rows)
     assert x.minor(range(1, n + 1)) == det
     for I in proper_subsets(n):
         expected = brute_minor(rows, I)
@@ -250,7 +250,7 @@ def test_minor_rejects_rows_outside_range():
 def test_minor_rejects_repeated_rows():
     # a minor on rows (1, 1) has two equal rows, so it is 0; the de-duplicated
     # row set {1} would have answered 1
-    x = flag_from_rows([[1, 2, 0], [3, 4, 0], [0, 0, 1]])
+    x = Flag([[1, 2, 0], [3, 4, 0], [0, 0, 1]])
     for rows in ([1, 1], [2, 2], [1, 3, 1]):
         with pytest.raises(ValueError, match=f"row {rows[-1]} repeated"):
             x.minor(rows)
@@ -306,7 +306,7 @@ CELL_POINT_PINS = [
 
 @pytest.mark.parametrize("w, seed, rows", CELL_POINT_PINS)
 def test_random_cell_point_draws_are_pinned(w, seed, rows):
-    assert random_cell_point(w, seed=seed).matrix == flag_from_rows(rows).matrix
+    assert random_cell_point(w, seed=seed).matrix == Flag(rows).matrix
 
 
 def test_random_cell_point_gives_up_after_retries(monkeypatch):
@@ -315,11 +315,11 @@ def test_random_cell_point_gives_up_after_retries(monkeypatch):
     draws = []
     identity = coordinate_flag((1, 2, 3))  # p_2 = 0: not generic for 213
 
-    def counting_flag_from_rows(rows):
+    def counting_flag(rows):
         draws.append(rows)
         return identity
 
-    monkeypatch.setattr(flags, "flag_from_rows", counting_flag_from_rows)
+    monkeypatch.setattr(flags, "Flag", counting_flag)
     with pytest.raises(RuntimeError, match="failed to sample"):
         random_cell_point((2, 1, 3), seed=0)
     assert len(draws) == MAX_SAMPLE_RETRIES
@@ -347,7 +347,7 @@ def test_minor_against_cofactor_oracle():
 
 
 def test_coordinate_flag_structure():
-    assert coordinate_flag((1, 2, 3)).matrix == flag_from_rows(
+    assert coordinate_flag((1, 2, 3)).matrix == Flag(
         [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
     ).matrix
     x = coordinate_flag((3, 2, 1))
@@ -441,9 +441,9 @@ def test_explicit_small_flag_is_acceptable():
 
 def test_flag_validation():
     with pytest.raises(ValueError):
-        flag_from_rows([[1, 0], [2, 0]])
+        Flag([[1, 0], [2, 0]])
     with pytest.raises(ValueError):
-        flag_from_rows([[1, 0, 0], [0, 1, 0]])
+        Flag([[1, 0, 0], [0, 1, 0]])
     x = coordinate_flag((1, 2, 3))
     with pytest.raises(ValueError):
         plucker_coordinate(x, {1, 2, 3})
@@ -476,6 +476,41 @@ def test_flag_errors_keep_their_precedence(matrix, message):
         Flag(matrix)
 
 
+# A flag in the cell of 4312, written in decimals; tests/test_cli.py reads the
+# same entries from JSON and CSV files.
+DECIMAL_ROWS = [["0.7", "0", "0.6", "0.3"], ["0.6", "0", "0.9", "0.2"],
+                ["0", "0.1", "0", "0.7"], ["0.2", "0.2", "0.3", "0.1"]]
+
+
+def test_every_builder_refuses_float_entries():
+    exact = [[Fraction(e) for e in row] for row in DECIMAL_ROWS]
+    assert recognize_typeA(FlagOracle(Flag(exact)), 4)[0] == (4, 3, 1, 2)
+    # the binary fractions of the floats would put the flag in another cell
+    rows = [[float(e) for e in row] for row in DECIMAL_ROWS]
+    binary = [[Fraction(e) for e in row] for row in rows]
+    assert recognize_typeA(FlagOracle(Flag(binary)), 4)[0] == (4, 3, 2, 1)
+    with pytest.raises(ValueError, match="flag entry 0.7 is not an int or Fraction"):
+        Flag(rows)
+    with pytest.raises(ValueError, match="flag entry 0.7 is not an int or Fraction"):
+        flag_from_columns(list(zip(*rows)))
+
+
+@pytest.mark.parametrize("entry", [True, "1/0", None], ids=["bool", "zero-denominator", "none"])
+def test_every_builder_refuses_a_non_number_with_the_typed_error(entry):
+    message = f"flag entry {re.escape(repr(entry))} is not an int or Fraction"
+    with pytest.raises(ValueError, match=message):
+        Flag(((entry, 0), (0, 1)))
+    with pytest.raises(ValueError, match=message):
+        flag_from_columns(((entry, 0), (0, 1)))
+
+
+@pytest.mark.parametrize("cols", [[(1, 0, 5), (0, 1)], [(1, 0), (0, 1, 7)]],
+                         ids=["first-longer", "last-longer"])
+def test_ragged_columns_are_refused(cols):
+    with pytest.raises(ValueError, match="shorter|longer"):
+        flag_from_columns(cols)
+
+
 def test_flags_from_lists_are_equal_and_hashable():
     rows = [[1, 0], [0, 1]]
     x = Flag(rows)
@@ -483,8 +518,8 @@ def test_flags_from_lists_are_equal_and_hashable():
     assert x.matrix == ((1, 0), (0, 1))
     rows[0][1] = 5  # the flag keeps its own copy
     assert x.matrix == ((1, 0), (0, 1))
-    assert len({x, Flag(((1, 0), (0, 1))), flag_from_rows([[1, 0], ["0", 1]])}) == 1
-    assert flag_from_rows([[1, "1/2"], [0, 1]]) != x
+    assert len({x, Flag(((1, 0), (0, 1))), parse_flag_json('[[1, 0], ["0", 1]]')}) == 1
+    assert parse_flag_json('[[1, "1/2"], [0, 1]]') != x
 
 
 def test_parsing_round_trip(tmp_path):
@@ -656,7 +691,7 @@ def test_mask_reads_agree_on_seeded_cell_points():
 def test_mask_reads_property(case):
     rows, w = case
     try:
-        x = flag_from_rows(rows)
+        x = Flag(rows)
     except ValueError:  # singular
         return
     n = x.n
@@ -703,17 +738,17 @@ def test_random_cell_point_past_n9_builds_no_orbit_table(monkeypatch):
 def test_a_cancelling_draw_is_rejected_and_the_next_returned(monkeypatch):
     # w = 321: p_12 of u . P_w is u13 - u12 u23, so u13 = u12 u23 cancels it
     w = (3, 2, 1)
-    cancelling = flag_from_rows(cell_point_rows([[1, 2, 6], [0, 1, 3], [0, 0, 1]], w))
-    generic = flag_from_rows(cell_point_rows([[1, 2, 5], [0, 1, 3], [0, 0, 1]], w))
+    cancelling = Flag(cell_point_rows([[1, 2, 6], [0, 1, 3], [0, 0, 1]], w))
+    generic = Flag(cell_point_rows([[1, 2, 5], [0, 1, 3], [0, 0, 1]], w))
     assert cancelling.minor({1, 2}) == 0 and generic.minor({1, 2}) == -1
     script = [cancelling, generic, cancelling]
     draws = []
 
-    def scripted_flag_from_rows(rows):
+    def scripted_flag(rows):
         draws.append(rows)
         return script[len(draws) - 1]
 
-    monkeypatch.setattr(flags, "flag_from_rows", scripted_flag_from_rows)
+    monkeypatch.setattr(flags, "Flag", scripted_flag)
     assert random_cell_point(w, seed=0) is generic
     assert len(draws) == 2
 
@@ -721,13 +756,11 @@ def test_a_cancelling_draw_is_rejected_and_the_next_returned(monkeypatch):
 def test_counted_verdict_agrees_with_the_oracle_on_seeded_draws(monkeypatch):
     # every draw passes through the hook, the rejected ones too
     draws = []
-    build = flags.flag_from_rows
-
-    def recording_flag_from_rows(rows):
-        draws.append(build(rows))
+    def recording_flag(rows):
+        draws.append(Flag(rows))
         return draws[-1]
 
-    monkeypatch.setattr(flags, "flag_from_rows", recording_flag_from_rows)
+    monkeypatch.setattr(flags, "Flag", recording_flag)
     rng = random.Random(22)
     for n in (6, 7, 8):
         for seed in range(10):
@@ -754,5 +787,5 @@ def test_counted_verdict_property(case):
     for i in range(n):
         for j in range(i + 1, n):
             u[i][j] = next(above)
-    x = flag_from_rows(cell_point_rows(u, tuple(w)))
+    x = Flag(cell_point_rows(u, tuple(w)))
     assert counted_verdict(x, tuple(w)) == has_generic_pattern(x, tuple(w))

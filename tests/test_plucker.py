@@ -7,17 +7,15 @@ from itertools import combinations, permutations
 from math import comb
 
 import pytest
-from ambient import ambient
+from ambient import ambient, closed_form_order
 from bruhat_oracle import subset_leq
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schubcells.cartan import cartan_datum, weyl_order
+from schubcells.cartan import cartan_datum
 from schubcells.perms import down_count, down_rows
 from schubcells.plucker import (
     WeightOrdering,
-    _orbit_labels,
-    _parabolic_order,
     is_economical_index,
     is_economical_index_parabolic,
     is_economical_ordering,
@@ -37,7 +35,7 @@ from schubcells.plucker import (
     weight_label,
     weight_of,
 )
-from schubcells.weyl import WeylGroup, weyl_group
+from schubcells.weyl import WeylGroup, orbit_bfs, weyl_group
 
 SMALL_GROUPS = ("A1", "A2", "A3", "B2", "B3", "C3", "G2", "D4")
 
@@ -129,7 +127,8 @@ def test_orbit_sizes_in_closed_form(spec):
 @pytest.mark.parametrize("spec", SUPPORTED_GROUPS)
 def test_peeled_parabolic_order_of_all_of_w_is_its_order(spec):
     g = weyl_group(spec)
-    assert _parabolic_order(g, range(1, g.rank + 1)) == weyl_order(g.type_letter, g.rank)
+    expected = closed_form_order(g.type_letter, g.rank)
+    assert g.parabolic_order(range(1, g.rank + 1)) == len(g) == expected
 
 
 @pytest.mark.parametrize("spec", [s for s in SUPPORTED_GROUPS if int(s[1:]) <= 5])
@@ -139,7 +138,8 @@ def test_orbit_size_as_an_index_counts_the_listed_orbit(spec):
     gens = range(1, g.rank + 1)
     for J in (J for k in range(g.rank + 1) for J in combinations(gens, k)):
         for i in gens:
-            assert orbit_size(g, i, J) == len(_orbit_labels(g, i, J)[0]), (i, J)
+            omega = tuple(int(j == i) for j in gens)
+            assert orbit_size(g, i, J) == len(orbit_bfs(omega, J, g.reflect_labels)[0]), (i, J)
 
 
 def test_orbit_size_names_a_level_out_of_range():
@@ -508,6 +508,23 @@ def test_parabolic_economical_matches_subgroup():
     assert is_economical_index_parabolic(g, 3, {3})
     with pytest.raises(ValueError):
         is_economical_index_parabolic(g, 1, {2, 3})
+
+
+@pytest.mark.parametrize("spec", [s for s in SUPPORTED_GROUPS if int(s[1:]) <= 6])
+def test_parabolic_economical_index_against_the_root_scan(spec):
+    # oracle: every positive root scanned for alpha_i in its support and the
+    # support within J, and W_J omega_i listed by BFS; every i in J, every J
+    g = weyl_group(spec)
+    gens = range(1, g.rank + 1)
+    for J in (frozenset(J) for k in range(1, g.rank + 1) for J in combinations(gens, k)):
+        for i in J:
+            count = sum(1 for rt in g.positive_roots() if i in rt.support() and rt.support() <= J)
+            omega = tuple(int(j == i) for j in gens)
+            size = len(orbit_bfs(omega, sorted(J), g.reflect_labels)[0])
+            assert is_economical_index_parabolic(g, i, J) == (1 + count == size), (i, J)
+        if len(J) == g.rank:
+            assert [is_economical_index(g, i) for i in J] == [
+                is_economical_index_parabolic(g, i, J) for i in J]
 
 
 # ----- serialization -----------------------------------------------------------------------
