@@ -18,8 +18,12 @@ Plucker weights carry it as ``rows``, so ``vanishing_pattern`` and
 draw u . P_w by a count alone: its nonzero proper minors all lie in the
 down-sets of w([1, k]), so it is generic when they number the sum of
 ``perms.down_count`` over k, and neither an orbit table nor a mask list is
-built.  ``nonzero`` and ``minor`` validate row lists for outside callers;
-``minor`` divides by d_1 ... d_|I| for the exact Fraction.
+built.  That count is memoized per row mask of w([1, k]), at most 2^n ints
+once points of C^n are drawn.  Each entry of u is drawn from
+``getrandbits(11)`` as CPython's ``randrange(2001) - 1000``, redrawn at 0,
+so a seed gives the same points as that loop.  ``nonzero`` and ``minor``
+validate row lists for outside callers; ``minor`` divides by d_1 ... d_|I|
+for the exact Fraction.
 
 Realizability lives beside the flags that certify it: at n <= 3 every
 acceptable vector that the three-term relation allows is realized by an
@@ -199,11 +203,21 @@ def vanishing_pattern(x: Flag, group: WeylGroup | None = None) -> VanishingPatte
 MAX_SAMPLE_RETRIES = 64
 
 
+@cache
+def _down_count_at(mask: int) -> int:
+    """``perms.down_count`` of the rows of ``mask`` (bit r - 1 for row r),
+    memoized per mask, so at most 2^n entries once points of C^n are drawn."""
+    return down_count([r + 1 for r in range(mask.bit_length()) if mask >> r & 1])
+
+
 def random_cell_point(w, seed=None) -> Flag:
     """A flag in the open cell of w whose vanishing pattern is the generic one.
 
     Draws x = u . P_w with u upper unitriangular and nonzero integer entries
-    in [-1000, 1000]; the pattern is verified against the generic pattern and
+    in [-1000, 1000], row by row: each is ``randrange(2001) - 1000`` of
+    ``random.Random(seed)``, redrawn at 0, read straight off
+    ``getrandbits(11)``.  The pattern is verified by a count against the
+    generic count, memoized per prefix row mask (at most 2^n entries), and
     the draw is repeated on failure (which happens only on a proper
     subvariety of the cell).
     """
@@ -216,17 +230,21 @@ def random_cell_point(w, seed=None) -> Flag:
     # componentwise (Hall's condition).  Every nonzero proper minor of x thus
     # lies in the down-sets, so all of those are nonzero, and the pattern is
     # generic, exactly when the nonzero proper minors number their total.
-    generic = sum(down_count(w[:k]) for k in range(1, n))
-    rng = random.Random(seed)
+    generic = prefix = 0
+    for v in w[:-1]:
+        prefix |= 1 << v - 1
+        generic += _down_count_at(prefix)
+    getrandbits = random.Random(seed).getrandbits
     for _ in range(MAX_SAMPLE_RETRIES):
         u = [[0] * n for _ in range(n)]
         for i in range(n):
             u[i][i] = 1
             for j in range(i + 1, n):
-                val = 0
-                while val == 0:  # the draws of randint(-1000, 1000), at less cost
-                    val = rng.randrange(2001) - 1000
-                u[i][j] = val
+                # randrange(2001) draws 11 bits until they are below 2001
+                val = getrandbits(11)
+                while val >= 2001 or val == 1000:
+                    val = getrandbits(11)
+                u[i][j] = val - 1000
         x = Flag([[row[v - 1] for v in w] for row in u])
         minors = x._minors
         if len(minors) - 2 - minors.count(0) == generic:

@@ -158,13 +158,17 @@ def random_acceptable(group: WeylGroup, w: WeylElement, seed=None) -> VanishingP
     (and at everything not below it), random strictly below, drawn in
     ascending orbit order."""
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
+    getrandbits = rng.getrandbits
     levels = []
     for i in range(1, group.rank + 1):
         table = orbit_table(group, i)
         jw = table.position(w)
         m = 1 << jw
         for k in ones(table.down_masks()[jw] ^ m):
-            if rng.randint(0, 1):
+            bit = getrandbits(2)
+            while bit >= 2:  # the draws of randint(0, 1), at less cost
+                bit = getrandbits(2)
+            if bit:
                 m |= 1 << k
         levels.append(m)
     return VanishingPattern.from_levels(group, levels)

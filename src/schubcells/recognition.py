@@ -65,13 +65,19 @@ class PatternOracle:
 
 
 class FlagOracle:
-    """Reads a flag's exact minor at the weight's row mask (type A)."""
+    """Reads a flag's exact minor at the weight's row mask (type A).  The
+    group of a weight is checked when it differs from the last one that
+    passed; groups are interned, so that is once per run."""
 
     def __init__(self, flag: Flag):
         self.flag = flag
+        self._group = None
 
     def query(self, pw: PluckerWeight) -> int:
-        check_flag_group(self.flag.n, pw.min_rep.group)
+        group = pw.min_rep.group
+        if group is not self._group:
+            check_flag_group(self.flag.n, group)
+            self._group = group
         return 1 if self.flag.nonzero_at(pw.rows) else 0
 
 

@@ -14,7 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from pattern_oracle import subset_pattern
 
-from schubcells import flags, perms
+from schubcells import flags, perms, recognition
+from schubcells.cartan import cartan_datum
 from schubcells.flags import (
     Flag,
     MAX_SAMPLE_RETRIES,
@@ -32,7 +33,7 @@ from schubcells.flags import (
 from schubcells.patterns import VanishingPattern, check_acceptable, generic_pattern
 from schubcells.plucker import orbit, subset_of
 from schubcells.recognition import FlagOracle, recognize_typeA
-from schubcells.weyl import weyl_group
+from schubcells.weyl import WeylGroup, weyl_group
 
 
 def proper_subsets(n):
@@ -712,6 +713,28 @@ def test_flag_oracle_refuses_weights_of_another_size(n):
         recognize_typeA(FlagOracle(x), n)
 
 
+def test_flag_oracle_checks_each_change_of_group(monkeypatch):
+    # the group is checked when it changes: a refused group stays refused
+    # when asked twice and after a query of the right one, and a
+    # recognition checks once
+    x = random_cell_point((3, 1, 4, 2), seed=1)
+    oracle = FlagOracle(x)
+    right = orbit(weyl_group("A3"), 2)[1]
+    bit = int(x.nonzero_at(right.rows))
+    for spec in ("A3", "A4", "A4", "A2", "A3", "A4"):
+        if spec == "A3":
+            assert oracle.query(right) == bit
+            continue
+        with pytest.raises(ValueError, match=f"flag in C\\^4 needs the group A3, not {spec}"):
+            oracle.query(orbit(weyl_group(spec), 2)[1])
+    assert oracle.query(orbit(WeylGroup(cartan_datum("A", 3)), 2)[1]) == bit  # not interned
+    checks = []
+    monkeypatch.setattr(recognition, "check_flag_group",
+                        lambda n, group: checks.append(group) or flags.check_flag_group(n, group))
+    witness, log = recognize_typeA(FlagOracle(x), 4)
+    assert witness == (3, 1, 4, 2) and log.count > 1 and checks == [weyl_group("A3")]
+
+
 def test_mask_reader_checks_its_range():
     x = coordinate_flag((2, 1, 3))
     assert x.nonzero_at(0b10) and not x.nonzero_at(0b100)
@@ -733,7 +756,65 @@ def test_random_cell_point_past_n9_builds_no_orbit_table(monkeypatch):
     assert subset_has_generic_pattern(x, w)
 
 
-# ----- the counted certificate of random_cell_point --------------------------------
+# ----- the draws and the counted certificate of random_cell_point -----------------
+
+def reference_cell_draws(w, seed):
+    """Oracle: the u of each successive draw of ``random_cell_point``, every
+    entry above the diagonal randrange(2001) - 1000, redrawn at 0."""
+    n = len(w)
+    rng = random.Random(seed)
+    while True:
+        u = [[int(i == j) for j in range(n)] for i in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                val = 0
+                while val == 0:
+                    val = rng.randrange(2001) - 1000
+                u[i][j] = val
+        yield u
+
+
+def test_cell_point_draws_are_the_randrange_stream(monkeypatch):
+    # random_cell_point draws with getrandbits; a CPython whose randrange
+    # reads the stream otherwise fails here, not only in CELL_POINT_PINS
+    draws = []
+    def recording_flag(rows):
+        draws.append(rows)
+        return Flag(rows)
+
+    monkeypatch.setattr(flags, "Flag", recording_flag)
+    rng = random.Random(25)
+    for n in range(2, 10):
+        for seed in range(200):
+            w = tuple(rng.sample(range(1, n + 1), n))
+            draws.clear()
+            x = random_cell_point(w, seed=seed)
+            assert x.matrix == tuple(map(tuple, draws[-1]))
+            for rows, u in zip(draws, reference_cell_draws(w, seed)):
+                assert rows == cell_point_rows(u, w)
+
+
+def test_memoized_prefix_count_is_the_down_count():
+    for mask in range(1 << 8):
+        rows = [r for r in range(1, 9) if mask >> r - 1 & 1]
+        count = flags._down_count_at(mask)
+        assert count == perms.down_count(rows) == len(perms.down_rows(rows))
+
+
+def test_prefix_count_memo_holds_one_entry_per_row_mask():
+    # every w of S_n at n <= 6, then 300 draws at n = 10: far more prefixes
+    # w([1, k]) than the 2^n row masks that bound the memo
+    memo = flags._down_count_at
+    memo.cache_clear()
+    rng = random.Random(10)
+    for n in range(2, 11):
+        ws = perms.all_perms(n) if n <= 6 else [
+            tuple(rng.sample(range(1, n + 1), n)) for _ in range(300 if n == 10 else 20)]
+        for seed, w in enumerate(ws):
+            random_cell_point(w, seed=seed)
+        assert memo.cache_info().currsize <= 2 ** n
+    assert memo.cache_info().currsize > 2 ** 9  # the n = 10 draws did add masks
+
 
 def test_a_cancelling_draw_is_rejected_and_the_next_returned(monkeypatch):
     # w = 321: p_12 of u . P_w is u13 - u12 u23, so u13 = u12 u23 cancels it
