@@ -12,12 +12,13 @@ of Plucker coordinates whose generic vanishing pattern identifies a cell.
 They are the bases of the orbit posets W omega_i (see weyl_base), so no
 poset on W is built: each orbit poset is its table's up- and down-masks,
 whose base poset_base_indices takes, and a generic pattern is one down-mask
-per level.
+per level.  Nothing here enumerates W; the minimality of the set [FZ98] is
+checked by the tests, over all of W.
 """
 
 from __future__ import annotations
 
-from .patterns import VanishingPattern, element_of_weights, generic_pattern
+from .patterns import element_of_weights
 from .plucker import PluckerWeight, orbit_table, weight_of
 from .weyl import WeylElement, WeylGroup
 
@@ -139,43 +140,3 @@ def generic_recognize_from_base(group: WeylGroup, bits) -> WeylElement | None:
             return None
         picked.append(table.weights[candidates.bit_length() - 1])
     return element_of_weights(group, picked)
-
-
-def _generic_masks(group: WeylGroup) -> list[tuple[VanishingPattern, int]]:
-    """Per element of W, its generic pattern and that pattern's restriction
-    to the base weights as a bitmask.  u <= v iff the pattern of u is
-    contained in that of v (Deodhar's criterion)."""
-    weights = base_weights(group)
-    pats = [generic_pattern(group, w) for w in group.elements()]
-    return [(p, sum(p.bit(c) << j for j, c in enumerate(weights))) for p in pats]
-
-
-def _deletion_minimal(group: WeylGroup, holds) -> bool:
-    """holds(kept) for the mask of all base weights, and for no mask that
-    drops a single one."""
-    keep = (1 << len(weyl_base(group))) - 1
-    return holds(keep) and not any(holds(keep & ~(1 << j)) for j in range(keep.bit_length()))
-
-
-def minimality_check(group: WeylGroup) -> bool:
-    """The base weights separate all generic patterns, and no single deletion
-    still does.
-
-    Separation is strictly weaker than the order-embedding property (see
-    embedding_minimality_check); deletion-minimality under mere separation is
-    a type A phenomenon and fails already for B2.
-    """
-    restricted = [r for _, r in _generic_masks(group)]
-    return _deletion_minimal(
-        group, lambda kept: len({r & kept for r in restricted}) == len(restricted)
-    )
-
-
-def embedding_minimality_check(group: WeylGroup) -> bool:
-    """The base weights embed the group order into the Boolean lattice, and
-    no single deletion preserves the embedding."""
-    masks = _generic_masks(group)
-    pairs = [(ru, rv, pu <= pv) for pu, ru in masks for pv, rv in masks]
-    return _deletion_minimal(group, lambda kept: all(
-        (ru & ~rv & kept == 0) == below for ru, rv, below in pairs
-    ))

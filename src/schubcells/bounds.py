@@ -1,8 +1,8 @@
 """Quantitative negative results at desk scale: the exponential witness
 family for defining one Schubert variety, exact minimal-defining-set search
-(a hitting-set lower bound over coordinate-flag witnesses), the feedback-free
-recognition problem with its constant-weight-code inequality, and the
-codimension-one chain corollary.
+(a hitting-set lower bound over coordinate-flag witnesses), and the
+feedback-free recognition problem, whose search starts at the size that the
+constant-weight-code inequality allows (``code_excludable_bound``).
 
 Everything here but the feedback-free search works on raw one-line
 permutations, up to S_12 for the witness family, where no orbit table is
@@ -11,13 +11,11 @@ in the down-set of w([1, i]), read as row masks from ``perms.down_rows``;
 ``_violations`` lists the prefixes that do not, and the defining sets and
 witness checks are read off it; the equation counts only count the
 down-sets, by ``perms.down_count``.  The feedback-free search reads
-vanishing patterns; the chain corollary walks covers in the type A Weyl
-group.
+vanishing patterns.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations
 from math import comb
 
@@ -256,74 +254,3 @@ def feedback_free_min_set(n: int) -> FeedbackFreeResult:
                 certified=certified,
             )
     raise RuntimeError("even the full coordinate set failed to separate")
-
-
-# ----- constant-weight codes ----------------------------------------------------------
-
-
-class CodeFamily:
-    __slots__ = ("n", "i", "subsets")
-
-    def __init__(self, n: int, i: int, subsets: tuple[frozenset[int], ...]):
-        for I in subsets:
-            if len(I) != i or not I <= set(range(1, n + 1)):
-                raise ValueError(f"{sorted(I)} is not an i-subset of [1, n]")
-        for I, J in combinations(subsets, 2):
-            if len(I ^ J) == 2:
-                raise ValueError(
-                    f"{sorted(I)} and {sorted(J)} differ by a single exchange"
-                )
-        self.n, self.i, self.subsets = n, i, subsets
-
-
-def code_bound_check(fam: CodeFamily) -> bool:
-    """|family| <= C(n, i-1)/i, verified together with the counting argument
-    behind it: the (i-1)-subsets of the members are pairwise distinct."""
-    seen = set()
-    for I in fam.subsets:
-        for x in I:
-            sub = I - {x}
-            if sub in seen:
-                raise RuntimeError("counting argument violated: duplicate subset")
-            seen.add(sub)
-    return len(fam.subsets) * fam.i <= comb(fam.n, fam.i - 1)
-
-
-# ----- chain corollary -----------------------------------------------------------------
-
-
-class ChainReport:
-    __slots__ = ("k", "chain", "steps", "per_step_bound", "implied_min_equations")
-
-    def __init__(self, k: int, chain: tuple[tuple[int, ...], ...], steps: int,
-                 per_step_bound: Fraction, implied_min_equations: int):
-        self.k, self.chain, self.steps = k, chain, steps
-        self.per_step_bound, self.implied_min_equations = per_step_bound, implied_min_equations
-
-
-def chain_corollary_check(k: int) -> ChainReport:
-    """Build a saturated chain from the witness-family target up to the top
-    element, each step the least cover w t (by one-line order) over the
-    reflections t, and derive the per-step lower bound C(2k,k)/(4 k^2)."""
-    if k != 1:
-        raise ValueError("the chain check is implemented for k = 1 (n = 4)")
-    g = type_a_group(4 * k)
-    cur, top = g.from_one_line(_block_reversal(k)), g.longest_element()
-    chain = [cur]
-    while cur != top:
-        covers = (g.multiply(cur, t) for t in g.reflections())
-        cur = min((v for v in covers if v.length == cur.length + 1), key=g.one_line)
-        chain.append(cur)
-    chain = [g.one_line(v) for v in chain]
-    steps = len(chain) - 1
-    if steps != 4 * k * k:
-        raise RuntimeError(f"chain has {steps} steps, expected {4 * k * k}")
-    bound = Fraction(comb(2 * k, k), 4 * k * k)
-    implied = int(bound) if bound.denominator == 1 else int(bound) + 1
-    return ChainReport(
-        k=k,
-        chain=tuple(chain),
-        steps=steps,
-        per_step_bound=bound,
-        implied_min_equations=implied,
-    )

@@ -21,6 +21,7 @@ from .perms import one_line_str
 from .plucker import (
     WeightOrdering,
     active_ordering,
+    is_economical_index,
     is_economical_ordering,
     orbit_size,
     roots_R,
@@ -299,10 +300,9 @@ def _cmd_economical(args) -> int:
     ordering = active_ordering(group, ordering)
     rows = []
     for i in range(1, group.rank + 1):
-        # is_economical_index's test, on the printed counts; orbit_size lists no orbit
-        size, roots = orbit_size(group, i), len(roots_R(group, i))
-        rows.append({"index": i, "orbit_size": size, "roots": roots,
-                     "economical": 1 + roots == size})
+        rows.append({"index": i, "orbit_size": orbit_size(group, i),
+                     "roots": len(roots_R(group, i)),
+                     "economical": is_economical_index(group, i)})
     ordering_ok = is_economical_ordering(group, ordering)
     if args.format == "json":
         print(

@@ -274,19 +274,6 @@ def mu(group: WeylGroup, root: Root, ordering: WeightOrdering | None = None) -> 
     raise ValueError("root has empty support")
 
 
-def reflection_weight_map(group: WeylGroup, i: int) -> dict[Root, PluckerWeight]:
-    """alpha -> s_alpha omega_i, an embedding of R(i) into the orbit minus omega_i."""
-    table = orbit_table(group, i)
-    omega = table.weights[0].labels
-    out = {}
-    for rt in roots_R(group, i):
-        k = table.by_labels[group.reflect_root(rt, omega)]
-        if k == 0:
-            raise RuntimeError("reflection image unexpectedly fixed omega_i")
-        out[rt] = table.weights[k]
-    return out
-
-
 # ----- economical indices and orderings ----------------------------------------
 
 def is_economical_index_parabolic(group: WeylGroup, i: int, J) -> bool:
@@ -314,13 +301,6 @@ def is_economical_ordering(group: WeylGroup, ordering: WeightOrdering) -> bool:
             for pos, i in enumerate(ordering)
         )
     return verdict
-
-
-def linear_order_check(group: WeylGroup, i: int) -> bool:
-    """Whether the Bruhat order on W omega_i is a total order.  The table
-    order extends it, so it is total iff it is the table order, i.e. iff
-    every down-set is a prefix of the table."""
-    return all(m == (2 << k) - 1 for k, m in enumerate(orbit_table(group, i).down_masks()))
 
 
 # ----- serialization ------------------------------------------------------------

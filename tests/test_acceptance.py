@@ -14,17 +14,16 @@ from fractions import Fraction
 from math import comb
 
 from bruhat_oracle import ehresmann_leq
+from proposition_checks import chain_corollary, minimality_check
 from witness_oracle import witness_case_count
 
 from schubcells.base import (
     base_weights,
     bigrassmannian_typeA,
     generic_recognize_from_base,
-    minimality_check,
     weyl_base,
 )
 from schubcells.bounds import (
-    chain_corollary_check,
     construct_witness_family,
     feedback_free_min_set,
     minimum_defining_hitting_set,
@@ -315,8 +314,8 @@ def test_criterion_9_lower_bounds():
         frozenset({2, 3}),
     }
     assert res.size >= Fraction(3 - 1, 3 + 1) * (2 ** 3 - 1)
-    chain = chain_corollary_check(1)
-    assert chain.steps == 4 and chain.per_step_bound == Fraction(1, 2)
+    chain, per_step_bound = chain_corollary(1)
+    assert len(chain) - 1 == 4 and per_step_bound == Fraction(1, 2)
     _report(9, 60.0, started, "witness families k=1,2; unique 4-set at n=3")
 
 

@@ -15,14 +15,13 @@ from bruhat_oracle import (
     supremum,
     supremum_idx,
 )
+from proposition_checks import embedding_minimality_check, minimality_check
 
 from schubcells.base import (
     BaseElement,
-    embedding_minimality_check,
     base_weights,
     bigrassmannian_typeA,
     generic_recognize_from_base,
-    minimality_check,
     poset_base_indices,
     weyl_base,
 )

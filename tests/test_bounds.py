@@ -5,7 +5,7 @@ import random
 import re
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import ceil, comb
 
 import pytest
 from bruhat_oracle import (
@@ -18,16 +18,13 @@ from bruhat_oracle import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from pattern_oracle import feedback_free_min_set as oracle_feedback_free_min_set
+from proposition_checks import chain_corollary, code_bound_check
 from witness_oracle import witness_case_count
 
 from schubcells import perms
 from schubcells.bounds import (
-    ChainReport,
-    CodeFamily,
     FeedbackFreeResult,
     _constraint_families,
-    chain_corollary_check,
-    code_bound_check,
     code_excludable_bound,
     construct_witness_family,
     feedback_free_min_set,
@@ -348,17 +345,17 @@ def max_code_size(n: int, i: int) -> int:
 
 
 def test_code_family_validation():
-    with pytest.raises(ValueError):
-        CodeFamily(4, 2, (frozenset({1, 2}), frozenset({1, 3})))
-    with pytest.raises(ValueError):
-        CodeFamily(4, 2, (frozenset({1, 2, 3}),))
+    with pytest.raises(AssertionError, match="a single exchange"):
+        code_bound_check(4, 2, (frozenset({1, 2}), frozenset({1, 3})))
+    with pytest.raises(AssertionError):
+        code_bound_check(4, 2, (frozenset({1, 2, 3}),))
 
 
 def test_code_bound_check():
-    fam = CodeFamily(4, 2, (frozenset({1, 2}), frozenset({3, 4})))
-    assert code_bound_check(fam)
-    assert len(fam.subsets) == comb(4, 1) // 2  # tight
-    assert code_bound_check(CodeFamily(5, 2, ()))
+    subsets = (frozenset({1, 2}), frozenset({3, 4}))
+    assert code_bound_check(4, 2, subsets)
+    assert len(subsets) == comb(4, 1) // 2  # tight
+    assert code_bound_check(5, 2, ())
     assert max_code_size(4, 2) == 2
     assert max_code_size(5, 2) == 2 == comb(5, 1) // 2
 
@@ -372,15 +369,12 @@ def test_code_excludable_bound():
 
 
 def test_chain_corollary():
-    rep = chain_corollary_check(1)
-    assert isinstance(rep, ChainReport)
-    assert rep.steps == 4
-    assert rep.chain[0] == (2, 1, 4, 3)
-    assert rep.chain[-1] == (4, 3, 2, 1)
-    for a, b in zip(rep.chain, rep.chain[1:]):
+    chain, per_step_bound = chain_corollary(1)
+    assert len(chain) - 1 == 4
+    assert chain[0] == (2, 1, 4, 3)
+    assert chain[-1] == (4, 3, 2, 1)
+    for a, b in zip(chain, chain[1:]):
         assert length(b) == length(a) + 1
         assert ehresmann_leq(a, b)
-    assert rep.per_step_bound == Fraction(1, 2)
-    assert rep.implied_min_equations == 1
-    with pytest.raises(ValueError):
-        chain_corollary_check(2)
+    assert per_step_bound == Fraction(1, 2)
+    assert ceil(per_step_bound) == 1

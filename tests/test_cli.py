@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 from pattern_oracle import subset_pattern
 
+from schubcells import cli
 from schubcells.cli import main
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -495,6 +496,20 @@ def test_economical_output(capsys):
     assert data["ordering_economical"]
     code, out, _ = run(capsys, "economical", "--group", "A2", "--ordering", "2,1")
     assert code == 0 and "economical" in out
+
+
+def test_economical_verdict_is_is_economical_index(capsys, monkeypatch):
+    # the printed verdict is plucker's, not a second test on the counts
+    real = cli.is_economical_index
+    monkeypatch.setattr(cli, "is_economical_index", lambda g, i: real(g, i) != (i == 1))
+    code, out, _ = run(capsys, "economical", "--group", "B3")
+    assert code == 0
+    assert out.splitlines()[:2] == [
+        "index 1: 1 + |R(i)| = 6, |W w_i| = 6 -> not economical",
+        "index 2: 1 + |R(i)| = 8, |W w_i| = 12 -> not economical",
+    ]
+    code, out, _ = run(capsys, "economical", "--group", "B3", "--format", "json")
+    assert [row["economical"] for row in json.loads(out)["indices"]] == [False, False, False]
 
 
 def test_unsupported_group_exit_code(capsys):

@@ -12,10 +12,11 @@ import random
 
 import pytest
 from ambient import Ambient, ambient
+from proposition_checks import reflection_weight_map
 
 from schubcells.cartan import cartan_datum
 from schubcells.cells import cell_description_economical, cell_description_typeD
-from schubcells.plucker import mu, orbit_table, reflection_weight_map, standard_ordering
+from schubcells.plucker import mu, orbit_table, standard_ordering
 from schubcells.weyl import WeylGroup, weyl_group
 
 RANK4 = ("A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4", "D4", "G2")

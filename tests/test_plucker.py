@@ -11,6 +11,7 @@ from ambient import ambient, closed_form_order
 from bruhat_oracle import subset_leq
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from proposition_checks import linear_order_check, reflection_weight_map
 
 from schubcells.cartan import cartan_datum
 from schubcells.perms import down_count, down_rows
@@ -19,14 +20,12 @@ from schubcells.plucker import (
     is_economical_index,
     is_economical_index_parabolic,
     is_economical_ordering,
-    linear_order_check,
     mu,
     ones,
     orbit,
     orbit_bruhat_leq,
     orbit_size,
     orbit_table,
-    reflection_weight_map,
     roots_R,
     standard_ordering,
     subset_of,

@@ -36,10 +36,6 @@ SIGNATURES = [
     (bounds.FeedbackFreeResult,
      [("n", EMPTY), ("size", EMPTY), ("subsets", EMPTY), ("unique", EMPTY),
       ("certified", EMPTY)]),
-    (bounds.CodeFamily, [("n", EMPTY), ("i", EMPTY), ("subsets", EMPTY)]),
-    (bounds.ChainReport,
-     [("k", EMPTY), ("chain", EMPTY), ("steps", EMPTY), ("per_step_bound", EMPTY),
-      ("implied_min_equations", EMPTY)]),
     # None stands for a fresh empty list per log
     (recognition.QueryLog, [("entries", None)]),
     (recognition.TreeLeaf, [("w", EMPTY)]),

@@ -92,3 +92,34 @@ def test_only_bruhat_leq_imports_a_package_module_in_its_body():
         and any(_package_imports(stmt) for stmt in node.body)
     }
     assert found == {("weyl.py", "bruhat_leq")}
+
+
+def _enumerating(node, prefix=""):
+    """Qualified names of the functions and methods under ``node`` that call
+    ``.elements()`` or ``.check_enumerable()``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.ClassDef):
+            yield from _enumerating(child, prefix + child.name + ".")
+        elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+            isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+            and n.func.attr in ("elements", "check_enumerable")
+            for n in ast.walk(child)
+        ):
+            yield prefix + child.name
+
+
+def test_the_functions_that_enumerate_w_are_pinned():
+    """Enumerating W is capped at 10^6 elements, so every other answer is
+    read off orbit tables; a new caller shows here."""
+    found = {
+        (path.name, name)
+        for path in sorted(SRC.glob("*.py"))
+        for name in _enumerating(ast.parse(path.read_text()))
+    }
+    assert found == {
+        ("weyl.py", "WeylGroup.elements"),
+        ("recognition.py", "_algorithmic_tree"),
+        ("patterns.py", "all_acceptable_patterns"),
+        ("flags.py", "realizable_restricted_patterns"),
+        ("bounds.py", "feedback_free_min_set"),
+    }
