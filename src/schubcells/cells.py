@@ -13,6 +13,11 @@
 The economical description uses exactly #positive-roots - length(w) equations
 and at most min(rank, length(w)) inequalities; the equation count is
 checked, not assumed.
+
+w alpha > 0 iff w s_alpha omega_mu (mu = mu(alpha)) has a larger orbit-table
+index than w omega_mu: it is s_{w alpha}(w omega_mu), and <w omega_mu,
+(w alpha)^vee> = <omega_mu, alpha^vee> > 0, so it is strictly above w omega_mu
+in Bruhat order iff w alpha > 0, and table indices extend that order.
 """
 
 from __future__ import annotations
@@ -99,20 +104,19 @@ def cell_description_general(
         top = table.position(w)
         down = table.down_masks()
         indices, _words = table.suborbit(ordering.tail(pos))
-        coset = {table.act(w.word, k) for k in indices}
+        coset = {table.act(w.reduced, k) for k in indices}
         eqs.extend(table.weights[k] for k in sorted(coset) if k != top and down[k] >> top & 1)
     return CellDescription(w, tuple(eqs), tuple(ineqs), ordering)
 
 
 def _root_plan(group: WeylGroup, ordering: WeightOrdering):
-    """Per positive root alpha: (mu(alpha), index of s_alpha omega_mu(alpha))."""
+    """Per positive root alpha: (table of mu(alpha), index of s_alpha omega_mu(alpha))."""
     plan = group.root_plans.get(ordering.order)
     if plan is None:
         plan = []
         for rt in group.positive_roots():
-            level = mu(group, rt, ordering)
-            table = orbit_table(group, level)
-            plan.append((level, table.by_labels[group.reflect_root(rt, table.weights[0].labels)]))
+            table = orbit_table(group, mu(group, rt, ordering))
+            plan.append((table, table.by_labels[group.reflect_root(rt, table.weights[0].labels)]))
         plan = group.root_plans[ordering.order] = tuple(plan)
     return plan
 
@@ -121,20 +125,21 @@ def _economical_style_sets(group: WeylGroup, w: WeylElement, ordering: WeightOrd
     """Equalities {w s_alpha omega_{mu(alpha)} : w alpha > 0} and inequalities
     {w omega_i : some alpha with mu(alpha) = i has w alpha < 0}.  RuntimeError
     unless the equalities are #positive-roots - length(w) distinct weights."""
+    tops = {i: orbit_table(group, i).position(w) for i in ordering}  # w omega_i
     eqs: list[PluckerWeight] = []
     ineq_levels: set[int] = set()
-    for (level, k), sign in zip(_root_plan(group, ordering), group.root_signs(w)):
-        if sign > 0:
-            table = orbit_table(group, level)
-            eqs.append(table.weights[table.act(w.word, k)])
+    for table, k in _root_plan(group, ordering):
+        j = table.act(w.reduced, k)
+        if j > tops[table.level]:
+            eqs.append(table.weights[j])
         else:
-            ineq_levels.add(level)
+            ineq_levels.add(table.level)
     if len(set(eqs)) != len(eqs):
         raise RuntimeError("economical equalities unexpectedly collided")
     expected = len(group.positive_roots()) - w.length
     if len(eqs) != expected:
         raise RuntimeError(f"expected {expected} equations, generated {len(eqs)}")
-    ineqs = [weight_of(group, w, i) for i in ordering if i in ineq_levels]
+    ineqs = [orbit_table(group, i).weights[tops[i]] for i in ordering if i in ineq_levels]
     return eqs, ineqs
 
 
@@ -193,7 +198,7 @@ def cell_description_typeD(group: WeylGroup, w: WeylElement) -> CellDescription:
         table = orbit_table(group, i)
         # e_1 + ... + e_{i-1} - e_i has labels 2 at i - 1 and -1 at i
         flipped = tuple(2 if j == i - 1 else -1 if j == i else 0 for j in range(1, r + 1))
-        candidate = table.weights[table.act(w.word, table.by_labels[flipped])]
+        candidate = table.weights[table.act(w.reduced, table.by_labels[flipped])]
         top = weight_of(group, w, i)
         above = table.leq(top, candidate) and candidate != top
         below = table.leq(candidate, top)

@@ -158,7 +158,7 @@ class OrbitTable:
 
     def position(self, w: WeylElement) -> int:
         """Index of w omega_i."""
-        return self.act(w.word, 0)
+        return self.act(w.reduced, 0)
 
     def suborbit(self, J) -> tuple:
         """W_J omega_i as (indices, words): each index with a reduced word of
@@ -294,7 +294,8 @@ def is_economical_index(group: WeylGroup, i: int) -> bool:
 def is_economical_ordering(group: WeylGroup, ordering: WeightOrdering) -> bool:
     """Whether each index is economical for the parabolic generated by the
     indices from its position onward (held by the group per order)."""
-    verdict = group.economical.get(active_ordering(group, ordering).order)
+    ordering = active_ordering(group, ordering)
+    verdict = group.economical.get(ordering.order)
     if verdict is None:
         verdict = group.economical[ordering.order] = all(
             is_economical_index_parabolic(group, i, ordering.tail(pos))

@@ -153,7 +153,8 @@ def recognize_general(
                 break
         word += chosen
         fp = group.fold(chosen, fp)
-    return group.by_fingerprint(fp), counter.log
+    # reduced, as the lengths of the parabolic coset representatives add
+    return WeylElement._of_reduced(word, fp, group), counter.log
 
 
 def recognize_typeA(oracle, n: int, check_input: bool = False):

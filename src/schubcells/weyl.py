@@ -3,11 +3,12 @@ order, parabolic quotients, roots and reflections.
 
 The core is integral [C94]: weights are Dynkin labels (fundamental-weight
 coordinates), where s_i(lambda) = lambda - lambda_i alpha_i and the labels of
-alpha_i are a column of the Cartan matrix.  An element is stored as its
-shortlex-minimal reduced word plus its fingerprint, the labels of w^{-1} rho;
-fingerprints are injective, and their negative labels are the right descents.
-A descent walk on labels turns a fingerprint into its canonical word, so
-elements never require enumerating the group.  A root is its simple-root
+alpha_i are a column of the Cartan matrix.  An element is its fingerprint,
+the labels of w^{-1} rho, plus some reduced word; fingerprints are injective,
+and their negative labels are the right descents.  One descent walk on labels
+turns a fingerprint into a reduced word, so elements never require
+enumerating the group.  The canonical (shortlex-minimal) word is built by two
+more walks when it is first read.  A root is its simple-root
 expansion together with its coroot's, and s_alpha acts on labels as
 lambda - <lambda, alpha^vee> alpha.  Dynkin labels are the only weight
 coordinates: the tests check them against an ambient Bourbaki realization
@@ -18,9 +19,9 @@ u omega_i <= v omega_i on every orbit W omega_i (Deodhar's criterion
 [BB05 2.6]), so comparing two elements never enumerates W.
 
 No value is changed after construction.  The only internal mutation is
-memoization: each table derived from a group is a field of the group, filled
-by its builder on first use, so it lives exactly as long as the group.  Dict
-insertion is atomic under CPython, so groups can be shared across threads.
+memoization: an element's canonical word, and each table derived from a
+group, a field of the group filled by its builder on first use.  Both writes
+are atomic under CPython and idempotent, so groups can be shared across threads.
 """
 
 from __future__ import annotations
@@ -35,19 +36,33 @@ Labels = tuple[int, ...]
 
 
 class WeylElement:
-    """A group element in canonical form (shortlex-minimal reduced word).
+    """A group element: ``fingerprint``, the Dynkin labels of w^{-1} rho, and
+    ``reduced``, some reduced word of w, which actions, products and length
+    read.  ``word``, the shortlex-minimal reduced word, is built on first read
+    unless the constructor was given it."""
 
-    ``fingerprint`` is the tuple of Dynkin labels of w^{-1} rho.
-    """
-
-    __slots__ = ("word", "fingerprint", "group")
+    __slots__ = ("reduced", "fingerprint", "group", "_word")
 
     def __init__(self, word: tuple[int, ...], fingerprint: Labels, group: WeylGroup):
-        self.word, self.fingerprint, self.group = word, fingerprint, group
+        self.reduced = self._word = word
+        self.fingerprint, self.group = fingerprint, group
+
+    @classmethod
+    def _of_reduced(cls, reduced: tuple[int, ...], fingerprint: Labels, group: WeylGroup):
+        """The element of a reduced word that need not be shortlex-minimal."""
+        w = cls.__new__(cls)
+        w.reduced, w.fingerprint, w.group, w._word = reduced, fingerprint, group, None
+        return w
+
+    @property
+    def word(self) -> tuple[int, ...]:
+        if self._word is None:  # the descent walk from w rho spells it
+            self._word = tuple(self.group._descend(self.group.rho_image(self))[0])
+        return self._word
 
     @property
     def length(self) -> int:
-        return len(self.word)
+        return len(self.reduced)
 
     def __hash__(self):
         return hash(self.fingerprint)
@@ -143,6 +158,7 @@ class WeylGroup:
             for i in range(self.rank)
         )
         self._rho = (1,) * self.rank
+        self.parabolic_orders: dict[frozenset[int], int] = {frozenset(): 1}  # K -> |W_K|
         self.order = self.parabolic_order(range(1, self.rank + 1))
         self.identity = WeylElement((), self._rho, self)
         self._elements: tuple[WeylElement, ...] | None = None
@@ -179,7 +195,8 @@ class WeylGroup:
         """Reflect at the smallest negative label until none is left.
 
         Started at w rho this lists the smallest left descent at each step,
-        i.e. the shortlex-minimal reduced word of w [C94]."""
+        i.e. the shortlex-minimal reduced word of w [C94]; started at
+        w^{-1} rho, it spells a reduced word of w backwards."""
         lab = list(lab)
         links = self._links
         word = []
@@ -226,8 +243,7 @@ class WeylGroup:
         inv_word, top = self._descend(fp)
         if top != self._rho:
             raise ValueError(f"{fp} is not a fingerprint of {self.datum.name}")
-        word, _ = self._descend(self.fold(inv_word, self._rho))
-        return WeylElement(tuple(word), fp, self)
+        return WeylElement._of_reduced(tuple(reversed(inv_word)), fp, self)
 
     # ----- group structure ---------------------------------------------------
 
@@ -237,7 +253,7 @@ class WeylGroup:
         return self.element((i,))
 
     def element(self, word) -> WeylElement:
-        """Canonical element of an arbitrary word over the generators."""
+        """The element of an arbitrary word over the generators."""
         word = tuple(word)
         if word and not (1 <= min(word) and max(word) <= self.rank):
             raise ValueError(f"word {word} uses a generator outside 1..{self.rank}")
@@ -245,14 +261,14 @@ class WeylGroup:
 
     def multiply(self, u: WeylElement, v: WeylElement) -> WeylElement:
         # f(uv) = v^{-1}(f(u)): fold v's word forward over u's fingerprint.
-        return self.by_fingerprint(self.fold(v.word, u.fingerprint))
+        return self.by_fingerprint(self.fold(v.reduced, u.fingerprint))
 
     def inverse(self, w: WeylElement) -> WeylElement:
         return self.by_fingerprint(self.rho_image(w))
 
     def rho_image(self, w: WeylElement) -> Labels:
         """Dynkin labels of w rho."""
-        return self.fold(reversed(w.word), self._rho)
+        return self.fold(reversed(w.reduced), self._rho)
 
     # ----- roots -------------------------------------------------------------
 
@@ -277,15 +293,6 @@ class WeylGroup:
             pairs = orbit_bfs(None, range(1, r + 1), step)[0][1:]
             self._roots = tuple(Root(*p) for p in sorted(pairs, key=lambda p: (sum(p[0]), p[0])))
         return self._roots
-
-    def root_signs(self, w: WeylElement) -> tuple[int, ...]:
-        """The sign of w alpha for each positive root alpha, in
-        positive_roots() order: the sign of <w^{-1} rho, alpha^vee>."""
-        fp = w.fingerprint
-        return tuple(
-            1 if sum([f * c for f, c in zip(fp, rt.coroot)]) > 0 else -1
-            for rt in self.positive_roots()
-        )
 
     def reflect_root(self, root: Root, lab: Labels) -> Labels:
         """s_alpha on Dynkin labels: lambda - <lambda, alpha^vee> alpha, where
@@ -329,13 +336,16 @@ class WeylGroup:
         return J
 
     def parabolic_order(self, K) -> int:
-        """|W_K| = |W_K omega_k| |W_{K - {k}}| for the lowest k in K, peeled
-        to K empty: the stabilizer of omega_k in W_K is W_{K - {k}} [Bou68 V §3.3]."""
-        K = sorted(self.check_parabolic(K))
-        order = 1
-        for t, k in enumerate(K):
+        """|W_K| = |W_K omega_k| |W_{K - {k}}| for the lowest k in K, as the
+        stabilizer of omega_k in W_K is W_{K - {k}} [Bou68 V §3.3]; held in
+        ``parabolic_orders``."""
+        K = self.check_parabolic(K)
+        order = self.parabolic_orders.get(K)
+        if order is None:
+            k = min(K)
             omega = tuple(int(j == k) for j in range(1, self.rank + 1))
-            order *= len(orbit_bfs(omega, K[t:], self.reflect_labels)[0])
+            order = len(orbit_bfs(omega, sorted(K), self.reflect_labels)[0])
+            order = self.parabolic_orders[K] = order * self.parabolic_order(K - {k})
         return order
 
     def min_coset_rep(self, w: WeylElement, J) -> WeylElement:
@@ -388,7 +398,7 @@ class WeylGroup:
             raise ValueError("one-line notation is a type A concept")
         # Right multiplication by s_i swaps the entries in positions i, i+1.
         out = list(range(1, self.rank + 2))
-        for i in w.word:
+        for i in w.reduced:
             out[i - 1], out[i] = out[i], out[i - 1]
         return tuple(out)
 

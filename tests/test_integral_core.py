@@ -3,9 +3,10 @@
 The package computes on Dynkin labels only; ``ambient`` realizes the same
 root systems in Bourbaki epsilon coordinates with exact Fraction arithmetic
 (``act``, ``act_inv``, ``reflect``, ``root_sign``, lookup by vector) and
-shares no code with it.  Every element of every supported group of rank
-<= 4 is checked, plus 300 seeded elements each of A5, B5 and D5; the Cartan
-matrices, roots and coroots of all 28 supported groups are pinned.
+shares no code with it; it is the oracle for the sign of w alpha, which the
+package reads off the orbit order.  Every element of every supported group
+of rank <= 4 is checked, plus 300 seeded elements each of A5, B5 and D5; the
+Cartan matrices, roots and coroots of all 28 supported groups are pinned.
 """
 
 import random
@@ -15,7 +16,7 @@ from ambient import Ambient, ambient
 from proposition_checks import reflection_weight_map
 
 from schubcells.cartan import cartan_datum
-from schubcells.cells import cell_description_economical, cell_description_typeD
+from schubcells.cells import _root_plan, cell_description_economical, cell_description_typeD
 from schubcells.plucker import mu, orbit_table, standard_ordering
 from schubcells.weyl import WeylGroup, weyl_group
 
@@ -68,14 +69,22 @@ def _old_descriptions(g, w, ordering):
 def _check_element(g, fresh, w):
     amb = ambient(g)
     rho, simple, omega = amb.rho, amb.simple_roots, amb.fundamental_weights
+    ordering = standard_ordering(g)
     # fingerprint = labels of w^{-1} rho; the walk rebuilds the same word
     assert w.fingerprint == amb.labels(amb.act_inv(w, rho))
     assert fresh.by_fingerprint(w.fingerprint).word == w.word
     assert fresh.element(w.word).word == w.word
     # reduced: the length is the number of positive roots w makes negative
     signs = tuple(amb.root_sign(amb.act(w, amb.root(rt))) for rt in g.positive_roots())
-    assert g.root_signs(w) == signs
     assert signs.count(-1) == w.length
+    # the sign of w alpha read off the orbit order: w s_alpha omega_mu lies
+    # above w omega_mu in the orbit table iff w alpha > 0
+    for rt, (table, k), sign in zip(g.positive_roots(), _root_plan(g, ordering), signs):
+        level = mu(g, rt, ordering)
+        assert table.level == level
+        moved = amb.reflect_by_root(amb.root(rt), omega[level - 1])
+        assert k == amb.lookup(table, moved).index
+        assert (table.act(w.reduced, k) > table.position(w)) == (sign > 0)
     # descents by the root-sign definition
     assert g.right_descents(w) == {
         i for i in range(1, g.rank + 1) if amb.root_sign(amb.act(w, simple[i - 1])) < 0
@@ -93,7 +102,6 @@ def _check_element(g, fresh, w):
                     tuple(a + b for a, b in zip(rho, omega[0]))):
         assert g.element_with_rho_labels(amb.labels(amb.act(w, shifted))) is None
     # descriptions
-    ordering = standard_ordering(g)
     eqs, ineqs = _old_descriptions(g, w, ordering)
     if g.type_letter == "D":
         desc = cell_description_typeD(g, w)

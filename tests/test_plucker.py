@@ -141,6 +141,18 @@ def test_orbit_size_as_an_index_counts_the_listed_orbit(spec):
             assert orbit_size(g, i, J) == len(orbit_bfs(omega, J, g.reflect_labels)[0]), (i, J)
 
 
+def test_parabolic_orders_are_held_by_the_group(monkeypatch):
+    from schubcells import weyl
+
+    g = WeylGroup(cartan_datum("B", 8))
+    first = [orbit_size(g, i, range(i, 9)) for i in range(1, 9)]
+    calls = []
+    monkeypatch.setattr(weyl, "orbit_bfs", lambda *a: calls.append(a) or orbit_bfs(*a))
+    assert [orbit_size(g, i, range(i, 9)) for i in range(1, 9)] == first
+    assert calls == []
+    assert g.parabolic_orders[frozenset(range(1, 9))] == len(g) == 2 ** 8 * 40320
+
+
 def test_orbit_size_names_a_level_out_of_range():
     g = weyl_group("B3")
     for level in (0, 4):
@@ -430,6 +442,13 @@ def test_economical_ordering_standard():
     assert is_economical_ordering(g, WeightOrdering((3, 2, 1)))
     # but the middle-first order is not
     assert not is_economical_ordering(g, WeightOrdering((2, 1, 3)))
+
+
+def test_economical_ordering_none_is_the_standard_one_on_a_fresh_group():
+    g = WeylGroup(cartan_datum("B", 3))
+    assert is_economical_ordering(g, None)
+    assert g.economical == {(1, 2, 3): True}
+    assert not is_economical_ordering(WeylGroup(cartan_datum("D", 4)), None)
 
 
 def test_D4_has_no_economical_ordering():

@@ -13,13 +13,17 @@ from itertools import product
 
 import pytest
 from ambient import ambient, dot
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from bruhat_oracle import bruhat_poset, ehresmann_leq
 
 from schubcells import perms
 from schubcells.cartan import cartan_datum, parse_group_spec
 from schubcells.errors import UnsupportedGroupError
+from schubcells.patterns import generic_pattern
 from schubcells.plucker import orbit_table
-from schubcells.weyl import orbit_bfs, weyl_group
+from schubcells.recognition import PatternOracle, recognize_general
+from schubcells.weyl import WeylGroup, orbit_bfs, weyl_group
 
 SMALL_GROUPS = ("A1", "A2", "A3", "B2", "B3", "G2")
 RANK4_GROUPS = ("A4", "B4", "C4", "D4")
@@ -99,6 +103,41 @@ def test_canonical_words_are_shortlex_minimal():
                 if g.element(word) == w and (best is None or word < best):
                     best = word
             assert w.word == best
+
+
+def _check_words(g, fresh, w, rng):
+    """By fingerprint, by a long random word and by recognition, a fresh
+    group gives w with the enumerated shortlex word and a reduced word."""
+    noise = [rng.randint(1, g.rank) for _ in range(2 * len(g.positive_roots()))]
+    pattern = PatternOracle(generic_pattern(fresh, fresh.element(w.word)))
+    for got in (fresh.by_fingerprint(w.fingerprint),
+                fresh.element(tuple(noise) + tuple(reversed(noise)) + w.word),
+                recognize_general(pattern, fresh)[0]):
+        assert got == w
+        assert len(got.reduced) == got.length == w.length
+        assert fresh.element(got.reduced).fingerprint == w.fingerprint
+        assert got.word == w.word
+        assert got.length == len(got.word)
+
+
+@pytest.mark.parametrize("spec", ("A3", "B3", "D4", "G2"))
+def test_lazy_words_match_the_enumerated_shortlex_words(spec):
+    g = weyl_group(spec)
+    fresh = WeylGroup(cartan_datum(g.type_letter, g.rank))
+    rng = random.Random(spec)
+    for w in g.elements():
+        _check_words(g, fresh, w, rng)
+    assert fresh._elements is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(("B5", "D5")), st.lists(st.integers(1, 5), max_size=60), st.randoms())
+def test_lazy_words_property(spec, word, rng):
+    g = weyl_group(spec)
+    canonical = {w.fingerprint: w for w in g.elements()}
+    w = canonical[g.fold(word, g.identity.fingerprint)]
+    assert g.element(word) == w
+    _check_words(g, WeylGroup(cartan_datum(g.type_letter, g.rank)), w, rng)
 
 
 # ----- multiplication -----------------------------------------------------------------
@@ -453,8 +492,8 @@ def positive_roots_by_orbits(g):
 
 @pytest.mark.parametrize("spec", SUPPORTED_GROUPS)
 def test_upward_root_sweep_matches_the_orbit_oracle(spec):
-    # the same roots and coroots in the same order, so root_signs, the
-    # cells root plans and reflections() keep their indexing
+    # the same roots and coroots in the same order, so the cells root plans
+    # and reflections() keep their indexing
     g = weyl_group(spec)
     assert [(rt.expansion, rt.coroot) for rt in g.positive_roots()] == positive_roots_by_orbits(g)
 
