@@ -124,7 +124,8 @@ def check_acceptable(pattern: VanishingPattern) -> AcceptabilityReport:
 
 def element_of_weights(group: WeylGroup, weights) -> WeylElement | None:
     """The w with w omega_i = pw for the weight pw of each level i, or None:
-    a descent walk on the summed labels, which are w rho, finds the one w."""
+    a descent walk on the summed labels, which are w rho, finds the one w.
+    Each level is verified, and w keeps the orbit positions it verified."""
     total = tuple(map(sum, zip(*(pw.labels for pw in weights))))
     w = group.element_with_rho_labels(total)
     if w is None or any(

@@ -157,8 +157,18 @@ class OrbitTable:
         return k
 
     def position(self, w: WeylElement) -> int:
-        """Index of w omega_i."""
-        return self.act(w.reduced, 0)
+        """Index of w omega_i, kept in w's ``positions`` when w belongs to a
+        group of this table's datum, so each level folds w's word once."""
+        group = self.group
+        if w.group is not group and w.group.datum != group.datum:
+            return self.act(w.reduced, 0)
+        held = w.positions
+        if held is None:
+            held = w.positions = [None] * group.rank
+        k = held[self.level - 1]
+        if k is None:
+            k = held[self.level - 1] = self.act(w.reduced, 0)
+        return k
 
     def suborbit(self, J) -> tuple:
         """W_J omega_i as (indices, words): each index with a reduced word of

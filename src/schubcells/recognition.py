@@ -9,12 +9,27 @@ above the bottom answered zero the bottom is forced and is not queried
 (queries are what we count, and the forced bit carries no information).
 ``check_input=True`` queries forced bits anyway and raises on a violation.
 
+The scan is read in place.  The group holds one plan per level: the suborbit
+W_J omega_i in descending table order and whether it is a Bruhat chain.  The
+coset orbit v W_J omega_i is its translate by v, found entry by entry as the
+scan reaches it.  On a chain the translate keeps the order.  v is minimal in
+v W_J, so l(vx) = l(v) + l(x) for x in W_J.  Let x < y be minimal
+representatives of W_J / W_{J - i}.  A reduced word of v followed by one of
+y is reduced for vy and holds v's word followed by a subword for x, so
+vx < vy by the subword property [BB05 2.2].  Projecting to W / W_{S - i}
+keeps the order [BB05 2.5], and x omega_i != y omega_i, so v x omega_i lies
+strictly below v y omega_i and has the lower table index.  Translation can
+reorder incomparable entries, so a level that is not a chain is translated
+whole and sorted: in the standard orderings, the type D_r positions 0..r-4,
+of which position 0 has v = e and translates nothing.  An economical
+ordering must give chains; that is checked once per level.
+
 Oracles memoize their answers, so no deterministic run ever pays for a
 repeated question; the query log records first-time queries only.
 
 The algorithm's worst-case query count is a sum of coset-orbit sizes
 |W_J omega_i| read off parabolic orders, so it lists neither W nor a tree.
-Its decision tree, the scan plans chained level by level with |W| leaves, is
+Its decision tree, the scans chained level by level with |W| leaves, is
 built only for its DOT drawing.  The optimal (minimax) tree searches every
 acceptable vector of a tiny group, holding sets of vectors as int bitmasks.
 """
@@ -98,29 +113,35 @@ class CountingOracle:
         return bit
 
 
-def _scan_plan(group: WeylGroup, ordering: WeightOrdering, pos: int, fp, word):
-    """Descending Bruhat-compatible scan of v W_J omega_i, with the coset
-    updates attached: list of (PluckerWeight, word to append to v).  v is
-    given by its fingerprint and any word for it; only the fingerprint is in
-    the key of the group's ``scan_plans``."""
-    key = (ordering.order, pos, fp)
+def _level_plan(group: WeylGroup, ordering: WeightOrdering, pos: int):
+    """(table, entries, chain) of level ``pos``: the suborbit W_J omega_i,
+    J = ``ordering.tail(pos)``, as (PluckerWeight, rep) pairs in descending
+    table order, rep a reduced word of the minimal representative in W_J,
+    and whether the entries form a Bruhat chain.  Held in the group's
+    ``scan_plans``, one per (order, pos)."""
+    key = (ordering.order, pos)
     plan = group.scan_plans.get(key)
-    if plan is not None:
-        return plan
-    table = orbit_table(group, ordering.order[pos])
-    indices, words = table.suborbit(ordering.tail(pos))
-    # Orbit-table order is (min-rep length, shortlex word), so sorting by
-    # index gives the descending scan.
-    scan = sorted(zip((table.act(word, k) for k in indices), words), reverse=True)
-    entries = [(table.weights[k], rep) for k, rep in scan]
-    if is_economical_ordering(group, ordering):
-        for (a, _), (b, _) in zip(entries, entries[1:]):
-            if not table.leq(b, a):
-                raise RuntimeError(
-                    "economical ordering produced a non-linear scan set"
-                )
-    group.scan_plans[key] = entries
-    return entries
+    if plan is None:
+        table = orbit_table(group, ordering.order[pos])
+        indices, words = table.suborbit(ordering.tail(pos))
+        entries = [(table.weights[k], rep) for k, rep in sorted(zip(indices, words), reverse=True)]
+        chain = all(table.leq(b, a) for (a, _), (b, _) in zip(entries, entries[1:]))
+        if not chain and is_economical_ordering(group, ordering):
+            raise RuntimeError("economical ordering produced a non-linear scan set")
+        plan = group.scan_plans[key] = (table, tuple(entries), chain)
+    return plan
+
+
+def _scan(plan, word):
+    """The descending scan of v W_J omega_i for v of the given word, as
+    (PluckerWeight, rep) pairs: a chain is translated entry by entry as it
+    is read, any other level is translated whole and sorted."""
+    table, entries, chain = plan
+    if not word:
+        return entries
+    weights = table.weights
+    translated = ((weights[table.act(word, pw.index)], rep) for pw, rep in entries)
+    return translated if chain else sorted(translated, key=lambda e: e[0].index, reverse=True)
 
 
 def recognize_general(
@@ -135,24 +156,20 @@ def recognize_general(
     fp = group.identity.fingerprint
     word: tuple[int, ...] = ()
     for pos in range(group.rank):
-        plan = _scan_plan(group, ordering, pos, fp, word)
-        if not plan:
-            raise UnacceptableInputError("empty scan set")
-        chosen = None
-        for t, (eta, rep) in enumerate(plan):
-            if t == len(plan) - 1:
+        plan = _level_plan(group, ordering, pos)
+        last = len(plan[1]) - 1
+        for t, (eta, rep) in enumerate(_scan(plan, word)):
+            if t == last:
                 # Forced: everything above answered zero.
                 if check_input and counter.query(eta) == 0:
                     raise UnacceptableInputError(
                         f"all bits of a level-{eta.level} coset orbit are zero"
                     )
-                chosen = rep
                 break
             if counter.query(eta):
-                chosen = rep
                 break
-        word += chosen
-        fp = group.fold(chosen, fp)
+        word += rep
+        fp = group.fold(rep, fp)
     # reduced, as the lengths of the parabolic coset representatives add
     return WeylElement._of_reduced(word, fp, group), counter.log
 
@@ -254,7 +271,7 @@ def build_decision_tree(
 
 
 def _algorithmic_tree(group, ordering) -> DecisionTree:
-    """Every scan plan entry but the last is a query whose 1-branch fixes the
+    """Every scan entry but the last is a query whose 1-branch fixes the
     coset and moves to the next level; the last entry is forced."""
     group.check_enumerable()
 
@@ -263,7 +280,7 @@ def _algorithmic_tree(group, ordering) -> DecisionTree:
             return TreeLeaf(group.by_fingerprint(fp))
         branches = [
             (eta, level(pos + 1, group.fold(rep, fp), word + rep))
-            for eta, rep in _scan_plan(group, ordering, pos, fp, word)
+            for eta, rep in _scan(_level_plan(group, ordering, pos), word)
         ]
         node = branches.pop()[1]
         for eta, high in reversed(branches):

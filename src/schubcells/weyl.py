@@ -19,9 +19,11 @@ u omega_i <= v omega_i on every orbit W omega_i (Deodhar's criterion
 [BB05 2.6]), so comparing two elements never enumerates W.
 
 No value is changed after construction.  The only internal mutation is
-memoization: an element's canonical word, and each table derived from a
-group, a field of the group filled by its builder on first use.  Both writes
-are atomic under CPython and idempotent, so groups can be shared across threads.
+memoization: an element's canonical word and its orbit positions (the index
+of w omega_i, filled level by level on first read), and each table derived
+from a group, a field of the group filled by its builder on first use.  These
+writes are atomic under CPython and idempotent, so groups can be shared across
+threads.
 """
 
 from __future__ import annotations
@@ -39,19 +41,23 @@ class WeylElement:
     """A group element: ``fingerprint``, the Dynkin labels of w^{-1} rho, and
     ``reduced``, some reduced word of w, which actions, products and length
     read.  ``word``, the shortlex-minimal reduced word, is built on first read
-    unless the constructor was given it."""
+    unless the constructor was given it.  ``positions`` holds the orbit-table
+    index of w omega_i at entry i - 1, filled level by level when
+    ``OrbitTable.position`` first reads it (None until then)."""
 
-    __slots__ = ("reduced", "fingerprint", "group", "_word")
+    __slots__ = ("reduced", "fingerprint", "group", "_word", "positions")
 
     def __init__(self, word: tuple[int, ...], fingerprint: Labels, group: WeylGroup):
         self.reduced = self._word = word
         self.fingerprint, self.group = fingerprint, group
+        self.positions: list[int | None] | None = None
 
     @classmethod
     def _of_reduced(cls, reduced: tuple[int, ...], fingerprint: Labels, group: WeylGroup):
         """The element of a reduced word that need not be shortlex-minimal."""
         w = cls.__new__(cls)
         w.reduced, w.fingerprint, w.group, w._word = reduced, fingerprint, group, None
+        w.positions = None
         return w
 
     @property
@@ -168,7 +174,7 @@ class WeylGroup:
         self.all_weights: tuple | None = None  # plucker.all_weights
         self.economical: dict[tuple[int, ...], bool] = {}  # plucker: order -> verdict
         self.root_plans: dict[tuple[int, ...], tuple] = {}  # cells: order -> root plan
-        self.scan_plans: dict[tuple, list] = {}  # recognition: (order, pos, fp) -> plan
+        self.scan_plans: dict[tuple, tuple] = {}  # recognition: (order, pos) -> level plan
         self.base: tuple | None = None  # base.weyl_base
 
     # ----- action on Dynkin labels -------------------------------------------
