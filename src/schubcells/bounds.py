@@ -1,8 +1,9 @@
 """Quantitative negative results at desk scale: the exponential witness
 family for defining one Schubert variety, exact minimal-defining-set search
-(a hitting-set lower bound over coordinate-flag witnesses), and the
-feedback-free recognition problem, whose search starts at the size that the
-constant-weight-code inequality allows (``code_excludable_bound``).
+(a hitting-set lower bound over coordinate-flag witnesses), and the exact
+feedback-free recognition problem for n <= 4, whose search starts at the
+size that the constant-weight-code inequality allows
+(``code_excludable_bound``).
 
 Everything here but the feedback-free search works on raw one-line
 permutations, up to S_12 for the witness family, where no orbit table is
@@ -10,8 +11,9 @@ built.  u <= w in Bruhat order exactly when every prefix set u([1, i]) lies
 in the down-set of w([1, i]), read as row masks from ``perms.down_rows``;
 ``_violations`` lists the prefixes that do not, and the defining sets and
 witness checks are read off it; the equation counts only count the
-down-sets, by ``perms.down_count``.  The feedback-free search reads
-vanishing patterns.
+down-sets, by ``perms.down_count``.  The feedback-free search reads the
+exact realizable patterns of ``flags.realizable_full_patterns``, so its
+answer is exact for every n in 2..4.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from math import comb
 
 from . import perms
 from .flags import realizable_full_patterns, type_a_group
-from .patterns import coordinate_flag_pattern
 from .plucker import all_weights, subset_of
 from .weyl import WeylElement
 
@@ -194,12 +195,10 @@ def variety_equation_count(w, n: int) -> int:
 
 
 class FeedbackFreeResult:
-    __slots__ = ("n", "size", "subsets", "unique", "certified")
+    __slots__ = ("n", "size", "subsets", "unique")
 
-    def __init__(self, n: int, size: int, subsets: tuple[frozenset[int], ...], unique: bool,
-                 certified: bool):
-        self.n, self.size, self.subsets = n, size, subsets
-        self.unique, self.certified = unique, certified
+    def __init__(self, n: int, size: int, subsets: tuple[frozenset[int], ...], unique: bool):
+        self.n, self.size, self.subsets, self.unique = n, size, subsets, unique
 
 
 def _separates(cand, labelled_patterns) -> bool:
@@ -222,22 +221,14 @@ def code_excludable_bound(n: int) -> int:
 
 def feedback_free_min_set(n: int) -> FeedbackFreeResult:
     """Smallest set of Plucker coordinates whose vanishing pattern determines
-    the cell.
-
-    For n <= 3 the criterion runs over the certified set of all realizable
-    patterns (the full problem); for n = 4 it runs over coordinate-flag
-    patterns only, which yields a valid lower-bound set.
+    the cell, exact for n in 2..4: the criterion runs over every realizable
+    pattern of ``realizable_full_patterns``, labelled by its cell.
     """
     if not 2 <= n <= 4:
         raise ValueError(f"feedback-free search supports n in 2..4, got n = {n}")
-    group = type_a_group(n)
-    certified = n <= 3
-    if certified:
-        labelled = [(pat, w) for pat, w, _flag in realizable_full_patterns(n)]
-    else:
-        labelled = [(coordinate_flag_pattern(group, w), w) for w in group.elements()]
-    universe = sorted(all_weights(group), key=lambda pw: (pw.level, sorted(subset_of(pw))))
-    labelled = [(pat.restrict(universe), w) for pat, w in labelled]
+    universe = sorted(all_weights(type_a_group(n)),
+                      key=lambda pw: (pw.level, sorted(subset_of(pw))))
+    labelled = [(pat.restrict(universe), w) for pat, w, _flag in realizable_full_patterns(n)]
     start = max(0, len(universe) - code_excludable_bound(n))
     for size in range(start, len(universe) + 1):
         winners = [
@@ -251,6 +242,5 @@ def feedback_free_min_set(n: int) -> FeedbackFreeResult:
                 size=size,
                 subsets=tuple(subset_of(universe[k]) for k in winners[0]),
                 unique=len(winners) == 1,
-                certified=certified,
             )
     raise RuntimeError("even the full coordinate set failed to separate")

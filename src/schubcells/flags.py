@@ -25,9 +25,13 @@ so a seed gives the same points as that loop.  ``nonzero`` and ``minor``
 validate row lists for outside callers; ``minor`` divides by d_1 ... d_|I|
 for the exact Fraction.
 
-Realizability lives beside the flags that certify it: at n <= 3 every
-acceptable vector that the three-term relation allows is realized by an
-integer flag whose ``vanishing_pattern`` is that vector.
+Realizability lives beside the flags that certify it.  For 2 <= n <= 4,
+``realizable_full_patterns`` is the one owner of the set of patterns that
+flags in C^n realize: the acceptable vectors that the generated flag Plucker
+relations allow, each certified by a seeded integer flag whose
+``vanishing_pattern`` is that vector, and a drawn pattern outside them is an
+error.  The restricted sets, the degeneration posets and the feedback-free
+search all read it.
 """
 
 from __future__ import annotations
@@ -39,14 +43,9 @@ import math
 import random
 from fractions import Fraction
 from functools import cache
-from itertools import product
+from itertools import combinations
 
-from .patterns import (
-    VanishingPattern,
-    all_acceptable_patterns,
-    coordinate_flag_pattern,
-    generic_pattern,
-)
+from .patterns import VanishingPattern, all_acceptable_patterns
 from .perms import check_permutation, down_count
 from .plucker import PluckerWeight, orbit, weight_from_subset
 from .weyl import WeylGroup, weyl_group
@@ -256,94 +255,95 @@ def random_cell_point(w, seed=None) -> Flag:
 
 
 class RealizableSet:
-    """Restricted patterns realized by actual flags, with cell labels.
+    """Restricted patterns realized by actual flags, with cell labels."""
 
-    ``certified`` distinguishes the exactly-enumerated small cases from
-    sampled lower-bound sets.
-    """
+    __slots__ = ("coords", "patterns")
 
-    __slots__ = ("coords", "patterns", "certified")
+    def __init__(self, coords: tuple[PluckerWeight, ...], patterns: dict[tuple[int, ...], tuple]):
+        self.coords, self.patterns = coords, patterns
 
-    def __init__(self, coords: tuple[PluckerWeight, ...],
-                 patterns: dict[tuple[int, ...], tuple], certified: bool):
-        self.coords, self.patterns, self.certified = coords, patterns, certified
+
+@cache
+def flag_relations(n: int) -> tuple[tuple[tuple[PluckerWeight, PluckerWeight], ...], ...]:
+    """The flag Plucker relations of C^n [F97, ch. 9] with two or more terms,
+    one per (I, J) with |I| = k - 1, |J| = l + 1 and k <= l: the terms
+    (p_{I+j}, p_{J-j}) for j in J - I.  Signs are dropped, since a relation
+    only forbids exactly one nonzero term."""
+    group = type_a_group(n)
+    relations = []
+    for k in range(1, n):
+        for size in range(k + 1, n + 1):  # size = |J| = l + 1
+            for I in combinations(range(1, n + 1), k - 1):
+                for J in combinations(range(1, n + 1), size):
+                    terms = tuple((weight_from_subset(group, (*I, j)),
+                                   weight_from_subset(group, set(J) - {j}))
+                                  for j in J if j not in I)
+                    if len(terms) >= 2:
+                        relations.append(terms)
+    return tuple(relations)
+
+
+CERTIFY_ENTRIES = (-2, -1, 0, 0, 0, 1, 2)
+MAX_CERTIFY_DRAWS = 50_000
 
 
 @cache
 def realizable_full_patterns(n: int):
-    """All vanishing patterns of flags in C^n for n <= 3, certified exact.
+    """Every vanishing pattern of a flag in C^n, 2 <= n <= 4, exact.
 
-    Candidates are the acceptable vectors consistent with the three-term
-    quadratic relation among the n=3 minors; each candidate is then realized
-    by an integer flag whose ``vanishing_pattern`` is the candidate, which
-    certifies the enumeration both ways.
-    Returns a list of (VanishingPattern, witness, Flag).
+    The candidates are the acceptable vectors on which no relation of
+    ``flag_relations`` has exactly one nonzero term, so no other pattern is
+    realizable.  A fixed-seed loop draws integer flags with entries from
+    CERTIFY_ENTRIES and keeps the first flag of each candidate, whose
+    ``vanishing_pattern`` is that candidate; a drawn pattern that is no
+    candidate, or MAX_CERTIFY_DRAWS draws that leave a candidate unrealized,
+    raise RuntimeError.  Returns (VanishingPattern, witness, Flag) triples in
+    the order of ``all_acceptable_patterns``.
     """
-    if n not in (2, 3):
-        raise ValueError("exact realizability enumeration is implemented for n <= 3")
+    if not 2 <= n <= 4:
+        raise ValueError(f"realizable pattern enumeration is implemented for n in 2..4, not {n}")
     group = type_a_group(n)
-    # p1 p23 - p2 p13 + p3 p12 = 0 cannot hold with one nonzero term
-    terms = [(weight_from_subset(group, {j}), weight_from_subset(group, {1, 2, 3} - {j}))
-             for j in (1, 2, 3)] if n == 3 else []
-    results = []
+    relations = [tuple((a.level - 1, 1 << a.index, b.level - 1, 1 << b.index) for a, b in terms)
+                 for terms in flag_relations(n)]
+    candidates = {}
     for pat, witness in all_acceptable_patterns(group):
-        if sum(pat.bit(a) & pat.bit(b) for a, b in terms) == 1:
+        lv = pat.levels
+        if all(sum(1 for i, a, j, b in terms if lv[i] & a and lv[j] & b) != 1
+               for terms in relations):
+            candidates[pat] = witness
+    certificates: dict[VanishingPattern, Flag] = {}
+    choices = random.Random(0).choices
+    for _ in range(MAX_CERTIFY_DRAWS):
+        entries = choices(CERTIFY_ENTRIES, k=n * n)
+        try:
+            flag = Flag([entries[r:r + n] for r in range(0, n * n, n)])
+        except ValueError:  # singular
             continue
-        flag = _realize(n, pat)
-        if flag is None:
-            raise RuntimeError(
-                f"candidate pattern {pat.bits} passed the filters but was not realized"
-            )
-        results.append((pat, witness, flag))
-    return results
-
-
-def _realize(n: int, pattern: VanishingPattern) -> Flag | None:
-    """The first flag, in a fixed search order, whose vanishing pattern is
-    ``pattern``: column 1 holds the level-1 bits, each middle column ranges
-    over [-2, 2]^n and the last column is a unit vector.  ``Flag`` decides
-    singularity and every minor on its integer table."""
-    group = pattern.group
-    first = tuple(pattern.bit(weight_from_subset(group, {j})) for j in range(1, n + 1))
-    units = [tuple(int(j == k) for j in range(n)) for k in range(n)]
-    for middle in product(product(range(-2, 3), repeat=n), repeat=n - 2):
-        for last in units:
-            try:
-                flag = flag_from_columns((first, *middle, last))
-            except ValueError:  # singular
-                continue
-            if vanishing_pattern(flag, group) == pattern:
-                return flag
-    return None
+        pat = vanishing_pattern(flag, group)
+        if pat not in candidates:
+            raise RuntimeError(f"the flag {flag.matrix} realizes {pat}, which is no candidate")
+        certificates.setdefault(pat, flag)
+        if len(certificates) == len(candidates):
+            return [(pat, witness, certificates[pat]) for pat, witness in candidates.items()]
+    raise RuntimeError(
+        f"{len(candidates) - len(certificates)} of {len(candidates)} candidate patterns "
+        f"in C^{n} unrealized after {MAX_CERTIFY_DRAWS} draws"
+    )
 
 
 def realizable_restricted_patterns(n: int, coords) -> RealizableSet:
-    """Restrictions of flag vanishing patterns to the given coordinates.
-
-    Exact (certified) for n <= 3.  For n = 4 the result combines coordinate
-    flags and generic cell points only, so it is a sampled lower-bound set.
-    """
+    """The patterns of ``realizable_full_patterns(n)`` restricted to the
+    given coordinates, each labelled by the cells that realize it; exact."""
+    full = realizable_full_patterns(n)
     group = type_a_group(n)
     coords = tuple(
         pw if isinstance(pw, PluckerWeight) else weight_from_subset(group, pw)
         for pw in coords
     )
     found: dict[tuple[int, ...], set] = {}
-    if n in (2, 3):
-        for pat, witness, _flag in realizable_full_patterns(n):
-            key = pat.restrict(coords)
-            found.setdefault(key, set()).add(group.one_line(witness))
-        certified = True
-    elif n == 4:
-        for w in group.elements():
-            for pat in (generic_pattern(group, w), coordinate_flag_pattern(group, w)):
-                key = pat.restrict(coords)
-                found.setdefault(key, set()).add(group.one_line(w))
-        certified = False
-    else:
-        raise ValueError("realizable pattern enumeration is implemented for n <= 4")
-    patterns = {key: tuple(sorted(ws)) for key, ws in found.items()}
-    return RealizableSet(coords, patterns, certified)
+    for pat, witness, _flag in full:
+        found.setdefault(pat.restrict(coords), set()).add(group.one_line(witness))
+    return RealizableSet(coords, {key: tuple(sorted(ws)) for key, ws in found.items()})
 
 
 # ----- parsing ------------------------------------------------------------------

@@ -264,22 +264,26 @@ def pattern_poset(coords, patterns: dict) -> PatternPoset:
     """Build the degeneration poset of restricted patterns.
 
     ``patterns`` maps restricted bit tuples to cell labels (any tuple).
+    Vertex k is bit k of an int: its down-set is the AND, over the
+    coordinates where it is 0, of the vertices that are 0 there, and its
+    covers are the vertices strictly below it and below no other of those.
     """
     coords = tuple(coords)
     verts = sorted(patterns, key=lambda v: (sum(v), v))
-    covers = []
-    vset = set(verts)
-    for lo in verts:
-        for hi in verts:
-            if lo == hi or not PatternPoset.dominated(lo, hi):
-                continue
-            if any(
-                z != lo and z != hi
-                and PatternPoset.dominated(lo, z)
-                and PatternPoset.dominated(z, hi)
-                for z in vset
-            ):
-                continue
-            covers.append((lo, hi))
+    zero = [sum(1 << k for k, bit in enumerate(col) if not bit) for col in zip(*verts)]
+    strict, up = [], [0] * len(verts)  # strict down-sets; up[lo]: the vertices covering lo
+    for hi, v in enumerate(verts):
+        below = (1 << len(verts)) - 1
+        for c, bit in enumerate(v):
+            if not bit:
+                below &= zero[c]
+        below ^= 1 << hi
+        strict.append(below)  # a vertex strictly below hi has a smaller weight, so a smaller index
+        under = 0
+        for z in ones(below):
+            under |= strict[z]
+        for lo in ones(below & ~under):
+            up[lo] |= 1 << hi
+    covers = tuple((verts[lo], verts[hi]) for lo in range(len(verts)) for hi in ones(up[lo]))
     labels = {v: tuple(patterns[v]) for v in verts}
-    return PatternPoset(coords, tuple(verts), labels, tuple(covers))
+    return PatternPoset(coords, tuple(verts), labels, covers)

@@ -90,11 +90,17 @@ class WeightOrdering:
 def standard_ordering(group: WeylGroup) -> WeightOrdering:
     """Bourbaki order for A/B/C/G2; for D the chain 1..r-3 followed by a leaf,
     the trivalent node, and the other leaf (the order minimizing the extra
-    equations a type D cell description needs)."""
-    r = group.rank
-    if group.type_letter == "D":
-        return WeightOrdering(tuple(range(1, r - 2)) + (r - 1, r - 2, r))
-    return WeightOrdering(tuple(range(1, r + 1)))
+    equations a type D cell description needs).  The group holds it, built
+    on first use."""
+    ordering = group.standard_ordering
+    if ordering is None:
+        r = group.rank
+        if group.type_letter == "D":
+            order = tuple(range(1, r - 2)) + (r - 1, r - 2, r)
+        else:
+            order = tuple(range(1, r + 1))
+        ordering = group.standard_ordering = WeightOrdering(order)
+    return ordering
 
 
 def active_ordering(group: WeylGroup, ordering: WeightOrdering | None = None):

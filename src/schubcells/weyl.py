@@ -172,6 +172,7 @@ class WeylGroup:
         # Tables derived from the group, each filled by its builder on first use.
         self.orbit_tables: dict = {}  # level -> plucker.OrbitTable
         self.all_weights: tuple | None = None  # plucker.all_weights
+        self.standard_ordering = None  # plucker.standard_ordering, a WeightOrdering
         self.economical: dict[tuple[int, ...], bool] = {}  # plucker: order -> verdict
         self.root_plans: dict[tuple[int, ...], tuple] = {}  # cells: order -> root plan
         self.scan_plans: dict[tuple, tuple] = {}  # recognition: (order, pos) -> level plan

@@ -1,15 +1,16 @@
 """Test helper: the frozenset-keyed vanishing patterns that the package once
 used beside ``VanishingPattern``, kept as oracles.  ``subset_pattern`` keys a
 flag's pattern by its proper subsets; ``realizable_full_patterns`` filters
-all 2^N flat bit vectors through ``check_acceptable`` and realizes each
-survivor by comparing subset patterns; ``feedback_free_min_set`` separates
-labelled subset patterns on subset tuples."""
+all 2^N flat bit vectors through ``check_acceptable`` and the hand-written
+three-term relation and realizes each survivor by the [-2, 2]^n search the
+package once ran (n <= 3); ``feedback_free_min_set`` separates labelled
+subset patterns on subset tuples."""
 
 from itertools import combinations, product
 
-from schubcells import perms
+from schubcells import flags
 from schubcells.bounds import FeedbackFreeResult, code_excludable_bound
-from schubcells.flags import coordinate_flag, flag_from_columns, type_a_group
+from schubcells.flags import flag_from_columns, type_a_group
 from schubcells.patterns import VanishingPattern, check_acceptable
 from schubcells.plucker import all_weights, ones, subset_of
 
@@ -22,8 +23,9 @@ def subset_pattern(x) -> dict[frozenset[int], int]:
 
 
 def realize(n, by_subset):
-    """The first flag, in ``flags._realize``'s search order, whose subset
-    pattern is ``by_subset``."""
+    """The first flag whose subset pattern is ``by_subset``: column 1 holds
+    the level-1 bits, each middle column ranges over [-2, 2]^n and the last
+    column is a unit vector."""
     first = tuple(by_subset[frozenset({j})] for j in range(1, n + 1))
     units = [tuple(int(j == k) for j in range(n)) for k in range(n)]
     for middle in product(product(range(-2, 3), repeat=n), repeat=n - 2):
@@ -75,14 +77,12 @@ def _separates(coords, labelled_patterns) -> bool:
 
 def feedback_free_min_set(n):
     """The smallest separating coordinate set, searched over frozenset-keyed
-    subset patterns of realized flags (n <= 3) or coordinate flags (n = 4)."""
-    if n <= 3:
-        labelled = [
-            (subset_pattern(flag), pat.group.one_line(witness))
-            for pat, witness, flag in realizable_full_patterns(n)
-        ]
-    else:
-        labelled = [(subset_pattern(coordinate_flag(u)), u) for u in perms.all_perms(n)]
+    subset patterns of the flags that realize each pattern: this module's
+    searched flags for n <= 3, the package's certificate flags for n = 4."""
+    found = realizable_full_patterns(n) if n <= 3 else flags.realizable_full_patterns(n)
+    labelled = [
+        (subset_pattern(flag), pat.group.one_line(witness)) for pat, witness, flag in found
+    ]
     universe = sorted(
         {I for bits, _ in labelled for I in bits}, key=lambda s: (len(s), sorted(s))
     )
@@ -91,5 +91,5 @@ def feedback_free_min_set(n):
         winners = [cand for cand in combinations(universe, size) if _separates(cand, labelled)]
         if winners:
             return FeedbackFreeResult(n=n, size=size, subsets=tuple(winners[0]),
-                                      unique=len(winners) == 1, certified=n <= 3)
+                                      unique=len(winners) == 1)
     raise RuntimeError("even the full coordinate set failed to separate")

@@ -32,7 +32,8 @@ from schubcells.bounds import (
     variety_equation_count,
     witness_prefix_counts,
 )
-from schubcells.flags import type_a_group
+from schubcells.flags import realizable_full_patterns, type_a_group
+from schubcells.plucker import weight_from_subset
 
 
 # ----- witness family ------------------------------------------------------------
@@ -268,7 +269,6 @@ def test_feedback_free_n2():
     assert res.size == 1
     assert res.subsets == (frozenset({2}),)
     assert res.unique
-    assert res.certified
 
 
 def test_feedback_free_n3():
@@ -281,16 +281,29 @@ def test_feedback_free_n3():
         frozenset({2, 3}),
     }
     assert res.unique
-    assert res.certified
     # the proportion bound holds: size >= (n-1)/(n+1) * (2^n - 1)
     assert res.size >= Fraction(2, 4) * (2 ** 3 - 1)
 
 
-def test_feedback_free_n4_lower_bound_set():
+def test_feedback_free_n4_exact():
+    # over all 406 realizable patterns; the coordinate-flag patterns alone
+    # are separated by 10 coordinates, a set that misreads some cell point
     res = feedback_free_min_set(4)
-    assert not res.certified
-    assert res.size == 10  # frozen exhaustive value for the coordinate-flag criterion
+    assert res.size == 11 and res.unique
+    assert res.subsets == tuple(
+        frozenset(map(int, s))
+        for s in ("2", "3", "4", "13", "14", "23", "24", "34", "124", "134", "234")
+    )
     assert res.size >= Fraction(3, 5) * (2 ** 4 - 1)
+    g = type_a_group(4)
+    coordinate_flag_set = [
+        weight_from_subset(g, map(int, s))
+        for s in ("1", "2", "3", "12", "13", "24", "34", "123", "124", "134")
+    ]
+    cells: dict = {}
+    for pat, w, _flag in realizable_full_patterns(4):
+        cells.setdefault(pat.restrict(coordinate_flag_set), set()).add(w)
+    assert max(map(len, cells.values())) > 1
     for n in (0, 1, 5):
         with pytest.raises(ValueError, match="2..4"):
             feedback_free_min_set(n)

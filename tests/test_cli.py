@@ -1,5 +1,6 @@
 """Command-line interface: outputs, formats, exit codes, round trips."""
 
+import hashlib
 import importlib.util
 import json
 from pathlib import Path
@@ -74,8 +75,8 @@ BOUNDS_PINS = [
         '{"certified": true, "n": 3, "size": 4, "subsets": ["2", "3", "13", "23"], "unique": true}\n'
     )),
     (("bounds", "--feedback-free", "4"), (
-        "n=4: minimal feedback-free set has size 10 [coordinate-flag lower bound]\n"
-        "  coordinates: p1, p2, p3, p12, p13, p24, p34, p123, p124, p134\n"
+        "n=4: minimal feedback-free set has size 11 [exact] (unique)\n"
+        "  coordinates: p2, p3, p4, p13, p14, p23, p24, p34, p124, p134, p234\n"
     )),
 ]
 
@@ -86,56 +87,35 @@ def test_bounds_stdout_is_pinned(capsys, argv, expected):
     assert run(capsys, *argv)[:2] == (0, expected)
 
 
-# the n = 4 sampled set: generic and coordinate-flag patterns of every w in S_4
-PATTERNS_POSET_A3 = (
-    "42 realizable patterns over (p2, p13, p124, p23, p3, p134, p14, p234, p4, p34) [sampled]\n"
-    "  0000000000  cell 1234\n"
-    "  0010000000  cell 1243\n"
-    "  0100000000  cell 1324\n"
-    "  1000000000  cell 2134\n"
-    "  0000000110  cell 4231\n"
-    "  0000011000  cell 1432\n"
-    "  0001100000  cell 3214\n"
-    "  0010000010  cell 4213\n"
-    "  0010001000  cell 1423\n"
-    "  0100010000  cell 1342\n"
-    "  0100100000  cell 3124\n"
-    "  1000000100  cell 2431\n"
-    "  1001000000  cell 2314\n"
-    "  1010000000  cell 2143,2413\n"
-    "  0000000111  cell 4321\n"
-    "  0000010011  cell 4312\n"
-    "  0000011010  cell 4132\n"
-    "  0000100101  cell 3421\n"
-    "  0000110001  cell 3412\n"
-    "  0001100100  cell 3241\n"
-    "  0010001010  cell 4123\n"
-    "  0100110000  cell 3142\n"
-    "  0110001000  cell 1423\n"
-    "  0110010000  cell 1342\n"
-    "  1001000100  cell 2341\n"
-    "  1100100000  cell 3124\n"
-    "  1101000000  cell 2314\n"
-    "  0110011000  cell 1432\n"
-    "  1101100000  cell 3214\n"
-    "  1110110000  cell 3142\n"
-    "  1111001000  cell 2413\n"
-    "  1110101010  cell 4123\n"
-    "  1111010100  cell 2341\n"
-    "  1110111010  cell 4132\n"
-    "  1111011100  cell 2431\n"
-    "  1111101010  cell 4213\n"
-    "  1111110100  cell 3241\n"
-    "  1111111001  cell 3412\n"
-    "  1111111011  cell 4312\n"
-    "  1111111101  cell 3421\n"
-    "  1111111110  cell 4231\n"
-    "  1111111111  cell 4321\n"
+# the exact n = 4 set over the A3 base coordinates: 230 realizable patterns,
+# one line each, pinned by the first line and a SHA-256 of the whole stdout
+PATTERNS_POSET_A3_FIRST = (
+    "230 realizable patterns over (p2, p13, p124, p23, p3, p134, p14, p234, p4, p34) [exact]"
 )
+PATTERNS_POSET_A3_SHA256 = "6a0117749651c5eb3b4f8cd702088b40dafc8bd1d2c4ddf43814367da1c55044"
 
 
 def test_patterns_poset_a3_stdout_is_pinned(capsys):
-    assert run(capsys, "patterns-poset", "--group", "A3")[:2] == (0, PATTERNS_POSET_A3)
+    code, out, _ = run(capsys, "patterns-poset", "--group", "A3")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == PATTERNS_POSET_A3_FIRST and len(lines) == 231
+    assert lines[1] == "  0000000000  cell 1234" and lines[-1] == "  1111111111  cell 4321"
+    assert hashlib.sha256(out.encode()).hexdigest() == PATTERNS_POSET_A3_SHA256
+
+
+def test_an_uncertified_candidate_exits_4(capsys, monkeypatch):
+    # a draw budget too small to realize every candidate is an internal error
+    from schubcells import flags
+
+    flags.realizable_full_patterns.cache_clear()
+    monkeypatch.setattr(flags, "MAX_CERTIFY_DRAWS", 10)
+    try:
+        code, out, err = run(capsys, "patterns-poset", "--group", "A3")
+    finally:
+        flags.realizable_full_patterns.cache_clear()
+    assert (code, out) == (4, "")
+    assert err.startswith("internal error: ") and "unrealized after 10 draws" in err
 
 
 def test_describe_variety(capsys):
@@ -356,7 +336,7 @@ def test_patterns_poset_braced_coordinate(capsys):
     # commas inside braces separate entries of one subset, not coordinates
     code, out, _ = run(capsys, "patterns-poset", "--group", "A3", "--coords", "p{1,3},p2")
     assert code == 0
-    assert out.splitlines()[0] == "4 realizable patterns over (p13, p2) [sampled]"
+    assert out.splitlines()[0] == "4 realizable patterns over (p13, p2) [exact]"
     assert run(capsys, "patterns-poset", "--group", "A3", "--coords", "p13,p2")[1] == out
 
 
@@ -396,7 +376,7 @@ def test_bounds_commands(capsys):
     assert data["family_size"] == 4 and data["lower_bound"] == 2
     code, out, _ = run(capsys, "bounds", "--feedback-free", "3", "--format", "json")
     data = json.loads(out)
-    assert data["size"] == 4 and data["unique"] and data["certified"]
+    assert data["size"] == 4 and data["unique"] and data["certified"] is True
     code, out, _ = run(capsys, "bounds", "--defining", "2143", "4", "--format", "json")
     data = json.loads(out)
     assert data["lower_bound"] == 5 and data["universal_count"] == 9

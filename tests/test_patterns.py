@@ -8,13 +8,18 @@ from itertools import product
 import pytest
 from bruhat_oracle import prefix_set, subset_leq
 from pattern_oracle import realizable_full_patterns as oracle_realizable_full_patterns
+from pattern_oracle import realize, subset_pattern
 
+from schubcells import flags
+from schubcells.base import base_weights
 from schubcells.flags import (
-    _realize,
+    coordinate_flag,
     flag_from_columns,
+    flag_relations,
     realizable_full_patterns,
     realizable_restricted_patterns,
     type_a_group,
+    vanishing_pattern,
 )
 from schubcells.patterns import (
     VanishingPattern,
@@ -160,18 +165,91 @@ def test_coordinate_flag_pattern_is_extreme_acceptable():
 
 def test_realizable_full_counts():
     assert len(realizable_full_patterns(2)) == 3
-    full = realizable_full_patterns(3)
-    assert len(full) == 22
-    g = type_a_group(3)
-    for pat, witness, flag in full:
-        rep = check_acceptable(pat)
-        assert rep.accepted and rep.witness == witness
-    with pytest.raises(ValueError):
-        realizable_full_patterns(4)
+    assert len(realizable_full_patterns(3)) == 22
+    assert len(realizable_full_patterns(4)) == 406
+    for n in (2, 3, 4):
+        for pat, witness, _flag in realizable_full_patterns(n):
+            rep = check_acceptable(pat)
+            assert rep.accepted and rep.witness == witness
+    for n in (1, 5):
+        with pytest.raises(ValueError, match="2..4"):
+            realizable_full_patterns(n)
+
+
+def test_flag_relations_are_generated_from_i_and_j():
+    # (k, l) = (1, 2) at n = 3 is p1 p23 - p2 p13 + p3 p12 = 0
+    assert [len(flag_relations(n)) for n in (2, 3, 4)] == [1, 7, 37]
+    three_term = {
+        frozenset(map(frozenset, ({j}, {1, 2, 3} - {j}))) for j in (1, 2, 3)
+    }
+    assert any(
+        {frozenset((subset_of(a), subset_of(b))) for a, b in terms} == three_term
+        for terms in flag_relations(3)
+    )
+    for n in (2, 3, 4):
+        seen = set()
+        for terms in flag_relations(n):
+            # I is what the first factors share and J the union of the second
+            firsts = [subset_of(a) for a, _b in terms]
+            seconds = [subset_of(b) for _a, b in terms]
+            I, J = frozenset.intersection(*firsts), frozenset.union(*seconds)
+            assert len(terms) >= 2 and len(I) + 2 <= len(J)
+            assert sorted(map(sorted, zip(firsts, seconds))) == sorted(
+                sorted((I | {j}, J - {j})) for j in J - I
+            )
+            assert (I, J) not in seen
+            seen.add((I, J))
+
+
+@pytest.mark.parametrize("n", (2, 3, 4))
+def test_every_certificate_realizes_its_pattern(n):
+    """Each certificate's minors vanish exactly where its pattern is 0, read
+    both through ``vanishing_pattern`` and off the minor table by subset."""
+    found = realizable_full_patterns(n)
+    assert len({pat for pat, _w, _flag in found}) == len(found)
+    for pat, _witness, flag in found:
+        assert vanishing_pattern(flag) == pat
+        assert subset_pattern(flag) == {subset_of(pw): bit for pw, bit in pat.as_dict().items()}
+        assert {type(e) for row in flag.matrix for e in row} <= {int}
+
+
+def test_generic_and_coordinate_patterns_of_s4_are_realizable():
+    g = type_a_group(4)
+    found = {pat for pat, _w, _flag in realizable_full_patterns(4)}
+    for w in g.elements():
+        assert generic_pattern(g, w) in found
+        assert coordinate_flag_pattern(g, w) in found
+        assert vanishing_pattern(coordinate_flag(g.one_line(w)), g) in found
+
+
+def test_certification_fails_loudly_when_the_draw_budget_runs_out(monkeypatch):
+    realizable_full_patterns.cache_clear()
+    monkeypatch.setattr(flags, "MAX_CERTIFY_DRAWS", 5)
+    try:
+        with pytest.raises(RuntimeError, match=r"unrealized after 5 draws"):
+            realizable_full_patterns(3)
+    finally:
+        realizable_full_patterns.cache_clear()
+
+
+def test_certification_fails_loudly_on_a_pattern_outside_the_candidates(monkeypatch):
+    # without the open cell's patterns, a draw meets one before the rest are certified
+    every = flags.all_acceptable_patterns
+
+    def all_but_the_open_cell(g):
+        return [(pat, w) for pat, w in every(g) if w != g.longest_element()]
+
+    realizable_full_patterns.cache_clear()
+    monkeypatch.setattr(flags, "all_acceptable_patterns", all_but_the_open_cell)
+    try:
+        with pytest.raises(RuntimeError, match=r"which is no candidate"):
+            realizable_full_patterns(3)
+    finally:
+        realizable_full_patterns.cache_clear()
 
 
 def oracle_realize(n, by_subset):
-    """The hand-rolled search that ``_realize`` replaced: Fraction columns,
+    """A hand-rolled [-2, 2]^n search for a realizing flag: Fraction columns,
     level-2 minors and the determinant expanded by hand."""
     c1 = tuple(Fraction(by_subset[frozenset({j})]) for j in range(1, n + 1))
     if n == 2:
@@ -207,39 +285,42 @@ def oracle_realize(n, by_subset):
 
 @pytest.mark.parametrize("n", (2, 3))
 def test_realize_matches_the_hand_rolled_oracle(n):
-    """Same flag matrix (or the same None) on every bit vector, realizable
-    or not."""
+    """On every bit vector, the two hand-rolled searches find the same flag
+    (or both none), and they find one exactly when the vector is in the
+    certified set; the certificate's subset pattern is the vector."""
     def matrix(flag):
         return None if flag is None else flag.matrix
 
     g = type_a_group(n)
+    certified = {pat: flag for pat, _witness, flag in realizable_full_patterns(n)}
     subsets = [subset_of(pw) for pw in all_weights(g)]
     for bits in product((0, 1), repeat=len(subsets)):
         by_subset = dict(zip(subsets, bits))
         oracle = oracle_realize(n, by_subset)
-        assert matrix(_realize(n, VanishingPattern(g, bits))) == matrix(oracle)
-    for pat, _witness, flag in realizable_full_patterns(n):
-        by_subset = {subset_of(pw): bit for pw, bit in pat.as_dict().items()}
-        assert flag.matrix == oracle_realize(n, by_subset).matrix
+        assert matrix(realize(n, by_subset)) == matrix(oracle)
+        certificate = certified.get(VanishingPattern(g, bits))
+        assert (oracle is None) == (certificate is None)
+        if certificate is not None:
+            assert subset_pattern(certificate) == subset_pattern(oracle) == by_subset
 
 
 @pytest.mark.parametrize("n", (2, 3))
 def test_realizable_full_patterns_match_the_flat_vector_filter(n):
-    """The acceptable vectors of ``all_acceptable_patterns`` realize the same
-    patterns, witnesses and flags as filtering all 2^N flat bit vectors."""
-    def triples(found):
-        return {(pat.levels, witness, flag.matrix) for pat, witness, flag in found}
+    """The generated relations keep the same (pattern, witness) pairs as
+    filtering all 2^N flat bit vectors by the hand-written three-term
+    relation and realizing each survivor by search."""
+    def pairs(found):
+        return {(pat.levels, witness) for pat, witness, _flag in found}
 
     found = realizable_full_patterns(n)
-    assert len(triples(found)) == len(found)
-    assert triples(found) == triples(oracle_realizable_full_patterns(n))
+    assert len(pairs(found)) == len(found)
+    assert pairs(found) == pairs(oracle_realizable_full_patterns(n))
 
 
 def test_realizable_restricted_eleven():
     g = type_a_group(3)
     coords = [weight_from_subset(g, s) for s in ({2}, {3}, {1, 3}, {2, 3})]
     rs = realizable_restricted_patterns(3, coords)
-    assert rs.certified
     assert len(rs.patterns) == 11
     groups = {}
     for key, ws in rs.patterns.items():
@@ -262,14 +343,24 @@ def test_realizable_restricted_eleven():
     assert rs.patterns[(1, 0, 1, 1)] == ((2, 3, 1),)
 
 
-def test_realizable_restricted_sampled_n4():
+def test_realizable_restricted_n4():
     g = type_a_group(4)
-    coords = [weight_from_subset(g, {2}), weight_from_subset(g, {3, 4})]
+    coords = base_weights(g)
     rs = realizable_restricted_patterns(4, coords)
-    assert not rs.certified
-    assert rs.patterns
+    assert len(rs.patterns) == 230
+    # the set the package once sampled, the generic and coordinate-flag
+    # patterns of S_4, lies inside the exact one, with its cells among the labels
+    sampled: dict = {}
+    for w in g.elements():
+        for pat in (generic_pattern(g, w), coordinate_flag_pattern(g, w)):
+            sampled.setdefault(pat.restrict(coords), set()).add(g.one_line(w))
+    assert len(sampled) == 42
+    for key, ws in sampled.items():
+        assert ws <= set(rs.patterns[key])
+    two = [weight_from_subset(g, {2}), weight_from_subset(g, {3, 4})]
+    assert set(realizable_restricted_patterns(4, two).patterns) == set(product((0, 1), repeat=2))
     with pytest.raises(ValueError):
-        realizable_restricted_patterns(5, coords)
+        realizable_restricted_patterns(5, two)
 
 
 def test_pattern_poset_structure():

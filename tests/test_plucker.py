@@ -17,6 +17,7 @@ from schubcells.cartan import cartan_datum
 from schubcells.perms import down_count, down_rows
 from schubcells.plucker import (
     WeightOrdering,
+    active_ordering,
     is_economical_index,
     is_economical_index_parabolic,
     is_economical_ordering,
@@ -431,6 +432,18 @@ def test_economical_classification():
     for r in (4, 5, 6):
         gD = weyl_group("D", r)
         assert not any(is_economical_index(gD, i) for i in range(1, r + 1))
+
+
+def test_the_group_holds_its_standard_ordering():
+    # built once on first use and handed out as the same object
+    for letter, rank, order in (("A", 3, (1, 2, 3)), ("D", 5, (1, 2, 4, 3, 5))):
+        g = WeylGroup(cartan_datum(letter, rank))
+        assert g.standard_ordering is None
+        std = standard_ordering(g)
+        assert std.order == order
+        assert g.standard_ordering is std is standard_ordering(g) is active_ordering(g, None)
+        other = WeightOrdering(order)
+        assert active_ordering(g, other) is other
 
 
 def test_economical_ordering_standard():

@@ -120,6 +120,4 @@ def test_the_functions_that_enumerate_w_are_pinned():
         ("weyl.py", "WeylGroup.elements"),
         ("recognition.py", "_algorithmic_tree"),
         ("patterns.py", "all_acceptable_patterns"),
-        ("flags.py", "realizable_restricted_patterns"),
-        ("bounds.py", "feedback_free_min_set"),
     }
