@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import base as base_mod
@@ -395,7 +396,13 @@ def main(argv=None) -> int:
         "economical": _cmd_economical,
     }
     try:
-        return commands[args.command](args)
+        code = commands[args.command](args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # stdout closed early (`| head`): devnull takes the flush at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except UnsupportedGroupError as exc:
         print(f"unsupported group: {exc}", file=sys.stderr)
         return 3

@@ -268,7 +268,8 @@ def flag_relations(n: int) -> tuple[tuple[tuple[PluckerWeight, PluckerWeight], .
     """The flag Plucker relations of C^n [F97, ch. 9] with two or more terms,
     one per (I, J) with |I| = k - 1, |J| = l + 1 and k <= l: the terms
     (p_{I+j}, p_{J-j}) for j in J - I.  Signs are dropped, since a relation
-    only forbids exactly one nonzero term."""
+    only forbids exactly one nonzero term.  k = l with I within J is skipped:
+    its two terms are one product, p_a p_b and p_b p_a."""
     group = type_a_group(n)
     relations = []
     for k in range(1, n):
@@ -278,7 +279,7 @@ def flag_relations(n: int) -> tuple[tuple[tuple[PluckerWeight, PluckerWeight], .
                     terms = tuple((weight_from_subset(group, (*I, j)),
                                    weight_from_subset(group, set(J) - {j}))
                                   for j in J if j not in I)
-                    if len(terms) >= 2:
+                    if len(terms) >= 2 and not (size == k + 1 and set(I) < set(J)):
                         relations.append(terms)
     return tuple(relations)
 

@@ -30,8 +30,19 @@ repeated question; the query log records first-time queries only.
 The algorithm's worst-case query count is a sum of coset-orbit sizes
 |W_J omega_i| read off parabolic orders, so it lists neither W nor a tree.
 Its decision tree, the scans chained level by level with |W| leaves, is
-built only for its DOT drawing.  The optimal (minimax) tree searches every
-acceptable vector of a tiny group, holding sets of vectors as int bitmasks.
+built only for its DOT drawing.  Under an economical ordering that tree is
+minimax-optimal, and "optimal" answers with it; under any other ordering
+"optimal" raises.  Lower bound: let V_w be 1 exactly at each omega_i and
+each w omega_i.  omega_i is index 0, below every entry, so V_w is
+acceptable with witness w.  In a correct tree the path of V_e ends at the
+leaf of e, and V_w leaves it only at a weight of F_w = {w omega_i !=
+omega_i}, so the path queries a weight of each F_w, w != e.  Levels have
+disjoint orbits and s_beta omega_i = omega_i - <omega_i, beta^v> beta, so
+s_beta omega_i = s_gamma omega_j != omega_i forces i = j and beta = gamma:
+the |Phi+| families F_{s_beta} are disjoint, and the depth is >= |Phi+|.
+Upper bound: under an economical ordering level pos asks |W_J omega_i| - 1
+= |{alpha in R(i) : supp alpha within J}|, the roots with mu(alpha) = i,
+which sum to |Phi+|.  No ordering of type D is economical.
 """
 
 from __future__ import annotations
@@ -40,13 +51,12 @@ from itertools import count
 
 from .errors import UnacceptableInputError
 from .flags import Flag, check_flag_group, type_a_group
-from .patterns import VanishingPattern, all_acceptable_patterns
+from .patterns import VanishingPattern
 from .perms import one_line_str
 from .plucker import (
     PluckerWeight,
     WeightOrdering,
     active_ordering,
-    all_weights,
     is_economical_ordering,
     orbit_size,
     orbit_table,
@@ -257,20 +267,23 @@ def _element_label(group: WeylGroup, w: WeylElement) -> str:
 
 
 def build_decision_tree(
-    group: WeylGroup,
-    strategy: str = "algorithmic",
-    ordering: WeightOrdering | None = None,
+    group: WeylGroup, strategy: str = "algorithmic", ordering: WeightOrdering | None = None
 ) -> DecisionTree:
-    if strategy == "algorithmic":
-        return _algorithmic_tree(group, active_ordering(group, ordering))
-    if strategy != "optimal":
+    """The algorithm's tree, certified optimal for "optimal" (module docstring)."""
+    return _algorithmic_tree(group, _certified_ordering(group, strategy, ordering), strategy)
+
+
+def _certified_ordering(group, strategy, ordering) -> WeightOrdering:
+    """The active ordering; ValueError on an unknown or uncertified strategy."""
+    ordering = active_ordering(group, ordering)
+    if strategy not in ("algorithmic", "optimal"):
         raise ValueError(f"unknown strategy {strategy!r}")
-    if len(group) > 1000:
-        raise ValueError("optimal tree search is capped at |W| <= 1000")
-    return _optimal_tree(group, all_acceptable_patterns(group))
+    if strategy == "optimal" and not is_economical_ordering(group, ordering):
+        raise ValueError("no optimality certificate: the ordering is not economical")
+    return ordering
 
 
-def _algorithmic_tree(group, ordering) -> DecisionTree:
+def _algorithmic_tree(group, ordering, strategy) -> DecisionTree:
     """Every scan entry but the last is a query whose 1-branch fixes the
     coset and moves to the next level; the last entry is forced."""
     group.check_enumerable()
@@ -287,46 +300,7 @@ def _algorithmic_tree(group, ordering) -> DecisionTree:
             node = TreeNode(eta, node, high)
         return node
 
-    return DecisionTree(group, level(0, group.identity.fingerprint, ()), "algorithmic")
-
-
-def _optimal_tree(group, vectors) -> DecisionTree:
-    """Minimax search over sets of vector ids held as int bitmasks: the zero
-    branch of query q is ``ids & zeros[q]``, and ``by_witness`` holds the ids
-    of each witness, for the leaf test and the ceil(log2) lower bound."""
-    weights = all_weights(group)
-    zeros = [sum(1 << t for t, (pattern, _w) in enumerate(vectors) if not pattern.bit(pw))
-             for pw in weights]
-    by_witness: dict = {}
-    for t, (_pattern, w) in enumerate(vectors):
-        by_witness[w.fingerprint] = by_witness.get(w.fingerprint, 0) | 1 << t
-    memo: dict[int, tuple[int, object]] = {}
-
-    def solve(ids: int):
-        hit = memo.get(ids)
-        if hit is not None:
-            return hit
-        first = vectors[(ids & -ids).bit_length() - 1][1]
-        if not ids & ~by_witness[first.fingerprint]:
-            result = memo[ids] = (0, TreeLeaf(first))
-            return result
-        lb = (sum(1 for m in by_witness.values() if ids & m) - 1).bit_length()
-        best = None
-        for q, column in enumerate(zeros):
-            zero = ids & column
-            if not zero or zero == ids:
-                continue
-            d0, t0 = solve(zero)
-            d1, t1 = solve(ids ^ zero)
-            cand = (1 + max(d0, d1), TreeNode(weights[q], t0, t1))
-            if best is None or cand[0] < best[0]:
-                best = cand
-                if best[0] == lb:
-                    break
-        memo[ids] = best
-        return best
-
-    return DecisionTree(group, solve((1 << len(vectors)) - 1)[1], "optimal")
+    return DecisionTree(group, level(0, group.identity.fingerprint, ()), strategy)
 
 
 def worst_case_queries(
@@ -335,9 +309,7 @@ def worst_case_queries(
     """Maximum query count over all acceptable inputs.  Level pos scans the
     |W_J omega_i| weights of v W_J omega_i, J = ``ordering.tail(pos)``, whatever
     v is, and the input whose 1-bit is last at every level is asked all but the
-    forced last one: the algorithmic count is the sum of |W_J omega_i| - 1.  The
-    optimal count is the depth of the minimax tree."""
-    if method != "algorithmic":
-        return build_decision_tree(group, method, ordering).depth
-    ordering = active_ordering(group, ordering)
+    forced last one: the algorithmic count is the sum of |W_J omega_i| - 1.
+    Under an economical ordering it is |Phi+|, the optimal count."""
+    ordering = _certified_ordering(group, method, ordering)
     return sum(orbit_size(group, i, ordering.tail(pos)) - 1 for pos, i in enumerate(ordering))

@@ -3,6 +3,9 @@
 import hashlib
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -281,6 +284,9 @@ def test_tree_depth_lists_neither_w_nor_a_tree(capsys, monkeypatch):
         assert (code, out) == (0, f"algorithmic decision tree for {spec}: depth {depth}\n")
         code, out, _ = run(capsys, "tree", "--group", spec, "--format", "json")
         assert json.loads(out) == {"depth": depth, "strategy": "algorithmic"}
+    for spec, depth in (("A3", 6), ("B6", 36), ("C8", 64)):
+        code, out, _ = run(capsys, "tree", "--group", spec, "--optimal")
+        assert (code, out) == (0, f"optimal decision tree for {spec}: depth {depth}\n")
 
 
 def test_tree_outputs(capsys):
@@ -290,6 +296,92 @@ def test_tree_outputs(capsys):
     assert code == 0 and out.startswith("digraph")
     code, out, _ = run(capsys, "tree", "--group", "A2", "--optimal", "--format", "json")
     assert json.loads(out)["depth"] == 3
+
+
+@pytest.mark.parametrize("spec, depth", [
+    ("A1", 1), ("A2", 3), ("A3", 6), ("B2", 4), ("C2", 4), ("G2", 6), ("B3", 9), ("C3", 9),
+    ("C8", 64), ("B8", 64),
+])
+def test_tree_optimal_is_certified(capsys, spec, depth):
+    # the depth under an economical ordering is |positive roots|, with no search
+    code, out, _ = run(capsys, "tree", "--group", spec, "--optimal")
+    assert (code, out) == (0, f"optimal decision tree for {spec}: depth {depth}\n")
+    code, out, _ = run(capsys, "tree", "--group", spec, "--optimal", "--format", "json")
+    assert (code, out) == (0, f'{{"depth": {depth}, "strategy": "optimal"}}\n')
+
+
+@pytest.mark.parametrize("spec", ("A1", "A2", "A3", "B2", "C2", "G2"))
+def test_tree_optimal_dot_is_the_algorithmic_tree(capsys, spec):
+    optimal = run(capsys, "tree", "--group", spec, "--optimal", "--format", "dot")
+    assert optimal == run(capsys, "tree", "--group", spec, "--format", "dot")
+
+
+@pytest.mark.parametrize("fmt", ("plain", "json", "dot"))
+def test_tree_optimal_without_a_certificate_exits_1(capsys, fmt):
+    code, out, err = run(capsys, "tree", "--group", "D4", "--optimal", "--format", fmt)
+    assert (code, out, err) == (
+        1, "", "error: no optimality certificate: the ordering is not economical\n"
+    )
+
+
+def test_a_closed_stdout_exits_141_quietly():
+    # 700 KB of DOT outgrows any pipe buffer, so the write after the close fails
+    env = {**os.environ, "PYTHONPATH": str(BENCH.parent / "src")}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "schubcells.cli", "tree", "--group", "B5", "--format", "dot"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.readline() == b"digraph recognition {\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (141, b"")
+
+
+def test_recognize_trace_is_pinned(capsys):
+    code, out, _ = run(capsys, "--seed", "7", "recognize", "--group", "A3", "--cell", "2314",
+                       "--trace")
+    assert (code, out) == (0, (
+        "w = 2314; queries = 6 (p4, p3, p2, p24, p23, p234)\n"
+        "  p4 = 0\n  p3 = 0\n  p2 != 0\n  p24 = 0\n  p23 != 0\n  p234 = 0\n"
+    ))
+
+
+def test_base_a3_json_is_pinned(capsys):
+    # type A records carry the bigrassmannian triple
+    code, out, _ = run(capsys, "base", "--group", "A3", "--format", "json")
+    records = [
+        ("2134 (s1)", 1, 1, [0, 1, 2], "2"), ("1324 (s2)", 2, 2, [1, 2, 3], "13"),
+        ("1243 (s3)", 3, 3, [2, 3, 4], "124"), ("2314 (s1.s2)", 1, 2, [0, 1, 3], "23"),
+        ("3124 (s2.s1)", 2, 1, [0, 2, 3], "3"), ("1342 (s2.s3)", 2, 3, [1, 2, 4], "134"),
+        ("1423 (s3.s2)", 3, 2, [1, 3, 4], "14"), ("2341 (s1.s2.s3)", 1, 3, [0, 1, 4], "234"),
+        ("4123 (s3.s2.s1)", 3, 1, [0, 3, 4], "4"), ("3412 (s2.s1.s3.s2)", 2, 2, [0, 2, 4], "34"),
+    ]
+    want = json.dumps([
+        {"element": e, "left_descent": ld, "right_descent": rd, "triple": t, "weight": pw}
+        for e, ld, rd, t, pw in records
+    ], sort_keys=True)
+    assert (code, out) == (0, want + "\n")
+
+
+def test_patterns_poset_a2_dot_is_pinned(capsys):
+    code, out, _ = run(capsys, "patterns-poset", "--group", "A2", "--format", "dot")
+    vertices = [("0000", "123"), ("0100", "132"), ("1000", "213"), ("0011", "321"),
+                ("0101", "312"), ("1010", "231"), ("0111", "321"), ("1011", "321"),
+                ("1101", "312"), ("1110", "231"), ("1111", "321")]
+    covers = ["0000 0100", "0000 1000", "0000 0011", "0100 0101", "0100 1110", "1000 1010",
+              "1000 1101", "0011 0111", "0011 1011", "0101 0111", "0101 1101", "1010 1011",
+              "1010 1110", "0111 1111", "1011 1111", "1101 1111", "1110 1111"]
+    want = ["digraph patterns {"]
+    want += [f'  "{v}" [label="{v}\\n{cell}"];' for v, cell in vertices]
+    want += ['  "{}" -> "{}";'.format(*c.split()) for c in covers]
+    assert (code, out) == (0, "\n".join(want + ["}"]) + "\n")
+
+
+def test_patterns_poset_needs_type_a(capsys):
+    assert run(capsys, "patterns-poset", "--group", "B2") == (
+        1, "", "patterns-poset requires a type A group\n"
+    )
 
 
 def test_base_output(capsys):

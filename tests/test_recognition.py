@@ -7,7 +7,7 @@ from collections import Counter
 from itertools import permutations
 
 import pytest
-from tree_oracle import frozenset_optimal_tree, route
+from tree_oracle import bitmask_optimal_tree, frozenset_optimal_tree, route
 
 from schubcells import perms
 from schubcells.cells import cell_description_general, cell_description_typeA
@@ -16,6 +16,7 @@ from schubcells.flags import coordinate_flag, random_cell_point, type_a_group
 from schubcells.patterns import (
     VanishingPattern,
     all_acceptable_patterns,
+    check_acceptable,
     coordinate_flag_pattern,
     generic_pattern,
     random_acceptable,
@@ -289,9 +290,19 @@ def test_worst_case_queries():
         worst_case_queries(g, "nonsense")
 
 
-def test_optimal_tree_cap():
-    with pytest.raises(ValueError):
-        build_decision_tree(weyl_group("A5"), "optimal")
+def test_optimal_answers_from_the_certificate():
+    # A5 is past any exhaustive search; D4 has no economical ordering
+    assert worst_case_queries(weyl_group("A5"), "optimal") == 15
+    d4 = weyl_group("D4")
+    for call in (lambda: worst_case_queries(d4, "optimal"),
+                 lambda: build_decision_tree(d4, "optimal")):
+        with pytest.raises(ValueError, match="no optimality certificate"):
+            call()
+    # under an ordering that is not economical, A3 has no certificate either
+    a3, reverse = weyl_group("A3"), WeightOrdering((2, 1, 3))
+    with pytest.raises(ValueError, match="not economical"):
+        worst_case_queries(a3, "optimal", reverse)
+    assert worst_case_queries(a3, "algorithmic", reverse) == 7
 
 
 def trie_tree(group, ordering, vectors) -> DecisionTree:
@@ -378,15 +389,16 @@ def test_standard_ordering_attains_the_least_sum():
         assert (sums[spec], len(weyl_group(spec).positive_roots())) == (got, roots)
 
 
-@pytest.mark.parametrize("spec, depth", [("A2", 3), ("B2", 4), ("G2", 6)])
+@pytest.mark.parametrize("spec, depth", [("A1", 1), ("A2", 3), ("B2", 4), ("C2", 4), ("G2", 6)])
 def test_optimal_depth_is_the_algorithmic_depth(spec, depth):
     g = weyl_group(spec)
-    tree = build_decision_tree(g, "optimal")
-    assert tree.depth == worst_case_queries(g, "algorithmic") == depth
+    search = bitmask_optimal_tree(g, all_acceptable_patterns(g))
+    assert search.depth == worst_case_queries(g, "optimal") == len(g.positive_roots()) == depth
+    assert build_decision_tree(g, "optimal").depth == search.depth
     if spec == "G2":
-        # the stdout of `tree --group G2 --optimal --format dot` under the
-        # frozenset search, too slow to rerun here
-        dot = tree.to_dot() + "\n"
+        # the stdout of `tree --group G2 --optimal --format dot` when the
+        # package searched, pinned as the search's DOT
+        dot = search.to_dot() + "\n"
         assert dot.count("\n") == 255
         assert hashlib.sha256(dot.encode()).hexdigest() == (
             "ca14ef4616aefa09b3d4ad5f640a4c6823c1dbe621b61b048935329d4ee4c569"
@@ -396,8 +408,28 @@ def test_optimal_depth_is_the_algorithmic_depth(spec, depth):
 @pytest.mark.parametrize("spec", ("A1", "A2", "B2", "C2"))
 def test_optimal_tree_matches_the_frozenset_search(spec):
     g = weyl_group(spec)
-    want = frozenset_optimal_tree(g, all_acceptable_patterns(g))
-    assert build_decision_tree(g, "optimal").to_dot() == want.to_dot()
+    vectors = all_acceptable_patterns(g)
+    assert bitmask_optimal_tree(g, vectors).to_dot() == frozenset_optimal_tree(g, vectors).to_dot()
+
+
+@pytest.mark.parametrize("spec", [f"A{r}" for r in range(1, 9)] + [f"B{r}" for r in range(2, 9)]
+                         + [f"C{r}" for r in range(2, 9)] + ["G2"])
+def test_the_optimality_certificate(spec):
+    """The lower bound of the module docstring: V_w (1 at each omega_i and
+    each w omega_i) is accepted with witness w, and the weights where
+    V_{s_beta} differs from V_e are disjoint over the positive roots beta."""
+    g = weyl_group(spec)
+    tables = [orbit_table(g, i) for i in range(1, g.rank + 1)]
+    seen = set()
+    for root in g.positive_roots():
+        s = g.reflection(root)
+        at = [t.position(s) for t in tables]
+        report = check_acceptable(VanishingPattern.from_levels(g, [1 | 1 << k for k in at]))
+        assert report.accepted and report.witness == s
+        family = {(i, k) for i, k in enumerate(at, 1) if k}
+        assert family and not family & seen
+        seen |= family
+    assert worst_case_queries(g, "optimal") == len(g.positive_roots())
 
 
 @pytest.mark.parametrize("order", [(1, 2), (1, 2, 3, 4)])
