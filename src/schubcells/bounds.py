@@ -1,9 +1,8 @@
 """Quantitative negative results at desk scale: the exponential witness
-family for defining one Schubert variety, exact minimal-defining-set search
-(a hitting-set lower bound over coordinate-flag witnesses), and the exact
-feedback-free recognition problem for n <= 4, whose search starts at the
-size that the constant-weight-code inequality allows
-(``code_excludable_bound``).
+family for defining one Schubert variety, and two exact questions answered
+by one hitting-set engine, ``_min_hitting_set``: the minimal defining set
+(a lower bound over coordinate-flag witnesses) and the minimal
+feedback-free recognition set for n <= 4.
 
 Everything here but the feedback-free search works on raw one-line
 permutations, up to S_12 for the witness family, where no orbit table is
@@ -23,8 +22,7 @@ from math import comb
 
 from . import perms
 from .flags import realizable_full_patterns, type_a_group
-from .plucker import all_weights, subset_of
-from .weyl import WeylElement
+from .plucker import all_weights, ones, subset_of
 
 
 # ----- witness family ---------------------------------------------------------
@@ -139,29 +137,16 @@ def _constraint_families(w, n: int):
     return [frozenset(opts) for opts in violated if opts]
 
 
-def minimum_defining_hitting_set(w, n: int) -> tuple[int, tuple[frozenset[int], ...]]:
-    """Exact minimum hitting set: a set of coordinates killing the coordinate
-    flag of every u !<= w.  Valid as a lower bound on the number of equations
-    defining the variety of w.
-
-    Branch and bound on int bitmasks: coordinate I is bit k when I is the k-th
-    coordinate in (|I|, sorted I) order, a family is the OR of its options and
-    the chosen set one int.  The search branches on the first unhit family
-    (families shortest first), trying its options in bit order, and cuts a
-    branch when its size plus a greedy packing of pairwise-disjoint unhit
-    families reaches the best size found.  The packing is a lower bound, so
-    the result is the first optimal leaf in DFS order."""
-    w = perms.check_permutation(w, n)
-    if n > 7:
-        raise ValueError("exact hitting-set search is capped at n = 7")
-    families = _constraint_families(w, n)
-    families.sort(key=len)
-    coords = sorted({I for f in families for I in f}, key=lambda s: (len(s), sorted(s)))
-    bit = {I: 1 << k for k, I in enumerate(coords)}
-    masks = [sum(bit[I] for I in f) for f in families]
-    options = [sorted(bit[I] for I in f) for f in families]
+def _min_hitting_set(masks) -> tuple[int, int]:
+    """Exact minimum hitting set of int bitmasks as (size, chosen bits); the
+    size is len(masks) + 1 when a mask is 0.  Branch and bound: masks go
+    shortest first, the search branches on the bits of the first unhit mask
+    in bit order and cuts when its size plus a greedy packing of disjoint
+    unhit masks, a lower bound, reaches the best size, so it returns the
+    first optimal leaf in DFS order."""
+    masks = sorted(masks, key=int.bit_count)
     count = len(masks)
-    best = [len(coords) + 1, 0]
+    best = [count + 1, 0]
 
     def search(chosen: int, size: int, idx: int):
         while idx < count and masks[idx] & chosen:
@@ -177,11 +162,28 @@ def minimum_defining_hitting_set(w, n: int) -> tuple[int, tuple[frozenset[int], 
                 packed += 1
         if size + packed >= best[0]:
             return
-        for b in options[idx]:
-            search(chosen | b, size + 1, idx + 1)
+        for k in ones(masks[idx]):
+            search(chosen | 1 << k, size + 1, idx + 1)
 
     search(0, 0, 0)
-    size, chosen = best
+    return tuple(best)
+
+
+def minimum_defining_hitting_set(w, n: int) -> tuple[int, tuple[frozenset[int], ...]]:
+    """Exact minimum hitting set: a set of coordinates killing the coordinate
+    flag of every u !<= w.  Valid as a lower bound on the number of equations
+    defining the variety of w.
+
+    Coordinate I is bit k when I is the k-th coordinate in (|I|, sorted I)
+    order, and a family is the OR of its options; ``_min_hitting_set``
+    returns the first optimal leaf of its DFS, the certificate."""
+    w = perms.check_permutation(w, n)
+    if n > 7:
+        raise ValueError("exact hitting-set search is capped at n = 7")
+    families = _constraint_families(w, n)
+    coords = sorted({I for f in families for I in f}, key=lambda s: (len(s), sorted(s)))
+    bit = {I: 1 << k for k, I in enumerate(coords)}
+    size, chosen = _min_hitting_set([sum(bit[I] for I in f) for f in families])
     return size, tuple(I for I in coords if bit[I] & chosen)
 
 
@@ -201,46 +203,30 @@ class FeedbackFreeResult:
         self.n, self.size, self.subsets, self.unique = n, size, subsets, unique
 
 
-def _separates(cand, labelled_patterns) -> bool:
-    seen: dict[tuple[int, ...], WeylElement] = {}
-    for bits, label in labelled_patterns:
-        key = tuple(bits[k] for k in cand)
-        prior = seen.get(key)
-        if prior is None:
-            seen[key] = label
-        elif prior != label:
-            return False
-    return True
-
-
-def code_excludable_bound(n: int) -> int:
-    """Upper bound, from the single-error-detecting code inequality, on how
-    many coordinates a feedback-free solution can omit."""
-    return sum(comb(n, i - 1) // i for i in range(1, n))
-
-
 def feedback_free_min_set(n: int) -> FeedbackFreeResult:
     """Smallest set of Plucker coordinates whose vanishing pattern determines
-    the cell, exact for n in 2..4: the criterion runs over every realizable
-    pattern of ``realizable_full_patterns``, labelled by its cell.
+    the cell, exact for n in 2..4: a hitting set of the minimal masks of
+    coordinates on which two realizable patterns of different cells differ.
+    Two distinct full patterns always differ, so no mask is 0.  The answer
+    is unique when dropping any one of its coordinates from every mask
+    leaves no hitting set as small.
     """
     if not 2 <= n <= 4:
         raise ValueError(f"feedback-free search supports n in 2..4, got n = {n}")
     universe = sorted(all_weights(type_a_group(n)),
                       key=lambda pw: (pw.level, sorted(subset_of(pw))))
-    labelled = [(pat.restrict(universe), w) for pat, w, _flag in realizable_full_patterns(n)]
-    start = max(0, len(universe) - code_excludable_bound(n))
-    for size in range(start, len(universe) + 1):
-        winners = [
-            cand
-            for cand in combinations(range(len(universe)), size)
-            if _separates(cand, labelled)
-        ]
-        if winners:
-            return FeedbackFreeResult(
-                n=n,
-                size=size,
-                subsets=tuple(subset_of(universe[k]) for k in winners[0]),
-                unique=len(winners) == 1,
-            )
-    raise RuntimeError("even the full coordinate set failed to separate")
+    packed = [(sum(b << k for k, b in enumerate(pat.restrict(universe))), w.fingerprint)
+              for pat, w, _flag in realizable_full_patterns(n)]
+    masks: list[int] = []
+    for m in sorted({a ^ b for (a, u), (b, v) in combinations(packed, 2) if u != v},
+                    key=int.bit_count):
+        if not any(k & m == k for k in masks):
+            masks.append(m)
+    size, chosen = _min_hitting_set(masks)
+    bits = list(ones(chosen))
+    return FeedbackFreeResult(
+        n=n,
+        size=size,
+        subsets=tuple(subset_of(universe[k]) for k in bits),
+        unique=all(_min_hitting_set([m & ~(1 << k) for m in masks])[0] > size for k in bits),
+    )

@@ -123,15 +123,17 @@ def check_acceptable(pattern: VanishingPattern) -> AcceptabilityReport:
 
 
 def element_of_weights(group: WeylGroup, weights) -> WeylElement | None:
-    """The w with w omega_i = pw for the weight pw of each level i, or None:
-    a descent walk on the summed labels, which are w rho, finds the one w.
-    Each level is verified, and w keeps the orbit positions it verified."""
+    """The w with w omega_i = pw for the weights pw, one per level in level
+    order, or None: a descent walk on the summed labels, which are w rho,
+    finds the one w, and w keeps the weights' orbit positions.
+
+    No level needs a check.  Each omega_i - w^{-1} pw is a nonnegative sum of
+    simple roots, since w^{-1} pw lies in W omega_i; these sum to
+    rho - rho = 0, so each is 0 and pw = w omega_i."""
     total = tuple(map(sum, zip(*(pw.labels for pw in weights))))
     w = group.element_with_rho_labels(total)
-    if w is None or any(
-        orbit_table(group, pw.level).position(w) != pw.index for pw in weights
-    ):
-        return None
+    if w is not None:
+        w.positions = [pw.index for pw in weights]
     return w
 
 

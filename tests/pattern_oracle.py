@@ -8,8 +8,10 @@ subset patterns on subset tuples."""
 
 from itertools import combinations, product
 
+from proposition_checks import code_excludable_bound
+
 from schubcells import flags
-from schubcells.bounds import FeedbackFreeResult, code_excludable_bound
+from schubcells.bounds import FeedbackFreeResult
 from schubcells.flags import flag_from_columns, type_a_group
 from schubcells.patterns import VanishingPattern, check_acceptable
 from schubcells.plucker import all_weights, ones, subset_of

@@ -1,6 +1,6 @@
 """Checks of propositions of [FZ98] that answer no user question, so the
 package does not carry them: the minimality of the Bruhat base, the
-constant-weight-code count behind ``bounds.code_excludable_bound``, the
+constant-weight-code count behind ``code_excludable_bound``, the
 codimension-one chain corollary, the embedding of R(i) into
 W omega_i - {omega_i}, and the linear orbit orders.  The first and the
 chain enumerate W.
@@ -55,6 +55,12 @@ def embedding_minimality_check(group) -> bool:
     return _deletion_minimal(group, lambda kept: all(
         (ru & ~rv & kept == 0) == below for ru, rv, below in pairs
     ))
+
+
+def code_excludable_bound(n: int) -> int:
+    """Upper bound, from the single-error-detecting code inequality, on how
+    many coordinates a feedback-free solution can omit."""
+    return sum(comb(n, i - 1) // i for i in range(1, n))
 
 
 def code_bound_check(n: int, i: int, subsets) -> bool:

@@ -15,17 +15,17 @@ from bruhat_oracle import (
     right_mult_transposition,
     subset_leq,
 )
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from pattern_oracle import feedback_free_min_set as oracle_feedback_free_min_set
-from proposition_checks import chain_corollary, code_bound_check
+from proposition_checks import chain_corollary, code_bound_check, code_excludable_bound
 from witness_oracle import witness_case_count
 
-from schubcells import perms
+from schubcells import bounds, perms
 from schubcells.bounds import (
     FeedbackFreeResult,
     _constraint_families,
-    code_excludable_bound,
+    _min_hitting_set,
     construct_witness_family,
     feedback_free_min_set,
     minimum_defining_hitting_set,
@@ -33,6 +33,7 @@ from schubcells.bounds import (
     witness_prefix_counts,
 )
 from schubcells.flags import realizable_full_patterns, type_a_group
+from schubcells.patterns import coordinate_flag_pattern
 from schubcells.plucker import weight_from_subset
 
 
@@ -95,6 +96,34 @@ def test_witness_family_validation():
         construct_witness_family(0)
     with pytest.raises(ValueError):
         construct_witness_family(4)
+
+
+# ----- the hitting-set engine ------------------------------------------------------
+
+
+def brute_force_min_hitting(masks):
+    """Smallest number of bits meeting every mask, over all bit sets by
+    increasing size; len(masks) + 1 when none does (a mask is 0)."""
+    width = max(masks, default=0).bit_length()
+    for size in range(width + 1):
+        for cand in combinations(range(width), size):
+            chosen = sum(1 << k for k in cand)
+            if all(m & chosen for m in masks):
+                return size
+    return len(masks) + 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 255), max_size=8))
+@example([5, 0, 3])
+@example([])
+def test_min_hitting_set_matches_brute_force(masks):
+    size, chosen = _min_hitting_set(masks)
+    assert size == brute_force_min_hitting(masks)
+    if 0 in masks:
+        assert size == len(masks) + 1
+    else:
+        assert chosen.bit_count() == size and all(m & chosen for m in masks)
 
 
 # ----- defining-set bounds ---------------------------------------------------------
@@ -316,6 +345,17 @@ def test_feedback_free_matches_the_subset_pattern_oracle(n):
     got, want = feedback_free_min_set(n), oracle_feedback_free_min_set(n)
     fields = FeedbackFreeResult.__slots__
     assert [getattr(got, f) for f in fields] == [getattr(want, f) for f in fields]
+
+
+def test_feedback_free_reports_a_tie(monkeypatch):
+    # no n in 2..4 has two minimal sets; with only the coordinate flags of
+    # e (pattern 10) and s1 (pattern 01) in C^2, p1 and p2 each separate
+    g = type_a_group(2)
+    found = [(coordinate_flag_pattern(g, w), w, None) for w in (g.element(()), g.element((1,)))]
+    assert [pat.bits for pat, _, _ in found] == [(1, 0), (0, 1)]
+    monkeypatch.setattr(bounds, "realizable_full_patterns", lambda n: found)
+    res = feedback_free_min_set(2)
+    assert (res.size, res.subsets, res.unique) == (1, (frozenset({1}),), False)
 
 
 def test_adjacent_exchange_forcing_n3():

@@ -553,6 +553,17 @@ def test_input_errors_quote_the_token(capsys, argv, token):
     assert err.startswith("error: ") and err.count("\n") == 1 and token in err
 
 
+def test_bounds_defining_past_the_search_cap_exits_1(capsys):
+    code, out, err = run(capsys, "bounds", "--defining", "53216748", "8")
+    assert (code, out, err) == (1, "", "error: exact hitting-set search is capped at n = 7\n")
+
+
+@pytest.mark.parametrize("spec", ["3A", "Ax", "A"])
+def test_an_unparsable_group_spec_exits_3(capsys, spec):
+    code, out, err = run(capsys, "describe", "--group", spec, "--w", "e")
+    assert (code, out, err) == (3, "", f"unsupported group: cannot parse group spec '{spec}'\n")
+
+
 @pytest.mark.parametrize("n", ["0", "1", "5"])
 def test_bounds_feedback_free_names_its_range(capsys, n):
     code, out, err = run(capsys, "bounds", "--feedback-free", n)

@@ -6,6 +6,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from ambient import ambient
 from bruhat_oracle import prefix_set, subset_leq
 from pattern_oracle import realizable_full_patterns as oracle_realizable_full_patterns
 from pattern_oracle import realize, subset_pattern
@@ -25,11 +26,12 @@ from schubcells.patterns import (
     VanishingPattern,
     check_acceptable,
     coordinate_flag_pattern,
+    element_of_weights,
     generic_pattern,
     pattern_poset,
     random_acceptable,
 )
-from schubcells.plucker import all_weights, subset_of, weight_from_subset
+from schubcells.plucker import all_weights, orbit_table, subset_of, weight_from_subset
 from schubcells.weyl import weyl_group
 
 GROUPS_RANK3 = ("A1", "A2", "A3", "B2", "B3", "G2")
@@ -89,6 +91,26 @@ def test_check_acceptable_no_unique_max():
     report = check_acceptable(pat)
     assert not report.accepted
     assert report.failure_reason == "no_unique_max"
+
+
+@pytest.mark.parametrize("spec", ("A3", "B3", "C3", "D4", "G2"))
+def test_element_of_weights_needs_no_per_level_check(spec):
+    """Of all choices of one weight per level, exactly |W| give an element,
+    and that element sends each omega_i to the chosen weight (checked in the
+    ambient realization), so no level can miss."""
+    g = weyl_group(spec)
+    amb = ambient(g)
+    tables = [orbit_table(g, i) for i in range(1, g.rank + 1)]
+    found = []
+    for choice in product(*(table.weights for table in tables)):
+        w = element_of_weights(g, choice)
+        if w is None:
+            continue
+        found.append(w.fingerprint)
+        omega = amb.fundamental_weights
+        assert [amb.lookup(t, amb.act(w, omega[t.level - 1])) for t in tables] == list(choice)
+        assert w.positions == [pw.index for pw in choice]
+    assert len(found) == len(set(found)) == len(g)
 
 
 def test_generic_pattern_extremes():
