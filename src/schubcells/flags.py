@@ -27,11 +27,12 @@ for the exact Fraction.
 
 Realizability lives beside the flags that certify it.  For 2 <= n <= 4,
 ``realizable_full_patterns`` is the one owner of the set of patterns that
-flags in C^n realize: the acceptable vectors that the generated flag Plucker
-relations allow, each certified by a seeded integer flag whose
-``vanishing_pattern`` is that vector, and a drawn pattern outside them is an
-error.  The restricted sets, the degeneration posets and the feedback-free
-search all read it.
+flags in C^n realize: the acceptable patterns that the generated flag
+Plucker relations allow, grown level by level from those relations with no
+enumeration of W, each certified by a seeded integer flag whose
+``vanishing_pattern`` is that pattern, and a drawn pattern outside them is
+an error.  The restricted sets, the degeneration posets and the
+feedback-free search all read it.
 """
 
 from __future__ import annotations
@@ -45,9 +46,9 @@ from fractions import Fraction
 from functools import cache
 from itertools import combinations
 
-from .patterns import VanishingPattern, all_acceptable_patterns
+from .patterns import VanishingPattern, check_acceptable
 from .perms import check_permutation, down_count
-from .plucker import PluckerWeight, orbit, weight_from_subset
+from .plucker import PluckerWeight, orbit, orbit_table, weight_from_subset
 from .weyl import WeylGroup, weyl_group
 
 def type_a_group(n: int) -> WeylGroup:
@@ -292,26 +293,40 @@ MAX_CERTIFY_DRAWS = 50_000
 def realizable_full_patterns(n: int):
     """Every vanishing pattern of a flag in C^n, 2 <= n <= 4, exact.
 
-    The candidates are the acceptable vectors on which no relation of
+    The candidates are the acceptable patterns on which no relation of
     ``flag_relations`` has exactly one nonzero term, so no other pattern is
-    realizable.  A fixed-seed loop draws integer flags with entries from
-    CERTIFY_ENTRIES and keeps the first flag of each candidate, whose
+    realizable.  A relation pairs level-k with level-l weights, k <= l, so
+    the search grows tuples of nonempty orbit masks level by level, checks
+    each against the relations of its new level l, and keeps the survivors
+    that ``check_acceptable`` accepts, with their witnesses; no acceptable
+    vector is listed.  A fixed-seed loop draws integer flags with entries
+    from CERTIFY_ENTRIES and keeps the first flag of each candidate, whose
     ``vanishing_pattern`` is that candidate; a drawn pattern that is no
-    candidate, or MAX_CERTIFY_DRAWS draws that leave a candidate unrealized,
-    raise RuntimeError.  Returns (VanishingPattern, witness, Flag) triples in
-    the order of ``all_acceptable_patterns``.
+    candidate, or MAX_CERTIFY_DRAWS draws that leave a candidate
+    unrealized, raise RuntimeError.  Returns (VanishingPattern, witness,
+    Flag) triples sorted by the witness's length and word, then the bits.
     """
     if not 2 <= n <= 4:
         raise ValueError(f"realizable pattern enumeration is implemented for n in 2..4, not {n}")
     group = type_a_group(n)
-    relations = [tuple((a.level - 1, 1 << a.index, b.level - 1, 1 << b.index) for a, b in terms)
-                 for terms in flag_relations(n)]
-    candidates = {}
-    for pat, witness in all_acceptable_patterns(group):
-        lv = pat.levels
-        if all(sum(1 for i, a, j, b in terms if lv[i] & a and lv[j] & b) != 1
-               for terms in relations):
-            candidates[pat] = witness
+    by_level = [[] for _ in range(n)]
+    for terms in flag_relations(n):
+        by_level[terms[0][1].level].append(
+            tuple((a.level - 1, 1 << a.index, b.level - 1, 1 << b.index) for a, b in terms))
+    prefixes = [()]
+    for level in range(1, n):
+        masks = range(1, 1 << len(orbit_table(group, level)))
+        prefixes = [lv for prefix in prefixes for lv in ((*prefix, m) for m in masks)
+                    if all(sum(1 for i, a, j, b in terms if lv[i] & a and lv[j] & b) != 1
+                           for terms in by_level[level])]
+    found = []
+    for levels in prefixes:
+        pat = VanishingPattern.from_levels(group, levels)
+        report = check_acceptable(pat)
+        if report.accepted:
+            found.append((pat, report.witness))
+    found.sort(key=lambda c: (c[1].length, c[1].word, c[0].bits))
+    candidates = dict(found)
     certificates: dict[VanishingPattern, Flag] = {}
     choices = random.Random(0).choices
     for _ in range(MAX_CERTIFY_DRAWS):

@@ -1,7 +1,6 @@
 """Vanishing patterns as first-class objects: acceptability, generic and
-coordinate-flag patterns, random acceptable vectors, the enumeration of every
-acceptable vector of a small group, restriction, and the degeneration poset
-of restricted patterns.
+coordinate-flag patterns, random acceptable vectors, restriction, and the
+degeneration poset of restricted patterns.  Nothing here enumerates W.
 
 A pattern is one int per level in the format of the orbit tables' interval
 masks, so the generic pattern of w is the down-masks of the w omega_i.  It is
@@ -15,7 +14,6 @@ from __future__ import annotations
 
 import json
 import random
-from itertools import product
 
 from .plucker import PluckerWeight, all_weights, ones, orbit_table
 from .weyl import WeylElement, WeylGroup
@@ -175,38 +173,6 @@ def random_acceptable(group: WeylGroup, w: WeylElement, seed=None) -> VanishingP
                 m |= 1 << k
         levels.append(m)
     return VanishingPattern.from_levels(group, levels)
-
-
-ACCEPTABLE_ENUMERATION_CAP = 200_000
-
-
-def all_acceptable_patterns(group: WeylGroup):
-    """Every acceptable vector, as (VanishingPattern, witness) pairs: per
-    witness w, bit 1 at each w omega_i and any bits strictly below it."""
-    total = 0
-    per_w = []
-    for w in group.elements():
-        fixed, free = [], []
-        for i in range(1, group.rank + 1):
-            table = orbit_table(group, i)
-            jw = table.position(w)
-            fixed.append(1 << jw)
-            free.extend((i - 1, 1 << k) for k in ones(table.down_masks()[jw] & ~(1 << jw)))
-        total += 2 ** len(free)
-        per_w.append((w, fixed, free))
-        if total > ACCEPTABLE_ENUMERATION_CAP:
-            raise ValueError(
-                f"acceptable-vector enumeration exceeds cap {ACCEPTABLE_ENUMERATION_CAP}"
-            )
-    out = []
-    for w, fixed, free in per_w:
-        for choice in product((0, 1), repeat=len(free)):
-            levels = list(fixed)
-            for (i, bit), b in zip(free, choice):
-                if b:
-                    levels[i] |= bit
-            out.append((VanishingPattern.from_levels(group, levels), w))
-    return out
 
 
 # ----- poset of restricted patterns ---------------------------------------------

@@ -1,10 +1,13 @@
 """Test helper: the frozenset-keyed vanishing patterns that the package once
-used beside ``VanishingPattern``, kept as oracles.  ``subset_pattern`` keys a
-flag's pattern by its proper subsets; ``realizable_full_patterns`` filters
-all 2^N flat bit vectors through ``check_acceptable`` and the hand-written
-three-term relation and realizes each survivor by the [-2, 2]^n search the
-package once ran (n <= 3); ``feedback_free_min_set`` separates labelled
-subset patterns on subset tuples."""
+used beside ``VanishingPattern``, kept as oracles.
+``all_acceptable_patterns`` lists every acceptable vector of a small group by
+enumerating W, the listing that the realizable candidates were once filtered
+from.  ``subset_pattern`` keys a flag's pattern by its proper subsets;
+``realizable_full_patterns`` filters all 2^N flat bit vectors through
+``check_acceptable`` and the hand-written three-term relation and realizes
+each survivor by the [-2, 2]^n search the package once ran (n <= 3);
+``feedback_free_min_set`` separates labelled subset patterns on subset
+tuples."""
 
 from itertools import combinations, product
 
@@ -14,7 +17,40 @@ from schubcells import flags
 from schubcells.bounds import FeedbackFreeResult
 from schubcells.flags import flag_from_columns, type_a_group
 from schubcells.patterns import VanishingPattern, check_acceptable
-from schubcells.plucker import all_weights, ones, subset_of
+from schubcells.plucker import all_weights, ones, orbit_table, subset_of
+from schubcells.weyl import WeylGroup
+
+
+ACCEPTABLE_ENUMERATION_CAP = 200_000
+
+
+def all_acceptable_patterns(group: WeylGroup):
+    """Every acceptable vector, as (VanishingPattern, witness) pairs: per
+    witness w, bit 1 at each w omega_i and any bits strictly below it."""
+    total = 0
+    per_w = []
+    for w in group.elements():
+        fixed, free = [], []
+        for i in range(1, group.rank + 1):
+            table = orbit_table(group, i)
+            jw = table.position(w)
+            fixed.append(1 << jw)
+            free.extend((i - 1, 1 << k) for k in ones(table.down_masks()[jw] & ~(1 << jw)))
+        total += 2 ** len(free)
+        per_w.append((w, fixed, free))
+        if total > ACCEPTABLE_ENUMERATION_CAP:
+            raise ValueError(
+                f"acceptable-vector enumeration exceeds cap {ACCEPTABLE_ENUMERATION_CAP}"
+            )
+    out = []
+    for w, fixed, free in per_w:
+        for choice in product((0, 1), repeat=len(free)):
+            levels = list(fixed)
+            for (i, bit), b in zip(free, choice):
+                if b:
+                    levels[i] |= bit
+            out.append((VanishingPattern.from_levels(group, levels), w))
+    return out
 
 
 def subset_pattern(x) -> dict[frozenset[int], int]:

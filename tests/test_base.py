@@ -299,6 +299,10 @@ def test_generic_recognize_all_ones_and_none():
         by_subset[frozenset({2, 3})]: 0,
     }
     assert generic_recognize_from_base(g, bits) is None
+    # p3 = 1 leaves only p3 at level 1, and p2 = 0 removes it
+    bits = {pw: 0 for pw in bw}
+    bits[by_subset[frozenset({3})]] = 1
+    assert generic_recognize_from_base(g, bits) is None
     with pytest.raises(ValueError):
         generic_recognize_from_base(g, {})
 

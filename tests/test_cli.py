@@ -384,6 +384,13 @@ def test_patterns_poset_needs_type_a(capsys):
     )
 
 
+def test_patterns_poset_refuses_c5_before_any_search(capsys):
+    # the realizable set is certified for n <= 4 only, and this check is its one guard
+    assert run(capsys, "patterns-poset", "--group", "A4") == (
+        1, "", "error: realizable pattern enumeration is implemented for n in 2..4, not 5\n"
+    )
+
+
 def test_base_output(capsys):
     code, out, _ = run(capsys, "base", "--group", "A2")
     assert code == 0

@@ -557,14 +557,17 @@ def test_integral_file_entries_are_ints(tmp_path):
     p.write_text('[[1, 2], [3, 4]]')
     c = tmp_path / "flag.csv"
     c.write_text("1,2\n3,4\n")
-    for path in (p, c):
+    t = tmp_path / "flag.txt"  # not JSON, so read as CSV
+    t.write_text("1,2\n3,4\n")
+    for path in (p, c, t):
         rows = load_flag_rows(str(path))
         assert rows == [[1, 2], [3, 4]]
         assert all(type(e) is int for row in rows for e in row)
     # integral rationals and decimals are ints too; the others stay Fractions
     p.write_text('[["1/2", 0.5, "6/3"], [2.0, "7", 1], [0, 1, "-4/2"]]')
     c.write_text("1/2,0.5,6/3\n2.0,7,1\n0,1,-4/2\n")
-    for path in (p, c):
+    t.write_text("1/2,0.5,6/3\n2.0,7,1\n0,1,-4/2\n")
+    for path in (p, c, t):
         rows = load_flag_rows(str(path))
         assert rows == [[Fraction(1, 2), Fraction(1, 2), 2], [2, 7, 1], [0, 1, -2]]
         assert [[type(e) for e in row] for row in rows] == [

@@ -9,7 +9,7 @@ import pytest
 from ambient import ambient
 from bruhat_oracle import prefix_set, subset_leq
 from pattern_oracle import realizable_full_patterns as oracle_realizable_full_patterns
-from pattern_oracle import realize, subset_pattern
+from pattern_oracle import all_acceptable_patterns, realize, subset_pattern
 
 from schubcells import flags
 from schubcells.base import base_weights
@@ -257,19 +257,34 @@ def test_certification_fails_loudly_when_the_draw_budget_runs_out(monkeypatch):
 
 
 def test_certification_fails_loudly_on_a_pattern_outside_the_candidates(monkeypatch):
-    # without the open cell's patterns, a draw meets one before the rest are certified
-    every = flags.all_acceptable_patterns
+    # a one-term relation p3 p12 = 0 drops the open cell's patterns, so a
+    # draw meets one of them before the rest are certified
+    g = type_a_group(3)
+    extra = ((weight_from_subset(g, {3}), weight_from_subset(g, {1, 2})),)
+    every = flags.flag_relations
 
-    def all_but_the_open_cell(g):
-        return [(pat, w) for pat, w in every(g) if w != g.longest_element()]
+    def with_one_more(n):
+        return every(n) + (extra,) if n == 3 else every(n)
 
     realizable_full_patterns.cache_clear()
-    monkeypatch.setattr(flags, "all_acceptable_patterns", all_but_the_open_cell)
+    monkeypatch.setattr(flags, "flag_relations", with_one_more)
     try:
         with pytest.raises(RuntimeError, match=r"which is no candidate"):
             realizable_full_patterns(3)
     finally:
         realizable_full_patterns.cache_clear()
+
+
+@pytest.mark.parametrize("n", (2, 3, 4))
+def test_realizable_candidates_match_the_acceptable_vector_filter(n):
+    """The level-by-level search finds, in the same order, the acceptable
+    vectors of the W enumeration on which no relation has one nonzero term."""
+    relations = flag_relations(n)
+    expected = [
+        (pat, w) for pat, w in all_acceptable_patterns(type_a_group(n))
+        if all(sum(pat.bit(a) & pat.bit(b) for a, b in terms) != 1 for terms in relations)
+    ]
+    assert [(pat, w) for pat, w, _flag in realizable_full_patterns(n)] == expected
 
 
 def oracle_realize(n, by_subset):

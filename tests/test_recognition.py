@@ -7,6 +7,7 @@ from collections import Counter
 from itertools import permutations
 
 import pytest
+from pattern_oracle import all_acceptable_patterns
 from tree_oracle import bitmask_optimal_tree, frozenset_optimal_tree, route
 
 from schubcells import perms
@@ -15,7 +16,6 @@ from schubcells.errors import UnacceptableInputError
 from schubcells.flags import coordinate_flag, random_cell_point, type_a_group
 from schubcells.patterns import (
     VanishingPattern,
-    all_acceptable_patterns,
     check_acceptable,
     coordinate_flag_pattern,
     generic_pattern,

@@ -1,5 +1,5 @@
-"""The record classes: constructor parameters, validation and the equality
-each record keeps."""
+"""The record classes: constructor parameters, validation, the equality and
+representation each record keeps, and the typed errors of the input checks."""
 
 import inspect
 from fractions import Fraction
@@ -70,6 +70,7 @@ def test_records_that_compare_by_value():
     g = weyl.weyl_group("A2")
     w = g.from_one_line((2, 1, 3))
     assert base.BaseElement(w, 1, 1) == base.BaseElement(w, 1, 1) != base.BaseElement(w, 1, 2)
+    assert hash(base.BaseElement(w, 1, 1)) == hash(base.BaseElement(g.element((1,)), 1, 1))
     a = cells.cell_description_general(g, w)
     b = cells.cell_description_general(g, w)
     assert a is not b and a == b and hash(a) == hash(b)
@@ -91,3 +92,57 @@ def test_query_logs_do_not_share_entries():
     a, b = recognition.QueryLog(), recognition.QueryLog()
     a.entries.append(("p1", 1))
     assert a.count == 1 and b.entries == []
+
+
+def test_element_group_and_weight_dunders():
+    a3, b3 = weyl.weyl_group("A3"), weyl.weyl_group("B3")
+    w = a3.element((1, 2))
+    assert (repr(w), repr(a3.element(())), repr(a3)) == (
+        "WeylElement(s1.s2)", "WeylElement(e)", "WeylGroup(A3)")
+    assert w.__eq__("s1.s2") is NotImplemented and w != "s1.s2"
+    # equal words in groups of equal rank but other data are other elements
+    assert a3.simple(1) != b3.simple(1)
+    pw = plucker.orbit_table(a3, 2).weights[3]
+    assert repr(pw) == "PluckerWeight(level=2, s3.s2)"
+    assert pw.__eq__((2, pw.labels)) is NotImplemented and pw != (2, pw.labels)
+
+
+def _negative_root():
+    return weyl.Root((-1, 0, 0), (-1, 0, 0))
+
+
+TYPED_INPUT_ERRORS = [
+    pytest.param(lambda: weyl.weyl_group("A3").by_fingerprint((0, 0, 0)),
+                 r"^\(0, 0, 0\) is not a fingerprint of A3$", id="by_fingerprint"),
+    pytest.param(lambda: weyl.weyl_group("A3").simple(0),
+                 r"^generator index 0 out of range$", id="simple"),
+    pytest.param(lambda: weyl.weyl_group("A3").element((4,)),
+                 r"^word \(4,\) uses a generator outside 1\.\.3$", id="element"),
+    pytest.param(lambda: weyl.weyl_group("A3").check_parabolic({5}),
+                 r"^parabolic subset \[5\] not within \[1, 3\]$", id="check_parabolic"),
+    pytest.param(lambda: weyl.weyl_group("A3").reflection(_negative_root()),
+                 r"^reflection expects a positive root$", id="reflection"),
+    pytest.param(lambda: weyl.weyl_group("B2").one_line(weyl.weyl_group("B2").simple(1)),
+                 r"^one-line notation is a type A concept$", id="one_line"),
+    pytest.param(lambda: weyl.weyl_group("B2").from_one_line((1, 2, 3)),
+                 r"^one-line notation is a type A concept$", id="from_one_line"),
+    pytest.param(lambda: patterns.VanishingPattern.from_levels(weyl.weyl_group("A3"), (1,)),
+                 r"^pattern must hold one orbit mask per level$", id="from_levels"),
+    pytest.param(lambda: patterns.coordinate_flag_pattern(weyl.weyl_group("B2"),
+                                                          weyl.weyl_group("B2").simple(1)),
+                 r"^coordinate flags exist in type A only$", id="coordinate_flag_pattern"),
+    pytest.param(lambda: plucker.orbit_table(weyl.weyl_group("A2"), 3),
+                 r"^level 3 out of range 1\.\.2$", id="orbit_table"),
+    pytest.param(lambda: plucker.mu(weyl.weyl_group("A3"), _negative_root()),
+                 r"^mu expects a positive root$", id="mu-negative"),
+    pytest.param(lambda: plucker.mu(weyl.weyl_group("A3"), weyl.Root((0, 0, 0), (0, 0, 0))),
+                 r"^root has empty support$", id="mu-empty-support"),
+    pytest.param(lambda: base.bigrassmannian_typeA(1), r"^need n >= 2$",
+                 id="bigrassmannian_typeA"),
+]
+
+
+@pytest.mark.parametrize("call, message", TYPED_INPUT_ERRORS)
+def test_typed_input_errors(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -119,5 +119,4 @@ def test_the_functions_that_enumerate_w_are_pinned():
     assert found == {
         ("weyl.py", "WeylGroup.elements"),
         ("recognition.py", "_algorithmic_tree"),
-        ("patterns.py", "all_acceptable_patterns"),
     }
