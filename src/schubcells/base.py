@@ -71,6 +71,8 @@ def weyl_base(group: WeylGroup) -> tuple[BaseElement, ...]:
     b that is not above b may be replaced by the top of its J-coset (lifting
     property), and coset tops compare as their orbit entries.  So b is in the
     base of W iff b omega_i is in the base of the orbit poset W omega_i.
+    Being bigrassmannian, b has exactly one left descent, which
+    ``test_weyl_base_unique_descents`` checks on every group of rank <= 4.
     The tables' masks are not re-validated: the tests pin them to an oracle.
     """
     if group.base is not None:
@@ -80,10 +82,7 @@ def weyl_base(group: WeylGroup) -> tuple[BaseElement, ...]:
         table = orbit_table(group, i)
         for k in poset_base_indices(table.up_masks(), table.down_masks()):
             w = table.weights[k].min_rep  # its right descent is i
-            left = group.left_descents(w)
-            if len(left) != 1:
-                raise RuntimeError(f"base element {w.word} has left descents {sorted(left)}")
-            members.append(BaseElement(w, min(left), i))
+            members.append(BaseElement(w, min(group.left_descents(w)), i))
     members.sort(key=lambda b: (b.element.length, b.element.word))
     group.base = tuple(members)
     return group.base
@@ -117,10 +116,14 @@ def bigrassmannian_typeA(n: int):
 def generic_recognize_from_base(group: WeylGroup, bits) -> WeylElement | None:
     """Invert a restriction of a generic pattern to the base weights.
 
-    ``bits`` maps each base weight to 0/1.  The base weights of level i
-    separate the orbit W omega_i, so ANDing their up-sets (1-bits) and the
-    complements (0-bits) leaves at most one entry, w omega_i; w is read off
-    the picked weights.  Returns None when no element matches.
+    ``bits`` maps each base weight to 0/1.  The base weights of level i are
+    the base of the orbit poset W omega_i, and a finite poset embeds in the
+    subsets of its base by x |-> {b <= x} [LS96]: two entries above the same
+    base weights are equal.  So ANDing their up-sets (1-bits) and the
+    complements (0-bits) leaves at most one entry, w omega_i
+    (``test_base_embedding_property`` checks the embedding on the Bruhat
+    posets of A2, A3, B2, B3, G2 and D4); w is read off the picked weights.
+    Returns None when no element matches.
     """
     weights = base_weights(group)
     missing = [pw for pw in weights if pw not in bits]
@@ -134,8 +137,6 @@ def generic_recognize_from_base(group: WeylGroup, bits) -> WeylElement | None:
         for pw in weights:
             if pw.level == i:
                 candidates &= ups[pw.index] if bits[pw] else ~ups[pw.index]
-        if candidates & (candidates - 1):
-            raise RuntimeError("base lower-sets failed to separate orbit entries")
         if not candidates:
             return None
         picked.append(table.weights[candidates.bit_length() - 1])

@@ -4,15 +4,15 @@ by one hitting-set engine, ``_min_hitting_set``: the minimal defining set
 (a lower bound over coordinate-flag witnesses) and the minimal
 feedback-free recognition set for n <= 4.
 
-Everything here but the feedback-free search works on raw one-line
-permutations, up to S_12 for the witness family, where no orbit table is
-built.  u <= w in Bruhat order exactly when every prefix set u([1, i]) lies
-in the down-set of w([1, i]), read as row masks from ``perms.down_rows``;
-``_violations`` lists the prefixes that do not, and the defining sets and
-witness checks are read off it; the equation counts only count the
-down-sets, by ``perms.down_count``.  The feedback-free search reads the
-exact realizable patterns of ``flags.realizable_full_patterns``, so its
-answer is exact for every n in 2..4.
+The witness family is listed as raw one-line permutations, up to S_12,
+where no orbit table is built; it does not check itself, as the tests
+certify its defining properties for every k it accepts.  The defining-set
+search reads u <= w off the package's one Bruhat engine, the down-masks of
+the A_{n-1} orbit tables: u <= w exactly when every prefix set u([1, i])
+lies in the down-set of w omega_i [FZ98 §1].  The universal count only
+counts the down-sets, by ``perms.down_count``.  The feedback-free search
+reads the exact realizable patterns of ``flags.realizable_full_patterns``,
+which owns its scope, n in 2..4.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from math import comb
 
 from . import perms
 from .flags import realizable_full_patterns, type_a_group
-from .plucker import all_weights, ones, subset_of
+from .plucker import all_weights, ones, orbit_table, subset_of
 
 
 # ----- witness family ---------------------------------------------------------
@@ -46,33 +46,23 @@ def construct_witness_family(k: int) -> WitnessFamily:
     longest element of S_{2k} x S_{2k} needs at least C(2k,k) equations.
 
     Each member sends [1,k] + [2k+1,3k] onto [1,2k] and increases on each of
-    the four blocks; all three defining properties are verified.
+    the four blocks.  Only k = 1, 2, 3 are accepted, and on each of them
+    ``test_witness_properties_direct`` checks against the sorted-subset
+    oracle that no member is below w, the block condition, the increasing
+    blocks, the size and that at most C(2k,k) members share a prefix set
+    that is not below w.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     n = 4 * k
     if n > 12:
         raise ValueError("witness construction is verified exhaustively only up to n = 12")
-    w = _block_reversal(k)
-    first_blocks = list(combinations(range(1, 2 * k + 1), k))
-    second_blocks = list(combinations(range(2 * k + 1, 4 * k + 1), k))
-    members = []
-    for A in first_blocks:
-        restA = sorted(set(range(1, 2 * k + 1)) - set(A))
-        for Bv in second_blocks:
-            restB = sorted(set(range(2 * k + 1, 4 * k + 1)) - set(Bv))
-            u = tuple(sorted(A)) + tuple(sorted(Bv)) + tuple(restA) + tuple(restB)
-            members.append(u)
-    fam = WitnessFamily(
-        k=k,
-        n=n,
-        w=w,
-        members=tuple(members),
-        lower_bound=comb(2 * k, k),
-        codimension=(n // 2) ** 2,
-    )
-    _verify_witness_family(fam)
-    return fam
+    low, high = range(1, 2 * k + 1), range(2 * k + 1, n + 1)
+    members = tuple(
+        A + B + tuple(x for x in low if x not in A) + tuple(x for x in high if x not in B)
+        for A in combinations(low, k) for B in combinations(high, k))
+    return WitnessFamily(k=k, n=n, w=_block_reversal(k), members=members,
+                         lower_bound=comb(2 * k, k), codimension=(n // 2) ** 2)
 
 
 def _block_reversal(k: int) -> tuple[int, ...]:
@@ -80,61 +70,37 @@ def _block_reversal(k: int) -> tuple[int, ...]:
     return tuple(range(2 * k, 0, -1)) + tuple(range(4 * k, 2 * k, -1))
 
 
-def _below(w) -> list[set[int]]:
-    """Per level i = 1..n-1, the row masks of the down-set of w([1, i])."""
-    return [set(perms.down_rows(w[:i])) for i in range(1, len(w))]
-
-
-def _violations(u, below) -> list[frozenset[int]]:
-    """The prefix sets u([1, i]) whose row mask is not in below[i - 1]; with
-    below = _below(w), u <= w in Bruhat order exactly when there are none."""
-    out, mask = [], 0
-    for i, (r, down) in enumerate(zip(u, below), 1):
-        mask |= 1 << r - 1
-        if mask not in down:
-            out.append(frozenset(u[:i]))
-    return out
-
-
-def _verify_witness_family(fam: WitnessFamily):
-    k, n, w = fam.k, fam.n, fam.w
-    target = frozenset(range(1, 2 * k + 1))
-    below = _below(w)
-    for u in fam.members:
-        if not _violations(u, below):
-            raise RuntimeError(f"witness {u} is below {w}")
-        if frozenset(u[: k]) | frozenset(u[2 * k : 3 * k]) != target:
-            raise RuntimeError(f"witness {u} misses the block condition")
-        for lo, hi in ((0, k), (k, 2 * k), (2 * k, 3 * k), (3 * k, n)):
-            block = u[lo:hi]
-            if list(block) != sorted(block):
-                raise RuntimeError(f"witness {u} is not increasing on a block")
-    if fam.size != comb(2 * k, k) ** 2:
-        raise RuntimeError("wrong family size")
-    for count in witness_prefix_counts(fam).values():
-        if count > comb(2 * k, k):
-            raise RuntimeError("per-subset witness count exceeds the bound")
-
-
-def witness_prefix_counts(fam: WitnessFamily) -> dict[frozenset[int], int]:
-    """For each I with I !<= w([1,|I|]): how many members have I as a prefix set."""
-    counts: dict[frozenset[int], int] = {}
-    below = _below(fam.w)
-    for u in fam.members:
-        for I in _violations(u, below):
-            counts[I] = counts.get(I, 0) + 1
-    return counts
-
-
 # ----- exact minimal defining sets (hitting set over coordinate flags) -----------
 
 
-def _constraint_families(w, n: int):
-    """For each u !<= w, the subsets I = u([1,i]) with I !<= w([1,i]); the
-    permutations below w are the ones with no options."""
-    below = _below(w)
-    violated = (_violations(u, below) for u in perms.all_perms(n))
-    return [frozenset(opts) for opts in violated if opts]
+def _constraint_families(w, n: int) -> tuple[list[frozenset[int]], list[int]]:
+    """The coordinates I !<= w([1,|I|]), the universal defining set, in
+    (|I|, sorted I) order, and per u !<= w, in ``perms.all_perms`` order,
+    its family {u([1,i]) : u([1,i]) !<= w([1,i])} as an int, bit k for the
+    k-th coordinate.  A level's coordinates are the entries outside the
+    down-mask of w omega_i in the A_{n-1} orbit table; u <= w exactly when
+    its family is 0.  Each coordinate I is an option of every u with I as a
+    prefix set, so the numbering has no unused bit."""
+    coords: list[frozenset[int]] = []
+    bits: list[dict[int, int]] = []  # per level: row mask of I -> its bit
+    prefix = 0
+    for i, r in enumerate(w[:-1], 1):
+        table = orbit_table(type_a_group(n), i)  # S_1 has no level, and no A0
+        prefix |= 1 << r - 1
+        down = table.down_masks()[table.by_rows[prefix].index]
+        above = sorted((pw for pw in table.weights if not down >> pw.index & 1),
+                       key=lambda pw: sorted(subset_of(pw)))
+        bits.append({pw.rows: 1 << k for k, pw in enumerate(above, len(coords))})
+        coords += map(subset_of, above)
+    families = []
+    for u in perms.all_perms(n):
+        family = prefix = 0
+        for r, level in zip(u, bits):
+            prefix |= 1 << r - 1
+            family |= level.get(prefix, 0)
+        if family:
+            families.append(family)
+    return coords, families
 
 
 def _min_hitting_set(masks) -> tuple[int, int]:
@@ -174,17 +140,15 @@ def minimum_defining_hitting_set(w, n: int) -> tuple[int, tuple[frozenset[int], 
     flag of every u !<= w.  Valid as a lower bound on the number of equations
     defining the variety of w.
 
-    Coordinate I is bit k when I is the k-th coordinate in (|I|, sorted I)
-    order, and a family is the OR of its options; ``_min_hitting_set``
-    returns the first optimal leaf of its DFS, the certificate."""
+    The families are ints over the coordinates of ``_constraint_families``;
+    ``_min_hitting_set`` returns the first optimal leaf of its DFS, the
+    certificate."""
     w = perms.check_permutation(w, n)
     if n > 7:
         raise ValueError("exact hitting-set search is capped at n = 7")
-    families = _constraint_families(w, n)
-    coords = sorted({I for f in families for I in f}, key=lambda s: (len(s), sorted(s)))
-    bit = {I: 1 << k for k, I in enumerate(coords)}
-    size, chosen = _min_hitting_set([sum(bit[I] for I in f) for f in families])
-    return size, tuple(I for I in coords if bit[I] & chosen)
+    coords, families = _constraint_families(w, n)
+    size, chosen = _min_hitting_set(families)
+    return size, tuple(coords[k] for k in ones(chosen))
 
 
 def variety_equation_count(w, n: int) -> int:
@@ -205,18 +169,18 @@ class FeedbackFreeResult:
 
 def feedback_free_min_set(n: int) -> FeedbackFreeResult:
     """Smallest set of Plucker coordinates whose vanishing pattern determines
-    the cell, exact for n in 2..4: a hitting set of the minimal masks of
-    coordinates on which two realizable patterns of different cells differ.
-    Two distinct full patterns always differ, so no mask is 0.  The answer
-    is unique when dropping any one of its coordinates from every mask
-    leaves no hitting set as small.
+    the cell, exact for n in 2..4, the n that ``realizable_full_patterns``
+    answers (it raises ValueError for any other): a hitting set of the
+    minimal masks of coordinates on which two realizable patterns of
+    different cells differ.  Two distinct full patterns always differ, so no
+    mask is 0.  The answer is unique when dropping any one of its
+    coordinates from every mask leaves no hitting set as small.
     """
-    if not 2 <= n <= 4:
-        raise ValueError(f"feedback-free search supports n in 2..4, got n = {n}")
+    found = realizable_full_patterns(n)
     universe = sorted(all_weights(type_a_group(n)),
                       key=lambda pw: (pw.level, sorted(subset_of(pw))))
     packed = [(sum(b << k for k, b in enumerate(pat.restrict(universe))), w.fingerprint)
-              for pat, w, _flag in realizable_full_patterns(n)]
+              for pat, w, _flag in found]
     masks: list[int] = []
     for m in sorted({a ^ b for (a, u), (b, v) in combinations(packed, 2) if u != v},
                     key=int.bit_count):

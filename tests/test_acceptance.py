@@ -15,7 +15,7 @@ from math import comb
 
 from bruhat_oracle import ehresmann_leq
 from proposition_checks import chain_corollary, minimality_check
-from witness_oracle import witness_case_count
+from witness_oracle import witness_case_count, witness_prefix_counts
 
 from schubcells.base import (
     base_weights,
@@ -28,7 +28,6 @@ from schubcells.bounds import (
     feedback_free_min_set,
     minimum_defining_hitting_set,
     variety_equation_count,
-    witness_prefix_counts,
 )
 from schubcells.cells import (
     cell_description_economical,

@@ -19,7 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from pattern_oracle import feedback_free_min_set as oracle_feedback_free_min_set
 from proposition_checks import chain_corollary, code_bound_check, code_excludable_bound
-from witness_oracle import witness_case_count
+from witness_oracle import witness_case_count, witness_prefix_counts
 
 from schubcells import bounds, perms
 from schubcells.bounds import (
@@ -30,11 +30,10 @@ from schubcells.bounds import (
     feedback_free_min_set,
     minimum_defining_hitting_set,
     variety_equation_count,
-    witness_prefix_counts,
 )
 from schubcells.flags import realizable_full_patterns, type_a_group
 from schubcells.patterns import coordinate_flag_pattern
-from schubcells.plucker import weight_from_subset
+from schubcells.plucker import ones, weight_from_subset
 
 
 # ----- witness family ------------------------------------------------------------
@@ -71,13 +70,20 @@ def test_witness_target_is_the_longest_block_element(k):
     assert construct_witness_family(k).w == g.one_line(g.longest_element(J))
 
 
-@pytest.mark.parametrize("k", (1, 2))
+@pytest.mark.parametrize("k", (1, 2, 3))
 def test_witness_properties_direct(k):
+    # every k the construction accepts: it does not check itself, so this
+    # certifies each family it can return
     fam = construct_witness_family(k)
     n, w = fam.n, fam.w
-    # (1) no member is below w (independent subset-criterion check)
+    assert fam.size == len(set(fam.members)) == comb(2 * k, k) ** 2
     for u in fam.members:
+        # (1) no member is below w (independent subset-criterion check)
         assert not ehresmann_leq(u, w)
+        # (2) [1,k] + [2k+1,3k] goes onto [1,2k], increasing on each block
+        assert set(u[:k]) | set(u[2 * k : 3 * k]) == set(range(1, 2 * k + 1))
+        for lo in range(0, n, k):
+            assert list(u[lo : lo + k]) == sorted(u[lo : lo + k])
     # (3) per-subset counts never exceed C(2k,k), and the exact case formulas
     # reproduce the direct counts
     counts = witness_prefix_counts(fam)
@@ -212,7 +218,10 @@ def assert_matches_oracle(w):
     # leaf of one DFS tree, so the CLI output cannot move
     n = len(w)
     assert minimum_defining_hitting_set(w, n) == oracle_hitting_set(w, n)
-    assert _constraint_families(w, n) == oracle_families(w, n)
+    coords, masks = _constraint_families(w, n)
+    assert coords == sorted({I for f in oracle_families(w, n) for I in f}, key=_coordinate_key)
+    decoded = [frozenset(coords[k] for k in ones(m)) for m in masks]
+    assert decoded == oracle_families(w, n)
 
 
 @pytest.mark.parametrize("n", (3, 4, 5))

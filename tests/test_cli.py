@@ -571,11 +571,13 @@ def test_an_unparsable_group_spec_exits_3(capsys, spec):
     assert (code, out, err) == (3, "", f"unsupported group: cannot parse group spec '{spec}'\n")
 
 
-@pytest.mark.parametrize("n", ["0", "1", "5"])
+@pytest.mark.parametrize("n", ["0", "1", "5", "10"])
 def test_bounds_feedback_free_names_its_range(capsys, n):
+    # the range is realizable_full_patterns', asked before any group is
+    # built, so n = 0, 1 and 10 exit 1, not 3 for a rank outside 1..8
     code, out, err = run(capsys, "bounds", "--feedback-free", n)
     assert (code, out) == (1, "")
-    assert err == f"error: feedback-free search supports n in 2..4, got n = {n}\n"
+    assert err == f"error: realizable pattern enumeration is implemented for n in 2..4, not {n}\n"
 
 
 def test_economical_output(capsys):

@@ -9,7 +9,7 @@ from itertools import combinations
 
 import pytest
 import sympy
-from bruhat_oracle import prefix_set
+from bruhat_oracle import prefix_set, subset_leq
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from pattern_oracle import subset_pattern
@@ -31,7 +31,7 @@ from schubcells.flags import (
     vanishing_pattern,
 )
 from schubcells.patterns import VanishingPattern, check_acceptable, generic_pattern
-from schubcells.plucker import orbit, subset_of
+from schubcells.plucker import orbit, orbit_table, subset_of
 from schubcells.recognition import FlagOracle, recognize_typeA
 from schubcells.weyl import WeylGroup, weyl_group
 
@@ -612,12 +612,15 @@ def subset_vanishing_pattern(x, group):
 
 def has_generic_pattern(x, w):
     """Oracle: whether p_I(x) != 0 exactly when sorted(I) <= sorted(w([1, |I|]))
-    componentwise: every mask of ``down_rows`` is nonzero, and no other
-    proper minor is (the count of nonzero proper minors is their total)."""
+    componentwise: the minor at the row mask of every such I, listed by
+    brute force, is nonzero, and no other proper minor is (the count of
+    nonzero proper minors is their total)."""
     minors = x._minors
+    n = len(w)
     below = 0
-    for k in range(1, len(w)):
-        rows = perms.down_rows(w[:k])
+    for k in range(1, n):
+        rows = [sum(1 << r - 1 for r in I)
+                for I in combinations(range(1, n + 1), k) if subset_leq(I, w[:k])]
         if not all(minors[m] for m in rows):
             return False
         below += len(rows)
@@ -798,10 +801,17 @@ def test_cell_point_draws_are_the_randrange_stream(monkeypatch):
 
 
 def test_memoized_prefix_count_is_the_down_count():
+    # against the popcount of the down-mask in the A7 orbit table; the empty
+    # set and [8] have only themselves below
+    g = type_a_group(8)
     for mask in range(1 << 8):
         rows = [r for r in range(1, 9) if mask >> r - 1 & 1]
-        count = flags._down_count_at(mask)
-        assert count == perms.down_count(rows) == len(perms.down_rows(rows))
+        if 0 < len(rows) < 8:
+            table = orbit_table(g, len(rows))
+            expected = table.down_masks()[table.by_rows[mask].index].bit_count()
+        else:
+            expected = 1
+        assert flags._down_count_at(mask) == perms.down_count(rows) == expected
 
 
 def test_prefix_count_memo_holds_one_entry_per_row_mask():

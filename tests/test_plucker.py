@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from proposition_checks import linear_order_check, reflection_weight_map
 
 from schubcells.cartan import cartan_datum
-from schubcells.perms import down_count, down_rows
+from schubcells.perms import down_count
 from schubcells.plucker import (
     WeightOrdering,
     active_ordering,
@@ -22,7 +22,6 @@ from schubcells.plucker import (
     is_economical_index_parabolic,
     is_economical_ordering,
     mu,
-    ones,
     orbit,
     orbit_bruhat_leq,
     orbit_size,
@@ -217,50 +216,39 @@ def test_orbit_bruhat_typeA_subset_criterion():
             assert g._elements is None
 
 
-def test_down_rows_are_the_orbit_down_sets():
-    # every entry of every level of A1..A8; ranks past 4 on fresh groups
+def test_down_count_counts_the_down_rows():
+    # every entry of every level of A1..A8, ranks past 4 on fresh groups:
+    # the popcount of its down-mask and a brute count of the subsets below it
     for r in range(1, 9):
         g = weyl_group("A", r) if r <= 4 else WeylGroup(cartan_datum("A", r))
         for i in range(1, r + 1):
             table = orbit_table(g, i)
             for pw, down in zip(table.weights, table.down_masks()):
-                rows = down_rows(subset_of(pw))
-                assert len(rows) == down.bit_count()
-                got = {frozenset(j + 1 for j in ones(m)) for m in rows}
-                assert got == {subset_of(table.weights[k]) for k in ones(down)}
+                P = subset_of(pw)
+                brute = sum(subset_leq(I, P) for I in combinations(range(1, r + 2), i))
+                assert down_count(P) == down.bit_count() == brute
 
 
 @pytest.mark.parametrize("n", (10, 11, 12))
-def test_down_rows_match_the_sorted_subset_oracle(n):
+def test_down_count_matches_the_sorted_subset_oracle(n):
     # past n = 9 no orbit table is built; the brute comparison decides
     rng = random.Random(n)
     for _ in range(4):
         w = rng.sample(range(1, n + 1), n)
         for i in range(1, n):
-            expect = sorted(
-                sum(1 << r - 1 for r in I)
-                for I in combinations(range(1, n + 1), i)
-                if subset_leq(I, w[:i])
-            )
-            assert sorted(down_rows(w[:i])) == expect
-
-
-def test_down_count_counts_the_down_rows():
-    # every subset P of [n], n <= 8, against the listed masks and a brute
-    # count of the |P|-subsets below P
-    for n in range(1, 9):
-        for k in range(n + 1):
-            for P in combinations(range(1, n + 1), k):
-                brute = sum(subset_leq(I, P) for I in combinations(range(1, n + 1), k))
-                assert down_count(P) == len(down_rows(P)) == brute
+            expect = sum(subset_leq(I, w[:i]) for I in combinations(range(1, n + 1), i))
+            assert down_count(w[:i]) == expect
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.integers(1, 14).flatmap(lambda n: st.lists(
     st.integers(1, n), unique=True, max_size=n)))
 def test_down_count_property(P):
-    # unsorted input, up to n = 14 where C(14, 7) = 3432 masks are listed
-    assert down_count(P) == len(down_rows(P))
+    # unsorted input, up to n = 14; a subset below P lies in [max P], and
+    # there are at most C(14, 7) = 3432 to compare
+    top = max(P, default=0)
+    assert down_count(P) == sum(
+        subset_leq(I, P) for I in combinations(range(1, top + 1), len(P)))
 
 
 def test_orbit_bruhat_reflexive_and_level_mismatch():

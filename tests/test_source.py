@@ -94,23 +94,30 @@ def test_only_bruhat_leq_imports_a_package_module_in_its_body():
     assert found == {("weyl.py", "bruhat_leq")}
 
 
+def _called_name(call: ast.Call) -> str | None:
+    func = call.func
+    return func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+
+
 def _enumerating(node, prefix=""):
     """Qualified names of the functions and methods under ``node`` that call
-    ``.elements()`` or ``.check_enumerable()``."""
+    ``.elements()``, ``.check_enumerable()`` or ``all_perms``."""
     for child in ast.iter_child_nodes(node):
         if isinstance(child, ast.ClassDef):
             yield from _enumerating(child, prefix + child.name + ".")
         elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
-            isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
-            and n.func.attr in ("elements", "check_enumerable")
+            isinstance(n, ast.Call)
+            and _called_name(n) in ("elements", "check_enumerable", "all_perms")
             for n in ast.walk(child)
         ):
             yield prefix + child.name
 
 
 def test_the_functions_that_enumerate_w_are_pinned():
-    """Enumerating W is capped at 10^6 elements, so every other answer is
-    read off orbit tables; a new caller shows here."""
+    """Enumerating W is capped at 10^6 elements, and listing S_n by
+    ``perms.all_perms`` is capped by its caller (n <= 7 for the defining-set
+    search), so every other answer is read off orbit tables; a new caller
+    shows here."""
     found = {
         (path.name, name)
         for path in sorted(SRC.glob("*.py"))
@@ -119,4 +126,5 @@ def test_the_functions_that_enumerate_w_are_pinned():
     assert found == {
         ("weyl.py", "WeylGroup.elements"),
         ("recognition.py", "_algorithmic_tree"),
+        ("bounds.py", "_constraint_families"),
     }

@@ -1,12 +1,24 @@
-"""Test helper: exact witness counts of the lower-bound family, by the
-two-case split of its prefix subsets, against which the counts that
-``bounds.witness_prefix_counts`` takes member by member are checked."""
+"""Test helper: the prefix-set counts of the lower-bound witness family,
+taken member by member with the sorted-subset comparison of
+``bruhat_oracle``, and the exact counts by the two-case split of the
+prefix subsets, against which they are checked."""
 
 from math import comb
 
-from bruhat_oracle import prefix_set
+from bruhat_oracle import prefix_set, subset_leq
 
 from schubcells.bounds import WitnessFamily
+
+
+def witness_prefix_counts(fam: WitnessFamily) -> dict[frozenset[int], int]:
+    """For each I with I !<= w([1,|I|]): how many members have I as a prefix set."""
+    counts: dict[frozenset[int], int] = {}
+    for u in fam.members:
+        for i in range(1, fam.n):
+            I = prefix_set(u, i)
+            if not subset_leq(I, prefix_set(fam.w, i)):
+                counts[I] = counts.get(I, 0) + 1
+    return counts
 
 
 def witness_case_count(fam: WitnessFamily, I) -> int:
