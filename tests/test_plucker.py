@@ -22,6 +22,7 @@ from schubcells.plucker import (
     is_economical_index_parabolic,
     is_economical_ordering,
     mu,
+    ones,
     orbit,
     orbit_bruhat_leq,
     orbit_size,
@@ -216,17 +217,29 @@ def test_orbit_bruhat_typeA_subset_criterion():
             assert g._elements is None
 
 
-def test_down_count_counts_the_down_rows():
-    # every entry of every level of A1..A8, ranks past 4 on fresh groups:
-    # the popcount of its down-mask and a brute count of the subsets below it
+def test_down_rows_are_the_orbit_down_sets():
+    # every entry of every level of A1..A8; ranks past 4 on fresh groups:
+    # its down-mask names exactly the subsets below it, down_count of them
     for r in range(1, 9):
         g = weyl_group("A", r) if r <= 4 else WeylGroup(cartan_datum("A", r))
         for i in range(1, r + 1):
             table = orbit_table(g, i)
             for pw, down in zip(table.weights, table.down_masks()):
                 P = subset_of(pw)
-                brute = sum(subset_leq(I, P) for I in combinations(range(1, r + 2), i))
-                assert down_count(P) == down.bit_count() == brute
+                below = {frozenset(I) for I in combinations(range(1, r + 2), i)
+                         if subset_leq(I, P)}
+                assert down_count(P) == down.bit_count() == len(below)
+                assert {subset_of(table.weights[k]) for k in ones(down)} == below
+
+
+def test_down_count_counts_the_down_rows():
+    # every subset P of [n], n <= 8, against a brute count of the
+    # |P|-subsets below P
+    for n in range(1, 9):
+        for k in range(n + 1):
+            for P in combinations(range(1, n + 1), k):
+                brute = sum(subset_leq(I, P) for I in combinations(range(1, n + 1), k))
+                assert down_count(P) == brute
 
 
 @pytest.mark.parametrize("n", (10, 11, 12))
