@@ -1,18 +1,16 @@
 """Quantitative negative results at desk scale: the exponential witness
-family for defining one Schubert variety, and two exact questions answered
-by one hitting-set engine, ``_min_hitting_set``: the minimal defining set
-(a lower bound over coordinate-flag witnesses) and the minimal
-feedback-free recognition set for n <= 4.
+family for defining one Schubert variety, the exact minimal defining set (a
+lower bound over coordinate-flag witnesses) from the hitting-set engine
+``_min_hitting_set``, and the minimal feedback-free set of C^n, listed from
+its proof with no search.
 
 The witness family is listed as raw one-line permutations, up to S_12,
 where no orbit table is built; it does not check itself, as the tests
 certify its defining properties for every k it accepts.  The defining-set
 search reads u <= w off the package's one Bruhat engine, the down-masks of
 the A_{n-1} orbit tables: u <= w exactly when every prefix set u([1, i])
-lies in the down-set of w omega_i [FZ98 §1].  The universal count only
-counts the down-sets, by ``perms.down_count``.  The feedback-free search
-reads the exact realizable patterns of ``flags.realizable_full_patterns``,
-which owns its scope, n in 2..4.
+lies in the down-set of w omega_i [FZ98 §1]; the universal count counts
+the down-sets, by ``perms.down_count``.
 """
 
 from __future__ import annotations
@@ -21,8 +19,8 @@ from itertools import combinations
 from math import comb
 
 from . import perms
-from .flags import realizable_full_patterns, type_a_group
-from .plucker import all_weights, ones, orbit_table, subset_of
+from .flags import type_a_group
+from .plucker import ones, orbit_table, subset_of
 
 
 # ----- witness family ---------------------------------------------------------
@@ -52,11 +50,9 @@ def construct_witness_family(k: int) -> WitnessFamily:
     blocks, the size and that at most C(2k,k) members share a prefix set
     that is not below w.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    if not 1 <= k <= 3:
+        raise ValueError(f"witness families are listed for k in 1..3, not {k}")
     n = 4 * k
-    if n > 12:
-        raise ValueError("witness construction is verified exhaustively only up to n = 12")
     low, high = range(1, 2 * k + 1), range(2 * k + 1, n + 1)
     members = tuple(
         A + B + tuple(x for x in low if x not in A) + tuple(x for x in high if x not in B)
@@ -161,6 +157,9 @@ def variety_equation_count(w, n: int) -> int:
 
 
 class FeedbackFreeResult:
+    """A smallest feedback-free set of C^n; ``unique``: no other set of its
+    size separates the cells, True at every n by ``feedback_free_min_set``."""
+
     __slots__ = ("n", "size", "subsets", "unique")
 
     def __init__(self, n: int, size: int, subsets: tuple[frozenset[int], ...], unique: bool):
@@ -168,29 +167,24 @@ class FeedbackFreeResult:
 
 
 def feedback_free_min_set(n: int) -> FeedbackFreeResult:
-    """Smallest set of Plucker coordinates whose vanishing pattern determines
-    the cell, exact for n in 2..4, the n that ``realizable_full_patterns``
-    answers (it raises ValueError for any other): a hitting set of the
-    minimal masks of coordinates on which two realizable patterns of
-    different cells differ.  Two distinct full patterns always differ, so no
-    mask is 0.  The answer is unique when dropping any one of its
-    coordinates from every mask leaves no hitting set as small.
+    """The one smallest set of Plucker coordinates of C^n whose vanishing
+    pattern names the cell of every flag: every p_I but the p_[1,i], in
+    (|I|, sorted I) order, 2^n - n - 1 of them.  Listed for n in 2..16
+    (65,519 at n = 16); any other n raises ValueError.
+
+    Enough: omega_i = p_[1,i] is index 0, below every level-i entry.  So the
+    level-i maximum of an acceptable vector is read off the other bits, and
+    it is omega_i exactly when they are all 0.
+
+    Needed: take I != [1,i] with |I| = i, a = max I, b = max([1,a] - I) and
+    u = (I - {a}, a, b, the rest ascending).  The coordinate flag of u plus
+    e_b in column i and the coordinate flag of u s_i span the same first j
+    columns for j != i, and at level i the first has the nonzero minors I
+    and I - a + b, the second I - a + b only.  So they differ exactly at
+    p_I, in the cells u and u s_i: every separating set holds p_I.
     """
-    found = realizable_full_patterns(n)
-    universe = sorted(all_weights(type_a_group(n)),
-                      key=lambda pw: (pw.level, sorted(subset_of(pw))))
-    packed = [(sum(b << k for k, b in enumerate(pat.restrict(universe))), w.fingerprint)
-              for pat, w, _flag in found]
-    masks: list[int] = []
-    for m in sorted({a ^ b for (a, u), (b, v) in combinations(packed, 2) if u != v},
-                    key=int.bit_count):
-        if not any(k & m == k for k in masks):
-            masks.append(m)
-    size, chosen = _min_hitting_set(masks)
-    bits = list(ones(chosen))
-    return FeedbackFreeResult(
-        n=n,
-        size=size,
-        subsets=tuple(subset_of(universe[k]) for k in bits),
-        unique=all(_min_hitting_set([m & ~(1 << k) for m in masks])[0] > size for k in bits),
-    )
+    if not 2 <= n <= 16:
+        raise ValueError(f"the feedback-free set is listed for n in 2..16, not {n}")
+    subsets = tuple(frozenset(I) for i in range(1, n) for I in combinations(range(1, n + 1), i)
+                    if I[-1] != i)
+    return FeedbackFreeResult(n=n, size=len(subsets), subsets=subsets, unique=True)

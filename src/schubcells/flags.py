@@ -31,8 +31,7 @@ flags in C^n realize: the acceptable patterns that the generated flag
 Plucker relations allow, grown level by level from those relations with no
 enumeration of W, each certified by a seeded integer flag whose
 ``vanishing_pattern`` is that pattern, and a drawn pattern outside them is
-an error.  The restricted sets, the degeneration posets and the
-feedback-free search all read it.
+an error.  The restricted sets and the degeneration posets read it.
 """
 
 from __future__ import annotations

@@ -112,14 +112,6 @@ def active_ordering(group: WeylGroup, ordering: WeightOrdering | None = None):
     return ordering
 
 
-def _orbit_labels(group: WeylGroup, level: int):
-    """orbit_bfs of omega_i's labels under W."""
-    if not 1 <= level <= group.rank:
-        raise ValueError(f"level {level} out of range 1..{group.rank}")
-    omega = tuple(1 if j == level else 0 for j in range(1, group.rank + 1))
-    return orbit_bfs(omega, range(1, group.rank + 1), group.reflect_labels)
-
-
 class OrbitTable:
     """Materialized orbit W omega_i with minimal coset representatives, the
     action of each generator on orbit indices, and its Bruhat order as
@@ -128,7 +120,10 @@ class OrbitTable:
     def __init__(self, group: WeylGroup, level: int):
         self.group = group
         self.level = level
-        labels = _orbit_labels(group, level)[0]
+        if not 1 <= level <= group.rank:
+            raise ValueError(f"level {level} out of range 1..{group.rank}")
+        omega = tuple(1 if j == level else 0 for j in range(1, group.rank + 1))  # labels of omega_i
+        labels = orbit_bfs(omega, range(1, group.rank + 1), group.reflect_labels)[0]
         words = [tuple(group._descend(lab)[0]) for lab in labels]
         rho = group.identity.fingerprint
         reps = [WeylElement(word, group.fold(word, rho), group) for word in words]
@@ -164,9 +159,16 @@ class OrbitTable:
 
     def position(self, w: WeylElement) -> int:
         """Index of w omega_i, kept in w's ``positions`` when w belongs to a
-        group of this table's datum, so each level folds w's word once."""
+        group of this table's datum, so each level folds w's word once.  One
+        of another datum folds only if the Coxeter matrices agree (B_r and
+        C_r): the same products m_ij m_ji of Cartan entries, else ValueError."""
         group = self.group
         if w.group is not group and w.group.datum != group.datum:
+            a, b = w.group.datum.cartan_matrix, group.datum.cartan_matrix
+            if len(a) != len(b) or any(a[i][j] * a[j][i] != b[i][j] * b[j][i]
+                                       for i in range(len(a)) for j in range(i)):
+                raise ValueError(f"an element of {w.group.datum.name} is not in the "
+                                 f"Weyl group of {group.datum.name}")
             return self.act(w.reduced, 0)
         held = w.positions
         if held is None:

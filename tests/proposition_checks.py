@@ -3,7 +3,8 @@ package does not carry them: the minimality of the Bruhat base, the
 constant-weight-code count behind ``code_excludable_bound``, the
 codimension-one chain corollary, the embedding of R(i) into
 W omega_i - {omega_i}, and the linear orbit orders.  The first and the
-chain enumerate W.
+chain enumerate W.  ``feedback_free_certificate`` builds the flag pairs of
+the lower bound of ``bounds.feedback_free_min_set``, for the tests to check.
 """
 
 from fractions import Fraction
@@ -12,7 +13,7 @@ from math import comb
 
 from schubcells.base import base_weights, weyl_base
 from schubcells.bounds import _block_reversal
-from schubcells.flags import type_a_group
+from schubcells.flags import coordinate_flag, flag_from_columns, type_a_group
 from schubcells.patterns import generic_pattern
 from schubcells.plucker import orbit_table, roots_R
 
@@ -104,3 +105,18 @@ def linear_order_check(group, i: int) -> bool:
     order extends it, so it is total iff it is the table order, i.e. iff
     every down-set is a prefix of the table."""
     return all(m == (2 << k) - 1 for k, m in enumerate(orbit_table(group, i).down_masks()))
+
+
+def feedback_free_certificate(n: int, I):
+    """(u, x, v, y) for a subset I != [1, |I|] of [1, n], i = |I|: with
+    a = max I and b = max([1, a] - I), u lists I - {a}, a, b, then the rest
+    ascending; x is the coordinate flag of u plus e_b in column i, and y is
+    the coordinate flag of v = u s_i.  Their patterns should differ exactly
+    at p_I, with witnesses u and v."""
+    i, a = len(I), max(I)
+    b = max(set(range(1, a)) - set(I))
+    u = (*sorted(set(I) - {a}), a, b, *sorted(set(range(1, n + 1)) - set(I) - {b}))
+    cols = [[int(r == x) for r in range(1, n + 1)] for x in u]
+    cols[i - 1][b - 1] = 1
+    v = u[:i - 1] + (b, a) + u[i + 1:]
+    return u, flag_from_columns(cols), v, coordinate_flag(v)

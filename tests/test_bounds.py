@@ -17,11 +17,17 @@ from bruhat_oracle import (
 )
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from pattern_oracle import all_acceptable_patterns
 from pattern_oracle import feedback_free_min_set as oracle_feedback_free_min_set
-from proposition_checks import chain_corollary, code_bound_check, code_excludable_bound
+from proposition_checks import (
+    chain_corollary,
+    code_bound_check,
+    code_excludable_bound,
+    feedback_free_certificate,
+)
 from witness_oracle import witness_case_count, witness_prefix_counts
 
-from schubcells import bounds, perms
+from schubcells import perms
 from schubcells.bounds import (
     FeedbackFreeResult,
     _constraint_families,
@@ -31,9 +37,10 @@ from schubcells.bounds import (
     minimum_defining_hitting_set,
     variety_equation_count,
 )
-from schubcells.flags import realizable_full_patterns, type_a_group
-from schubcells.patterns import coordinate_flag_pattern
-from schubcells.plucker import ones, weight_from_subset
+from schubcells.flags import realizable_full_patterns, type_a_group, vanishing_pattern
+from schubcells.patterns import check_acceptable
+from schubcells.plucker import all_weights, ones, subset_of, weight_from_subset
+from schubcells.weyl import weyl_group
 
 
 # ----- witness family ------------------------------------------------------------
@@ -98,10 +105,10 @@ def test_witness_properties_direct(k):
 
 
 def test_witness_family_validation():
-    with pytest.raises(ValueError):
-        construct_witness_family(0)
-    with pytest.raises(ValueError):
-        construct_witness_family(4)
+    # the tests certify k = 1..3, and the message names that range
+    for k in (0, 4):
+        with pytest.raises(ValueError, match=rf"^witness families are listed for k in 1\.\.3, not {k}$"):
+            construct_witness_family(k)
 
 
 # ----- the hitting-set engine ------------------------------------------------------
@@ -283,7 +290,6 @@ def test_variety_equation_counts():
     assert variety_equation_count((2, 1, 4, 3), 4) == 9
     # cross-module consistency with the general machinery
     from schubcells.cells import variety_equations
-    from schubcells.weyl import weyl_group
 
     g = weyl_group("A3")
     for w in g.elements():
@@ -342,8 +348,8 @@ def test_feedback_free_n4_exact():
     for pat, w, _flag in realizable_full_patterns(4):
         cells.setdefault(pat.restrict(coordinate_flag_set), set()).add(w)
     assert max(map(len, cells.values())) > 1
-    for n in (0, 1, 5):
-        with pytest.raises(ValueError, match="2..4"):
+    for n in (0, 1, 17):
+        with pytest.raises(ValueError, match=rf"^the feedback-free set is listed for n in 2\.\.16, not {n}$"):
             feedback_free_min_set(n)
 
 
@@ -356,15 +362,52 @@ def test_feedback_free_matches_the_subset_pattern_oracle(n):
     assert [getattr(got, f) for f in fields] == [getattr(want, f) for f in fields]
 
 
-def test_feedback_free_reports_a_tie(monkeypatch):
-    # no n in 2..4 has two minimal sets; with only the coordinate flags of
-    # e (pattern 10) and s1 (pattern 01) in C^2, p1 and p2 each separate
-    g = type_a_group(2)
-    found = [(coordinate_flag_pattern(g, w), w, None) for w in (g.element(()), g.element((1,)))]
-    assert [pat.bits for pat, _, _ in found] == [(1, 0), (0, 1)]
-    monkeypatch.setattr(bounds, "realizable_full_patterns", lambda n: found)
-    res = feedback_free_min_set(2)
-    assert (res.size, res.subsets, res.unique) == (1, (frozenset({1}),), False)
+@pytest.mark.parametrize("n", range(2, 17))
+def test_feedback_free_is_every_coordinate_but_the_prefixes(n):
+    res = feedback_free_min_set(n)
+    universe = sorted((frozenset(I) for i in range(1, n) for I in combinations(range(1, n + 1), i)),
+                      key=lambda I: (len(I), sorted(I)))
+    prefixes = {frozenset(range(1, i + 1)) for i in range(1, n)}
+    assert res.subsets == tuple(I for I in universe if I not in prefixes)
+    assert (res.n, res.size, res.unique) == (n, 2 ** n - n - 1, True)
+
+
+def test_feedback_free_reads_no_realizable_pattern():
+    realizable_full_patterns.cache_clear()
+    feedback_free_min_set(4)
+    assert realizable_full_patterns.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize(("spec", "count"), [("A1", 3), ("A2", 37), ("A3", 6699)])
+def test_the_prefix_bits_are_not_needed(spec, count):
+    """Upper bound: with bit 0 of every level (omega_i = p_[1,i]) dropped,
+    each acceptable vector still names its witness."""
+    g = weyl_group(spec)
+    seen: dict = {}
+    vectors = all_acceptable_patterns(g)
+    for pat, w in vectors:
+        assert seen.setdefault(tuple(m >> 1 for m in pat.levels), w) == w
+    assert len(vectors) == count
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_every_coordinate_but_the_prefixes_is_needed(n):
+    """Lower bound: per I != [1,i], two flags whose patterns differ exactly
+    at p_I and whose witnesses differ."""
+    g = type_a_group(n)
+    pairs = 0
+    for pw in all_weights(g):
+        I = subset_of(pw)
+        if I == frozenset(range(1, pw.level + 1)):
+            continue
+        u, x, v, y = feedback_free_certificate(n, I)
+        px, py = vanishing_pattern(x, g), vanishing_pattern(y, g)
+        assert [a ^ b for a, b in zip(px.levels, py.levels)] == [
+            1 << pw.index if i == pw.level else 0 for i in range(1, n)]
+        rx, ry = check_acceptable(px), check_acceptable(py)
+        assert (g.one_line(rx.witness), g.one_line(ry.witness)) == (u, v)
+        pairs += 1
+    assert pairs == 2 ** n - n - 1
 
 
 def test_adjacent_exchange_forcing_n3():

@@ -571,13 +571,27 @@ def test_an_unparsable_group_spec_exits_3(capsys, spec):
     assert (code, out, err) == (3, "", f"unsupported group: cannot parse group spec '{spec}'\n")
 
 
-@pytest.mark.parametrize("n", ["0", "1", "5", "10"])
+@pytest.mark.parametrize("n", ["0", "1", "17"])
 def test_bounds_feedback_free_names_its_range(capsys, n):
-    # the range is realizable_full_patterns', asked before any group is
-    # built, so n = 0, 1 and 10 exit 1, not 3 for a rank outside 1..8
+    # the set is listed with no group built, so no n exits 3 for a rank
+    # outside 1..8; past n = 16 the listing is refused
     code, out, err = run(capsys, "bounds", "--feedback-free", n)
     assert (code, out) == (1, "")
-    assert err == f"error: realizable pattern enumeration is implemented for n in 2..4, not {n}\n"
+    assert err == f"error: the feedback-free set is listed for n in 2..16, not {n}\n"
+
+
+@pytest.mark.parametrize("n", ["5", "10", "12"])
+def test_bounds_feedback_free_answers_past_c4(capsys, n):
+    code, out, err = run(capsys, "bounds", "--feedback-free", n)
+    size = 2 ** int(n) - int(n) - 1
+    assert (code, err) == (0, "")
+    assert out.splitlines()[0] == f"n={n}: minimal feedback-free set has size {size} [exact] (unique)"
+
+
+@pytest.mark.parametrize("k", ["0", "4"])
+def test_bounds_witness_names_its_range(capsys, k):
+    code, out, err = run(capsys, "bounds", "--witness", k)
+    assert (code, out, err) == (1, "", f"error: witness families are listed for k in 1..3, not {k}\n")
 
 
 def test_economical_output(capsys):

@@ -13,7 +13,12 @@ from schubcells import plucker, recognition
 from schubcells.cartan import cartan_datum
 from schubcells.cells import cell_description_economical
 from schubcells.errors import UnacceptableInputError
-from schubcells.patterns import VanishingPattern, check_acceptable, random_acceptable
+from schubcells.patterns import (
+    VanishingPattern,
+    check_acceptable,
+    generic_pattern,
+    random_acceptable,
+)
 from schubcells.plucker import WeightOrdering, orbit_table, standard_ordering
 from schubcells.recognition import (
     CountingOracle,
@@ -169,3 +174,23 @@ def test_a_table_reads_the_positions_only_of_its_own_datum():
     u = b.element((3, 2, 3, 1))
     assert [orbit_table(fresh, i).position(u) for i in (1, 2, 3)] == u.positions
     assert u.positions == [orbit_table(b, i).act(u.reduced, 0) for i in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("call", [
+    lambda a, w: generic_pattern(a, w),
+    lambda a, w: random_acceptable(a, w, seed=0),
+    lambda a, w: a.bruhat_leq(w, a.identity),
+    lambda a, w: a.bruhat_leq(a.identity, w),
+])
+def test_a_table_refuses_an_element_of_another_coxeter_group(call):
+    # A3 and B3 share a rank, not a Coxeter matrix (m_23 m_32 = 1 against 2)
+    a, w = weyl_group("A3"), weyl_group("B3").element((3, 2, 3, 1))
+    with pytest.raises(ValueError, match="^an element of B3 is not in the Weyl group of A3$"):
+        call(a, w)
+
+
+def test_a_table_refuses_an_element_of_another_rank():
+    w = weyl_group("A2").element((1, 2))
+    for spec in ("A1", "A3"):
+        with pytest.raises(ValueError, match=f"^an element of A2 is not in the Weyl group of {spec}$"):
+            orbit_table(weyl_group(spec), 1).position(w)

@@ -82,6 +82,17 @@ def test_patterns_imports_nothing_from_flags():
     assert "flags" not in _package_imports(tree)
 
 
+def test_bounds_takes_only_type_a_group_from_flags():
+    """The feedback-free minimum is listed from its proof, so ``bounds``
+    reads no realizable pattern: ``from .flags import type_a_group`` is its
+    one use of ``flags``."""
+    imports = [node for node in ast.walk(ast.parse((SRC / "bounds.py").read_text()))
+               if isinstance(node, ast.ImportFrom)]
+    assert [[a.name for a in node.names] for node in imports
+            if node.module in ("flags", "schubcells.flags")] == [["type_a_group"]]
+    assert "flags" not in {a.name for node in imports for a in node.names}
+
+
 def test_only_bruhat_leq_imports_a_package_module_in_its_body():
     """Module-level imports only: a function-local import hides a cycle."""
     found = {
