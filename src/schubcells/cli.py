@@ -295,7 +295,7 @@ def _cmd_economical(args) -> int:
         for token in tokens:
             if not token.strip().isdecimal():
                 raise ValueError(f"cannot parse {token!r} in --ordering: expected an integer")
-        ordering = WeightOrdering(tuple(int(x) for x in tokens))
+        ordering = WeightOrdering(int(x) for x in tokens)
     ordering = active_ordering(group, ordering)
     rows = []
     for i in range(1, group.rank + 1):

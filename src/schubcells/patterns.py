@@ -1,6 +1,6 @@
-"""Vanishing patterns as first-class objects: acceptability, generic and
-coordinate-flag patterns, random acceptable vectors, restriction, and the
-degeneration poset of restricted patterns.  Nothing here enumerates W.
+"""Vanishing patterns as first-class objects: acceptability, generic
+patterns, random acceptable vectors, restriction, and the degeneration poset
+of restricted patterns.  Nothing here enumerates W.
 
 A pattern is one int per level in the format of the orbit tables' interval
 masks, so the generic pattern of w is the down-masks of the w omega_i.  It is
@@ -143,15 +143,6 @@ def generic_pattern(group: WeylGroup, w: WeylElement) -> VanishingPattern:
         table = orbit_table(group, i)
         levels.append(table.down_masks()[table.position(w)])
     return VanishingPattern.from_levels(group, levels)
-
-
-def coordinate_flag_pattern(group: WeylGroup, w: WeylElement) -> VanishingPattern:
-    """The pattern of the coordinate flag of w (type A): bit 1 exactly on the
-    prefix subsets w([1, i]), which are the weights w omega_i."""
-    if group.type_letter != "A":
-        raise ValueError("coordinate flags exist in type A only")
-    return VanishingPattern.from_levels(
-        group, (1 << orbit_table(group, i).position(w) for i in range(1, group.rank + 1)))
 
 
 def random_acceptable(group: WeylGroup, w: WeylElement, seed=None) -> VanishingPattern:

@@ -66,7 +66,8 @@ class WeightOrdering:
 
     __slots__ = ("order",)
 
-    def __init__(self, order: tuple[int, ...]):
+    def __init__(self, order):
+        order = tuple(order)  # a list cannot key a group's memo tables
         if sorted(order) != list(range(1, len(order) + 1)):
             raise ValueError(f"{order} is not a permutation of 1..{len(order)}")
         self.order = order

@@ -49,7 +49,7 @@ from __future__ import annotations
 
 from itertools import count
 
-from .errors import UnacceptableInputError
+from .errors import UnacceptableInputError, UnsupportedGroupError
 from .flags import Flag, check_flag_group, type_a_group
 from .patterns import VanishingPattern
 from .perms import one_line_str
@@ -63,6 +63,8 @@ from .plucker import (
     weight_label,
 )
 from .weyl import WeylElement, WeylGroup, word_str
+
+TREE_LEAF_CAP = 10 ** 6  # the drawn tree has |W| leaves
 
 
 class QueryLog:
@@ -286,7 +288,9 @@ def _certified_ordering(group, strategy, ordering) -> WeightOrdering:
 def _algorithmic_tree(group, ordering, strategy) -> DecisionTree:
     """Every scan entry but the last is a query whose 1-branch fixes the
     coset and moves to the next level; the last entry is forced."""
-    group.check_enumerable()
+    if group.order > TREE_LEAF_CAP:
+        raise UnsupportedGroupError(
+            f"|W| = {group.order} exceeds the enumeration cap {TREE_LEAF_CAP}")
 
     def level(pos, fp, word):
         if pos == group.rank:

@@ -1,22 +1,22 @@
-"""Weyl groups of types A, B, C, D, G2: elements, length, descents, Bruhat
-order, parabolic quotients, roots and reflections.
+"""Weyl groups of types A, B, C, D, G2: group members, length, descents,
+Bruhat order, parabolic quotients, roots and reflections.
 
 The core is integral [C94]: weights are Dynkin labels (fundamental-weight
 coordinates), where s_i(lambda) = lambda - lambda_i alpha_i and the labels of
 alpha_i are a column of the Cartan matrix.  An element is its fingerprint,
 the labels of w^{-1} rho, plus some reduced word; fingerprints are injective,
 and their negative labels are the right descents.  One descent walk on labels
-turns a fingerprint into a reduced word, so elements never require
-enumerating the group.  The canonical (shortlex-minimal) word is built by two
-more walks when it is first read.  A root is its simple-root
-expansion together with its coroot's, and s_alpha acts on labels as
+turns a fingerprint into a reduced word, so the package never lists W;
+only the tests' ``bruhat_oracle`` does.  The canonical (shortlex-minimal)
+word is built by two more walks when it is first read.  A root is its
+simple-root expansion with its coroot's, and s_alpha acts on labels as
 lambda - <lambda, alpha^vee> alpha.  Dynkin labels are the only weight
 coordinates: the tests check them against an ambient Bourbaki realization
 of their own.
 
 Bruhat order has one engine, the orbit tables of ``plucker``: u <= v iff
 u omega_i <= v omega_i on every orbit W omega_i (Deodhar's criterion
-[BB05 2.6]), so comparing two elements never enumerates W.
+[BB05 2.6]), so comparing two members never lists W.
 
 No value is changed after construction.  The only internal mutation is
 memoization: an element's canonical word and its orbit positions (the index
@@ -29,10 +29,7 @@ threads.
 from __future__ import annotations
 
 from .cartan import CartanDatum, cartan_datum, parse_group_spec
-from .errors import UnsupportedGroupError
 from .perms import check_permutation
-
-ENUMERATION_CAP = 10 ** 6
 
 Labels = tuple[int, ...]
 
@@ -167,7 +164,6 @@ class WeylGroup:
         self.parabolic_orders: dict[frozenset[int], int] = {frozenset(): 1}  # K -> |W_K|
         self.order = self.parabolic_order(range(1, self.rank + 1))
         self.identity = WeylElement((), self._rho, self)
-        self._elements: tuple[WeylElement, ...] | None = None
         self._roots: tuple[Root, ...] | None = None
         # Tables derived from the group, each filled by its builder on first use.
         self.orbit_tables: dict = {}  # level -> plucker.OrbitTable
@@ -217,26 +213,6 @@ class WeylGroup:
             lab[i] = -c
             for k, a in links[i]:
                 lab[k] -= c * a
-
-    # ----- enumeration -----------------------------------------------------
-
-    def check_enumerable(self):
-        if self.order > ENUMERATION_CAP:
-            raise UnsupportedGroupError(
-                f"|W| = {self.order} exceeds the enumeration cap {ENUMERATION_CAP}"
-            )
-
-    def elements(self) -> tuple[WeylElement, ...]:
-        if self._elements is None:
-            self.check_enumerable()
-            # W is the orbit of rho under right multiplication, f(w s_i) = s_i f(w).
-            # Parents in shortlex order and ascending generators discover each
-            # element first through its shortlex-minimal word.  rho is regular,
-            # so |W rho| = |W| = parabolic_order(S) (test_group_orders).
-            fps, parent, via = orbit_bfs(self._rho, range(1, self.rank + 1), self.reflect_labels)
-            words = along_tree(parent, via, (), lambda i, u: u + (i,))
-            self._elements = tuple(WeylElement(word, fp, self) for word, fp in zip(words, fps))
-        return self._elements
 
     def __len__(self):
         return self.order

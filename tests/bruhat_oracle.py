@@ -1,9 +1,11 @@
-"""Test oracle: finite posets with suprema, and the Bruhat order as a poset
-on all of W.
+"""Test oracle: the listing of W, finite posets with suprema, and the Bruhat
+order as a poset on all of W.
 
-The package never builds a poset on W; its base is read off the orbit posets
-W omega_i.  This oracle enumerates W and pulls each orbit order back to it,
-so the base of W can be taken by definition and compared.  ``FinitePoset``
+The package never lists W: elements, orbits and Bruhat comparisons are built
+from fingerprints and descent walks, and its base is read off the orbit
+posets W omega_i.  ``all_elements`` lists W as the orbit of rho, and
+``bruhat_poset`` pulls each orbit order back to it, so the base of W can be
+taken by definition and compared.  ``FinitePoset``
 validates a mask table (reflexive, antisymmetric, transitive, bounded), and
 ``supremum`` lets a base be checked against its literal definition.
 
@@ -15,6 +17,25 @@ count ``length`` and the transposition ``right_mult_transposition``.
 
 from schubcells.base import poset_base_indices
 from schubcells.plucker import ones, orbit_table
+from schubcells.weyl import WeylElement, along_tree, orbit_bfs
+
+_ELEMENTS: dict = {}  # group -> its elements, listed once per group object
+
+
+def all_elements(group) -> tuple:
+    """W as the orbit of rho under right multiplication, f(w s_i) = s_i f(w).
+    Parents in shortlex order and ascending generators discover each element
+    first through its shortlex-minimal word, which it is built with.  rho is
+    regular, so |W rho| = |W| (test_group_orders).  No cap: the caller picks
+    a group it can list."""
+    elems = _ELEMENTS.get(group)
+    if elems is None:
+        rho = group.identity.fingerprint
+        fps, parent, via = orbit_bfs(rho, range(1, group.rank + 1), group.reflect_labels)
+        words = along_tree(parent, via, (), lambda i, u: u + (i,))
+        elems = _ELEMENTS[group] = tuple(
+            WeylElement(word, fp, group) for word, fp in zip(words, fps))
+    return elems
 
 
 def length(w) -> int:
@@ -122,7 +143,7 @@ def bruhat_poset(group) -> FinitePoset:
     """Bruhat order on the enumerated group by Deodhar's criterion [BB05 2.6]:
     u <= v iff u omega_i <= v omega_i for every level i.  Each orbit up-set
     is pulled back to W through the fibres of w -> w omega_i."""
-    elems = group.elements()
+    elems = all_elements(group)
     up = [(1 << len(elems)) - 1] * len(elems)
     for i in range(1, group.rank + 1):
         table = orbit_table(group, i)

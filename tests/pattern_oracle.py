@@ -11,6 +11,7 @@ tuples."""
 
 from itertools import combinations, product
 
+from bruhat_oracle import all_elements
 from proposition_checks import code_excludable_bound
 
 from schubcells import flags
@@ -29,7 +30,7 @@ def all_acceptable_patterns(group: WeylGroup):
     witness w, bit 1 at each w omega_i and any bits strictly below it."""
     total = 0
     per_w = []
-    for w in group.elements():
+    for w in all_elements(group):
         fixed, free = [], []
         for i in range(1, group.rank + 1):
             table = orbit_table(group, i)

@@ -11,6 +11,8 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 
+from bruhat_oracle import all_elements
+
 from schubcells.base import base_weights, weyl_base
 from schubcells.bounds import _block_reversal
 from schubcells.flags import coordinate_flag, flag_from_columns, type_a_group
@@ -23,7 +25,7 @@ def _generic_masks(group):
     to the base weights as a bitmask.  u <= v iff the pattern of u is
     contained in that of v (Deodhar's criterion)."""
     weights = base_weights(group)
-    pats = [generic_pattern(group, w) for w in group.elements()]
+    pats = [generic_pattern(group, w) for w in all_elements(group)]
     return [(p, sum(p.bit(c) << j for j, c in enumerate(weights))) for p in pats]
 
 

@@ -2,6 +2,7 @@
 soundness and completeness over acceptable vectors."""
 
 import pytest
+from bruhat_oracle import all_elements
 
 from schubcells.cells import (
     CellDescription,
@@ -54,9 +55,9 @@ def test_variety_equations_examples():
 def test_variety_equations_cut_out_the_order_ideal():
     for spec in ("A3", "B3", "G2"):
         g = weyl_group(spec)
-        for w in g.elements():
+        for w in all_elements(g):
             d = variety_equations(g, w)
-            for v in g.elements():
+            for v in all_elements(g):
                 ok = verify_description(d, generic_pattern(g, v))
                 assert ok == g.bruhat_leq(v, w)
 
@@ -78,7 +79,7 @@ def oracle_variety_equations(g, w):
 )
 def test_variety_equations_match_the_per_level_oracle(spec):
     g = weyl_group(spec)
-    for w in g.elements():
+    for w in all_elements(g):
         assert variety_equations(g, w).equalities == oracle_variety_equations(g, w)
 
 
@@ -117,7 +118,7 @@ def test_general_description_order_is_pinned():
     for spec in ("B3", "D4", "G2"):
         g = weyl_group(spec)
         ordering = standard_ordering(g)
-        for w in g.elements():
+        for w in all_elements(g):
             eqs = cell_description_general(g, w).equalities
             keys = [(ordering.position(pw.level), pw.index) for pw in eqs]
             assert keys == sorted(set(keys))
@@ -126,10 +127,10 @@ def test_general_description_order_is_pinned():
 def test_general_description_identifies_cells():
     for spec in ("A2", "A3", "B2", "B3", "G2", "D4"):
         g = weyl_group(spec)
-        for w in g.elements():
+        for w in all_elements(g):
             d = cell_description_general(g, w)
             assert len(d.inequalities) == g.rank
-            for v in g.elements():
+            for v in all_elements(g):
                 assert verify_description(d, generic_pattern(g, v)) == (v == w)
 
 
@@ -150,7 +151,7 @@ def test_economical_counts():
     for spec in ECON_GROUPS:
         g = weyl_group(spec)
         R = len(g.positive_roots())
-        for w in g.elements():
+        for w in all_elements(g):
             d = cell_description_economical(g, w)
             assert len(d.equalities) == R - w.length
             assert len(d.inequalities) <= min(g.rank, w.length)
@@ -169,8 +170,8 @@ def test_economical_requires_economical_ordering():
 def test_economical_soundness_completeness_acceptable():
     for spec in ("A2", "A3", "B2", "B3", "C3", "G2"):
         g = weyl_group(spec)
-        descriptions = {w: cell_description_economical(g, w) for w in g.elements()}
-        for v in g.elements():
+        descriptions = {w: cell_description_economical(g, w) for w in all_elements(g)}
+        for v in all_elements(g):
             pats = [generic_pattern(g, v)] + [
                 random_acceptable(g, v, seed=s) for s in range(3)
             ]
@@ -215,7 +216,7 @@ def oracle_typeA_description(g, perm):
 def test_typeA_matches_the_explicit_loop_in_order():
     for n in range(2, 8):
         g = weyl_group("A", n - 1)
-        for w in g.elements():
+        for w in all_elements(g):
             perm = g.one_line(w)
             expected = oracle_typeA_description(g, perm)
             assert cell_description_typeA(g, w) == expected
@@ -225,7 +226,7 @@ def test_typeA_matches_the_explicit_loop_in_order():
 def test_typeA_matches_economical():
     for n in (2, 3, 4, 5):
         g = weyl_group("A", n - 1)
-        for w in g.elements():
+        for w in all_elements(g):
             da = cell_description_typeA(g, w)
             de = cell_description_economical(g, w)
             assert set(da.equalities) == set(de.equalities)
@@ -246,7 +247,7 @@ def test_typeD_counts_and_membership():
     R = len(g.positive_roots())
     extras = 0
     flagged = 0
-    for w in g.elements():
+    for w in all_elements(g):
         d = cell_description_typeD(g, w)
         base = R - w.length
         assert base <= len(d.equalities) <= base + g.rank - 3
@@ -258,16 +259,16 @@ def test_typeD_counts_and_membership():
     assert extras == 72  # the sign-flip equations fire on 72 elements of D4
     assert flagged == 48  # and are undecided (incomparable) on 48
     # exhaustive soundness/completeness on generic patterns
-    for w in g.elements():
+    for w in all_elements(g):
         d = cell_description_typeD(g, w)
-        for v in g.elements():
+        for v in all_elements(g):
             assert verify_description(d, generic_pattern(g, v)) == (v == w)
 
 
 def test_typeD_acceptable_vectors():
     g = weyl_group("D4")
-    descriptions = {w: cell_description_typeD(g, w) for w in g.elements()}
-    for v in g.elements():
+    descriptions = {w: cell_description_typeD(g, w) for w in all_elements(g)}
+    for v in all_elements(g):
         for seed in (0, 1):
             pat = random_acceptable(g, v, seed=seed)
             for w, d in descriptions.items():
@@ -297,7 +298,7 @@ def test_verify_description_on_sampled_flags():
     from schubcells.flags import random_cell_point, vanishing_pattern
 
     g = weyl_group("A3")
-    for w in g.elements():
+    for w in all_elements(g):
         line = g.one_line(w)
         d = cell_description_typeA(g, w)
         pat = vanishing_pattern(random_cell_point(line, seed=17), g)
@@ -310,8 +311,8 @@ def test_typeA_description_on_all_coordinate_flags():
 
     for n in (2, 3, 4, 5):
         g = weyl_group("A", n - 1)
-        descs = {w: cell_description_typeA(g, w) for w in g.elements()}
-        for v in g.elements():
+        descs = {w: cell_description_typeA(g, w) for w in all_elements(g)}
+        for v in all_elements(g):
             pat = vanishing_pattern(coordinate_flag(g.one_line(v)), g)
             for w, d in descs.items():
                 assert verify_description(d, pat) == (v == w)

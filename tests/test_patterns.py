@@ -7,7 +7,7 @@ from itertools import product
 
 import pytest
 from ambient import ambient
-from bruhat_oracle import prefix_set, subset_leq
+from bruhat_oracle import all_elements, prefix_set, subset_leq
 from pattern_oracle import realizable_full_patterns as oracle_realizable_full_patterns
 from pattern_oracle import all_acceptable_patterns, realize, subset_pattern
 
@@ -25,7 +25,6 @@ from schubcells.flags import (
 from schubcells.patterns import (
     VanishingPattern,
     check_acceptable,
-    coordinate_flag_pattern,
     element_of_weights,
     generic_pattern,
     pattern_poset,
@@ -60,7 +59,7 @@ def test_pattern_totality():
 def test_check_acceptable_generic():
     for spec in GROUPS_RANK3 + ("D4",):
         g = weyl_group(spec)
-        for w in g.elements():
+        for w in all_elements(g):
             report = check_acceptable(generic_pattern(g, w))
             assert report.accepted
             assert report.witness == w
@@ -143,7 +142,7 @@ def test_generic_pattern_231():
 def test_generic_pattern_matches_subset_criterion():
     for n in (3, 4, 5):
         g = weyl_group("A", n - 1)
-        for w in g.elements():
+        for w in all_elements(g):
             line = g.one_line(w)
             pat = generic_pattern(g, w)
             for pw in all_weights(g):
@@ -153,14 +152,14 @@ def test_generic_pattern_matches_subset_criterion():
 def test_generic_pattern_injective():
     for spec in GROUPS_RANK3 + ("D4",):
         g = weyl_group(spec)
-        seen = {generic_pattern(g, w).bits for w in g.elements()}
-        assert len(seen) == len(g.elements())
+        seen = {generic_pattern(g, w).bits for w in all_elements(g)}
+        assert len(seen) == len(all_elements(g))
 
 
 def test_random_acceptable():
     for spec in ("A2", "B2", "A3"):
         g = weyl_group(spec)
-        for w in g.elements():
+        for w in all_elements(g):
             for seed in range(3):
                 pat = random_acceptable(g, w, seed=seed)
                 report = check_acceptable(pat)
@@ -170,10 +169,24 @@ def test_random_acceptable():
                 assert all(b <= gb for b, gb in zip(pat.bits, gen.bits))
 
 
+def coordinate_flag_pattern(g, w):
+    """The pattern of the coordinate flag of w, read off its exact minors."""
+    return vanishing_pattern(coordinate_flag(g.one_line(w)), g)
+
+
+def test_coordinate_flag_pattern_is_the_orbit_position_pattern():
+    # bit 1 exactly at each w omega_i, by orbit-table position, on S_2..S_6
+    for n in range(2, 7):
+        g = type_a_group(n)
+        for w in all_elements(g):
+            levels = (1 << orbit_table(g, i).position(w) for i in range(1, n))
+            assert coordinate_flag_pattern(g, w) == VanishingPattern.from_levels(g, levels)
+
+
 def test_coordinate_flag_pattern_is_extreme_acceptable():
     # all-below-zero acceptable vector = the coordinate-flag pattern
     g = weyl_group("A2")
-    for w in g.elements():
+    for w in all_elements(g):
         pat = coordinate_flag_pattern(g, w)
         report = check_acceptable(pat)
         assert report.accepted and report.witness == w
@@ -240,10 +253,9 @@ def test_every_certificate_realizes_its_pattern(n):
 def test_generic_and_coordinate_patterns_of_s4_are_realizable():
     g = type_a_group(4)
     found = {pat for pat, _w, _flag in realizable_full_patterns(4)}
-    for w in g.elements():
+    for w in all_elements(g):
         assert generic_pattern(g, w) in found
         assert coordinate_flag_pattern(g, w) in found
-        assert vanishing_pattern(coordinate_flag(g.one_line(w)), g) in found
 
 
 def test_certification_fails_loudly_when_the_draw_budget_runs_out(monkeypatch):
@@ -390,7 +402,7 @@ def test_realizable_restricted_n4():
     # the set the package once sampled, the generic and coordinate-flag
     # patterns of S_4, lies inside the exact one, with its cells among the labels
     sampled: dict = {}
-    for w in g.elements():
+    for w in all_elements(g):
         for pat in (generic_pattern(g, w), coordinate_flag_pattern(g, w)):
             sampled.setdefault(pat.restrict(coords), set()).add(g.one_line(w))
     assert len(sampled) == 42

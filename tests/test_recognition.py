@@ -7,21 +7,31 @@ from collections import Counter
 from itertools import permutations
 
 import pytest
+from bruhat_oracle import all_elements
 from pattern_oracle import all_acceptable_patterns
 from tree_oracle import bitmask_optimal_tree, frozenset_optimal_tree, route
 
 from schubcells import perms
-from schubcells.cells import cell_description_general, cell_description_typeA
+from schubcells.cells import (
+    cell_description_economical,
+    cell_description_general,
+    cell_description_typeA,
+)
 from schubcells.errors import UnacceptableInputError
-from schubcells.flags import coordinate_flag, random_cell_point, type_a_group
+from schubcells.flags import coordinate_flag, random_cell_point, type_a_group, vanishing_pattern
 from schubcells.patterns import (
     VanishingPattern,
     check_acceptable,
-    coordinate_flag_pattern,
     generic_pattern,
     random_acceptable,
 )
-from schubcells.plucker import WeightOrdering, orbit_table, standard_ordering, subset_of
+from schubcells.plucker import (
+    WeightOrdering,
+    is_economical_ordering,
+    orbit_table,
+    standard_ordering,
+    subset_of,
+)
 from schubcells.recognition import (
     CountingOracle,
     DecisionTree,
@@ -51,7 +61,7 @@ def trace_subsets(log):
 @pytest.mark.parametrize("spec", ("A1", "A2", "A3", "B2", "B3", "G2", "D4"))
 def test_recognize_general_generic_and_random(spec):
     g = weyl_group(spec)
-    for w in g.elements():
+    for w in all_elements(g):
         got, log = recognize_general(PatternOracle(generic_pattern(g, w)), g)
         assert got == w
         assert len({pw for pw, _ in log.entries}) == log.count  # no duplicates
@@ -119,11 +129,11 @@ def test_typeA_agrees_with_general_exhaustive():
 def test_typeA_agrees_with_general_n5_sampled():
     n = 5
     g = type_a_group(n)
-    for w in g.elements():
+    for w in all_elements(g):
         line = g.one_line(w)
         pats = [
             generic_pattern(g, w),
-            coordinate_flag_pattern(g, w),
+            vanishing_pattern(coordinate_flag(line), g),
             random_acceptable(g, w, seed=11),
         ]
         for pat in pats:
@@ -202,7 +212,7 @@ def test_unacceptable_input_detection():
     with pytest.raises(UnacceptableInputError):
         recognize_typeA(PatternOracle(zero), 3, check_input=True)
     # checked mode agrees with the plain mode on honest inputs
-    for w in g.elements():
+    for w in all_elements(g):
         pat = generic_pattern(g, w)
         got, _ = recognize_general(PatternOracle(pat), g, check_input=True)
         assert got == w
@@ -266,7 +276,7 @@ def test_tree_paths_match_descriptions():
     # each algorithmic branch's constraints are exactly the type A description
     for n in (3, 4):
         g = type_a_group(n)
-        for w in g.elements():
+        for w in all_elements(g):
             pat = generic_pattern(g, w)
             _, log = recognize_general(PatternOracle(pat), g)
             d = cell_description_typeA(g, w)
@@ -303,6 +313,26 @@ def test_optimal_answers_from_the_certificate():
     with pytest.raises(ValueError, match="not economical"):
         worst_case_queries(a3, "optimal", reverse)
     assert worst_case_queries(a3, "algorithmic", reverse) == 7
+
+
+def test_an_ordering_may_be_a_list_or_a_generator():
+    # the order keys the group's memo tables, so a list must not reach them,
+    # and a generator is read once
+    g = weyl_group("B3")
+    w = g.element((1, 2, 3, 2))
+    pattern = generic_pattern(g, w)
+
+    def results(order):
+        ordering = WeightOrdering(order)
+        desc = cell_description_economical(g, w, ordering)
+        got, log = recognize_general(PatternOracle(pattern), g, ordering)
+        return (is_economical_ordering(g, ordering), got, log.weights(),
+                build_decision_tree(g, ordering=ordering).to_dot(), desc, hash(desc))
+
+    expected = results((1, 2, 3))
+    assert expected[1] == w
+    assert results([1, 2, 3]) == expected
+    assert results(i for i in (1, 2, 3)) == expected
 
 
 def trie_tree(group, ordering, vectors) -> DecisionTree:
@@ -344,7 +374,7 @@ def generic_sweep(g) -> int:
     the generic patterns of all of W."""
     return max(
         recognize_general(PatternOracle(generic_pattern(g, w)), g)[1].count
-        for w in g.elements()
+        for w in all_elements(g)
     )
 
 

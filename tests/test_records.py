@@ -128,9 +128,6 @@ TYPED_INPUT_ERRORS = [
                  r"^one-line notation is a type A concept$", id="from_one_line"),
     pytest.param(lambda: patterns.VanishingPattern.from_levels(weyl.weyl_group("A3"), (1,)),
                  r"^pattern must hold one orbit mask per level$", id="from_levels"),
-    pytest.param(lambda: patterns.coordinate_flag_pattern(weyl.weyl_group("B2"),
-                                                          weyl.weyl_group("B2").simple(1)),
-                 r"^coordinate flags exist in type A only$", id="coordinate_flag_pattern"),
     pytest.param(lambda: plucker.orbit_table(weyl.weyl_group("A2"), 3),
                  r"^level 3 out of range 1\.\.2$", id="orbit_table"),
     pytest.param(lambda: plucker.mu(weyl.weyl_group("A3"), _negative_root()),

@@ -110,32 +110,54 @@ def _called_name(call: ast.Call) -> str | None:
     return func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
 
 
-def _enumerating(node, prefix=""):
+def _users(node, names, prefix=""):
     """Qualified names of the functions and methods under ``node`` that call
-    ``.elements()``, ``.check_enumerable()`` or ``all_perms``."""
+    or name one of ``names``."""
     for child in ast.iter_child_nodes(node):
         if isinstance(child, ast.ClassDef):
-            yield from _enumerating(child, prefix + child.name + ".")
+            yield from _users(child, names, prefix + child.name + ".")
         elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
-            isinstance(n, ast.Call)
-            and _called_name(n) in ("elements", "check_enumerable", "all_perms")
+            isinstance(n, ast.Call) and _called_name(n) in names
+            or isinstance(n, ast.Name) and n.id in names
             for n in ast.walk(child)
         ):
             yield prefix + child.name
 
 
+def _package_users(names):
+    return {
+        (path.name, name)
+        for path in sorted(SRC.glob("*.py"))
+        for name in _users(ast.parse(path.read_text()), names)
+    }
+
+
 def test_the_functions_that_enumerate_w_are_pinned():
-    """Enumerating W is capped at 10^6 elements, and listing S_n by
+    """The package never lists W.  The drawn decision tree has |W| leaves
+    and is refused over ``TREE_LEAF_CAP``, and listing S_n by
     ``perms.all_perms`` is capped by its caller (n <= 7 for the defining-set
     search), so every other answer is read off orbit tables; a new caller
     shows here."""
-    found = {
-        (path.name, name)
-        for path in sorted(SRC.glob("*.py"))
-        for name in _enumerating(ast.parse(path.read_text()))
-    }
-    assert found == {
-        ("weyl.py", "WeylGroup.elements"),
+    assert _package_users(("TREE_LEAF_CAP", "all_perms")) == {
         ("recognition.py", "_algorithmic_tree"),
         ("bounds.py", "_constraint_families"),
     }
+
+
+def test_orbit_bfs_walks_only_weight_orbits_and_roots():
+    """Each caller of ``orbit_bfs`` walks an orbit W_J omega_k, a suborbit
+    of a table, or the positive roots, never the regular orbit W rho."""
+    assert _package_users(("orbit_bfs",)) == {
+        ("plucker.py", "OrbitTable.__init__"),
+        ("plucker.py", "OrbitTable.suborbit"),
+        ("weyl.py", "WeylGroup.positive_roots"),
+        ("weyl.py", "WeylGroup.parabolic_order"),
+    }
+
+
+def test_weyl_group_has_no_listing():
+    """Only the tests list W (``bruhat_oracle.all_elements``)."""
+    from schubcells.weyl import WeylGroup, weyl_group
+
+    assert not hasattr(WeylGroup, "elements")
+    assert not hasattr(weyl_group("A2"), "elements")

@@ -15,14 +15,20 @@ import pytest
 from ambient import ambient, dot
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from bruhat_oracle import bruhat_poset, ehresmann_leq
+from bruhat_oracle import all_elements, bruhat_poset, ehresmann_leq
 
 from schubcells import perms
 from schubcells.cartan import cartan_datum, parse_group_spec
 from schubcells.errors import UnsupportedGroupError
 from schubcells.patterns import generic_pattern
 from schubcells.plucker import orbit_table
-from schubcells.recognition import PatternOracle, recognize_general
+from schubcells.recognition import (
+    PatternOracle,
+    TreeLeaf,
+    TreeNode,
+    build_decision_tree,
+    recognize_general,
+)
 from schubcells.weyl import WeylGroup, orbit_bfs, weyl_group
 
 SMALL_GROUPS = ("A1", "A2", "A3", "B2", "B3", "G2")
@@ -32,7 +38,7 @@ RANK4_GROUPS = ("A4", "B4", "C4", "D4")
 def bruhat_closure_oracle(group):
     """Independent oracle: transitive closure of w < wt for reflections t
     with l(w) < l(wt), computed from scratch with multiply and length only."""
-    els = group.elements()
+    els = all_elements(group)
     n = len(els)
     idx = {w.fingerprint: k for k, w in enumerate(els)}
     succ = [set() for _ in range(n)]
@@ -59,13 +65,13 @@ def bruhat_closure_oracle(group):
 
 
 def test_group_orders():
-    assert len(weyl_group("A2").elements()) == 6
-    assert len(weyl_group("A1").elements()) == 2
+    assert len(all_elements(weyl_group("A2"))) == 6
+    assert len(all_elements(weyl_group("A1"))) == 2
     # the parabolic order against the 2^r r! formula and exhaustive generation
     assert len(weyl_group("B3")) == 2 ** 3 * math.factorial(3) == 48
-    assert len(weyl_group("B3").elements()) == 48
-    assert len(weyl_group("G2").elements()) == 12
-    assert len(weyl_group("D4").elements()) == 192
+    assert len(all_elements(weyl_group("B3"))) == 48
+    assert len(all_elements(weyl_group("G2"))) == 12
+    assert len(all_elements(weyl_group("D4"))) == 192
 
 
 def test_unsupported_groups():
@@ -76,10 +82,15 @@ def test_unsupported_groups():
         weyl_group("E", 8)
 
 
-def test_enumeration_cap():
-    g = weyl_group("B8")  # datum is fine, |W| = 10321920 > 10^6
+def test_enumeration_cap(monkeypatch):
+    # |W| = 10321920 > 10^6: the drawn tree is refused before any node is built
+    def refuse(*args):
+        raise AssertionError("a tree node was built over the cap")
+
+    for owner in (TreeNode, TreeLeaf):
+        monkeypatch.setattr(owner, "__init__", refuse)
     with pytest.raises(UnsupportedGroupError):
-        g.elements()
+        build_decision_tree(weyl_group("B8"))
 
 
 def test_cartan_data_invariants():
@@ -96,7 +107,7 @@ def test_cartan_data_invariants():
 def test_canonical_words_are_shortlex_minimal():
     for spec in ("A2", "B2", "A3"):
         g = weyl_group(spec)
-        for w in g.elements():
+        for w in all_elements(g):
             k = w.length
             best = None
             for word in product(range(1, g.rank + 1), repeat=k):
@@ -125,16 +136,15 @@ def test_lazy_words_match_the_enumerated_shortlex_words(spec):
     g = weyl_group(spec)
     fresh = WeylGroup(cartan_datum(g.type_letter, g.rank))
     rng = random.Random(spec)
-    for w in g.elements():
+    for w in all_elements(g):
         _check_words(g, fresh, w, rng)
-    assert fresh._elements is None
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(("B5", "D5")), st.lists(st.integers(1, 5), max_size=60), st.randoms())
 def test_lazy_words_property(spec, word, rng):
     g = weyl_group(spec)
-    canonical = {w.fingerprint: w for w in g.elements()}
+    canonical = {w.fingerprint: w for w in all_elements(g)}
     w = canonical[g.fold(word, g.identity.fingerprint)]
     assert g.element(word) == w
     _check_words(g, WeylGroup(cartan_datum(g.type_letter, g.rank)), w, rng)
@@ -147,7 +157,7 @@ def test_multiply_examples():
     g = weyl_group("A2")
     s1 = g.simple(1)
     assert g.multiply(s1, s1) == g.identity
-    for w in g.elements():
+    for w in all_elements(g):
         assert g.multiply(g.identity, w) == w
         assert g.multiply(w, g.identity) == w
         assert g.multiply(w, g.inverse(w)) == g.identity
@@ -156,7 +166,7 @@ def test_multiply_examples():
 
 def test_multiply_associative():
     g = weyl_group("B2")
-    els = g.elements()
+    els = all_elements(g)
     for u in els:
         for v in els:
             for w in els:
@@ -166,7 +176,7 @@ def test_multiply_associative():
 def test_one_line_round_trip():
     for n in (2, 3, 4):
         g = weyl_group("A", n - 1)
-        for w in g.elements():
+        for w in all_elements(g):
             assert g.from_one_line(g.one_line(w)) == w
         for p in perms.all_perms(n):
             assert g.one_line(g.from_one_line(p)) == p
@@ -229,7 +239,7 @@ def test_length_and_descents():
 def test_descents_match_length_drop():
     for spec in ("A3", "B2", "G2"):
         g = weyl_group(spec)
-        for w in g.elements():
+        for w in all_elements(g):
             rd = {
                 i
                 for i in range(1, g.rank + 1)
@@ -250,7 +260,7 @@ def test_descents_match_length_drop():
 def test_bruhat_examples():
     g = weyl_group("A2")
     w0 = g.longest_element()
-    for w in g.elements():
+    for w in all_elements(g):
         assert g.bruhat_leq(g.identity, w)
     u = g.from_one_line((2, 1, 3))
     v = g.from_one_line((2, 3, 1))
@@ -271,7 +281,7 @@ def test_bruhat_matches_transitive_closure(spec):
 def test_bruhat_matches_ehresmann_small():
     for n in (2, 3, 4, 5):
         g = weyl_group("A", n - 1)
-        els = g.elements()
+        els = all_elements(g)
         lines = [g.one_line(w) for w in els]
         for a in range(len(els)):
             for b in range(len(els)):
@@ -317,7 +327,7 @@ def test_bruhat_matches_ehresmann_s6_via_poset():
 @pytest.mark.parametrize("spec", ("A3", "A4", "B3", "C3", "G2", "D4"))
 def test_deodhar_quotient_criterion(spec):
     g = weyl_group(spec)
-    els = g.elements()
+    els = all_elements(g)
     full = frozenset(range(1, g.rank + 1))
     quotient_reps = []
     for w in els:
@@ -348,7 +358,7 @@ def test_min_coset_rep_examples():
     assert shortest.word == (2, 1)
     assert g.min_coset_rep(w0, {2}) == shortest
     # idempotent
-    for w in g.elements():
+    for w in all_elements(g):
         for J in ({1}, {2}, {1, 2}):
             rep = g.min_coset_rep(w, J)
             assert g.min_coset_rep(rep, J) == rep
@@ -358,7 +368,7 @@ def test_min_coset_rep_is_coset_minimum():
     for spec in ("A3", "B2", "G2"):
         g = weyl_group(spec)
         full = list(range(1, g.rank + 1))
-        for w in g.elements():
+        for w in all_elements(g):
             for J in (set(full[:1]), set(full[1:]), set(full)):
                 members = set()
                 frontier = {w}
@@ -397,7 +407,7 @@ def test_parabolic_intersection_law():
         hats = {j: subgroup(full - {j}) for j in range(1, r + 1)}
         for i in range(2, r + 1):
             tail = subgroup(frozenset(range(i, r + 1)))
-            for w in g.elements():
+            for w in all_elements(g):
                 in_all = all(w in hats[j] for j in range(1, i))
                 assert in_all == (w in tail)
                 assert in_all == (set(w.word) <= set(range(i, r + 1)))
@@ -408,7 +418,7 @@ def test_longest_element():
         g = weyl_group(spec)
         w0 = g.longest_element()
         assert w0.length == len(g.positive_roots())
-        assert w0.length == max(w.length for w in g.elements())
+        assert w0.length == max(w.length for w in all_elements(g))
         assert g.right_descents(w0) == frozenset(range(1, g.rank + 1))
     g = weyl_group("A3")
     wJ = g.longest_element({1, 2})
@@ -450,8 +460,8 @@ def test_act_is_a_homomorphism_and_isometry():
         (Fraction(1, 2), Fraction(5, 2)),
         (Fraction(0), Fraction(7)),
     ]
-    for u in g.elements():
-        for v in g.elements():
+    for u in all_elements(g):
+        for v in all_elements(g):
             uv = g.multiply(u, v)
             for x in vecs:
                 left = amb.act(uv, x)
