@@ -3,8 +3,11 @@
 Subcommands: describe, describe-variety, recognize, tree, base,
 patterns-poset, bounds, economical.  Groups are given as spec strings
 ("A3", "B2", "D4", "G2"); type A elements in one-line notation ("2143"),
-general elements as dot-separated reduced words ("s1.s3.s2").  Output is
-plain text by default, JSON or DOT via --format.
+elements of every type as dot-separated words ("s1.s3.s2"), which need not
+be reduced.  Output is plain text by default, JSON or DOT via --format.
+
+Each command returns its JSON payload and its plain (or DOT) lines; `main`
+picks one by --format and is the one place that writes to stdout.
 """
 
 from __future__ import annotations
@@ -34,9 +37,14 @@ from .plucker import (
 from .weyl import WeylElement, WeylGroup, parse_word, weyl_group, word_str
 
 
+class _Refusal(Exception):
+    """A refusal that stderr shows as is, with no prefix; the exit code is 1."""
+
+
 def _parse_element(group: WeylGroup, text: str) -> WeylElement:
     """A word, or in type A a one-line permutation: with MAX_RANK = 8 no
-    generator index has two digits, so two or more digits are one-line."""
+    generator index has two digits, so two or more digits are one-line
+    (`test_one_line_parsing_rests_on_max_rank` trips if MAX_RANK grows)."""
     text = text.strip()
     if group.type_letter == "A" and text.isdecimal() and len(text) >= 2:
         return group.from_one_line(tuple(int(c) for c in text))
@@ -49,11 +57,11 @@ def _element_str(group: WeylGroup, w: WeylElement) -> str:
     return word_str(w.word)
 
 
-def _weights_plain(group, pws) -> str:
-    return ", ".join(weight_label(group, pw) for pw in pws) if pws else "(none)"
+def _listing(labels) -> str:
+    return ", ".join(labels) or "(none)"
 
 
-def _cmd_describe(args, variety: bool) -> int:
+def _cmd_describe(args, variety: bool):
     group = weyl_group(args.group)
     w = _parse_element(group, args.w)
     if variety:
@@ -64,118 +72,87 @@ def _cmd_describe(args, variety: bool) -> int:
         desc = cells.cell_description_typeA(group, w)
     else:
         desc = cells.cell_description_economical(group, w)
-    if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "group": group.datum.name,
-                    "w": _element_str(group, w),
-                    "zero": [weight_json(group, pw) for pw in desc.equalities],
-                    "nonzero": [weight_json(group, pw) for pw in desc.inequalities],
-                },
-                sort_keys=True,
-            )
-        )
-    else:
-        print(f"cell of {_element_str(group, w)} in {group.datum.name}:")
-        print(f"  zero: {_weights_plain(group, desc.equalities)}")
-        print(f"  nonzero: {_weights_plain(group, desc.inequalities)}")
-    return 0
+    payload = {
+        "group": group.datum.name,
+        "w": _element_str(group, w),
+        "zero": [weight_json(group, pw) for pw in desc.equalities],
+        "nonzero": [weight_json(group, pw) for pw in desc.inequalities],
+    }
+    return payload, [
+        f"cell of {payload['w']} in {group.datum.name}:",
+        f"  zero: {_listing(weight_label(group, pw) for pw in desc.equalities)}",
+        f"  nonzero: {_listing(weight_label(group, pw) for pw in desc.inequalities)}",
+    ]
 
 
-def _cmd_recognize(args) -> int:
+def _cmd_recognize(args):
     group = weyl_group(args.group)
     if group.type_letter != "A":
-        print("recognize requires a type A group (flag input)", file=sys.stderr)
-        return 1
+        raise _Refusal("recognize requires a type A group (flag input)")
     n = group.rank + 1
     if args.flag:
         rows = flags.load_flag_rows(args.flag)
         if len(rows) != n:
-            print(f"flag size {len(rows)} does not match {group.datum.name}", file=sys.stderr)
-            return 1
+            raise _Refusal(f"flag size {len(rows)} does not match {group.datum.name}")
         flag = flags.Flag(rows)
     elif args.cell:
         w = _parse_element(group, args.cell)
         flag = flags.random_cell_point(group.one_line(w), seed=args.seed)
     else:
-        print("recognize needs --flag FILE or --cell W", file=sys.stderr)
-        return 1
+        raise _Refusal("recognize needs --flag FILE or --cell W")
     perm, log = recognition.recognize_typeA(recognition.FlagOracle(flag), n)
+    payload = {
+        "w": one_line_str(perm),
+        "queries": [[weight_json(group, pw), bit] for pw, bit in log.entries],
+        "count": log.count,
+    }
     names = [weight_label(group, pw) for pw, _ in log.entries]
-    if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "w": one_line_str(perm),
-                    "queries": [
-                        [weight_json(group, pw), bit] for pw, bit in log.entries
-                    ],
-                    "count": log.count,
-                },
-                sort_keys=True,
-            )
-        )
-    else:
-        print(f"w = {one_line_str(perm)}; queries = {log.count} ({', '.join(names)})")
-        if args.trace:
-            for pw, bit in log.entries:
-                rel = "= 0" if bit == 0 else "!= 0"
-                print(f"  {weight_label(group, pw)} {rel}")
-    return 0
+    lines = [f"w = {payload['w']}; queries = {log.count} ({', '.join(names)})"]
+    if args.trace:
+        lines += [f"  {name} {'= 0' if bit == 0 else '!= 0'}"
+                  for name, (_, bit) in zip(names, log.entries)]
+    return payload, lines
 
 
-def _cmd_tree(args) -> int:
+def _cmd_tree(args):
     group = weyl_group(args.group)
     strategy = "optimal" if args.optimal else "algorithmic"
     if args.format == "dot":
-        print(recognition.build_decision_tree(group, strategy).to_dot())
-        return 0
+        return None, [recognition.build_decision_tree(group, strategy).to_dot()]
     depth = recognition.worst_case_queries(group, strategy)
-    if args.format == "json":
-        print(json.dumps({"strategy": strategy, "depth": depth}, sort_keys=True))
-    else:
-        print(f"{strategy} decision tree for {group.datum.name}: depth {depth}")
-    return 0
+    return ({"strategy": strategy, "depth": depth},
+            [f"{strategy} decision tree for {group.datum.name}: depth {depth}"])
 
 
-def _cmd_base(args) -> int:
+def _cmd_base(args):
     group = weyl_group(args.group)
-    members = base_mod.weyl_base(group)
-    weights = base_mod.base_weights(group)
     triples = {}
     if group.type_letter == "A":
-        for triple, perm, subset in base_mod.bigrassmannian_typeA(group.rank + 1):
-            triples[perm] = (triple, subset)
-    if args.format == "json":
-        out = []
-        for b, pw in zip(members, weights):
-            rec = {
-                "element": _element_str(group, b.element),
-                "left_descent": b.left_descent,
-                "right_descent": b.right_descent,
-                "weight": weight_json(group, pw),
-            }
-            if group.type_letter == "A":
-                triple, _ = triples[group.one_line(b.element)]
-                rec["triple"] = list(triple)
-            out.append(rec)
-        print(json.dumps(out, sort_keys=True))
-    else:
-        for b, pw in zip(members, weights):
-            line = f"{weight_label(group, pw)}  element {_element_str(group, b.element)}"
-            if group.type_letter == "A":
-                triple, _ = triples[group.one_line(b.element)]
-                line += f"  triple {triple}"
-            print(line)
-    return 0
+        triples = {perm: triple
+                   for triple, perm, _ in base_mod.bigrassmannian_typeA(group.rank + 1)}
+    records, lines = [], []
+    for b, pw in zip(base_mod.weyl_base(group), base_mod.base_weights(group)):
+        element = _element_str(group, b.element)
+        record = {
+            "element": element,
+            "left_descent": b.left_descent,
+            "right_descent": b.right_descent,
+            "weight": weight_json(group, pw),
+        }
+        line = f"{weight_label(group, pw)}  element {element}"
+        if triples:
+            triple = triples[group.one_line(b.element)]
+            record["triple"] = list(triple)
+            line += f"  triple {triple}"
+        records.append(record)
+        lines.append(line)
+    return records, lines
 
 
-def _cmd_patterns_poset(args) -> int:
+def _cmd_patterns_poset(args):
     group = weyl_group(args.group)
     if group.type_letter != "A":
-        print("patterns-poset requires a type A group", file=sys.stderr)
-        return 1
+        raise _Refusal("patterns-poset requires a type A group")
     n = group.rank + 1
     if args.coords:
         import re
@@ -205,21 +182,16 @@ def _cmd_patterns_poset(args) -> int:
         for key, ws in realizable.patterns.items()
     }
     poset = patterns.pattern_poset(coords, labels)
-    if args.format == "dot":
-        print(poset.to_dot())
-    elif args.format == "json":
-        print(poset.to_json())
-    else:
-        print(
-            f"{len(poset.vertices)} realizable patterns over "
-            f"({', '.join(weight_label(group, c) for c in coords)}) [exact]"
-        )
-        for v in poset.vertices:
-            print(f"  {''.join(map(str, v))}  cell {','.join(labels[v])}")
-    return 0
+    if args.format != "plain":
+        return None, [poset.to_dot() if args.format == "dot" else poset.to_json()]
+    return None, [
+        f"{len(poset.vertices)} realizable patterns over "
+        f"({', '.join(weight_label(group, c) for c in coords)}) [exact]",
+        *(f"  {''.join(map(str, v))}  cell {','.join(labels[v])}" for v in poset.vertices),
+    ]
 
 
-def _cmd_bounds(args) -> int:
+def _cmd_bounds(args):
     if args.witness is not None:
         fam = bounds_mod.construct_witness_family(args.witness)
         payload = {
@@ -231,15 +203,11 @@ def _cmd_bounds(args) -> int:
             "codimension": fam.codimension,
             "witnesses": [one_line_str(u) for u in fam.members],
         }
-        if args.format == "json":
-            print(json.dumps(payload, sort_keys=True))
-        else:
-            print(
-                f"k={fam.k}: defining the variety of {payload['w']} in S_{fam.n} needs "
-                f">= {fam.lower_bound} equations (family of {fam.size} witnesses; "
-                f"codimension {fam.codimension})"
-            )
-        return 0
+        return payload, [
+            f"k={fam.k}: defining the variety of {payload['w']} in S_{fam.n} needs "
+            f">= {fam.lower_bound} equations (family of {fam.size} witnesses; "
+            f"codimension {fam.codimension})"
+        ]
     if args.feedback_free is not None:
         res = bounds_mod.feedback_free_min_set(args.feedback_free)
         payload = {
@@ -249,15 +217,11 @@ def _cmd_bounds(args) -> int:
             "unique": res.unique,
             "certified": True,  # every answer is exact; the key keeps the JSON shape
         }
-        if args.format == "json":
-            print(json.dumps(payload, sort_keys=True))
-        else:
-            print(
-                f"n={res.n}: minimal feedback-free set has size {res.size} [exact]"
-                f"{' (unique)' if res.unique else ''}"
-            )
-            print("  coordinates: " + ", ".join("p" + subset_str(s) for s in res.subsets))
-        return 0
+        return payload, [
+            f"n={res.n}: minimal feedback-free set has size {res.size} [exact]"
+            f"{' (unique)' if res.unique else ''}",
+            f"  coordinates: {_listing('p' + s for s in payload['subsets'])}",
+        ]
     if args.defining:
         for token in args.defining:
             if not token.isdecimal():
@@ -274,20 +238,15 @@ def _cmd_bounds(args) -> int:
             "universal_count": upper,
             "certificate": [subset_str(s) for s in certificate],
         }
-        if args.format == "json":
-            print(json.dumps(payload, sort_keys=True))
-        else:
-            print(
-                f"defining the variety of {w_text} in S_{n}: >= {size} equations "
-                f"(universal set has {upper})"
-            )
-            print("  certificate: " + ", ".join("p" + subset_str(s) for s in certificate))
-        return 0
-    print("bounds needs one of --witness K, --feedback-free N, --defining W N", file=sys.stderr)
-    return 1
+        return payload, [
+            f"defining the variety of {w_text} in S_{n}: >= {size} equations "
+            f"(universal set has {upper})",
+            f"  certificate: {_listing('p' + s for s in payload['certificate'])}",
+        ]
+    raise _Refusal("bounds needs one of --witness K, --feedback-free N, --defining W N")
 
 
-def _cmd_economical(args) -> int:
+def _cmd_economical(args):
     group = weyl_group(args.group)
     ordering = None
     if args.ordering is not None:
@@ -297,34 +256,26 @@ def _cmd_economical(args) -> int:
                 raise ValueError(f"cannot parse {token!r} in --ordering: expected an integer")
         ordering = WeightOrdering(int(x) for x in tokens)
     ordering = active_ordering(group, ordering)
-    rows = []
+    rows, lines = [], []
     for i in range(1, group.rank + 1):
-        rows.append({"index": i, "orbit_size": orbit_size(group, i),
-                     "roots": len(roots_R(group, i)),
-                     "economical": is_economical_index(group, i)})
-    ordering_ok = is_economical_ordering(group, ordering)
-    if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "group": group.datum.name,
-                    "indices": rows,
-                    "ordering": list(ordering.order),
-                    "ordering_economical": ordering_ok,
-                },
-                sort_keys=True,
-            )
+        row = {"index": i, "orbit_size": orbit_size(group, i),
+               "roots": len(roots_R(group, i)),
+               "economical": is_economical_index(group, i)}
+        rows.append(row)
+        lines.append(
+            f"index {i}: 1 + |R(i)| = {1 + row['roots']}, |W w_i| = {row['orbit_size']} -> "
+            f"{'economical' if row['economical'] else 'not economical'}"
         )
-    else:
-        for row in rows:
-            mark = "economical" if row["economical"] else "not economical"
-            print(
-                f"index {row['index']}: 1 + |R(i)| = {1 + row['roots']}, "
-                f"|W w_i| = {row['orbit_size']} -> {mark}"
-            )
-        verdict = "economical" if ordering_ok else "not economical"
-        print(f"ordering {ordering.order}: {verdict}")
-    return 0
+    ordering_ok = is_economical_ordering(group, ordering)
+    lines.append(f"ordering {ordering.order}: "
+                 f"{'economical' if ordering_ok else 'not economical'}")
+    payload = {
+        "group": group.datum.name,
+        "indices": rows,
+        "ordering": list(ordering.order),
+        "ordering_economical": ordering_ok,
+    }
+    return payload, lines
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -396,13 +347,18 @@ def main(argv=None) -> int:
         "economical": _cmd_economical,
     }
     try:
-        code = commands[args.command](args)
+        payload, lines = commands[args.command](args)
+        as_json = args.format == "json" and payload is not None
+        print(json.dumps(payload, sort_keys=True) if as_json else "\n".join(lines))
         sys.stdout.flush()
-        return code
+        return 0
     except BrokenPipeError:
         # stdout closed early (`| head`): devnull takes the flush at exit
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
+    except _Refusal as exc:
+        print(exc, file=sys.stderr)
+        return 1
     except UnsupportedGroupError as exc:
         print(f"unsupported group: {exc}", file=sys.stderr)
         return 3
