@@ -5,8 +5,7 @@
   cell_description_economical  one equation per root kept positive by w, one
                                inequality per level hit by a flipped root
                                (requires an economical ordering)
-  cell_description_typeA     the economical sets for permutations, in the
-                               (i, j) order of the explicit subset form
+  cell_description_typeA     the economical sets for permutations, in level order
   cell_description_typeD     economical-style sets under the dedicated D
                                ordering plus the sign-flip equations
 
@@ -17,6 +16,20 @@ w alpha > 0 iff w s_alpha omega_mu (mu = mu(alpha)) has a larger orbit-table
 index than w omega_mu: it is s_{w alpha}(w omega_mu), and <w omega_mu,
 (w alpha)^vee> = <omega_mu, alpha^vee> > 0, so it is strictly above w omega_mu
 in Bruhat order iff w alpha > 0, and table indices extend that order.
+
+Type A in level order is the explicit (i, j) order.  ``positive_roots`` comes
+by height and the equalities are appended in that order.  In A_{n-1} the root
+e_a - e_b (a < b) has mu = a under the standard ordering and height b - a,
+and its equality p_{w([1,a-1] + {b})} is coordinate (i, j) = (a, b); so
+within a level the equalities already run by j, and a stable sort by level
+gives the (i, j) order.
+
+Type D: the candidate w(e_1+...+e_{i-1}-e_i) is an equation exactly when it
+lies above w omega_i.  Its weight minus omega_i is -2e_i, while s_alpha
+omega_i = omega_i - <omega_i, alpha^vee> alpha and every root of D has two
+nonzero epsilon-coordinates, so no root gives it: the candidate is never an
+economical equality of its level, nor w omega_i, as w is injective on the
+orbit.  Distinct i give distinct levels, so no two candidates coincide.
 """
 
 from __future__ import annotations
@@ -38,15 +51,12 @@ from .weyl import WeylElement, WeylGroup
 
 class CellDescription:
     """Equalities and inequalities cutting out the cell of w; descriptions
-    with the same data under the same order of levels are equal.
-    ``incomparable`` (type D only) holds the candidate pairs the Bruhat
-    comparison left undecided."""
+    with the same data under the same order of levels are equal."""
 
-    __slots__ = ("w", "equalities", "inequalities", "ordering", "incomparable")
+    __slots__ = ("w", "equalities", "inequalities", "ordering")
 
     def __init__(self, w: WeylElement, equalities: tuple[PluckerWeight, ...],
-                 inequalities: tuple[PluckerWeight, ...], ordering: WeightOrdering,
-                 incomparable: tuple[tuple[PluckerWeight, PluckerWeight], ...] = ()):
+                 inequalities: tuple[PluckerWeight, ...], ordering: WeightOrdering):
         eq = set(equalities)
         if eq & set(inequalities):
             raise ValueError("a weight cannot be both an equality and an inequality")
@@ -55,10 +65,10 @@ class CellDescription:
             if weight_of(group, w, i) in eq:
                 raise ValueError("w omega_i can never be required to vanish")
         self.w, self.equalities, self.inequalities = w, equalities, inequalities
-        self.ordering, self.incomparable = ordering, incomparable
+        self.ordering = ordering
 
     def _key(self):
-        return self.w, self.equalities, self.inequalities, self.ordering.order, self.incomparable
+        return self.w, self.equalities, self.inequalities, self.ordering.order
 
     def __eq__(self, other):
         return isinstance(other, CellDescription) and self._key() == other._key()
@@ -154,61 +164,37 @@ def cell_description_economical(
 
 
 def cell_description_typeA(group: WeylGroup, w) -> CellDescription:
-    """The economical sets of the standard ordering in the order of the
-    explicit form for permutations: p_{w([1,i-1] + {j})} = 0 for i < j with
-    w(i) < w(j), by (i, j), and p_{w([1,i])} != 0 when some later value drops
-    below w(i), by i."""
+    """The economical sets of the standard ordering in level order, which is
+    the order of the explicit form for permutations: p_{w([1,i-1] + {j})} = 0
+    for i < j with w(i) < w(j), by (i, j), and p_{w([1,i])} != 0 when some
+    later value drops below w(i), by i.  ``w`` may be one-line."""
     if group.type_letter != "A":
         raise ValueError("type A description requires a type A group")
-    if isinstance(w, WeylElement):
-        perm = group.one_line(w)
-        elem = w
-    else:
-        perm = tuple(w)
-        elem = group.from_one_line(perm)
+    if not isinstance(w, WeylElement):
+        w = group.from_one_line(tuple(w))
     ordering = standard_ordering(group)
-    eqs, ineqs = _economical_style_sets(group, elem, ordering)
-    # an equality of level i has rows w([1,i-1]) + {w(j)}; rank it by (i, j)
-    prefix, position = [0], {}
-    for j, v in enumerate(perm):
-        prefix.append(prefix[-1] | 1 << v - 1)
-        position[v] = j
-    eqs.sort(key=lambda pw: (pw.level, position[(pw.rows ^ prefix[pw.level - 1]).bit_length()]))
-    return CellDescription(elem, tuple(eqs), tuple(ineqs), ordering)
+    eqs, ineqs = _economical_style_sets(group, w, ordering)
+    eqs.sort(key=lambda pw: pw.level)
+    return CellDescription(w, tuple(eqs), tuple(ineqs), ordering)
 
 
 def cell_description_typeD(group: WeylGroup, w: WeylElement) -> CellDescription:
     """Economical-style sets under the dedicated D ordering, extended by the
-    equations p_{w(e_1+...+e_{i-1}-e_i)} = 0 whenever that weight lies
-    strictly above w(e_1+...+e_i), for i <= r-3.
-
-    Candidate pairs on which the Bruhat comparison is undecided are not
-    turned into equations; they are reported in ``incomparable``.
-    """
+    equations p_{w(e_1+...+e_{i-1}-e_i)} = 0 whenever that weight lies above
+    w(e_1+...+e_i), for i <= r-3 (module docstring)."""
     if group.type_letter != "D":
         raise ValueError("type D description requires a type D group")
     ordering = standard_ordering(group)
     eqs, ineqs = _economical_style_sets(group, w, ordering)
     r = group.rank
-    seen = set(eqs)
-    incomparable = []
     for i in range(1, r - 2):
         table = orbit_table(group, i)
         # e_1 + ... + e_{i-1} - e_i has labels 2 at i - 1 and -1 at i
         flipped = tuple(2 if j == i - 1 else -1 if j == i else 0 for j in range(1, r + 1))
         candidate = table.weights[table.act(w.reduced, table.by_labels[flipped])]
-        top = weight_of(group, w, i)
-        above = table.leq(top, candidate) and candidate != top
-        below = table.leq(candidate, top)
-        if above:
-            if candidate not in seen:
-                eqs.append(candidate)
-                seen.add(candidate)
-        elif not below and candidate != top:
-            incomparable.append((candidate, top))
-    return CellDescription(
-        w, tuple(eqs), tuple(ineqs), ordering, incomparable=tuple(incomparable)
-    )
+        if table.leq(weight_of(group, w, i), candidate):
+            eqs.append(candidate)
+    return CellDescription(w, tuple(eqs), tuple(ineqs), ordering)
 
 
 def verify_description(description, pattern) -> bool:

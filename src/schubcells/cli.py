@@ -182,12 +182,17 @@ def _cmd_patterns_poset(args):
         for key, ws in realizable.patterns.items()
     }
     poset = patterns.pattern_poset(coords, labels)
-    if args.format != "plain":
-        return None, [poset.to_dot() if args.format == "dot" else poset.to_json()]
-    return None, [
+    if args.format == "dot":
+        return None, [poset.to_dot()]
+    bits = {v: "".join(map(str, v)) for v in poset.vertices}
+    payload = {
+        "vertices": [{"pattern": bits[v], "cell": list(labels[v])} for v in poset.vertices],
+        "edges": [[bits[lo], bits[hi]] for lo, hi in poset.covers],
+    }
+    return payload, [
         f"{len(poset.vertices)} realizable patterns over "
         f"({', '.join(weight_label(group, c) for c in coords)}) [exact]",
-        *(f"  {''.join(map(str, v))}  cell {','.join(labels[v])}" for v in poset.vertices),
+        *(f"  {bits[v]}  cell {','.join(labels[v])}" for v in poset.vertices),
     ]
 
 

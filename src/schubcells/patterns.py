@@ -12,7 +12,6 @@ back out as ``bits``.
 
 from __future__ import annotations
 
-import json
 import random
 
 from .plucker import PluckerWeight, all_weights, ones, orbit_table
@@ -199,24 +198,6 @@ class PatternPoset:
             lines.append(f"  {name(lo)} -> {name(hi)};")
         lines.append("}")
         return "\n".join(lines)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "vertices": [
-                    {
-                        "pattern": "".join(map(str, v)),
-                        "cell": [str(c) for c in self.labels.get(v, ())],
-                    }
-                    for v in self.vertices
-                ],
-                "edges": [
-                    ["".join(map(str, lo)), "".join(map(str, hi))]
-                    for lo, hi in self.covers
-                ],
-            },
-            sort_keys=True,
-        )
 
 
 def pattern_poset(coords, patterns: dict) -> PatternPoset:

@@ -227,10 +227,10 @@ class TreeNode:
 
 
 class DecisionTree:
-    __slots__ = ("group", "root", "strategy")
+    __slots__ = ("group", "root")
 
-    def __init__(self, group: WeylGroup, root: TreeNode | TreeLeaf, strategy: str):
-        self.group, self.root, self.strategy = group, root, strategy
+    def __init__(self, group: WeylGroup, root: TreeNode | TreeLeaf):
+        self.group, self.root = group, root
 
     @property
     def depth(self) -> int:
@@ -272,7 +272,7 @@ def build_decision_tree(
     group: WeylGroup, strategy: str = "algorithmic", ordering: WeightOrdering | None = None
 ) -> DecisionTree:
     """The algorithm's tree, certified optimal for "optimal" (module docstring)."""
-    return _algorithmic_tree(group, _certified_ordering(group, strategy, ordering), strategy)
+    return _algorithmic_tree(group, _certified_ordering(group, strategy, ordering))
 
 
 def _certified_ordering(group, strategy, ordering) -> WeightOrdering:
@@ -285,7 +285,7 @@ def _certified_ordering(group, strategy, ordering) -> WeightOrdering:
     return ordering
 
 
-def _algorithmic_tree(group, ordering, strategy) -> DecisionTree:
+def _algorithmic_tree(group, ordering) -> DecisionTree:
     """Every scan entry but the last is a query whose 1-branch fixes the
     coset and moves to the next level; the last entry is forced."""
     if group.order > TREE_LEAF_CAP:
@@ -304,7 +304,7 @@ def _algorithmic_tree(group, ordering, strategy) -> DecisionTree:
             node = TreeNode(eta, node, high)
         return node
 
-    return DecisionTree(group, level(0, group.identity.fingerprint, ()), strategy)
+    return DecisionTree(group, level(0, group.identity.fingerprint, ()))
 
 
 def worst_case_queries(

@@ -1,16 +1,17 @@
 """The CLI's whole output matrix, pinned byte for byte: every subcommand in
 every format, the traces, the orderings, the coordinate spellings and the
-exits that refuse."""
+exits that refuse; and `describe` of every element of a few whole groups."""
 
 import hashlib
 import json
 
 import pytest
+from bruhat_oracle import all_elements
 
 from schubcells import cartan, cli
 from schubcells.cli import main
 from schubcells.perms import one_line_str
-from schubcells.weyl import weyl_group
+from schubcells.weyl import weyl_group, word_str
 
 # flag files the recognize commands read, by the name the commands give
 FLAGS = {
@@ -165,6 +166,30 @@ def _argv(command, tmp_path):
 def test_cli_output_matrix(command, sha256, tmp_path, capsys):
     outcome = _outcome(capsys, _argv(command, tmp_path))
     assert hashlib.sha256(json.dumps(list(outcome)).encode()).hexdigest() == sha256, outcome
+
+
+# per group, the SHA-256 of json.dumps of the outcomes of `describe` on every
+# element in ``all_elements`` order, plain then JSON: A4 and D4 take the typed
+# descriptions, B3 and G2 the economical one
+GROUP_SWEEPS = [
+    ("A4", "95f0ff8bd8277c6e68bbe8292e426cbd19750942bdd3eb553c63ff85654afdc1"),
+    ("D4", "918cb89f05c15e5be07d929746cef986e96dda23904b5ba26d6d443f9c697bb4"),
+    ("B3", "a4139972f2b4a76322056ffaf0af3bf6aab911a96abcd86f4a1f56691ae70c63"),
+    ("G2", "1552fa12acfecaa20b5438c07c8cdf8632ba8888f4b193dc159b60dbf4ec2da4"),
+]
+
+
+@pytest.mark.parametrize("spec, sha256", GROUP_SWEEPS, ids=[s for s, _ in GROUP_SWEEPS])
+def test_describe_stdout_over_whole_groups(spec, sha256, capsys):
+    g = weyl_group(spec)
+    outcomes = []
+    for w in all_elements(g):
+        text = one_line_str(g.one_line(w)) if g.type_letter == "A" else word_str(w.word)
+        for fmt in ("plain", "json"):
+            outcomes.append(_outcome(capsys, ["describe", "--group", spec, "--w", text,
+                                              "--format", fmt]))
+    assert all(code == 0 for code, _, _ in outcomes)
+    assert hashlib.sha256(json.dumps(outcomes).encode()).hexdigest() == sha256
 
 
 @pytest.mark.parametrize("w", ["321", "4321"])

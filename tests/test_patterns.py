@@ -1,7 +1,6 @@
 """Acceptability, generic patterns, random acceptable vectors, the
 degeneration poset, and the certified realizable sets."""
 
-import json
 from fractions import Fraction
 from itertools import product
 
@@ -11,7 +10,7 @@ from bruhat_oracle import all_elements, prefix_set, subset_leq
 from pattern_oracle import realizable_full_patterns as oracle_realizable_full_patterns
 from pattern_oracle import all_acceptable_patterns, realize, subset_pattern
 
-from schubcells import flags
+from schubcells import cli, flags
 from schubcells.base import base_weights
 from schubcells.flags import (
     coordinate_flag,
@@ -435,6 +434,9 @@ def test_pattern_poset_structure():
         )
     dot = poset.to_dot()
     assert dot.startswith("digraph") and '"0000"' in dot
-    data = json.loads(poset.to_json())
-    assert len(data["vertices"]) == 11
-    assert len(data["edges"]) == len(poset.covers)
+    # the JSON payload of the CLI command over the same coordinates
+    payload, _ = cli._cmd_patterns_poset(cli.make_parser().parse_args(
+        ["patterns-poset", "--group", "A2", "--coords", "p2,p3,p13,p23", "--format", "json"]))
+    assert len(payload["vertices"]) == 11
+    assert len(payload["edges"]) == len(poset.covers)
+    assert payload["vertices"][0] == {"pattern": "0000", "cell": ["123"]}

@@ -354,7 +354,7 @@ def trie_tree(group, ordering, vectors) -> DecisionTree:
         assert set(node) == {(pw, 0), (pw, 1)}, "a query with a single answer"
         return TreeNode(pw, build(node[(pw, 0)]), build(node[(pw, 1)]))
 
-    return DecisionTree(group, build(trie), "algorithmic")
+    return DecisionTree(group, build(trie))
 
 
 @pytest.mark.parametrize("spec", ("A1", "A2", "A3", "B2", "C2", "G2"))

@@ -25,8 +25,7 @@ SIGNATURES = [
      [("coords", EMPTY), ("vertices", EMPTY), ("labels", EMPTY), ("covers", EMPTY)]),
     (flags.RealizableSet, [("coords", EMPTY), ("patterns", EMPTY)]),
     (cells.CellDescription,
-     [("w", EMPTY), ("equalities", EMPTY), ("inequalities", EMPTY), ("ordering", EMPTY),
-      ("incomparable", ())]),
+     [("w", EMPTY), ("equalities", EMPTY), ("inequalities", EMPTY), ("ordering", EMPTY)]),
     (cells.VarietyDescription, [("w", EMPTY), ("equalities", EMPTY)]),
     (flags.Flag, [("matrix", EMPTY)]),
     (base.BaseElement, [("element", EMPTY), ("left_descent", EMPTY), ("right_descent", EMPTY)]),
@@ -39,7 +38,7 @@ SIGNATURES = [
     (recognition.QueryLog, [("entries", None)]),
     (recognition.TreeLeaf, [("w", EMPTY)]),
     (recognition.TreeNode, [("weight", EMPTY), ("low", EMPTY), ("high", EMPTY)]),
-    (recognition.DecisionTree, [("group", EMPTY), ("root", EMPTY), ("strategy", EMPTY)]),
+    (recognition.DecisionTree, [("group", EMPTY), ("root", EMPTY)]),
 ]
 
 

@@ -63,7 +63,7 @@ def frozenset_optimal_tree(group, vectors) -> DecisionTree:
         return best
 
     _depth, root = solve(frozenset(range(len(vectors))))
-    return DecisionTree(group, root, "optimal")
+    return DecisionTree(group, root)
 
 
 def bitmask_optimal_tree(group, vectors) -> DecisionTree:
@@ -102,4 +102,4 @@ def bitmask_optimal_tree(group, vectors) -> DecisionTree:
         memo[ids] = best
         return best
 
-    return DecisionTree(group, solve((1 << len(vectors)) - 1)[1], "optimal")
+    return DecisionTree(group, solve((1 << len(vectors)) - 1)[1])
