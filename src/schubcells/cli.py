@@ -176,12 +176,11 @@ def _cmd_patterns_poset(args):
             coords.append(pw)
     else:
         coords = list(base_mod.base_weights(group))
-    realizable = flags.realizable_restricted_patterns(n, coords)
     labels = {
         key: tuple(one_line_str(w) for w in ws)
-        for key, ws in realizable.patterns.items()
+        for key, ws in flags.realizable_restricted_patterns(n, coords).items()
     }
-    poset = patterns.pattern_poset(coords, labels)
+    poset = patterns.pattern_poset(labels)
     if args.format == "dot":
         return None, [poset.to_dot()]
     bits = {v: "".join(map(str, v)) for v in poset.vertices}

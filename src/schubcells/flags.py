@@ -21,9 +21,11 @@ down-sets of w([1, k]), so it is generic when they number the sum of
 built.  That count is memoized per row mask of w([1, k]), at most 2^n ints
 once points of C^n are drawn.  Each entry of u is drawn from
 ``getrandbits(11)`` as CPython's ``randrange(2001) - 1000``, redrawn at 0,
-so a seed gives the same points as that loop.  ``nonzero`` and ``minor``
-validate row lists for outside callers; ``minor`` divides by d_1 ... d_|I|
-for the exact Fraction.
+so a seed gives the same points as that loop.  The table has two readers:
+``minor`` takes a row list, checks it and divides by d_1 ... d_|I| for the
+exact Fraction, and ``nonzero_at`` takes a row mask.  A flag file is read by
+``load_flag_rows`` and built by ``Flag``, so a caller can check the size
+before paying 2^n minors.
 
 Realizability lives beside the flags that certify it.  For 2 <= n <= 4,
 ``realizable_full_patterns`` is the one owner of the set of patterns that
@@ -146,13 +148,9 @@ class Flag:
             raise ValueError(f"row {repeated} repeated in {rows}")
         return mask
 
-    def nonzero(self, rows) -> bool:
-        """Whether the minor on the distinct rows ``rows`` (1-based) and
-        columns [1, |rows|] is nonzero, read off the integer table."""
-        return self.nonzero_at(self._mask(rows))
-
     def nonzero_at(self, mask: int) -> bool:
-        """``nonzero`` for the rows of ``mask`` (bit r - 1 for row r)."""
+        """Whether the minor on the rows of ``mask`` (bit r - 1 for row r)
+        and columns [1, popcount(mask)] is nonzero, read off the integer table."""
         if not 0 <= mask < len(self._minors):
             raise ValueError(f"row mask {mask:#b} not within [1, {self.n}]")
         return self._minors[mask] != 0
@@ -168,14 +166,6 @@ def flag_from_columns(cols) -> Flag:
     return Flag(list(zip(*cols, strict=True)))
 
 
-def plucker_coordinate(x: Flag, I) -> Fraction:
-    """Exact value of p_I: the minor with row set I and column set [1, |I|]."""
-    I = tuple(I)  # a set would hide a repeated row from Flag.minor
-    if not 1 <= len(I) <= x.n - 1:
-        raise ValueError(f"subset size {len(I)} out of range 1..{x.n - 1}")
-    return x.minor(I)
-
-
 def coordinate_flag(w) -> Flag:
     """The flag of coordinate subspaces spanned by e_{w(1)}, ..., e_{w(i)}."""
     w = tuple(w)
@@ -186,12 +176,10 @@ def coordinate_flag(w) -> Flag:
     return Flag(rows)
 
 
-def vanishing_pattern(x: Flag, group: WeylGroup | None = None) -> VanishingPattern:
+def vanishing_pattern(x: Flag) -> VanishingPattern:
     """The vanishing pattern of a flag over the Plucker weights of its type A
     group, read off the minor table at each weight's row mask."""
-    if group is None:
-        group = type_a_group(x.n)
-    check_flag_group(x.n, group)
+    group = type_a_group(x.n)
     minors = x._minors
     return VanishingPattern.from_levels(group, (
         sum(1 << pw.index for pw in orbit(group, i) if minors[pw.rows])
@@ -252,15 +240,6 @@ def random_cell_point(w, seed=None) -> Flag:
 
 
 # ----- realizable patterns at small n --------------------------------------------
-
-
-class RealizableSet:
-    """Restricted patterns realized by actual flags, with cell labels."""
-
-    __slots__ = ("coords", "patterns")
-
-    def __init__(self, coords: tuple[PluckerWeight, ...], patterns: dict[tuple[int, ...], tuple]):
-        self.coords, self.patterns = coords, patterns
 
 
 @cache
@@ -334,7 +313,7 @@ def realizable_full_patterns(n: int):
             flag = Flag([entries[r:r + n] for r in range(0, n * n, n)])
         except ValueError:  # singular
             continue
-        pat = vanishing_pattern(flag, group)
+        pat = vanishing_pattern(flag)
         if pat not in candidates:
             raise RuntimeError(f"the flag {flag.matrix} realizes {pat}, which is no candidate")
         certificates.setdefault(pat, flag)
@@ -346,19 +325,17 @@ def realizable_full_patterns(n: int):
     )
 
 
-def realizable_restricted_patterns(n: int, coords) -> RealizableSet:
+def realizable_restricted_patterns(n: int, coords) -> dict[tuple[int, ...], tuple]:
     """The patterns of ``realizable_full_patterns(n)`` restricted to the
-    given coordinates, each labelled by the cells that realize it; exact."""
+    given Plucker weights, each mapped to the sorted cells that realize it;
+    exact."""
     full = realizable_full_patterns(n)
     group = type_a_group(n)
-    coords = tuple(
-        pw if isinstance(pw, PluckerWeight) else weight_from_subset(group, pw)
-        for pw in coords
-    )
+    coords = tuple(coords)
     found: dict[tuple[int, ...], set] = {}
     for pat, witness, _flag in full:
         found.setdefault(pat.restrict(coords), set()).add(group.one_line(witness))
-    return RealizableSet(coords, {key: tuple(sorted(ws)) for key, ws in found.items()})
+    return {key: tuple(sorted(ws)) for key, ws in found.items()}
 
 
 # ----- parsing ------------------------------------------------------------------
@@ -385,14 +362,6 @@ def _csv_rows(text: str) -> list[list[int | Fraction]]:
     return [[_parse_entry(e) for e in row] for row in csv.reader(io.StringIO(text)) if row]
 
 
-def parse_flag_json(text: str) -> Flag:
-    return Flag(_json_rows(text))
-
-
-def parse_flag_csv(text: str) -> Flag:
-    return Flag(_csv_rows(text))
-
-
 def load_flag_rows(path: str) -> list[list[int | Fraction]]:
     """The rows of a JSON or CSV matrix file, read without building the
     flag, so that a caller can check the size before paying 2^n minors."""
@@ -404,7 +373,3 @@ def load_flag_rows(path: str) -> list[list[int | Fraction]]:
         return _json_rows(text)
     except json.JSONDecodeError:
         return _csv_rows(text)
-
-
-def load_flag(path: str) -> Flag:
-    return Flag(load_flag_rows(path))

@@ -7,7 +7,8 @@ masks, so the generic pattern of w is the down-masks of the w omega_i.  It is
 the one pattern format of the package: recognition, descriptions, decision
 trees and the realizable sets of ``flags`` all read it.  Only this module
 knows the flat layout, which ``VanishingPattern`` takes as input and reads
-back out as ``bits``.
+back out as ``bits``.  ``pattern_poset`` orders the dict of restricted bits to
+cells that ``flags.realizable_restricted_patterns`` gives.
 """
 
 from __future__ import annotations
@@ -172,16 +173,11 @@ class PatternPoset:
     """Bitwise-dominance order on a set of restricted patterns; fewer ones is
     lower.  Edges are the Hasse covers within the set."""
 
-    __slots__ = ("coords", "vertices", "labels", "covers")
+    __slots__ = ("vertices", "labels", "covers")
 
-    def __init__(self, coords: tuple[PluckerWeight, ...], vertices: tuple[tuple[int, ...], ...],
-                 labels: dict[tuple[int, ...], tuple],
+    def __init__(self, vertices: tuple[tuple[int, ...], ...], labels: dict[tuple[int, ...], tuple],
                  covers: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]):
-        self.coords, self.vertices, self.labels, self.covers = coords, vertices, labels, covers
-
-    @staticmethod
-    def dominated(u, v) -> bool:
-        return all(a <= b for a, b in zip(u, v))
+        self.vertices, self.labels, self.covers = vertices, labels, covers
 
     def to_dot(self) -> str:
         def name(v):
@@ -200,15 +196,15 @@ class PatternPoset:
         return "\n".join(lines)
 
 
-def pattern_poset(coords, patterns: dict) -> PatternPoset:
+def pattern_poset(patterns: dict) -> PatternPoset:
     """Build the degeneration poset of restricted patterns.
 
-    ``patterns`` maps restricted bit tuples to cell labels (any tuple).
+    ``patterns`` maps restricted bit tuples, one bit per coordinate, to cell
+    labels (any tuple), as ``flags.realizable_restricted_patterns`` gives.
     Vertex k is bit k of an int: its down-set is the AND, over the
     coordinates where it is 0, of the vertices that are 0 there, and its
     covers are the vertices strictly below it and below no other of those.
     """
-    coords = tuple(coords)
     verts = sorted(patterns, key=lambda v: (sum(v), v))
     zero = [sum(1 << k for k, bit in enumerate(col) if not bit) for col in zip(*verts)]
     strict, up = [], [0] * len(verts)  # strict down-sets; up[lo]: the vertices covering lo
@@ -226,4 +222,4 @@ def pattern_poset(coords, patterns: dict) -> PatternPoset:
             up[lo] |= 1 << hi
     covers = tuple((verts[lo], verts[hi]) for lo in range(len(verts)) for hi in ones(up[lo]))
     labels = {v: tuple(patterns[v]) for v in verts}
-    return PatternPoset(coords, tuple(verts), labels, covers)
+    return PatternPoset(tuple(verts), labels, covers)

@@ -159,18 +159,13 @@ class OrbitTable:
         return k
 
     def position(self, w: WeylElement) -> int:
-        """Index of w omega_i, kept in w's ``positions`` when w belongs to a
-        group of this table's datum, so each level folds w's word once.  One
-        of another datum folds only if the Coxeter matrices agree (B_r and
-        C_r): the same products m_ij m_ji of Cartan entries, else ValueError."""
+        """Index of w omega_i, kept in w's ``positions``, so each level folds
+        w's word once.  An element of a group of another datum raises
+        ValueError."""
         group = self.group
         if w.group is not group and w.group.datum != group.datum:
-            a, b = w.group.datum.cartan_matrix, group.datum.cartan_matrix
-            if len(a) != len(b) or any(a[i][j] * a[j][i] != b[i][j] * b[j][i]
-                                       for i in range(len(a)) for j in range(i)):
-                raise ValueError(f"an element of {w.group.datum.name} is not in the "
-                                 f"Weyl group of {group.datum.name}")
-            return self.act(w.reduced, 0)
+            raise ValueError(f"an element of {w.group.datum.name} is not in the "
+                             f"Weyl group of {group.datum.name}")
         held = w.positions
         if held is None:
             held = w.positions = [None] * group.rank
@@ -295,19 +290,15 @@ def mu(group: WeylGroup, root: Root, ordering: WeightOrdering | None = None) -> 
 
 # ----- economical indices and orderings ----------------------------------------
 
-def is_economical_index_parabolic(group: WeylGroup, i: int, J) -> bool:
-    """Whether index i is economical for the parabolic subgroup W_J: whether
-    1 + |{alpha in R(i) : support(alpha) within J}| = |W_J omega_i|."""
-    J = group.check_parabolic(J)
+def is_economical_index(group: WeylGroup, i: int, J=None) -> bool:
+    """Whether index i is economical for the parabolic subgroup W_J (W when J
+    is None): whether 1 + |{alpha in R(i) : support(alpha) within J}| =
+    |W_J omega_i|."""
+    J = group.check_parabolic(range(1, group.rank + 1) if J is None else J)
     if i not in J:
         raise ValueError(f"index {i} not in parabolic subset {sorted(J)}")
     roots = sum(rt.support() <= J for rt in roots_R(group, i))
     return 1 + roots == orbit_size(group, i, J)
-
-
-def is_economical_index(group: WeylGroup, i: int) -> bool:
-    """Whether 1 + |R(i)| = |W omega_i|."""
-    return is_economical_index_parabolic(group, i, range(1, group.rank + 1))
 
 
 def is_economical_ordering(group: WeylGroup, ordering: WeightOrdering) -> bool:
@@ -317,7 +308,7 @@ def is_economical_ordering(group: WeylGroup, ordering: WeightOrdering) -> bool:
     verdict = group.economical.get(ordering.order)
     if verdict is None:
         verdict = group.economical[ordering.order] = all(
-            is_economical_index_parabolic(group, i, ordering.tail(pos))
+            is_economical_index(group, i, ordering.tail(pos))
             for pos, i in enumerate(ordering)
         )
     return verdict

@@ -133,9 +133,9 @@ def test_criterion_1_a2_cell_descriptions():
             assert table_ok == in_cell
         # 0/1/* semantics on 100 random cell points plus the coordinate flag
         samples = [
-            vanishing_pattern(random_cell_point(line, seed=s), g) for s in range(100)
+            vanishing_pattern(random_cell_point(line, seed=s)) for s in range(100)
         ]
-        pi = vanishing_pattern(coordinate_flag(line), g)
+        pi = vanishing_pattern(coordinate_flag(line))
         for pw, mark in zip(coords, A2_GRID[line]):
             bits = {pat.bit(pw) for pat in samples}
             if mark == "0":
@@ -152,9 +152,9 @@ def test_criterion_2_pattern_poset():
     g = type_a_group(3)
     coords = [weight_from_subset(g, s) for s in ({2}, {3}, {1, 3}, {2, 3})]
     rs = realizable_restricted_patterns(3, coords)
-    assert len(rs.patterns) == 11
+    assert len(rs) == 11
     groups: dict = {}
-    for key, ws in rs.patterns.items():
+    for key, ws in rs.items():
         assert len(ws) == 1
         groups[ws[0]] = groups.get(ws[0], 0) + 1
     assert groups == {
@@ -324,7 +324,7 @@ def test_criterion_10_cross_oracle_coherence():
         for w in all_elements(g):
             line = g.one_line(w)
             x = random_cell_point(line, seed=1000 + n)
-            pat = vanishing_pattern(x, g)
+            pat = vanishing_pattern(x)
             gen = generic_pattern(g, w)
             assert pat == gen
             w1, log1 = recognize_typeA(FlagOracle(x), n)

@@ -402,7 +402,7 @@ def test_every_coordinate_but_the_prefixes_is_needed(n):
         if I == frozenset(range(1, pw.level + 1)):
             continue
         u, x, v, y = feedback_free_certificate(n, I)
-        px, py = vanishing_pattern(x, g), vanishing_pattern(y, g)
+        px, py = vanishing_pattern(x), vanishing_pattern(y)
         assert [a ^ b for a, b in zip(px.levels, py.levels)] == [
             1 << pw.index if i == pw.level else 0 for i in range(1, n)]
         rx, ry = check_acceptable(px), check_acceptable(py)

@@ -352,7 +352,7 @@ def test_verify_description_on_sampled_flags():
     for w in all_elements(g):
         line = g.one_line(w)
         d = cell_description_typeA(g, w)
-        pat = vanishing_pattern(random_cell_point(line, seed=17), g)
+        pat = vanishing_pattern(random_cell_point(line, seed=17))
         assert verify_description(d, pat)
 
 
@@ -364,6 +364,6 @@ def test_typeA_description_on_all_coordinate_flags():
         g = weyl_group("A", n - 1)
         descs = {w: cell_description_typeA(g, w) for w in all_elements(g)}
         for v in all_elements(g):
-            pat = vanishing_pattern(coordinate_flag(g.one_line(v)), g)
+            pat = vanishing_pattern(coordinate_flag(g.one_line(v)))
             for w, d in descs.items():
                 assert verify_description(d, pat) == (v == w)

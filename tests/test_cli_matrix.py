@@ -4,6 +4,7 @@ exits that refuse; and `describe` of every element of a few whole groups."""
 
 import hashlib
 import json
+from itertools import combinations
 
 import pytest
 from bruhat_oracle import all_elements
@@ -188,6 +189,28 @@ def test_describe_stdout_over_whole_groups(spec, sha256, capsys):
         for fmt in ("plain", "json"):
             outcomes.append(_outcome(capsys, ["describe", "--group", spec, "--w", text,
                                               "--format", fmt]))
+    assert all(code == 0 for code, _, _ in outcomes)
+    assert hashlib.sha256(json.dumps(outcomes).encode()).hexdigest() == sha256
+
+
+# per group, the SHA-256 of json.dumps of the outcomes of `patterns-poset` on
+# every pair of coordinates p_I (I by size, then sorted), plain then JSON
+POSET_PAIRS = [
+    ("A2", "be1be1f131ab05650f05de9b75730f76136dcdc4d3ac4c2bcb2ec79cbc2d0006"),
+    ("A3", "baff5dc061a2b4909da011ecc2080d9ab2c585a43282890d8ed0daef0e845d20"),
+]
+
+
+@pytest.mark.parametrize("spec, sha256", POSET_PAIRS, ids=[s for s, _ in POSET_PAIRS])
+def test_patterns_poset_over_every_pair_of_coordinates(spec, sha256, capsys):
+    n = weyl_group(spec).rank + 1
+    coords = ["p" + "".join(map(str, I))
+              for k in range(1, n) for I in combinations(range(1, n + 1), k)]
+    outcomes = []
+    for pair in combinations(coords, 2):
+        for fmt in ("plain", "json"):
+            outcomes.append(_outcome(capsys, ["patterns-poset", "--group", spec,
+                                              "--coords", ",".join(pair), "--format", fmt]))
     assert all(code == 0 for code, _, _ in outcomes)
     assert hashlib.sha256(json.dumps(outcomes).encode()).hexdigest() == sha256
 

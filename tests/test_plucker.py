@@ -19,7 +19,6 @@ from schubcells.plucker import (
     WeightOrdering,
     active_ordering,
     is_economical_index,
-    is_economical_index_parabolic,
     is_economical_ordering,
     mu,
     ones,
@@ -534,10 +533,10 @@ def test_linearity_converse_observed():
 def test_parabolic_economical_matches_subgroup():
     # tail {2,3} of B3 is a B2; index 2 plays its long-root first node
     g = weyl_group("B3")
-    assert is_economical_index_parabolic(g, 2, {2, 3})
-    assert is_economical_index_parabolic(g, 3, {3})
+    assert is_economical_index(g, 2, {2, 3})
+    assert is_economical_index(g, 3, {3})
     with pytest.raises(ValueError):
-        is_economical_index_parabolic(g, 1, {2, 3})
+        is_economical_index(g, 1, {2, 3})
 
 
 @pytest.mark.parametrize("spec", [s for s in SUPPORTED_GROUPS if int(s[1:]) <= 6])
@@ -551,10 +550,10 @@ def test_parabolic_economical_index_against_the_root_scan(spec):
             count = sum(1 for rt in g.positive_roots() if i in rt.support() and rt.support() <= J)
             omega = tuple(int(j == i) for j in gens)
             size = len(orbit_bfs(omega, sorted(J), g.reflect_labels)[0])
-            assert is_economical_index_parabolic(g, i, J) == (1 + count == size), (i, J)
+            assert is_economical_index(g, i, J) == (1 + count == size), (i, J)
         if len(J) == g.rank:
             assert [is_economical_index(g, i) for i in J] == [
-                is_economical_index_parabolic(g, i, J) for i in J]
+                is_economical_index(g, i, J) for i in J]
 
 
 # ----- serialization -----------------------------------------------------------------------

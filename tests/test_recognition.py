@@ -133,7 +133,7 @@ def test_typeA_agrees_with_general_n5_sampled():
         line = g.one_line(w)
         pats = [
             generic_pattern(g, w),
-            vanishing_pattern(coordinate_flag(line), g),
+            vanishing_pattern(coordinate_flag(line)),
             random_acceptable(g, w, seed=11),
         ]
         for pat in pats:

@@ -21,9 +21,7 @@ SIGNATURES = [
     (patterns.AcceptabilityReport,
      [("accepted", EMPTY), ("per_level_max", EMPTY), ("witness", EMPTY),
       ("failure_reason", EMPTY)]),
-    (patterns.PatternPoset,
-     [("coords", EMPTY), ("vertices", EMPTY), ("labels", EMPTY), ("covers", EMPTY)]),
-    (flags.RealizableSet, [("coords", EMPTY), ("patterns", EMPTY)]),
+    (patterns.PatternPoset, [("vertices", EMPTY), ("labels", EMPTY), ("covers", EMPTY)]),
     (cells.CellDescription,
      [("w", EMPTY), ("equalities", EMPTY), ("inequalities", EMPTY), ("ordering", EMPTY)]),
     (cells.VarietyDescription, [("w", EMPTY), ("equalities", EMPTY)]),
